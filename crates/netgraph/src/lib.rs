@@ -58,7 +58,7 @@ pub use graph::{EdgeRef, Graph, Neighbor};
 pub use heap::IndexedQuadHeap;
 pub use ids::{EdgeId, NodeId};
 pub use ksp::k_shortest_paths;
-pub use mst::{kruskal, prim, MstResult};
+pub use mst::{kruskal, kruskal_over, prim, MstResult};
 pub use oracle::LandmarkOracle;
 pub use paths::{bellman_ford, dijkstra, dijkstra_with_targets, Path, ShortestPathTree};
 pub use stats::{clustering_coefficient, graph_stats, GraphStats};

@@ -49,6 +49,27 @@ pub fn kruskal(g: &Graph) -> MstResult {
     }
 }
 
+/// Kruskal's algorithm over the edge subset `edges` of `g` (duplicates
+/// allowed, any order), returning the selected edge ids in selection
+/// order. `O(n + k log k)` for `k` edges: no subgraph is copied.
+///
+/// Selects exactly the edges, in exactly the order, of [`kruskal`] on
+/// `induced_subgraph(g, |_| true, |e| edges.contains(&e))` mapped back to
+/// parent ids: the subgraph numbers its edges in ascending parent id, and
+/// both sorts are stable, so ties by weight break by edge id either way.
+#[must_use]
+pub fn kruskal_over(g: &Graph, mut edges: Vec<EdgeId>) -> Vec<EdgeId> {
+    edges.sort_unstable();
+    edges.dedup();
+    edges.sort_by_key(|&e| TotalCost::new(g.edge(e).weight));
+    let mut uf = UnionFind::new(g.node_count());
+    edges.retain(|&e| {
+        let er = g.edge(e);
+        uf.union(er.u.index(), er.v.index())
+    });
+    edges
+}
+
 /// Prim's algorithm, restarted per component. `O(m log n)`.
 ///
 /// Produces the same forest weight as [`kruskal`] (the edge set may differ
@@ -128,6 +149,17 @@ mod tests {
         assert_eq!(mst.edges.len(), 3);
         assert_eq!(mst.total_weight, 6.0);
         assert!(mst.is_spanning_tree());
+    }
+
+    #[test]
+    fn kruskal_over_all_edges_is_kruskal() {
+        let (g, _) = square_with_diagonal();
+        // Reversed and duplicated input: the subset is a set.
+        let mut all: Vec<EdgeId> = g.edges().map(|e| e.id).collect();
+        all.reverse();
+        all.push(all[0]);
+        assert_eq!(kruskal_over(&g, all), kruskal(&g).edges);
+        assert!(kruskal_over(&g, Vec::new()).is_empty());
     }
 
     #[test]

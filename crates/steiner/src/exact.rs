@@ -153,13 +153,9 @@ pub fn dreyfus_wagner(g: &Graph, terminals: &[NodeId]) -> Option<SteinerTree> {
         }
     }
 
-    let mut edge_vec: Vec<EdgeId> = edges.into_iter().collect();
-    edge_vec.sort_unstable();
     // The union of optimal subtrees can in principle contain redundant
     // edges when shortest paths overlap; prune to a tree of the terminals.
-    let sub = netgraph::induced_subgraph(g, |_| true, |e| edge_vec.binary_search(&e).is_ok());
-    let mst = netgraph::kruskal(sub.graph());
-    let tree_edges = sub.parent_edges(&mst.edges);
+    let tree_edges = netgraph::kruskal_over(g, edges.into_iter().collect());
     let (kept, cost) = crate::prune_non_terminal_leaves(g, &tree_edges, &uniq);
 
     debug_assert!(

@@ -196,13 +196,9 @@ fn try_replace(
         new_edges.push(e);
         cur = p;
     }
-    new_edges.sort_unstable();
-    new_edges.dedup();
     // Replacement may touch nodes already in the tree, creating a cycle;
     // fall back to an MST of the union to restore tree-ness cheaply.
-    let sub = netgraph::induced_subgraph(g, |_| true, |e| new_edges.binary_search(&e).is_ok());
-    let mst = netgraph::kruskal(sub.graph());
-    let tree_edges = sub.parent_edges(&mst.edges);
+    let tree_edges = netgraph::kruskal_over(g, new_edges);
     let terminals: Vec<NodeId> = Vec::new();
     let _ = terminals;
     let cost: f64 = tree_edges.iter().map(|&e| g.edge(e).weight).sum();

@@ -15,7 +15,9 @@
 #![allow(clippy::needless_range_loop)] // paired-index loops over parallel arrays
 
 use crate::{prune_non_terminal_leaves, SteinerTree};
-use netgraph::{dijkstra_with_targets, kruskal, Graph, NodeId, ShortestPathTree};
+use netgraph::{
+    dijkstra_with_targets, kruskal, kruskal_over, EdgeId, Graph, NodeId, ShortestPathTree,
+};
 
 /// Computes an approximate minimum Steiner tree spanning `terminals`.
 ///
@@ -25,26 +27,24 @@ use netgraph::{dijkstra_with_targets, kruskal, Graph, NodeId, ShortestPathTree};
 /// Duplicate terminals are tolerated. A single (deduplicated) terminal
 /// yields the trivial zero-cost tree.
 ///
+/// Step 1 runs through a [`TerminalSptBank`] whose targets are the
+/// deduplicated terminals themselves: one Dijkstra per terminal, exactly
+/// as a standalone KMB, and one code path shared with [`kmb_with_bank`].
+///
 /// Complexity: `O(t·(m + n) log n + m log m)` with `t` terminals.
 #[must_use]
 pub fn kmb(g: &Graph, terminals: &[NodeId]) -> Option<SteinerTree> {
     let uniq = dedup_terminals(g, terminals)?;
-    if uniq.len() == 1 {
-        return Some(SteinerTree::from_parts(uniq, Vec::new(), 0.0));
-    }
-    // Step 1: shortest paths from every terminal to every other terminal.
-    let spts: Vec<ShortestPathTree> = uniq
-        .iter()
-        .map(|&t| dijkstra_with_targets(g, t, &uniq))
-        .collect();
-    let spt_refs: Vec<&ShortestPathTree> = spts.iter().collect();
-    kmb_core(g, uniq, &spt_refs)
+    let mut bank = TerminalSptBank::new(uniq.clone());
+    kmb_core(g, uniq, &mut bank)
 }
 
 /// Shortest-path trees from terminals, computed once and shared across
 /// the repeated [`kmb_with_bank`] calls of a candidate scan whose
-/// terminal sets overlap (e.g. `Online_CP` evaluating many servers
-/// against one fixed `{source} ∪ destinations` anchor set).
+/// terminal sets overlap (e.g. every `Online_CP` and `EMP_Online`
+/// admission evaluating many servers against one fixed
+/// `{source} ∪ destinations` anchor set). [`kmb`] itself runs through a
+/// bank of its own terminals.
 ///
 /// Every tree is computed by `dijkstra_with_targets` against the bank's
 /// full `targets` superset. Dijkstra settles nodes in a deterministic
@@ -117,24 +117,13 @@ pub fn kmb_with_bank(
     bank: &mut TerminalSptBank,
 ) -> Option<SteinerTree> {
     let uniq = dedup_terminals(g, terminals)?;
-    if uniq.len() == 1 {
-        return Some(SteinerTree::from_parts(uniq, Vec::new(), 0.0));
-    }
     for &t in &uniq {
         assert!(
             bank.targets.contains(&t),
             "terminal {t} is outside the bank's target set"
         );
     }
-    let indices: Vec<usize> = uniq.iter().map(|&t| bank.spt_index(g, t)).collect();
-    let spt_refs: Vec<&ShortestPathTree> = indices
-        .iter()
-        .map(|&i| {
-            let (_, spt) = bank.entries.get(i).expect("index from spt_index"); // lint:allow(P1): spt_index returns in-bounds positions
-            spt
-        })
-        .collect();
-    kmb_core(g, uniq, &spt_refs)
+    kmb_core(g, uniq, bank)
 }
 
 /// Deduplicates terminals preserving caller order; `None` when empty or
@@ -159,10 +148,22 @@ fn dedup_terminals(g: &Graph, terminals: &[NodeId]) -> Option<Vec<NodeId>> {
     Some(uniq)
 }
 
-/// Steps 1b–5 of KMB, shared by [`kmb`] and [`kmb_with_bank`]:
-/// `spts[i]` must be a shortest-path tree rooted at `uniq[i]` with every
-/// terminal of `uniq` settled.
-fn kmb_core(g: &Graph, uniq: Vec<NodeId>, spts: &[&ShortestPathTree]) -> Option<SteinerTree> {
+/// Steps 1–5 of KMB over the deduplicated terminals `uniq`, every one of
+/// which must lie in `bank.targets()`.
+fn kmb_core(g: &Graph, uniq: Vec<NodeId>, bank: &mut TerminalSptBank) -> Option<SteinerTree> {
+    if uniq.len() == 1 {
+        return Some(SteinerTree::from_parts(uniq, Vec::new(), 0.0));
+    }
+    // Step 1: one shortest-path tree per terminal, drawn from the bank.
+    let indices: Vec<usize> = uniq.iter().map(|&t| bank.spt_index(g, t)).collect();
+    let spts: Vec<&ShortestPathTree> = indices
+        .iter()
+        .map(|&i| {
+            let (_, spt) = bank.entries.get(i).expect("index from spt_index"); // lint:allow(P1): spt_index returns in-bounds positions
+            spt
+        })
+        .collect();
+
     // Metric closure as a little complete graph whose node i = uniq[i].
     let t = uniq.len();
     let mut closure = Graph::with_nodes(t);
@@ -179,26 +180,18 @@ fn kmb_core(g: &Graph, uniq: Vec<NodeId>, spts: &[&ShortestPathTree]) -> Option<
     let mst1 = kruskal(&closure);
     debug_assert!(mst1.is_spanning_tree());
 
-    // Step 3: expand closure edges into shortest paths; collect edge set
-    // as a bool vector keyed by the dense edge ids.
-    let mut in_subgraph = vec![false; g.edge_count()];
+    // Step 3: expand closure edges into their shortest paths in `g`.
+    let mut path_edges: Vec<EdgeId> = Vec::new();
     for &ce in &mst1.edges {
         let cer = closure.edge(ce);
-        let i = cer.u.index();
-        let j = cer.v;
-        let path = spts[i]
-            .path_to(uniq[j.index()])
+        let path = spts[cer.u.index()]
+            .path_to(uniq[cer.v.index()])
             .expect("closure edge implies reachability"); // lint:allow(P1): closure edges join mutually reachable terminals
-        for &e in path.edges() {
-            in_subgraph[e.index()] = true;
-        }
+        path_edges.extend_from_slice(path.edges());
     }
 
-    // Step 4: MST of the expanded subgraph. Build a filtered view containing
-    // exactly the collected edges.
-    let sub = netgraph::induced_subgraph(g, |_| true, |e| in_subgraph[e.index()]);
-    let mst2 = kruskal(sub.graph());
-    let tree_edges = sub.parent_edges(&mst2.edges);
+    // Step 4: MST of the expanded subgraph, over the collected edges only.
+    let tree_edges = kruskal_over(g, path_edges);
 
     // Step 5: prune non-terminal leaves.
     let (kept, cost) = prune_non_terminal_leaves(g, &tree_edges, &uniq);

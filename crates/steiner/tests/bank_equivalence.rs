@@ -1,0 +1,147 @@
+//! The shared-bank KMB and the subset Kruskal are byte-identical to the
+//! constructions they replace.
+//!
+//! Weights are small integers, so nearly every shortest path and every
+//! MST step has ties: exactly the inputs where a changed tie-break would
+//! show. Trees are compared edge for edge, terminal for terminal, and
+//! cost bit for bit.
+
+use netgraph::{
+    dijkstra_with_targets, induced_subgraph, kruskal, kruskal_over, EdgeId, Graph, NodeId,
+    ShortestPathTree,
+};
+use proptest::prelude::*;
+use steiner::{kmb, kmb_with_bank, prune_non_terminal_leaves, SteinerTree, TerminalSptBank};
+
+/// A graph on `n` nodes with integer weights in 1..=3, parallel edges
+/// allowed, connected through a spanning path unless `connect` is false.
+fn arb_graph() -> impl Strategy<Value = Graph> {
+    (2usize..=16).prop_flat_map(|n| {
+        let edges = proptest::collection::vec((0..n, 0..n, 1u32..=3), 0..40);
+        let chain = proptest::collection::vec(1u32..=3, n - 1);
+        (edges, chain, any::<bool>()).prop_map(move |(edges, chain, connect)| {
+            let mut g = Graph::with_nodes(n);
+            if connect {
+                for (i, w) in chain.into_iter().enumerate() {
+                    g.add_edge(NodeId::new(i), NodeId::new(i + 1), f64::from(w))
+                        .unwrap();
+                }
+            }
+            for (u, v, w) in edges {
+                if u != v {
+                    g.add_edge(NodeId::new(u), NodeId::new(v), f64::from(w))
+                        .unwrap();
+                }
+            }
+            g
+        })
+    })
+}
+
+/// A graph, fixed anchor terminals and per-call extra terminals, drawn
+/// the way an `Online_CP` scan uses them (duplicates included).
+fn arb_scan() -> impl Strategy<Value = (Graph, Vec<NodeId>, Vec<NodeId>)> {
+    arb_graph().prop_flat_map(|g| {
+        let n = g.node_count();
+        let anchors = proptest::collection::vec(0..n, 1..5);
+        let extras = proptest::collection::vec(0..n, 1..8);
+        (Just(g), anchors, extras).prop_map(|(g, a, x)| {
+            let ids = |v: Vec<usize>| v.into_iter().map(NodeId::new).collect::<Vec<_>>();
+            (g, ids(a), ids(x))
+        })
+    })
+}
+
+/// KMB as it was built before the bank: one Dijkstra per terminal, then
+/// step 4 as `kruskal` over a copied induced subgraph.
+fn reference_kmb(g: &Graph, terminals: &[NodeId]) -> Option<SteinerTree> {
+    let mut uniq: Vec<NodeId> = Vec::new();
+    for &t in terminals {
+        if !uniq.contains(&t) {
+            uniq.push(t);
+        }
+    }
+    if uniq.is_empty() {
+        return None;
+    }
+    if uniq.len() == 1 {
+        return Some(SteinerTree::from_parts(uniq, Vec::new(), 0.0));
+    }
+    let spts: Vec<ShortestPathTree> = uniq
+        .iter()
+        .map(|&t| dijkstra_with_targets(g, t, &uniq))
+        .collect();
+    let mut closure = Graph::with_nodes(uniq.len());
+    for (i, spt) in spts.iter().enumerate() {
+        for (j, &t) in uniq.iter().enumerate().skip(i + 1) {
+            let d = spt.distance(t)?;
+            closure.add_edge(NodeId::new(i), NodeId::new(j), d).unwrap();
+        }
+    }
+    let mut in_subgraph = vec![false; g.edge_count()];
+    for &ce in &kruskal(&closure).edges {
+        let cer = closure.edge(ce);
+        let path = spts[cer.u.index()].path_to(uniq[cer.v.index()]).unwrap();
+        for &e in path.edges() {
+            in_subgraph[e.index()] = true;
+        }
+    }
+    let sub = induced_subgraph(g, |_| true, |e| in_subgraph[e.index()]);
+    let tree_edges = sub.parent_edges(&kruskal(sub.graph()).edges);
+    let (kept, cost) = prune_non_terminal_leaves(g, &tree_edges, &uniq);
+    Some(SteinerTree::from_parts(uniq, kept, cost))
+}
+
+fn same_tree(a: Option<&SteinerTree>, b: Option<&SteinerTree>) -> bool {
+    match (a, b) {
+        (None, None) => true,
+        (Some(a), Some(b)) => {
+            a.terminals() == b.terminals()
+                && a.edges() == b.edges()
+                && a.cost().to_bits() == b.cost().to_bits()
+        }
+        _ => false,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn banked_kmb_is_fresh_kmb_is_reference((g, anchors, extras) in arb_scan()) {
+        // One bank across the whole scan, as Online_CP and EMP share it.
+        let mut targets = anchors.clone();
+        targets.extend(&extras);
+        let mut bank = TerminalSptBank::new(targets);
+        for &x in &extras {
+            let mut terminals = anchors.clone();
+            terminals.push(x);
+            let reference = reference_kmb(&g, &terminals);
+            let fresh = kmb(&g, &terminals);
+            let banked = kmb_with_bank(&g, &terminals, &mut bank);
+            prop_assert!(same_tree(fresh.as_ref(), reference.as_ref()),
+                "kmb {fresh:?} != reference {reference:?} for {terminals:?}");
+            prop_assert!(same_tree(banked.as_ref(), reference.as_ref()),
+                "banked {banked:?} != reference {reference:?} for {terminals:?}");
+        }
+    }
+
+    #[test]
+    fn kruskal_over_is_kruskal_of_induced_subgraph(
+        (g, picks) in arb_graph().prop_flat_map(|g| {
+            let m = g.edge_count().max(1);
+            (Just(g), proptest::collection::vec(0..m, 0..60))
+        })
+    ) {
+        // Picks may repeat and arrive in any order; out-of-range picks on
+        // an edgeless graph are dropped.
+        let subset: Vec<EdgeId> = picks
+            .into_iter()
+            .filter(|&i| i < g.edge_count())
+            .map(EdgeId::new)
+            .collect();
+        let sub = induced_subgraph(&g, |_| true, |e| subset.contains(&e));
+        let expected = sub.parent_edges(&kruskal(sub.graph()).edges);
+        prop_assert_eq!(kruskal_over(&g, subset), expected);
+    }
+}
