@@ -11,7 +11,7 @@
 //! competitive guarantee is claimed — the ablation benches measure it
 //! empirically.
 
-use crate::OnlineAlgorithm;
+use crate::{phase1_survivors, CostMode, OnlineAlgorithm};
 use netgraph::{EdgeId, NodeId};
 use nfv_multicast::{appro_multi_on, PseudoMulticastTree};
 use sdn::{ExponentialCostModel, MulticastRequest, Sdn, SdnBuilder};
@@ -62,16 +62,8 @@ impl OnlineAlgorithm for OnlineCpMulti {
             bld.add_switch();
         }
         let mut usable: Vec<NodeId> = Vec::new();
-        for &v in sdn.servers() {
-            // lint:allow(P1): v is drawn from servers()
-            let residual = sdn.residual_computing(v).expect("server");
-            if !sdn.is_server_alive(v) || residual + sdn::CAPACITY_EPS < demand {
-                continue;
-            }
-            let wv = model.server_weight(sdn, v).expect("server"); // lint:allow(P1): v is drawn from servers()
-            if wv >= sigma {
-                continue;
-            }
+        let (survivors, _) = phase1_survivors(sdn, request, CostMode::Exponential, sigma);
+        for (v, wv) in survivors {
             let unit = if demand > 0.0 { wv / demand } else { 0.0 };
             bld.attach_server(
                 v,

@@ -20,7 +20,7 @@
 //! KMB available as the audit path.
 
 use crate::{prune_non_terminal_leaves, SteinerTree};
-use netgraph::{kruskal, voronoi_closure, Graph, NodeId};
+use netgraph::{kruskal, kruskal_over, voronoi_closure, Graph, NodeId};
 
 /// Computes an approximate minimum Steiner tree spanning `terminals`
 /// using Mehlhorn's single-sweep construction.
@@ -71,15 +71,9 @@ pub fn mehlhorn(g: &Graph, terminals: &[NodeId]) -> Option<SteinerTree> {
     for &ce in &mst1.edges {
         vc.expand_edge(&vc.edges()[ce.index()], &mut expanded);
     }
-    let mut in_subgraph = vec![false; g.edge_count()];
-    for &e in &expanded {
-        in_subgraph[e.index()] = true;
-    }
 
-    // Step 4: MST of the expanded subgraph.
-    let sub = netgraph::induced_subgraph(g, |_| true, |e| in_subgraph[e.index()]);
-    let mst2 = kruskal(sub.graph());
-    let tree_edges = sub.parent_edges(&mst2.edges);
+    // Step 4: MST of the expanded subgraph, over the collected edges only.
+    let tree_edges = kruskal_over(g, expanded);
 
     // Step 5: prune non-terminal leaves.
     let (kept, cost) = prune_non_terminal_leaves(g, &tree_edges, &uniq);
