@@ -305,7 +305,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Accepted size specifications for [`vec`].
+    /// Accepted size specifications for [`vec`](fn@vec).
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,

@@ -303,12 +303,12 @@ fn oracle_seed_server(
     best.map(|(_, v)| v)
 }
 
-/// [`appro_multi_cap`] driven by cached shortest-path trees where valid.
+/// [`appro_multi_cap`](crate::appro_multi_cap) driven by cached shortest-path trees where valid.
 ///
 /// Byte-identical to the uncached version: the cached fast path runs only
 /// when the request's residual-feasible subgraph equals the full topology
 /// (checked in `O(1)` against the version-keyed fingerprint); every other
-/// request is delegated to [`appro_multi_cap`] unchanged.
+/// request is delegated to [`appro_multi_cap`](crate::appro_multi_cap) unchanged.
 ///
 /// # Panics
 ///

@@ -14,7 +14,7 @@
 //! ## Determinism
 //!
 //! Each speculative plan is validated with the same feasibility-threshold
-//! disturbance check the batch engine uses (see [`crate::spec`]): the
+//! disturbance check the batch engine uses (see the `spec` module): the
 //! committer tracks, per snapshot epoch, the deduplicated set of links
 //! and servers that commits and releases touched, and a plan commits
 //! speculatively only when none of them crossed the request's feasibility

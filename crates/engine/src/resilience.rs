@@ -39,7 +39,7 @@
 //! a fresh `Appro_Multi_Cap` plan (keeping the drifted tree if the fresh
 //! plan no longer fits the fragmented residual).
 //!
-//! Every path keeps the [`crate::audit`] invariants green: reserved
+//! Every path keeps the [`audit`](mod@crate::audit) invariants green: reserved
 //! backup capacity is part of the auditor's expected load, grafts/prunes
 //! rewrite the ledger release-then-allocate on allocations that fit by
 //! construction, and all iteration is BTree-ordered so decisions are

@@ -65,6 +65,6 @@ pub use stats::{clustering_coefficient, graph_stats, GraphStats};
 pub use subgraph::{induced_subgraph, FilteredGraph};
 pub use total::TotalCost;
 pub use traversal::{bfs_order, connected_components, dfs_order, is_connected, same_component};
-pub use tree::{Lca, RootedTree};
+pub use tree::RootedTree;
 pub use unionfind::UnionFind;
 pub use voronoi::{voronoi_closure, ClosureEdge, VoronoiClosure};

@@ -209,13 +209,28 @@ proptest! {
         let root = NodeId::new(0);
         let t = RootedTree::from_edges(&g, &k.edges, root).expect("MST is a tree");
         prop_assert_eq!(t.node_count(), g.node_count());
-        let lca = t.lca();
-        // LCA is an ancestor of both arguments; path costs decompose.
+        // Brute force: a node's ancestors, itself first, up to the root.
+        let ancestors = |mut n: NodeId| {
+            let mut chain = vec![n];
+            while let Some((p, _)) = t.parent(n) {
+                chain.push(p);
+                n = p;
+            }
+            chain
+        };
         for a in g.nodes() {
+            let up_a = ancestors(a);
+            prop_assert_eq!(*up_a.last().unwrap(), root);
             for b in g.nodes() {
-                let l = lca.lca(a, b);
+                // The parent-walk LCA is the first common ancestor.
+                let up_b = ancestors(b);
+                let brute = *up_a.iter().find(|x| up_b.contains(x)).unwrap();
+                let l = t.lca(a, b);
+                prop_assert_eq!(l, brute);
+                prop_assert_eq!(t.lca_of_set(&[a, b]), brute);
                 prop_assert!(t.is_ancestor(l, a));
                 prop_assert!(t.is_ancestor(l, b));
+                // Path costs decompose through the LCA.
                 let p = t.path_between(a, b);
                 let via_root = t.distance_from_root(a).unwrap()
                     + t.distance_from_root(b).unwrap()

@@ -85,8 +85,8 @@ impl OnlineAlgorithm for EmpPricing {
         let demand = request.computing_demand();
         let benefit = self.benefit_scale * request_revenue(sdn, request);
 
-        let (filtered, weighted) = build_admission_graph(sdn, b, CostMode::Exponential);
-        if weighted.edge_count() == 0 {
+        let graph = build_admission_graph(sdn, b, CostMode::Exponential);
+        if graph.weighted.edge_count() == 0 {
             telemetry::hit(telemetry::Counter::OnlineRejectedInfeasible);
             return None;
         }
@@ -100,8 +100,7 @@ impl OnlineAlgorithm for EmpPricing {
             sigma: f64::INFINITY,
             mode: CostMode::Exponential,
             rule: ThresholdRule::PerEdge,
-            filtered: &filtered,
-            weighted: &weighted,
+            graph: &graph,
         };
 
         let (survivors, _) = phase1_survivors(sdn, request, CostMode::Exponential, f64::INFINITY);
@@ -125,7 +124,7 @@ impl OnlineAlgorithm for EmpPricing {
 
         let had_candidates = !candidates.is_empty();
         let mut priced_out = false;
-        for c in candidates {
+        for c in &candidates {
             // The EMP admission rule: pay the price only if the benefit
             // covers it. Candidates are sorted, so the first over-budget
             // weight prices out every remaining one too.
@@ -133,8 +132,9 @@ impl OnlineAlgorithm for EmpPricing {
                 priced_out = true;
                 break;
             }
-            if sdn.can_allocate(&c.tree.allocation(request)) {
-                return Some(c.tree);
+            let tree = ctx.materialize(c);
+            if sdn.can_allocate(&tree.allocation(request)) {
+                return Some(tree);
             }
         }
         telemetry::hit(if priced_out {

@@ -1,7 +1,6 @@
 //! Leaf pruning: the final step of the KMB construction.
 
 use netgraph::{EdgeId, Graph, NodeId};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Repeatedly removes leaves that are not terminals from an edge set,
 /// returning the surviving edges and their total weight.
@@ -15,32 +14,37 @@ pub fn prune_non_terminal_leaves(
     edges: &[EdgeId],
     terminals: &[NodeId],
 ) -> (Vec<EdgeId>, f64) {
-    let mut degree: BTreeMap<NodeId, usize> = BTreeMap::new();
+    // Dense per-node arrays: node ids index straight into them, no
+    // hashing or tree lookups on the hot KMB path.
+    let mut degree: Vec<u32> = vec![0; g.node_count()];
     let mut alive: Vec<bool> = vec![true; edges.len()];
     for &e in edges {
         let er = g.edge(e);
-        *degree.entry(er.u).or_insert(0) += 1;
-        *degree.entry(er.v).or_insert(0) += 1;
+        degree[er.u.index()] += 1;
+        degree[er.v.index()] += 1;
     }
-    let is_terminal: BTreeSet<NodeId> = terminals.iter().copied().collect();
+    let mut is_terminal: Vec<bool> = vec![false; g.node_count()];
+    for &t in terminals {
+        if let Some(slot) = is_terminal.get_mut(t.index()) {
+            *slot = true;
+        }
+    }
 
     loop {
         let mut removed_any = false;
         for (i, &e) in edges.iter().enumerate() {
-            if !alive.get(i).copied().unwrap_or(false) {
+            if !alive[i] {
                 continue;
             }
             let er = g.edge(e);
-            for n in [er.u, er.v] {
-                if degree.get(&n) == Some(&1) && !is_terminal.contains(&n) {
-                    if let Some(a) = alive.get_mut(i) {
-                        *a = false;
-                    }
-                    *degree.get_mut(&er.u).expect("endpoint counted") -= 1; // lint:allow(P1): every edge endpoint was counted when degree was built
-                    *degree.get_mut(&er.v).expect("endpoint counted") -= 1; // lint:allow(P1): every edge endpoint was counted when degree was built
-                    removed_any = true;
-                    break;
-                }
+            if [er.u, er.v]
+                .iter()
+                .any(|n| degree[n.index()] == 1 && !is_terminal[n.index()])
+            {
+                alive[i] = false;
+                degree[er.u.index()] -= 1;
+                degree[er.v.index()] -= 1;
+                removed_any = true;
             }
         }
         if !removed_any {

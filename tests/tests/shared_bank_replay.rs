@@ -3,8 +3,10 @@
 //! departures through both policies and checks, decision by decision,
 //! that they choose the same trees and leave the same ledger as a
 //! reference that runs a fresh `steiner::kmb` per candidate, and that
-//! each admission runs at most `1 + |D_k| + |survivors|` Dijkstras (one
-//! per bank root) where the reference runs one per terminal per server.
+//! each admission runs at most `1 + |D_k|` Dijkstras (one per anchor
+//! terminal: the scan puts the server last, and KMB builds no tree for
+//! its last terminal) where the reference runs one per terminal per
+//! server.
 //!
 //! The reference is written out here from public pieces (the admission
 //! graph, the phase-1 server checks, the LCA send-back construction)
@@ -61,13 +63,12 @@ fn admission_graph(sdn: &Sdn, b: f64) -> (netgraph::FilteredGraph, Graph) {
 }
 
 /// The per-candidate reference: every surviving server gets its own
-/// `steiner::kmb`. Returns the decision and the number of phase-1
-/// survivors.
+/// `steiner::kmb`.
 fn reference_admit(
     policy: Policy,
     sdn: &Sdn,
     req: &MulticastRequest,
-) -> (Option<PseudoMulticastTree>, usize) {
+) -> Option<PseudoMulticastTree> {
     let (b, demand) = (req.bandwidth, req.computing_demand());
     let model = ExponentialCostModel::for_network(sdn);
     let sigma = match policy {
@@ -76,7 +77,7 @@ fn reference_admit(
     };
     let (filtered, weighted) = admission_graph(sdn, b);
     if weighted.edge_count() == 0 {
-        return (None, 0);
+        return None;
     }
     let survivors: Vec<(NodeId, f64)> = sdn
         .servers()
@@ -108,7 +109,7 @@ fn reference_admit(
         };
         let mut lca_args = vec![v];
         lca_args.extend(&req.destinations);
-        let u = rooted.lca().lca_of_set(&lca_args);
+        let u = rooted.lca_of_set(&lca_args);
         let sendback = rooted.path_between(v, u);
         let ingress = filtered.parent_edges(rooted.path_between(req.source, v).edges());
         let ingress_set: BTreeSet<EdgeId> = ingress.iter().copied().collect();
@@ -143,12 +144,11 @@ fn reference_admit(
         Policy::OnlineCp => f64::INFINITY,
         Policy::Emp => request_revenue(sdn, req),
     };
-    let chosen = candidates
+    candidates
         .into_iter()
         .take_while(|c| c.weight <= benefit)
         .find(|c| sdn.can_allocate(&c.tree.allocation(req)))
-        .map(|c| c.tree);
-    (chosen, survivors.len())
+        .map(|c| c.tree)
 }
 
 /// Replays `stream` through `algo` and the reference side by side on
@@ -165,11 +165,11 @@ fn replay(
     let (mut admitted, mut rejected, mut departed) = (0, 0, 0);
     for (req, arrival, duration) in stream {
         departed += active.release_due(&mut sdn, *arrival);
-        let (expected, survivors) = reference_admit(policy, &sdn, req);
+        let expected = reference_admit(policy, &sdn, req);
         let before = telemetry::counter_value(telemetry::Counter::DijkstraRuns);
         let tree = algo.admit(&sdn, req);
         let runs = telemetry::counter_value(telemetry::Counter::DijkstraRuns) - before;
-        let bound = 1 + req.destinations.len() + survivors;
+        let bound = 1 + req.destinations.len();
         assert!(
             runs <= bound as u64,
             "{}: request {} ran {runs} Dijkstras, bound {bound}",
@@ -198,7 +198,7 @@ fn replay(
     let mut ref_active = ActiveSessions::new();
     for (req, arrival, duration) in stream {
         ref_active.release_due(&mut ref_sdn, *arrival);
-        if let (Some(tree), _) = reference_admit(policy, &ref_sdn, req) {
+        if let Some(tree) = reference_admit(policy, &ref_sdn, req) {
             let alloc = tree.allocation(req);
             ref_sdn.allocate(&alloc).unwrap();
             ref_active.insert(req.id, arrival + duration, alloc);
