@@ -69,7 +69,8 @@ pub use dynamics::{run_dynamic, ActiveSessions, DynamicResult, TimedRequest};
 pub use emp::{request_revenue, EmpPricing};
 pub use ls_chain::LsChainAdmission;
 pub use multi::OnlineCpMulti;
-pub use online_cp::{phase1_survivors, CostMode, OnlineCp, ThresholdRule};
+pub(crate) use online_cp::phase1_survivors;
+pub use online_cp::{CostMode, OnlineCp, ThresholdRule};
 pub use simulation::{
     link_utilization_gini, run_online, OnlineAlgorithm, RequestOutcome, SimulationResult,
 };
