@@ -1,41 +1,36 @@
 //! # nfv-engine
 //!
-//! High-throughput batch admission for NFV-enabled multicast requests.
+//! Request admission for NFV-enabled multicast requests, beyond one
+//! `Appro_Multi_Cap` call.
 //!
-//! The sequential admission loop (`Appro_Multi_Cap` per request, then
-//! commit) is dominated by path computation. This crate splits a batch
-//! into **parallel speculative planning waves** against a shared
-//! read-only snapshot of the network, each followed by a **deterministic
-//! sequential commit phase** that validates each plan against the live
-//! residual state: the longest undisturbed prefix commits, a disturbed
-//! suffix is re-planned by the next parallel wave, and after a bounded
-//! number of waves the remainder is finished with inline sequential
-//! replans. When only one worker is available the engine short-circuits
-//! to the plain sequential loop. The outcome is byte-identical to
-//! [`admit_sequential`] in every case, at a fraction of the wall-clock
-//! time for non-conflicting batches on multicore hosts.
+//! [`admit_sequential`] is the closed-batch reference: the paper's
+//! `Appro_Multi_Cap` per request, strictly one at a time, committing each
+//! admitted allocation before planning the next. Every other engine must
+//! reproduce its decisions.
 //!
-//! For *unbounded streams* — arrivals, departures, and faults arriving
-//! forever — [`pipeline::AdmissionPipeline`] replaces the wave barrier
-//! with a continuous plan/commit pipeline: workers plan a bounded
-//! in-flight window against versioned snapshots while the committer
-//! commits in strict arrival order, validating each speculative plan with
-//! the same disturbance check (shared via the crate's `spec` helpers), so
-//! streaming decisions stay byte-identical to the sequential reference
-//! too.
+//! [`pipeline::AdmissionPipeline`] is the one speculative engine. Over an
+//! unbounded stream of arrivals, departures, and faults, worker threads
+//! plan a bounded in-flight window against versioned read-only snapshots
+//! while the committer commits in strict arrival order. A plan commits
+//! only when no commit or release since its snapshot crossed the
+//! request's feasibility thresholds; otherwise it is re-planned on the
+//! live state. Decisions therefore stay byte-identical to the sequential
+//! reference, on a closed batch as well as on a stream.
+//!
+//! Around the pipeline: [`repair`] keeps the session table and restores
+//! sessions broken by faults, [`resilience`] precomputes backup trees,
+//! and [`audit`](mod@audit) checks the ledger invariants.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod audit;
-mod batch;
 pub mod pipeline;
 pub mod repair;
 pub mod resilience;
 mod spec;
 
 pub use audit::{audit, AuditError, Auditor, CacheStamp};
-pub use batch::{admit_batch, admit_sequential, BatchReport, EngineConfig};
 pub use pipeline::{
     run_stream, AdmissionPipeline, FaultEvent, PipelineConfig, PipelineOutcome, PipelineReport,
     StreamEvent,
@@ -44,3 +39,24 @@ pub use repair::{
     CommittedSession, Departure, RepairConfig, RepairPolicy, RepairReport, SessionManager,
 };
 pub use resilience::{BackupPolicy, BackupTree, GraftOutcome, PruneOutcome, ResilienceConfig};
+
+use nfv_multicast::{appro_multi_cap_with_scratch, Admission, ApproScratch};
+use sdn::{MulticastRequest, Sdn};
+
+/// The reference implementation: admits `requests` strictly one at a time,
+/// committing each admitted allocation before planning the next request.
+// lint:entry(api)
+pub fn admit_sequential(sdn: &mut Sdn, requests: &[MulticastRequest], k: usize) -> Vec<Admission> {
+    let mut scratch = ApproScratch::new();
+    requests
+        .iter()
+        .map(|req| {
+            let adm = appro_multi_cap_with_scratch(sdn, req, k, &mut scratch);
+            if let Admission::Admitted(tree) = &adm {
+                sdn.allocate(&tree.allocation(req))
+                    .expect("admitted tree fits residual capacities"); // lint:allow(P1): the tree was planned on this exact residual state
+            }
+            adm
+        })
+        .collect()
+}

@@ -1,29 +1,28 @@
 //! Streaming admission: a continuous plan/commit pipeline over an
 //! unbounded arrival/departure stream.
 //!
-//! [`admit_batch`](crate::admit_batch) processes one closed batch with a
-//! hard barrier between every planning wave and its commit phase: workers
-//! idle while the committer runs, the committer waits on the slowest
-//! planner, and a disturbed suffix is re-planned wholesale by the next
-//! wave. [`AdmissionPipeline`] removes the barrier. A bounded window of
-//! in-flight requests is planned by worker threads against versioned
-//! read-only [`Sdn`] snapshots while the caller's thread — the single
-//! **committer** — commits decisions in strict arrival order, so planning
-//! for request `n + w` overlaps the commit of request `n`.
+//! [`crate::admit_sequential`] plans and commits one request at a time,
+//! so planning never overlaps a commit. [`AdmissionPipeline`] overlaps
+//! them: a bounded window of in-flight requests is planned by worker
+//! threads against versioned read-only [`Sdn`] snapshots while the
+//! caller's thread — the single **committer** — commits decisions in
+//! strict arrival order, so planning for request `n + w` overlaps the
+//! commit of request `n`. A closed batch is the special case of a stream
+//! whose sessions never depart.
 //!
 //! ## Determinism
 //!
-//! Each speculative plan is validated with the same feasibility-threshold
-//! disturbance check the batch engine uses (see the `spec` module): the
-//! committer tracks, per snapshot epoch, the deduplicated set of links
-//! and servers that commits and releases touched, and a plan commits
-//! speculatively only when none of them crossed the request's feasibility
-//! threshold between its snapshot and the live state. Workers ship the
-//! *raw* planned tree ([`nfv_multicast::CapPlan`], before the accumulated
-//! multi-traversal load check), and the committer resolves that check
-//! against the live residuals at commit time — a tree unfit on its
-//! snapshot can become fit after departures release capacity, so only
-//! the live verdict reproduces the sequential decision. A disturbed (or
+//! Each speculative plan is validated with a feasibility-threshold
+//! disturbance check (see the `spec` module): the committer tracks, per
+//! snapshot epoch, the deduplicated set of links and servers that
+//! commits and releases touched, and a plan commits speculatively only
+//! when none of them crossed the request's feasibility threshold between
+//! its snapshot and the live state. Workers ship the *raw* planned tree
+//! ([`nfv_multicast::CapPlan`], before the accumulated multi-traversal
+//! load check), and the committer resolves that check against the live
+//! residuals at commit time — a tree unfit on its snapshot can become
+//! fit after departures release capacity, so only the live verdict
+//! reproduces the sequential decision. A disturbed (or
 //! lost) plan is re-planned inline on the live state — exactly the
 //! sequential decision. Decisions, trees, and the final residual state
 //! are therefore **byte-identical to the sequential reference**
@@ -49,7 +48,7 @@
 
 use crate::audit::Auditor;
 use crate::repair::{RepairConfig, RepairReport, SessionManager};
-use crate::spec::{feasibility_disturbed, validate_speculative, TouchedSet};
+use crate::spec::{feasibility_disturbed, TouchedSet};
 use netgraph::{EdgeId, NodeId};
 use nfv_multicast::{appro_multi_cap_with_scratch, Admission, ApproScratch, CapPlan};
 use nfv_online::TimedRequest;
@@ -66,9 +65,9 @@ pub struct PipelineConfig {
     pub k: usize,
     /// Planner worker threads. `0` disables speculation entirely: every
     /// request is planned inline at commit time on the live state — the
-    /// sequential reference the pipelined modes must reproduce. (Unlike
-    /// [`crate::EngineConfig`], `0` does *not* mean "auto": a streaming
-    /// daemon's thread budget is an explicit deployment choice.)
+    /// sequential reference the pipelined modes must reproduce. `0` does
+    /// *not* mean "auto": a streaming daemon's thread budget is an
+    /// explicit deployment choice.
     pub workers: usize,
     /// Maximum in-flight speculative plans. Bounds both memory and the
     /// worst-case staleness of a plan's snapshot.
@@ -562,7 +561,12 @@ impl AdmissionPipeline {
             } if !self.disturbed_since(epoch, &snapshot, req) => {
                 self.report.speculative_hits += 1;
                 telemetry::hit(telemetry::Counter::EngineSpeculativeCommits);
-                validate_speculative(plan, req, &self.sdn)
+                // The feasible subgraph is unchanged, so the planned tree
+                // is the one the sequential loop would compute now. Its
+                // accumulated-load check runs against the live residuals
+                // it is about to be charged to: only the live verdict
+                // matches the sequential decision.
+                plan.admit(&self.sdn, req)
             }
             Speculation::Plan { .. } | Speculation::Lost => {
                 self.report.replanned += 1;
@@ -654,10 +658,7 @@ impl AdmissionPipeline {
     fn disturbed_since(&mut self, epoch: u64, snapshot: &Sdn, req: &MulticastRequest) -> bool {
         let mut scanned = 0usize;
         let disturbed = self.deltas.range(epoch..).any(|(_, delta)| {
-            if delta.is_empty() {
-                return false;
-            }
-            scanned += delta.len();
+            scanned += delta.links.len() + delta.servers.len();
             feasibility_disturbed(
                 delta,
                 |e| snapshot.usable_bandwidth(e),
@@ -755,21 +756,26 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::admit_sequential;
+    use crate::admit_sequential;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use sdn::{NfvType, SdnBuilder, ServiceChain};
     use workload::{OpenLoopWorkload, RequestGenerator};
 
-    fn ring_sdn(n: usize) -> Sdn {
+    /// A ring of `n` 600 Mbps links with a server on every fourth node;
+    /// seeded link and server weights let plans on different snapshots
+    /// pick different arcs of the ring.
+    fn ring_sdn(n: usize, seed: u64) -> Sdn {
+        let mut rng = StdRng::seed_from_u64(seed);
         let mut bld = SdnBuilder::new();
         let nodes: Vec<_> = (0..n).map(|_| bld.add_switch()).collect();
         for i in 0..n {
-            bld.add_link(nodes[i], nodes[(i + 1) % n], 600.0, 1.0)
+            bld.add_link(nodes[i], nodes[(i + 1) % n], 600.0, rng.gen_range(0.5..2.0))
                 .unwrap();
         }
         for i in (0..n).step_by(4) {
-            bld.attach_server(nodes[i], 2_000.0, 1.0).unwrap();
+            bld.attach_server(nodes[i], 2_000.0, rng.gen_range(0.5..2.0))
+                .unwrap();
         }
         bld.build().unwrap()
     }
@@ -788,7 +794,7 @@ mod tests {
     fn inline_mode_without_departures_matches_admit_sequential() {
         let requests = stream(16, 30, 1, f64::INFINITY);
         let plain: Vec<MulticastRequest> = requests.iter().map(|t| t.request.clone()).collect();
-        let mut seq_net = ring_sdn(16);
+        let mut seq_net = ring_sdn(16, 1);
         let pipe_net = seq_net.clone();
         let seq = admit_sequential(&mut seq_net, &plain, 2);
 
@@ -805,10 +811,39 @@ mod tests {
     }
 
     #[test]
+    fn pipelined_closed_batch_matches_admit_sequential_under_contention() {
+        let mut rejected = 0;
+        let mut replanned = 0;
+        for seed in 0..6u64 {
+            let requests = stream(24, 40, seed, f64::INFINITY);
+            let plain: Vec<MulticastRequest> = requests.iter().map(|t| t.request.clone()).collect();
+            let mut seq_net = ring_sdn(24, seed);
+            let pipe_net = seq_net.clone();
+            let seq = admit_sequential(&mut seq_net, &plain, 2);
+
+            let cfg = PipelineConfig::new(2)
+                .with_workers(4)
+                .with_window(6)
+                .with_refresh(6);
+            let mut pipeline = AdmissionPipeline::launch(pipe_net, cfg);
+            for tr in requests {
+                pipeline.push(tr);
+            }
+            let out = pipeline.finish();
+            assert_eq!(out.decisions, seq, "seed {seed}: decisions diverged");
+            assert_eq!(out.sdn, seq_net, "seed {seed}: residual state diverged");
+            rejected += out.report.rejected;
+            replanned += out.report.replanned;
+        }
+        assert!(rejected > 0, "the ring must run out of capacity");
+        assert!(replanned > 0, "commits must disturb in-flight plans");
+    }
+
+    #[test]
     fn pipelined_matches_inline_with_departures() {
         for workers in [1, 2, 3] {
             let events = stream(24, 50, 7, 12.0);
-            let net = ring_sdn(24);
+            let net = ring_sdn(24, 7);
             let reference = {
                 let mut p = AdmissionPipeline::launch(net.clone(), PipelineConfig::new(2));
                 for tr in events.clone() {
@@ -878,7 +913,7 @@ mod tests {
 
     #[test]
     fn run_stream_mixes_arrivals_and_faults() {
-        let net = ring_sdn(16);
+        let net = ring_sdn(16, 3);
         let arrivals = stream(16, 10, 3, f64::INFINITY);
         let some_link = net.graph().edges().next().unwrap().id;
         let mut events: Vec<StreamEvent> = arrivals.into_iter().map(StreamEvent::Arrival).collect();
@@ -935,7 +970,7 @@ mod tests {
     #[should_panic(expected = "nondecreasing time order")]
     fn out_of_order_arrivals_panic() {
         let requests = stream(8, 2, 5, f64::INFINITY);
-        let mut p = AdmissionPipeline::launch(ring_sdn(8), PipelineConfig::new(1));
+        let mut p = AdmissionPipeline::launch(ring_sdn(8, 5), PipelineConfig::new(1));
         p.push(requests[1].clone());
         p.push(requests[0].clone());
     }

@@ -1,15 +1,14 @@
-//! Shared plan/validate/commit helpers for speculative admission.
+//! Plan/validate helpers for the speculative pipeline.
 //!
-//! Both the wave-barrier batch engine ([`crate::admit_batch`]) and the
-//! streaming pipeline ([`crate::pipeline`]) follow the same contract: a
-//! plan computed against an older residual state may be committed iff no
-//! commit or release since that state crossed the request's feasibility
-//! thresholds — the set of links with *usable* (alive-masked) bandwidth
-//! `>= b_k` and servers with usable computing `>= C(SC_k)` (both with the
-//! shared [`sdn::CAPACITY_EPS`] slack). Planners define the feasible
-//! subgraph through the usable view ([`Sdn::usable_bandwidth`] /
-//! [`Sdn::usable_computing`]), so the predicate reads the same view on
-//! both the snapshot and live sides.
+//! [`crate::pipeline`] plans requests on snapshots and follows one
+//! contract: a plan computed against an older residual state may be
+//! committed iff no commit or release since that state crossed the
+//! request's feasibility thresholds — the set of links with *usable*
+//! (alive-masked) bandwidth `>= b_k` and servers with usable computing
+//! `>= C(SC_k)` (both with the shared [`sdn::CAPACITY_EPS`] slack).
+//! Planners define the feasible subgraph through the usable view
+//! ([`Sdn::usable_bandwidth`] / [`Sdn::usable_computing`]), so the
+//! predicate reads the same view on both the snapshot and live sides.
 //!
 //! The sequential decision is a function of **two** residual reads, and
 //! the speculative protocol covers each with a different mechanism:
@@ -24,35 +23,25 @@
 //!    one link in both an ingress path and the distribution structure, so
 //!    admission needs `j·b_k` residual on such a link (`j` ≥ 2) — a
 //!    threshold the single-`b_k` subgraph bits cannot see. Speculations
-//!    therefore carry the *raw* planned tree (before that check), and
-//!    [`validate_speculative`] resolves it against the **live** residuals
-//!    at commit time. Collapsing the planner output to admit/reject on
-//!    the snapshot would be unsound in both directions: a tree unfit on
-//!    the snapshot can fit after releases, and vice versa.
+//!    therefore carry the *raw* planned tree (before that check), and the
+//!    committer resolves it with [`CapPlan::admit`](nfv_multicast::CapPlan::admit)
+//!    against the **live** residuals at commit time. Collapsing the
+//!    planner output to admit/reject on the snapshot would be unsound in
+//!    both directions: a tree unfit on the snapshot can fit after
+//!    releases, and vice versa.
 //!
 //! The touched-set mechanism only tracks *residual* movement (commits and
-//! releases). Liveness flips are invisible to it by design: both engines
-//! guarantee that no speculative plan ever spans a liveness change — the
-//! batch engine admits no faults mid-batch, and the pipeline drains its
-//! window on every fault and force-republishes its snapshot before the
-//! next plan is dispatched (see [`crate::pipeline`]).
-//!
-//! This module holds the pieces both engines share: the deduplicated
-//! touched-element set, the threshold-crossing predicate, and the final
-//! live-state resolution of an undisturbed speculative plan.
+//! releases). Liveness flips are invisible to it by design: the pipeline
+//! drains its window on every fault and force-republishes its snapshot
+//! before the next plan is dispatched, so no speculative plan ever spans
+//! a liveness change.
 
-use nfv_multicast::{Admission, CapPlan};
 use sdn::{Allocation, MulticastRequest, Sdn};
 use std::collections::BTreeSet;
 
 /// Deduplicated set of links and servers whose residuals moved since a
-/// snapshot was taken.
-///
-/// Earlier the batch engine kept plain `Vec`s that accumulated one entry
-/// per commit per element, so an element shared by many committed trees
-/// was re-checked once per tree on every pending request — `O(touched ×
-/// pending)` with `touched` counting duplicates. Sets keep the scan
-/// proportional to the number of *distinct* disturbed elements.
+/// snapshot was taken. Sets keep the disturbance scan proportional to
+/// the number of *distinct* disturbed elements.
 #[derive(Debug, Clone, Default)]
 pub struct TouchedSet {
     /// Links whose residual bandwidth changed.
@@ -66,18 +55,6 @@ impl TouchedSet {
     #[must_use]
     pub fn new() -> Self {
         TouchedSet::default()
-    }
-
-    /// Number of distinct touched elements (links + servers).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.links.len() + self.servers.len()
-    }
-
-    /// `true` when nothing was touched.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.links.is_empty() && self.servers.is_empty()
     }
 
     /// Records every link and server `alloc` loads (a commit) or frees
@@ -127,20 +104,6 @@ pub fn feasibility_disturbed(
     })
 }
 
-/// Final resolution of an undisturbed speculative plan against the live
-/// state: the feasible subgraph is identical, so the planned tree (or the
-/// absence of one) is exactly what the sequential loop would compute on
-/// the live state — and the decision then hinges on the *accumulated*
-/// load check (a tree may traverse one link several times), which must
-/// run against the live residuals it is about to be charged to. The
-/// snapshot-side verdict of that check is irrelevant and deliberately not
-/// part of [`CapPlan`]: only the live verdict matches the sequential
-/// decision.
-#[must_use]
-pub fn validate_speculative(plan: CapPlan, request: &MulticastRequest, now: &Sdn) -> Admission {
-    plan.admit(now, request)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,14 +123,18 @@ mod tests {
         b.add_server(NodeId::new(5), 200.0);
 
         touched.absorb(&a);
-        assert_eq!(touched.len(), 3);
+        assert_eq!(touched.links.len(), 2);
+        assert_eq!(touched.servers.len(), 1);
         touched.absorb(&b);
         // Link 1 and server 5 are shared: the set holds the union, not
         // one entry per commit.
         assert_eq!(touched.links.len(), 3);
         assert_eq!(touched.servers.len(), 1);
-        assert_eq!(touched.len(), 4);
         touched.absorb(&a);
-        assert_eq!(touched.len(), 4, "re-absorbing must not grow the set");
+        assert_eq!(
+            (touched.links.len(), touched.servers.len()),
+            (3, 1),
+            "re-absorbing must not grow the set"
+        );
     }
 }

@@ -28,10 +28,6 @@ fn main() {
     println!("{}", t9.render());
     write_csv(&t9, "fig9").expect("csv");
 
-    let tb = experiments::batch::run(scale);
-    println!("{}", tb.render());
-    write_csv(&tb, "batch_engine").expect("csv");
-
     let names = [
         "ablation_cost_model",
         "ablation_threshold",

@@ -6,7 +6,6 @@
 
 pub mod ablation;
 pub mod arena;
-pub mod batch;
 pub mod chaos;
 pub mod churn;
 pub mod dynamic;

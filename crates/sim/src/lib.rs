@@ -14,7 +14,6 @@
 //! | `fig8` | Fig. 8     | requests admitted by `Online_CP` vs `SP`, vs network size |
 //! | `fig9` | Fig. 9     | admitted vs number of requests on GÉANT / AS1755 |
 //! | `ablation` | §VII design choices | cost model, threshold rule, K sweep, Steiner routine |
-//! | `batch` | engine throughput | batch vs sequential admission wall-clock, per batch size |
 //! | `chaos` | failure model | seeded fail/recover replay with self-healing repair + auditor |
 //! | `arena` | competitive analysis | every online policy × every adversarial workload, vs offline yardsticks |
 //! | `all` | everything | runs the full suite |

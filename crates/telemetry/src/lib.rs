@@ -5,7 +5,7 @@
 //! deliberately dependency-free and deterministic by construction:
 //!
 //! * Every quantity recorded from result-affecting code is a logical count
-//!   (runs, hits, prunes, waves, ...), never a wall-clock measurement.
+//!   (runs, hits, prunes, replans, ...), never a wall-clock measurement.
 //! * Events carry a logical sequence number (their position in the log), not
 //!   a timestamp, and are only recorded from sequential control paths.
 //! * Wall-clock helpers exist behind the opt-in `timing` cargo feature; the
@@ -20,9 +20,10 @@
 //! [`enable`] up front and [`snapshot`] at the end.
 //!
 //! Counter updates use relaxed atomics. In the one parallel region of the
-//! workspace (speculative batch planning in `nfv-engine`), each wave does a
-//! fixed amount of planning work regardless of thread interleaving, so the
-//! *totals* are deterministic even though the update order is not.
+//! workspace (the planner pool of `nfv-engine`'s streaming pipeline),
+//! worker updates interleave, so only totals are meaningful; the pipeline's
+//! scheduling metrics (stalls, snapshot staleness, commit-queue depth)
+//! vary run to run by design.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -103,8 +104,6 @@ pub enum Counter {
     /// Sessions departed and released back to the substrate.
     SessionsDeparted,
     // -- engine -------------------------------------------------------------
-    /// Speculative planning waves executed by the batch engine.
-    EngineWaves,
     /// Speculative plans committed without replanning.
     EngineSpeculativeCommits,
     /// Speculative plans invalidated and replanned sequentially.
@@ -158,7 +157,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in registry (serialisation) order.
-    pub const ALL: [Counter; 46] = [
+    pub const ALL: [Counter; 45] = [
         Counter::DijkstraRuns,
         Counter::HeapDecreaseKeys,
         Counter::VoronoiClosureBuilds,
@@ -184,7 +183,6 @@ impl Counter {
         Counter::AdmissionCacheHits,
         Counter::AdmissionCacheRebuilds,
         Counter::SessionsDeparted,
-        Counter::EngineWaves,
         Counter::EngineSpeculativeCommits,
         Counter::EngineReplans,
         Counter::PipelineSnapshots,
@@ -235,7 +233,6 @@ impl Counter {
             Counter::AdmissionCacheHits => "admission_cache_hits",
             Counter::AdmissionCacheRebuilds => "admission_cache_rebuilds",
             Counter::SessionsDeparted => "sessions_departed",
-            Counter::EngineWaves => "engine_waves",
             Counter::EngineSpeculativeCommits => "engine_speculative_commits",
             Counter::EngineReplans => "engine_replans",
             Counter::PipelineSnapshots => "pipeline_snapshots",
@@ -318,8 +315,6 @@ static GAUGES: [AtomicU64; GAUGE_COUNT] = [const { AtomicU64::new(0) }; GAUGE_CO
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Hist {
-    /// Requests planned per speculative batch wave.
-    BatchWaveSize,
     /// Sessions broken per fault event handed to the repair loop.
     RepairBatchBroken,
     /// Combinations evaluated per `Appro_Multi` scan.
@@ -346,8 +341,7 @@ pub enum Hist {
 
 impl Hist {
     /// Every histogram, in registry order.
-    pub const ALL: [Hist; 8] = [
-        Hist::BatchWaveSize,
+    pub const ALL: [Hist; 7] = [
         Hist::RepairBatchBroken,
         Hist::CombosPerScan,
         Hist::SnapshotStaleness,
@@ -360,7 +354,6 @@ impl Hist {
     /// Stable snake_case name used in JSON and text snapshots.
     pub const fn name(self) -> &'static str {
         match self {
-            Hist::BatchWaveSize => "batch_wave_size",
             Hist::RepairBatchBroken => "repair_batch_broken",
             Hist::CombosPerScan => "combos_per_scan",
             Hist::SnapshotStaleness => "snapshot_staleness",
@@ -1067,7 +1060,7 @@ mod tests {
         disable();
         hit(Counter::DijkstraRuns);
         gauge_set(Gauge::ActiveSessions, 9);
-        observe(Hist::BatchWaveSize, 3);
+        observe(Hist::CombosPerScan, 3);
         record(Event::SessionDropped { request: 1 });
         assert_eq!(counter_value(Counter::DijkstraRuns), 0);
         assert_eq!(gauge_value(Gauge::ActiveSessions), 0);
@@ -1078,10 +1071,10 @@ mod tests {
         hit(Counter::DijkstraRuns);
         add(Counter::CombosEvaluated, 41);
         gauge_set(Gauge::ActiveSessions, 7);
-        observe(Hist::BatchWaveSize, 1);
-        observe(Hist::BatchWaveSize, 1);
-        observe(Hist::BatchWaveSize, 5);
-        observe(Hist::BatchWaveSize, 1_000_000);
+        observe(Hist::CombosPerScan, 1);
+        observe(Hist::CombosPerScan, 1);
+        observe(Hist::CombosPerScan, 5);
+        observe(Hist::CombosPerScan, 1_000_000);
         record(Event::UnknownDeparture { request: 42 });
         record(Event::SessionDegraded {
             request: 3,
@@ -1105,14 +1098,14 @@ mod tests {
                 shed_terminals: 2
             })
         );
-        let wave = snap
+        let combos = snap
             .histograms
             .iter()
-            .find(|h| h.name == "batch_wave_size")
-            .expect("batch_wave_size histogram present");
-        assert_eq!(wave.total, 4);
-        assert_eq!(wave.buckets.first(), Some(&(1, 2)));
-        assert_eq!(wave.buckets.last(), Some(&(u64::MAX, 1)));
+            .find(|h| h.name == "combos_per_scan")
+            .expect("combos_per_scan histogram present");
+        assert_eq!(combos.total, 4);
+        assert_eq!(combos.buckets.first(), Some(&(1, 2)));
+        assert_eq!(combos.buckets.last(), Some(&(u64::MAX, 1)));
 
         // JSON round-trip is exact.
         let json = snap.to_json();

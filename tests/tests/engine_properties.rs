@@ -1,11 +1,9 @@
-//! Property tests for the batch admission engine and its SSSP caches:
-//! the caches must be invisible (cached results == freshly computed
-//! ones after arbitrary capacity-update sequences), and batch admission
-//! must be byte-identical to the sequential reference.
+//! Property tests for the SSSP caches: the caches must be invisible
+//! (cached results == freshly computed ones after arbitrary
+//! capacity-update sequences).
 
 use integration_tests::{request_batch, waxman_fixture};
 use netgraph::{dijkstra, NodeId};
-use nfv_engine::{admit_batch, admit_sequential, EngineConfig};
 use nfv_multicast::{appro_multi_cap, appro_multi_cap_cached, Admission, PathCache};
 use proptest::prelude::*;
 
@@ -80,33 +78,5 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// Batch admission decisions — and the resulting residual state — are
-    /// byte-identical to the sequential loop for every worker count and
-    /// wave bound.
-    #[test]
-    fn batch_admission_equals_sequential(
-        seed in 0u64..1_000,
-        count in 1usize..48,
-        workers in 1usize..5,
-        max_waves in 1usize..5,
-    ) {
-        let n = 30;
-        let fresh = waxman_fixture(n, 410);
-        let requests = request_batch(n, count, seed);
-
-        let mut seq_net = fresh.clone();
-        let seq = admit_sequential(&mut seq_net, &requests, 2);
-
-        let mut batch_net = fresh.clone();
-        let config = EngineConfig::new(2)
-            .with_workers(workers)
-            .with_max_waves(max_waves);
-        let (batch, report) = admit_batch(&mut batch_net, &requests, &config);
-
-        prop_assert_eq!(&seq, &batch);
-        prop_assert_eq!(&seq_net, &batch_net);
-        prop_assert_eq!(report.admitted + report.rejected, requests.len());
     }
 }
