@@ -57,20 +57,10 @@ impl Fingerprint {
     /// demand fails the full-graph test and falls back to the (alive-aware)
     /// uncached algorithm. Topology trees never see dead elements.
     fn of(sdn: &Sdn) -> Self {
-        let min_residual_bandwidth = sdn
-            .graph()
-            .edges()
-            .map(|e| sdn.usable_bandwidth(e.id))
-            .fold(f64::INFINITY, f64::min);
-        let min_residual_computing = sdn
-            .servers()
-            .iter()
-            .map(|&v| sdn.usable_computing(v).expect("server")) // lint:allow(P1): v is drawn from servers()
-            .fold(f64::INFINITY, f64::min);
         Fingerprint {
             version: sdn.version(),
-            min_residual_bandwidth,
-            min_residual_computing,
+            min_residual_bandwidth: sdn.min_usable_bandwidth(),
+            min_residual_computing: sdn.min_usable_computing(),
             all_alive: sdn.all_alive(),
         }
     }

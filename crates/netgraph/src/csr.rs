@@ -3,23 +3,33 @@
 //!
 //! [`Graph`] stores adjacency as `Vec<Vec<Neighbor>>` — one heap
 //! allocation per node, and every relaxation chases `edges[..]` for the
-//! weight. [`CsrGraph`] flattens that into four parallel arrays
-//! (`offsets`, `targets`, `edge_ids`, `weights`) so a shortest-path run
-//! touches contiguous memory and, paired with a [`DijkstraScratch`],
-//! performs **zero allocations after warm-up**. Arc order within a node
-//! is exactly the adjacency order of the source graph, so
-//! [`dijkstra_csr`] relaxes edges in the same order as
-//! [`crate::dijkstra`] and produces bit-identical distance and
-//! predecessor arrays.
+//! weight. [`CsrGraph`] flattens that into an `offsets` array and one
+//! packed arc array: each arc is a 16-byte `(head, edge, weight)` record,
+//! so relaxing a node's arcs reads one contiguous run of memory. Paired
+//! with a [`DijkstraScratch`], a shortest-path run performs **zero
+//! allocations after warm-up** apart from the tree it returns. Arc order
+//! within a node is exactly the adjacency order of the source graph, and
+//! [`dijkstra_csr`] runs the same kernel as [`crate::dijkstra`], so the
+//! two produce bit-identical distance and predecessor arrays.
 //!
 //! [`SptCache`] memoizes full shortest-path trees per source on top of a
 //! snapshot; callers invalidate it when the weights they derived the
 //! snapshot from change.
 
-use crate::heap::IndexedQuadHeap;
-use crate::paths::ShortestPathTree;
+use crate::paths::{shortest_paths, Adjacency, DijkstraScratch, ShortestPathTree, Stop};
 use crate::{EdgeId, Graph, NodeId};
 use std::sync::Arc;
+
+/// One directed arc of a [`CsrGraph`], packed into 16 bytes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PackedArc {
+    /// Head node of the arc.
+    head: NodeId,
+    /// Edge id (both arcs of an undirected edge share it).
+    edge: EdgeId,
+    /// Weight, copied from the edge.
+    weight: f64,
+}
 
 /// A read-only compressed-sparse-row view of a [`Graph`].
 ///
@@ -29,39 +39,26 @@ use std::sync::Arc;
 pub struct CsrGraph {
     /// `offsets[v]..offsets[v + 1]` indexes the arcs leaving `v`.
     offsets: Vec<usize>,
-    /// Head node of each arc.
-    targets: Vec<NodeId>,
-    /// Edge id of each arc (both arcs of an undirected edge share it).
-    edge_ids: Vec<EdgeId>,
-    /// Weight of each arc, copied from the edge.
-    weights: Vec<f64>,
+    /// Every arc, grouped by tail node in node order.
+    arcs: Vec<PackedArc>,
 }
 
 impl CsrGraph {
     /// Snapshots `g`, preserving the adjacency order of every node.
     #[must_use]
     pub fn from_graph(g: &Graph) -> Self {
-        let n = g.node_count();
-        let arcs = 2 * g.edge_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(arcs);
-        let mut edge_ids = Vec::with_capacity(arcs);
-        let mut weights = Vec::with_capacity(arcs);
+        let mut offsets = Vec::with_capacity(g.node_count() + 1);
+        let mut arcs = Vec::with_capacity(2 * g.edge_count());
         offsets.push(0);
         for v in g.nodes() {
-            for nb in g.neighbors(v) {
-                targets.push(nb.node);
-                edge_ids.push(nb.edge);
-                weights.push(g.edge(nb.edge).weight);
-            }
-            offsets.push(targets.len());
+            arcs.extend(g.arcs_from(v).map(|(head, edge, weight)| PackedArc {
+                head,
+                edge,
+                weight,
+            }));
+            offsets.push(arcs.len());
         }
-        CsrGraph {
-            offsets,
-            targets,
-            edge_ids,
-            weights,
-        }
+        CsrGraph { offsets, arcs }
     }
 
     /// Builds a snapshot directly from an undirected edge list, without an
@@ -92,7 +89,6 @@ impl CsrGraph {
                 }
             }
         }
-        let arcs = 2 * edges.len();
         let mut offsets = Vec::with_capacity(nodes + 1);
         offsets.push(0);
         let mut acc = 0usize;
@@ -105,37 +101,25 @@ impl CsrGraph {
             .get(..nodes)
             .map(<[usize]>::to_vec)
             .unwrap_or_default();
-        let mut targets = vec![NodeId::new(0); arcs];
-        let mut edge_ids = vec![EdgeId::new(0); arcs];
-        let mut weights = vec![0.0f64; arcs];
-        for (i, &(u, v, w)) in edges.iter().enumerate() {
-            let id = EdgeId::new(i);
-            for (from, to) in [(u, v), (v, u)] {
-                let slot = match cursor.get_mut(from.index()) {
-                    Some(c) => {
-                        let s = *c;
-                        *c += 1;
-                        s
-                    }
-                    None => continue,
+        let blank = PackedArc {
+            head: NodeId::new(0),
+            edge: EdgeId::new(0),
+            weight: 0.0,
+        };
+        let mut arcs = vec![blank; 2 * edges.len()];
+        for (i, &(u, v, weight)) in edges.iter().enumerate() {
+            let edge = EdgeId::new(i);
+            for (from, head) in [(u, v), (v, u)] {
+                let Some(c) = cursor.get_mut(from.index()) else {
+                    continue;
                 };
-                if let (Some(t), Some(e), Some(wt)) = (
-                    targets.get_mut(slot),
-                    edge_ids.get_mut(slot),
-                    weights.get_mut(slot),
-                ) {
-                    *t = to;
-                    *e = id;
-                    *wt = w;
+                if let Some(arc) = arcs.get_mut(*c) {
+                    *arc = PackedArc { head, edge, weight };
                 }
+                *c += 1;
             }
         }
-        CsrGraph {
-            offsets,
-            targets,
-            edge_ids,
-            weights,
-        }
+        CsrGraph { offsets, arcs }
     }
 
     /// Number of nodes.
@@ -147,7 +131,7 @@ impl CsrGraph {
     /// Number of directed arcs (twice the undirected edge count).
     #[must_use]
     pub fn arc_count(&self) -> usize {
-        self.targets.len()
+        self.arcs.len()
     }
 
     /// Returns `true` if `n` is a node of this snapshot.
@@ -157,51 +141,36 @@ impl CsrGraph {
     }
 
     /// The arcs leaving `n`, as `(head, edge, weight)` triples in the
-    /// source graph's adjacency order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is not a node of this snapshot.
+    /// source graph's adjacency order. Empty for a node outside the
+    /// snapshot.
     pub fn arcs(&self, n: NodeId) -> impl Iterator<Item = (NodeId, EdgeId, f64)> + '_ {
-        let lo = self.offsets[n.index()];
-        let hi = self.offsets[n.index() + 1];
-        (lo..hi).map(move |i| (self.targets[i], self.edge_ids[i], self.weights[i]))
+        let i = n.index();
+        let range = match (self.offsets.get(i), self.offsets.get(i + 1)) {
+            (Some(&lo), Some(&hi)) => lo..hi,
+            _ => 0..0,
+        };
+        self.arcs
+            .get(range)
+            .unwrap_or_default()
+            .iter()
+            .map(|a| (a.head, a.edge, a.weight))
     }
 }
 
-/// Reusable working memory for [`dijkstra_csr`].
-///
-/// One scratch per worker thread; repeated runs on graphs of the same
-/// size perform no allocations (the heap and the per-node arrays are
-/// recycled).
-#[derive(Debug, Clone, Default)]
-pub struct DijkstraScratch {
-    dist: Vec<f64>,
-    pred: Vec<Option<(NodeId, EdgeId)>>,
-    is_target: Vec<bool>,
-    heap: IndexedQuadHeap,
-}
-
-impl DijkstraScratch {
-    /// Creates an empty scratch; arrays grow on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        DijkstraScratch::default()
+impl Adjacency for CsrGraph {
+    fn node_count(&self) -> usize {
+        CsrGraph::node_count(self)
     }
 
-    fn prepare(&mut self, n: usize) {
-        self.dist.clear();
-        self.dist.resize(n, f64::INFINITY);
-        self.pred.clear();
-        self.pred.resize(n, None);
-        self.is_target.clear();
-        self.is_target.resize(n, false);
-        self.heap.reset(n);
+    #[inline]
+    fn arcs_from(&self, u: NodeId) -> impl Iterator<Item = (NodeId, EdgeId, f64)> {
+        self.arcs(u)
     }
 }
 
 /// Dijkstra over a CSR snapshot: identical results to [`crate::dijkstra`]
-/// on the source graph, with all working memory drawn from `scratch`.
+/// on the source graph (one kernel serves both), with all working memory
+/// drawn from `scratch`.
 ///
 /// # Panics
 ///
@@ -212,11 +181,13 @@ pub fn dijkstra_csr(
     source: NodeId,
     scratch: &mut DijkstraScratch,
 ) -> ShortestPathTree {
-    dijkstra_csr_impl(csr, source, None, scratch)
+    shortest_paths(csr, source, Stop::Never, scratch);
+    scratch.tree(source)
 }
 
 /// [`dijkstra_csr`] with early exit once every node in `targets` is
-/// settled — the CSR analogue of [`crate::dijkstra_with_targets`].
+/// settled — the CSR analogue of [`crate::dijkstra_with_targets`], with
+/// the same rule: targets that are not nodes of `csr` are ignored.
 ///
 /// # Panics
 ///
@@ -228,60 +199,8 @@ pub fn dijkstra_csr_with_targets(
     targets: &[NodeId],
     scratch: &mut DijkstraScratch,
 ) -> ShortestPathTree {
-    dijkstra_csr_impl(csr, source, Some(targets), scratch)
-}
-
-fn dijkstra_csr_impl(
-    csr: &CsrGraph,
-    source: NodeId,
-    targets: Option<&[NodeId]>,
-    scratch: &mut DijkstraScratch,
-) -> ShortestPathTree {
-    assert!(csr.contains_node(source), "source {source} not in graph");
-    telemetry::hit(telemetry::Counter::DijkstraRuns);
-    let n = csr.node_count();
-    scratch.prepare(n);
-    let mut remaining = usize::MAX;
-    if let Some(ts) = targets {
-        let mut uniq = 0usize;
-        for &t in ts {
-            if !scratch.is_target[t.index()] {
-                scratch.is_target[t.index()] = true;
-                uniq += 1;
-            }
-        }
-        remaining = uniq;
-    }
-
-    scratch.dist[source.index()] = 0.0;
-    scratch.heap.push_or_decrease(source, 0.0);
-
-    // One live heap entry per node (decrease-key), so each pop settles;
-    // pop order matches the old lazy-deletion BinaryHeap exactly.
-    while let Some((du, u)) = scratch.heap.pop() {
-        let ui = u.index();
-        if targets.is_some() && scratch.is_target[ui] {
-            remaining -= 1;
-            if remaining == 0 {
-                break;
-            }
-        }
-        let lo = csr.offsets[ui];
-        let hi = csr.offsets[ui + 1];
-        for i in lo..hi {
-            let w = csr.weights[i];
-            let cand = du + w;
-            let v = csr.targets[i];
-            let vi = v.index();
-            if cand < scratch.dist[vi] {
-                scratch.dist[vi] = cand;
-                scratch.pred[vi] = Some((u, csr.edge_ids[i]));
-                scratch.heap.push_or_decrease(v, cand);
-            }
-        }
-    }
-
-    ShortestPathTree::from_parts(source, scratch.dist.clone(), scratch.pred.clone())
+    shortest_paths(csr, source, Stop::AllOf(targets), scratch);
+    scratch.tree(source)
 }
 
 /// A per-source cache of full shortest-path trees over one CSR snapshot.
@@ -558,6 +477,26 @@ mod tests {
                 flat.path_to(t).map(|p| p.edges().to_vec())
             );
         }
+    }
+
+    #[test]
+    fn csr_unknown_targets_are_ignored() {
+        let (g, v) = diamond();
+        let csr = CsrGraph::from_graph(&g);
+        let mut scratch = DijkstraScratch::new();
+        let outside = NodeId::new(99);
+        let full = dijkstra_csr(&csr, v[0], &mut scratch);
+        let all_unknown = dijkstra_csr_with_targets(&csr, v[0], &[outside], &mut scratch);
+        assert_same_tree(&all_unknown, &full, g.node_count());
+        let mixed = dijkstra_csr_with_targets(&csr, v[0], &[outside, v[2]], &mut scratch);
+        assert_same_tree(
+            &mixed,
+            &dijkstra_with_targets(&g, v[0], &[outside, v[2]]),
+            g.node_count(),
+        );
+        assert_eq!(mixed.distance(v[2]), Some(3.0));
+        assert_eq!(mixed.distance(outside), None);
+        assert!(csr.arcs(outside).next().is_none());
     }
 
     #[test]

@@ -1,24 +1,44 @@
 //! An indexed 4-ary min-heap keyed by `(cost, node)`.
 //!
-//! The Dijkstra variants in this crate used to run on
-//! `std::collections::BinaryHeap` with lazy deletion: every relaxation
-//! pushes a fresh `(dist, node)` entry and stale entries are skipped at
-//! pop time. That costs one allocation-amortized push *per relaxation*
-//! and inflates the heap to `O(m)` entries. [`IndexedQuadHeap`] keeps at
-//! most one entry per node (`decrease-key` instead of re-push), stores
-//! the arena as three flat arrays reused across runs, and uses a 4-ary
-//! layout so sift-down touches one cache line per level instead of two.
+//! The single-source Dijkstra kernel and the multi-source Voronoi sweep
+//! queue nodes here. [`IndexedQuadHeap`] keeps at most one entry per
+//! node (`decrease-key` instead of the lazy-deletion re-push of
+//! `std::collections::BinaryHeap`), so it never holds more than `n`
+//! entries.
+//!
+//! Layout: two flat arrays reused across runs. `heap` holds the
+//! `(key, node)` entries themselves, 16 bytes each, so a comparison reads
+//! both keys from the array it is already walking; `pos[v]` is the slot
+//! of `v` in `heap`. The 4-ary shape makes sift-down read the four
+//! children of a slot from one contiguous 64-byte run.
 //!
 //! Determinism: entries are ordered by `(key, node)` lexicographically,
 //! which is exactly the order `BinaryHeap<Reverse<(TotalCost, NodeId)>>`
-//! pops non-stale entries in. Every Dijkstra variant that switched to
-//! this heap therefore settles nodes in the same order as before and
-//! produces bit-identical distance and predecessor arrays.
+//! pops non-stale entries in. Keys are checked for NaN once, on push, so
+//! plain `<`/`==` on them is that total order. Any correct indexed heap
+//! under this order pops the same sequence, which is why Dijkstra's
+//! distances and predecessors do not depend on the heap's internals.
 
-use crate::{NodeId, TotalCost};
+use crate::NodeId;
 
 /// Sentinel for "node not currently on the heap".
 const ABSENT: u32 = u32::MAX;
+
+/// One queued node with its current key.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    key: f64,
+    node: NodeId,
+}
+
+impl Entry {
+    /// Strict `(key, node)` order. Keys are never NaN (checked on push),
+    /// so this agrees with `(TotalCost::new(key), node)`.
+    #[inline]
+    fn precedes(self, other: Entry) -> bool {
+        self.key < other.key || (self.key == other.key && self.node < other.node)
+    }
+}
 
 /// An indexed 4-ary min-heap over nodes with `f64` keys.
 ///
@@ -27,12 +47,10 @@ const ABSENT: u32 = u32::MAX;
 /// runs after the first perform no allocations.
 #[derive(Debug, Clone, Default)]
 pub struct IndexedQuadHeap {
-    /// Heap order: `heap[0]` is the minimum. Stores node ids.
-    heap: Vec<NodeId>,
+    /// Heap order: `heap[0]` is the minimum.
+    heap: Vec<Entry>,
     /// `pos[v]` = index of `v` in `heap`, or [`ABSENT`].
     pos: Vec<u32>,
-    /// Current key of every node on (or previously on) the heap.
-    key: Vec<f64>,
 }
 
 impl IndexedQuadHeap {
@@ -47,8 +65,6 @@ impl IndexedQuadHeap {
         self.heap.clear();
         self.pos.clear();
         self.pos.resize(n, ABSENT);
-        self.key.clear();
-        self.key.resize(n, f64::INFINITY);
     }
 
     /// Returns `true` if no node is queued.
@@ -69,23 +85,22 @@ impl IndexedQuadHeap {
     ///
     /// # Panics
     ///
-    /// Panics if `node` is outside the range given to the last
-    /// [`reset`](Self::reset).
+    /// Panics if `key` is NaN, or if `node` is outside the range given to
+    /// the last [`reset`](Self::reset).
     pub fn push_or_decrease(&mut self, node: NodeId, key: f64) {
-        let ni = node.index();
-        match self.pos[ni] {
+        assert!(!key.is_nan(), "cost must not be NaN");
+        let entry = Entry { key, node };
+        match self.pos[node.index()] {
             ABSENT => {
-                self.key[ni] = key;
                 let slot = self.heap.len();
-                self.heap.push(node);
-                self.pos[ni] = slot as u32;
-                self.sift_up(slot);
+                self.heap.push(entry);
+                self.sift_up(slot, entry);
             }
             slot => {
-                if key < self.key[ni] {
+                let slot = slot as usize;
+                if self.heap.get(slot).is_some_and(|e| key < e.key) {
                     telemetry::hit(telemetry::Counter::HeapDecreaseKeys);
-                    self.key[ni] = key;
-                    self.sift_up(slot as usize);
+                    self.sift_up(slot, entry);
                 }
             }
         }
@@ -94,70 +109,78 @@ impl IndexedQuadHeap {
     /// Removes and returns the minimum `(key, node)` entry, ties broken
     /// by the smaller node id.
     pub fn pop(&mut self) -> Option<(f64, NodeId)> {
-        let top = *self.heap.first()?;
-        let last = self.heap.pop().expect("heap is non-empty"); // lint:allow(P1): first() just returned Some, so the heap is non-empty
-        self.pos[top.index()] = ABSENT;
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.pos[last.index()] = 0;
-            self.sift_down(0);
+        let last = self.heap.pop()?;
+        let top = match self.heap.first() {
+            Some(&top) => {
+                self.sift_down(0, last);
+                top
+            }
+            None => last,
+        };
+        if let Some(p) = self.pos.get_mut(top.node.index()) {
+            *p = ABSENT;
         }
-        Some((self.key[top.index()], top))
+        Some((top.key, top.node))
     }
 
+    /// Writes `entry` into `slot` and records the slot in `pos`.
     #[inline]
-    fn less(&self, a: NodeId, b: NodeId) -> bool {
-        let (ka, kb) = (self.key[a.index()], self.key[b.index()]);
-        (TotalCost::new(ka), a) < (TotalCost::new(kb), b)
+    fn place(&mut self, slot: usize, entry: Entry) {
+        if let Some(h) = self.heap.get_mut(slot) {
+            *h = entry;
+        }
+        if let Some(p) = self.pos.get_mut(entry.node.index()) {
+            *p = slot as u32;
+        }
     }
 
-    fn sift_up(&mut self, mut slot: usize) {
-        let node = self.heap[slot];
+    /// Moves the hole at `slot` up until `entry` fits, then fills it.
+    fn sift_up(&mut self, mut slot: usize, entry: Entry) {
         while slot > 0 {
             let parent = (slot - 1) / 4;
-            let pnode = self.heap[parent];
-            if !self.less(node, pnode) {
+            let Some(&above) = self.heap.get(parent) else {
+                break;
+            };
+            if !entry.precedes(above) {
                 break;
             }
-            self.heap[slot] = pnode;
-            self.pos[pnode.index()] = slot as u32;
+            self.place(slot, above);
             slot = parent;
         }
-        self.heap[slot] = node;
-        self.pos[node.index()] = slot as u32;
+        self.place(slot, entry);
     }
 
-    fn sift_down(&mut self, mut slot: usize) {
-        let node = self.heap[slot];
-        let len = self.heap.len();
+    /// Moves the hole at `slot` down until `entry` fits, then fills it.
+    fn sift_down(&mut self, mut slot: usize, entry: Entry) {
         loop {
-            let first_child = 4 * slot + 1;
-            if first_child >= len {
+            let first = 4 * slot + 1;
+            let end = (first + 4).min(self.heap.len());
+            let Some(children) = self.heap.get(first..end) else {
+                break;
+            };
+            let best =
+                children
+                    .iter()
+                    .copied()
+                    .enumerate()
+                    .reduce(|a, b| if b.1.precedes(a.1) { b } else { a });
+            let Some((offset, child)) = best else {
+                break;
+            };
+            if !child.precedes(entry) {
                 break;
             }
-            let mut best = first_child;
-            let last_child = (first_child + 4).min(len);
-            for c in (first_child + 1)..last_child {
-                if self.less(self.heap[c], self.heap[best]) {
-                    best = c;
-                }
-            }
-            let bnode = self.heap[best];
-            if !self.less(bnode, node) {
-                break;
-            }
-            self.heap[slot] = bnode;
-            self.pos[bnode.index()] = slot as u32;
-            slot = best;
+            self.place(slot, child);
+            slot = first + offset;
         }
-        self.heap[slot] = node;
-        self.pos[node.index()] = slot as u32;
+        self.place(slot, entry);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TotalCost;
 
     #[test]
     fn pops_in_key_order() {
@@ -213,6 +236,15 @@ mod tests {
         h.push_or_decrease(NodeId::new(2), 6.0);
         assert_eq!(h.pop(), Some((6.0, NodeId::new(2))));
         assert_eq!(h.pop(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "cost must not be NaN")]
+    fn nan_key_panics_on_push() {
+        let mut h = IndexedQuadHeap::new();
+        h.reset(2);
+        h.push_or_decrease(NodeId::new(0), 1.0);
+        h.push_or_decrease(NodeId::new(0), f64::NAN);
     }
 
     #[test]

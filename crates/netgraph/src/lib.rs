@@ -52,7 +52,7 @@ mod tree;
 mod unionfind;
 mod voronoi;
 
-pub use csr::{dijkstra_csr, dijkstra_csr_with_targets, CsrGraph, DijkstraScratch, SptCache};
+pub use csr::{dijkstra_csr, dijkstra_csr_with_targets, CsrGraph, SptCache};
 pub use error::GraphError;
 pub use graph::{EdgeRef, Graph, Neighbor};
 pub use heap::IndexedQuadHeap;
@@ -60,7 +60,10 @@ pub use ids::{EdgeId, NodeId};
 pub use ksp::k_shortest_paths;
 pub use mst::{kruskal, kruskal_over, prim, MstResult};
 pub use oracle::LandmarkOracle;
-pub use paths::{bellman_ford, dijkstra, dijkstra_with_targets, Path, ShortestPathTree};
+pub use paths::{
+    bellman_ford, dijkstra, dijkstra_with_targets, nearest_target_path, DijkstraScratch, Path,
+    ShortestPathTree,
+};
 pub use stats::{clustering_coefficient, graph_stats, GraphStats};
 pub use subgraph::{induced_subgraph, FilteredGraph};
 pub use total::TotalCost;

@@ -21,7 +21,8 @@
 //! landmark). No RNG is involved: the same snapshot always produces the
 //! same oracle.
 
-use crate::csr::{dijkstra_csr, CsrGraph, DijkstraScratch};
+use crate::csr::{dijkstra_csr, CsrGraph};
+use crate::paths::DijkstraScratch;
 use crate::NodeId;
 
 /// A precomputed landmark distance table supporting admissible lower-bound

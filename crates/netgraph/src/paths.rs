@@ -2,6 +2,8 @@
 
 use crate::heap::IndexedQuadHeap;
 use crate::{EdgeId, Graph, NodeId};
+use std::cell::RefCell;
+use std::collections::BTreeSet;
 
 /// A concrete path through a graph: an alternating node/edge walk.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,17 +96,6 @@ pub struct ShortestPathTree {
 }
 
 impl ShortestPathTree {
-    /// Assembles a tree from raw distance/predecessor arrays (used by the
-    /// CSR-based Dijkstra, which fills its own scratch buffers).
-    pub(crate) fn from_parts(
-        source: NodeId,
-        dist: Vec<f64>,
-        pred: Vec<Option<(NodeId, EdgeId)>>,
-    ) -> Self {
-        debug_assert_eq!(dist.len(), pred.len());
-        ShortestPathTree { source, dist, pred }
-    }
-
     /// The source node this tree is rooted at.
     #[must_use]
     pub fn source(&self) -> NodeId {
@@ -156,85 +147,237 @@ impl ShortestPathTree {
 }
 
 /// Computes shortest paths from `source` to every node with Dijkstra's
-/// algorithm (binary heap, lazy deletion). `O((n + m) log n)`.
+/// algorithm (indexed 4-ary heap with decrease-key). `O((n + m) log n)`.
 ///
 /// # Panics
 ///
 /// Panics if `source` is not a node of `g`.
 #[must_use]
 pub fn dijkstra(g: &Graph, source: NodeId) -> ShortestPathTree {
-    dijkstra_impl(g, source, None)
+    on_thread_scratch(g, source, Stop::Never).1
 }
 
 /// Dijkstra with early exit: stops once every node in `targets` has been
 /// settled. Exact same results as [`dijkstra`] restricted to the settled
-/// region.
+/// region. Targets that are not nodes of `g` are ignored.
 ///
 /// # Panics
 ///
 /// Panics if `source` is not a node of `g`.
 #[must_use]
 pub fn dijkstra_with_targets(g: &Graph, source: NodeId, targets: &[NodeId]) -> ShortestPathTree {
-    dijkstra_impl(g, source, Some(targets))
+    on_thread_scratch(g, source, Stop::AllOf(targets)).1
 }
 
-fn dijkstra_impl(g: &Graph, source: NodeId, targets: Option<&[NodeId]>) -> ShortestPathTree {
-    assert!(g.contains_node(source), "source {source} not in graph");
+/// The shortest path from `source` to its nearest node of `targets` in
+/// `g` without the edges in `exclude`: Dijkstra that stops at the first
+/// target it settles, so among equally near targets the one with the
+/// smaller node id wins. A trivial path when `source` is itself a
+/// target; `None` when no target is reachable. Targets that are not
+/// nodes of `g` are ignored.
+///
+/// # Panics
+///
+/// Panics if `source` is not a node of `g`.
+#[must_use]
+pub fn nearest_target_path(
+    g: &Graph,
+    source: NodeId,
+    targets: &[NodeId],
+    exclude: &BTreeSet<EdgeId>,
+) -> Option<Path> {
+    let (hit, tree) = on_thread_scratch(&Excluding { g, exclude }, source, Stop::FirstOf(targets));
+    tree.path_to(hit?)
+}
+
+/// An adjacency view the Dijkstra kernel relaxes over: [`Graph`] and
+/// [`crate::CsrGraph`]. The kernel is generic over it, so each view gets
+/// its own monomorphized copy of the one relaxation loop.
+pub(crate) trait Adjacency {
+    /// Number of nodes; ids are `0..node_count()`.
+    fn node_count(&self) -> usize;
+
+    /// The arcs leaving `u` as `(head, edge, weight)`, in adjacency
+    /// order.
+    fn arcs_from(&self, u: NodeId) -> impl Iterator<Item = (NodeId, EdgeId, f64)>;
+}
+
+impl Adjacency for Graph {
+    fn node_count(&self) -> usize {
+        Graph::node_count(self)
+    }
+
+    #[inline]
+    fn arcs_from(&self, u: NodeId) -> impl Iterator<Item = (NodeId, EdgeId, f64)> {
+        self.neighbors(u)
+            .iter()
+            .map(move |nb| (nb.node, nb.edge, self.edge(nb.edge).weight))
+    }
+}
+
+/// A [`Graph`] without the edges in `exclude`.
+struct Excluding<'a> {
+    g: &'a Graph,
+    exclude: &'a BTreeSet<EdgeId>,
+}
+
+impl Adjacency for Excluding<'_> {
+    fn node_count(&self) -> usize {
+        self.g.node_count()
+    }
+
+    fn arcs_from(&self, u: NodeId) -> impl Iterator<Item = (NodeId, EdgeId, f64)> {
+        self.g
+            .arcs_from(u)
+            .filter(|(_, e, _)| !self.exclude.contains(e))
+    }
+}
+
+/// When a kernel run may stop before the heap is empty.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Stop<'a> {
+    /// Settle every reachable node.
+    Never,
+    /// Once every target that is a node of the graph is settled.
+    AllOf(&'a [NodeId]),
+    /// At the first settled target.
+    FirstOf(&'a [NodeId]),
+}
+
+/// Reusable working memory for the Dijkstra kernel behind [`dijkstra`]
+/// and [`crate::dijkstra_csr`].
+///
+/// One scratch per worker thread; repeated [`crate::dijkstra_csr`] runs
+/// on graphs of the same size perform no allocations (the heap and the
+/// per-node arrays are recycled).
+#[derive(Debug, Clone, Default)]
+pub struct DijkstraScratch {
+    dist: Vec<f64>,
+    pred: Vec<Option<(NodeId, EdgeId)>>,
+    /// Sized only for targeted runs; empty on a full run.
+    is_target: Vec<bool>,
+    heap: IndexedQuadHeap,
+}
+
+impl DijkstraScratch {
+    /// Creates an empty scratch; arrays grow on first use.
+    #[must_use]
+    pub fn new() -> Self {
+        DijkstraScratch::default()
+    }
+
+    /// The last run's result, copied out so the scratch keeps its buffers.
+    pub(crate) fn tree(&self, source: NodeId) -> ShortestPathTree {
+        ShortestPathTree {
+            source,
+            dist: self.dist.clone(),
+            pred: self.pred.clone(),
+        }
+    }
+}
+
+thread_local! {
+    /// Working memory for the `Graph` entry points ([`dijkstra`],
+    /// [`dijkstra_with_targets`], [`nearest_target_path`]), reused by
+    /// every run on this thread. The kernel resets it fully, so no state
+    /// carries over from one run to the next.
+    static THREAD_SCRATCH: RefCell<DijkstraScratch> = RefCell::new(DijkstraScratch::new());
+}
+
+/// Runs the kernel on this thread's scratch and copies the tree out, so
+/// a call allocates only the tree it returns.
+fn on_thread_scratch<A: Adjacency>(
+    adj: &A,
+    source: NodeId,
+    stop: Stop<'_>,
+) -> (Option<NodeId>, ShortestPathTree) {
+    THREAD_SCRATCH.with_borrow_mut(|scratch| {
+        let hit = shortest_paths(adj, source, stop, scratch);
+        (hit, scratch.tree(source))
+    })
+}
+
+/// The single-source Dijkstra kernel: fills `scratch.dist`/`scratch.pred`
+/// with the shortest-path tree from `source` over `adj`, and returns the
+/// target whose settling ended the run under `stop`, if any.
+///
+/// Targets outside `adj` are ignored, never waited for. Settled nodes
+/// are final whenever the run stops.
+///
+/// Byte identity across views and heaps: nodes are settled in strict
+/// `(distance, node id)` order, and each settled node relaxes its arcs in
+/// adjacency order with a strict `<`. Both are fixed by the input alone,
+/// so two views with the same adjacency order produce bit-identical
+/// `dist` and `pred` arrays.
+///
+/// # Panics
+///
+/// Panics if `source` is not a node of `adj`.
+pub(crate) fn shortest_paths<A: Adjacency>(
+    adj: &A,
+    source: NodeId,
+    stop: Stop<'_>,
+    scratch: &mut DijkstraScratch,
+) -> Option<NodeId> {
+    let n = adj.node_count();
+    assert!(source.index() < n, "source {source} not in graph");
     telemetry::hit(telemetry::Counter::DijkstraRuns);
-    let n = g.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut pred: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
-    let mut remaining: usize = targets.map_or(usize::MAX, <[NodeId]>::len);
-    let mut is_target = vec![false; n];
-    if let Some(ts) = targets {
-        let mut uniq = 0usize;
-        for &t in ts {
+    let DijkstraScratch {
+        dist,
+        pred,
+        is_target,
+        heap,
+    } = scratch;
+    dist.clear();
+    dist.resize(n, f64::INFINITY);
+    pred.clear();
+    pred.resize(n, None);
+    is_target.clear();
+    heap.reset(n);
+
+    // `remaining` = targets still to settle; 0 never stops the run.
+    let mut remaining = 0usize;
+    if let Stop::AllOf(targets) | Stop::FirstOf(targets) = stop {
+        is_target.resize(n, false);
+        for &t in targets {
             if let Some(flag) = is_target.get_mut(t.index()) {
                 if !*flag {
                     *flag = true;
-                    uniq += 1;
+                    remaining += 1;
                 }
             }
         }
-        remaining = uniq;
+    }
+    if let Stop::FirstOf(_) = stop {
+        remaining = remaining.min(1);
     }
 
-    // The indexed heap holds at most one live entry per node, so every
-    // pop settles a node — no stale-entry skip needed. Pops come out in
-    // (distance, node id) order, exactly matching the old lazy-deletion
-    // BinaryHeap, so distances *and* predecessors are bit-identical.
-    let mut heap = IndexedQuadHeap::new();
-    heap.reset(n);
     if let Some(d0) = dist.get_mut(source.index()) {
         *d0 = 0.0;
     }
     heap.push_or_decrease(source, 0.0);
 
+    // One live heap entry per node (decrease-key), so each pop settles.
     while let Some((du, u)) = heap.pop() {
-        let ui = u.index();
-        if targets.is_some() && is_target.get(ui).copied().unwrap_or(false) {
+        if is_target.get(u.index()).copied().unwrap_or(false) {
             remaining -= 1;
             if remaining == 0 {
-                break;
+                return Some(u);
             }
         }
-        for nb in g.neighbors(u) {
-            let w = g.edge(nb.edge).weight;
+        for (v, e, w) in adj.arcs_from(u) {
             let cand = du + w;
-            let vi = nb.node.index();
-            if let Some(dv) = dist.get_mut(vi) {
+            let vi = v.index();
+            if let (Some(dv), Some(pv)) = (dist.get_mut(vi), pred.get_mut(vi)) {
                 if cand < *dv {
                     *dv = cand;
-                    if let Some(pv) = pred.get_mut(vi) {
-                        *pv = Some((u, nb.edge));
-                    }
-                    heap.push_or_decrease(nb.node, cand);
+                    *pv = Some((u, e));
+                    heap.push_or_decrease(v, cand);
                 }
             }
         }
     }
-
-    ShortestPathTree { source, dist, pred }
+    None
 }
 
 /// Computes shortest paths with Bellman–Ford. `O(n·m)`.
@@ -358,6 +501,52 @@ mod tests {
         let (g, v) = diamond();
         let spt = dijkstra_with_targets(&g, v[0], &[v[3], v[3], v[3]]);
         assert_eq!(spt.distance(v[3]), Some(6.0));
+    }
+
+    #[test]
+    fn unknown_targets_are_ignored() {
+        let (g, v) = diamond();
+        let full = dijkstra(&g, v[0]);
+        let outside = NodeId::new(99);
+        // Only unknown targets: nothing to wait for, so the run is full.
+        let all_unknown = dijkstra_with_targets(&g, v[0], &[outside]);
+        for &n in &v {
+            assert_eq!(all_unknown.distance(n), full.distance(n), "node {n}");
+        }
+        // Mixed: the known target is settled exactly; the unknown one is
+        // neither waited for nor reachable.
+        let mixed = dijkstra_with_targets(&g, v[0], &[outside, v[2]]);
+        assert_eq!(mixed.distance(v[2]), Some(3.0));
+        assert_eq!(mixed.predecessor(v[2]), full.predecessor(v[2]));
+        assert_eq!(mixed.distance(outside), None);
+        // It stopped at v2: v3 still holds its tentative 1 + 6, not 6.
+        assert_eq!(mixed.distance(v[3]), Some(7.0));
+    }
+
+    #[test]
+    fn nearest_target_path_stops_at_the_nearest_target() {
+        let (g, v) = diamond();
+        let none = BTreeSet::new();
+        let full = dijkstra(&g, v[0]);
+        // v2 (3.0) is nearer than v3 (6.0); the unknown target is ignored.
+        let p = nearest_target_path(&g, v[0], &[v[3], NodeId::new(99), v[2]], &none).unwrap();
+        assert_eq!(Some(p), full.path_to(v[2]));
+        // Cutting 1-2 (edge 2) makes v2 cost 4.0 via the direct edge.
+        let cut: BTreeSet<EdgeId> = [EdgeId::new(2)].into_iter().collect();
+        let p = nearest_target_path(&g, v[0], &[v[2]], &cut).unwrap();
+        assert_eq!(p.cost(), 4.0);
+        assert_eq!(p.edges(), &[EdgeId::new(1)]);
+        // A source that is a target gets the trivial path; an unreachable
+        // or unknown-only target set gets none.
+        assert_eq!(
+            nearest_target_path(&g, v[1], &[v[1], v[3]], &none),
+            Some(Path::trivial(v[1]))
+        );
+        assert_eq!(nearest_target_path(&g, v[0], &[v[4]], &none), None);
+        assert_eq!(
+            nearest_target_path(&g, v[0], &[NodeId::new(99)], &none),
+            None
+        );
     }
 
     #[test]

@@ -486,6 +486,34 @@ impl Sdn {
             .filter(|v| !self.node_alive.get(v.index()).copied().unwrap_or(true))
     }
 
+    /// The smallest [`Sdn::usable_bandwidth`] over every link, in link id
+    /// order; `+∞` for a network without links. One pass over the
+    /// ledger's residual and liveness arrays.
+    #[must_use]
+    pub fn min_usable_bandwidth(&self) -> f64 {
+        self.residual_bandwidth
+            .iter()
+            .zip(&self.link_alive)
+            .map(|(&residual, &alive)| if alive { residual } else { 0.0 })
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// The smallest [`Sdn::usable_computing`] over every server, in id
+    /// order; `+∞` for a network without servers.
+    #[must_use]
+    pub fn min_usable_computing(&self) -> f64 {
+        self.servers
+            .iter()
+            .map(|v| {
+                let alive = self.node_alive.get(v.index()).copied().unwrap_or(false);
+                match self.residual_computing.get(v.index()) {
+                    Some(&residual) if alive => residual,
+                    _ => 0.0,
+                }
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+
     /// Returns `true` when no link or server is currently failed.
     #[must_use]
     pub fn all_alive(&self) -> bool {
@@ -851,6 +879,43 @@ mod tests {
         assert!(sdn.recover_link(e[0]).unwrap());
         assert_eq!(sdn.usable_bandwidth(e[0]), 100.0);
         assert!(sdn.all_alive());
+    }
+
+    #[test]
+    fn usable_minima_match_per_element_folds_bit_for_bit() {
+        fn check(sdn: &Sdn) {
+            let links = sdn
+                .graph()
+                .edges()
+                .map(|e| sdn.usable_bandwidth(e.id))
+                .fold(f64::INFINITY, f64::min);
+            let servers = sdn
+                .servers()
+                .iter()
+                .map(|&v| sdn.usable_computing(v).unwrap())
+                .fold(f64::INFINITY, f64::min);
+            assert_eq!(sdn.min_usable_bandwidth().to_bits(), links.to_bits());
+            assert_eq!(sdn.min_usable_computing().to_bits(), servers.to_bits());
+        }
+        let (mut sdn, v, e) = small();
+        check(&sdn);
+        assert_eq!(sdn.min_usable_bandwidth(), 100.0);
+        let mut a = Allocation::new(RequestId(1));
+        a.add_link(e[1], 150.0);
+        a.add_server(v[1], 400.0);
+        sdn.allocate(&a).unwrap();
+        check(&sdn);
+        assert_eq!(sdn.min_usable_bandwidth(), 50.0);
+        assert_eq!(sdn.min_usable_computing(), 600.0);
+        sdn.fail_link(e[0]).unwrap();
+        sdn.fail_server(v[1]).unwrap();
+        check(&sdn);
+        assert_eq!(sdn.min_usable_bandwidth(), 0.0);
+        assert_eq!(sdn.min_usable_computing(), 0.0);
+        let bare = SdnBuilder::new().build().unwrap();
+        check(&bare);
+        assert_eq!(bare.min_usable_bandwidth(), f64::INFINITY);
+        assert_eq!(bare.min_usable_computing(), f64::INFINITY);
     }
 
     #[test]

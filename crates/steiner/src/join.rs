@@ -15,7 +15,7 @@
 //! that avoids a given set of links (e.g. a link assumed failed), without
 //! the caller having to materialize a filtered graph.
 
-use netgraph::{EdgeId, Graph, IndexedQuadHeap, NodeId, Path};
+use netgraph::{EdgeId, Graph, NodeId, Path};
 use std::collections::BTreeSet;
 
 /// Cheapest attach of `v` to the node set `tree_nodes`: the shortest
@@ -34,9 +34,9 @@ pub fn join(g: &Graph, tree_nodes: &[NodeId], v: NodeId) -> Option<Path> {
 
 /// [`join`] restricted to the subgraph without the edges in `exclude`.
 ///
-/// The Dijkstra runs directly on `g` and skips excluded edges during
-/// relaxation, so edge ids in the returned path are `g`'s own ids — no
-/// translation table needed.
+/// One [`netgraph::nearest_target_path`] run: the shared Dijkstra kernel
+/// skips excluded edges during relaxation, so edge ids in the returned
+/// path are `g`'s own ids — no translation table needed.
 ///
 /// # Panics
 ///
@@ -49,70 +49,7 @@ pub fn join_excluding(
     v: NodeId,
 ) -> Option<Path> {
     assert!(g.contains_node(v), "graft terminal {v} not in graph");
-    let targets: BTreeSet<NodeId> = tree_nodes
-        .iter()
-        .copied()
-        .filter(|n| g.contains_node(*n))
-        .collect();
-    if targets.is_empty() {
-        return None;
-    }
-    if targets.contains(&v) {
-        return Some(Path::trivial(v));
-    }
-
-    let n = g.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut pred: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
-    let mut heap = IndexedQuadHeap::new();
-    heap.reset(n);
-    if let Some(d0) = dist.get_mut(v.index()) {
-        *d0 = 0.0;
-    }
-    heap.push_or_decrease(v, 0.0);
-
-    // Settle until the first covered node pops. Pops come out in
-    // (distance, node id) order, so the nearest covered node — smallest
-    // id among equals — is found deterministically.
-    let mut hit: Option<NodeId> = None;
-    while let Some((du, u)) = heap.pop() {
-        if targets.contains(&u) {
-            hit = Some(u);
-            break;
-        }
-        for nb in g.neighbors(u) {
-            if exclude.contains(&nb.edge) {
-                continue;
-            }
-            let w = g.edge(nb.edge).weight;
-            let cand = du + w;
-            if let Some(dv) = dist.get_mut(nb.node.index()) {
-                if cand < *dv {
-                    *dv = cand;
-                    if let Some(pv) = pred.get_mut(nb.node.index()) {
-                        *pv = Some((u, nb.edge));
-                    }
-                    heap.push_or_decrease(nb.node, cand);
-                }
-            }
-        }
-    }
-
-    let target = hit?;
-    let cost = dist.get(target.index()).copied()?;
-    let mut nodes = vec![target];
-    let mut edges = Vec::new();
-    let mut cur = target;
-    while let Some(&Some((prev, edge))) = pred.get(cur.index()) {
-        nodes.push(prev);
-        edges.push(edge);
-        cur = prev;
-    }
-    // The predecessor walk ran tree-node -> v; reversing makes the path
-    // read from the graft terminal towards the tree.
-    nodes.reverse();
-    edges.reverse();
-    Some(Path::new(nodes, edges, cost))
+    netgraph::nearest_target_path(g, v, tree_nodes, exclude)
 }
 
 #[cfg(test)]
