@@ -248,8 +248,8 @@ pub(crate) enum Stop<'a> {
 /// and [`crate::dijkstra_csr`].
 ///
 /// One scratch per worker thread; repeated [`crate::dijkstra_csr`] runs
-/// on graphs of the same size perform no allocations (the heap and the
-/// per-node arrays are recycled).
+/// on graphs of the same size allocate nothing but the tree they return
+/// (the heap and the per-node arrays are recycled).
 #[derive(Debug, Clone, Default)]
 pub struct DijkstraScratch {
     dist: Vec<f64>,
