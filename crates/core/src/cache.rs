@@ -34,7 +34,7 @@ use crate::{
     appro_multi_cap_plan_with_scratch, Admission, ApproScratch, CapPlan, PseudoMulticastTree,
 };
 use netgraph::{CsrGraph, DijkstraScratch, LandmarkOracle, NodeId, ShortestPathTree, SptCache};
-use sdn::{MulticastRequest, Sdn};
+use sdn::{MulticastRequest, Sdn, Topology};
 use std::sync::Arc;
 
 /// Residual-capacity fingerprint of one [`Sdn::version`].
@@ -68,19 +68,23 @@ impl Fingerprint {
 
 /// A per-source shortest-path tree cache over one network's topology.
 ///
-/// Build it once per network (or per worker over a shared snapshot) and
-/// pass it to the `*_cached` admission entry points. The topology trees
-/// themselves never go stale — unit costs are immutable — while the
+/// Build it once per network and pass it to the `*_cached` admission
+/// entry points; planner threads each take a [`PathCache::share`] of one
+/// cache, so a tree any of them computed serves them all. The topology
+/// trees themselves never go stale — unit costs are immutable — while the
 /// residual-capacity fingerprint is re-read whenever [`Sdn::version`]
-/// moves.
+/// moves. `Clone` is a deep copy (see [`SptCache`]).
 #[derive(Debug, Clone)]
 pub struct PathCache {
     cache: SptCache,
+    /// The topology the trees were computed on; a query on any other
+    /// network panics rather than plan on the wrong trees.
+    topology: Arc<Topology>,
     /// Optional landmark oracle over the same unit-cost snapshot; used to
     /// pre-select a promising server combination and seed the scan's
     /// branch-and-bound with its exact cost. Decisions stay byte-identical
     /// (the seed bound only prunes strictly-worse combinations).
-    oracle: Option<LandmarkOracle>,
+    oracle: Option<Arc<LandmarkOracle>>,
     fingerprint: Fingerprint,
     /// Combination-scan working memory, reused across requests.
     scratch: ApproScratch,
@@ -114,14 +118,20 @@ impl PathCache {
     #[must_use]
     pub fn with_options(sdn: &Sdn, options: PathCacheOptions) -> Self {
         let csr = CsrGraph::from_graph(sdn.graph());
-        let oracle = (options.landmarks > 0)
-            .then(|| LandmarkOracle::build(&csr, options.landmarks, &mut DijkstraScratch::new()));
+        let oracle = (options.landmarks > 0).then(|| {
+            Arc::new(LandmarkOracle::build(
+                &csr,
+                options.landmarks,
+                &mut DijkstraScratch::new(),
+            ))
+        });
         let cache = match options.capacity {
             Some(cap) => SptCache::with_capacity(csr, cap),
             None => SptCache::new(csr),
         };
         PathCache {
             cache,
+            topology: Arc::clone(sdn.topology()),
             oracle,
             fingerprint: Fingerprint::of(sdn),
             scratch: ApproScratch::new(),
@@ -130,11 +140,27 @@ impl PathCache {
         }
     }
 
-    /// Pins `source`'s tree against eviction in a bounded cache (no-op
-    /// when unbounded). Pin the hot multicast sources — e.g. a session's
-    /// ingress — so churn in destination queries cannot evict them.
-    pub fn pin_source(&mut self, source: NodeId) {
-        self.cache.pin(source);
+    /// A sibling handle on the same tree store: trees either handle
+    /// computes are hits for the other. The new handle has its own
+    /// working memory and starts its counters at zero.
+    #[must_use]
+    pub fn share(&self) -> Self {
+        PathCache {
+            cache: self.cache.share(),
+            topology: Arc::clone(&self.topology),
+            oracle: self.oracle.clone(),
+            fingerprint: self.fingerprint,
+            scratch: ApproScratch::new(),
+            fast_path: 0,
+            slow_path: 0,
+        }
+    }
+
+    /// Returns `true` when `sdn` has the topology this cache was built
+    /// on: the same shared [`Topology`] (every clone of one network), or
+    /// failing that an equal one.
+    fn serves(&self, sdn: &Sdn) -> bool {
+        Arc::ptr_eq(&self.topology, sdn.topology()) || *self.topology == **sdn.topology()
     }
 
     /// Trees evicted from the bounded SPT cache since creation.
@@ -221,9 +247,8 @@ pub fn appro_multi_cached(
     cache: &mut PathCache,
 ) -> Option<PseudoMulticastTree> {
     assert!(k >= 1, "at least one server is required (K >= 1)");
-    assert_eq!(
-        cache.cache.csr().node_count(),
-        sdn.node_count(),
+    assert!(
+        cache.serves(sdn),
         "cache topology does not match the network"
     );
     let spt_source = cache.spt(request.source);
@@ -574,26 +599,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_source_survives_thrash() {
-        let sdn = random_net(2, 12);
-        let mut cache = PathCache::with_options(
-            &sdn,
-            PathCacheOptions {
-                capacity: Some(2),
-                landmarks: 0,
-            },
-        );
-        cache.pin_source(NodeId::new(0));
-        let _ = cache.spt(NodeId::new(0));
-        for i in 1..12 {
-            let _ = cache.spt(NodeId::new(i));
-        }
-        let hits_before = cache.spt_hits();
-        let _ = cache.spt(NodeId::new(0));
-        assert_eq!(cache.spt_hits(), hits_before + 1, "pinned tree was evicted");
-    }
-
-    #[test]
     #[should_panic(expected = "does not match")]
     fn topology_mismatch_is_rejected() {
         let small = random_net(0, 6);
@@ -607,5 +612,41 @@ mod tests {
             chain(),
         );
         let _ = appro_multi_cached(&big, &req, 1, &mut cache);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match")]
+    fn same_size_topology_mismatch_is_rejected() {
+        let built_on = random_net(0, 12);
+        let other = random_net(1, 12);
+        assert_eq!(built_on.node_count(), other.node_count());
+        let mut cache = PathCache::new(&built_on);
+        let req = MulticastRequest::new(
+            RequestId(0),
+            NodeId::new(0),
+            vec![NodeId::new(5)],
+            10.0,
+            chain(),
+        );
+        let _ = appro_multi_cached(&other, &req, 1, &mut cache);
+    }
+
+    #[test]
+    fn shared_handles_plan_alike_and_share_trees() {
+        let sdn = random_net(4, 15);
+        let mut first = PathCache::new(&sdn);
+        let mut second = first.share();
+        let snapshot = sdn.clone();
+        let mut rng = StdRng::seed_from_u64(0x5A1E);
+        for i in 0..10 {
+            let req = random_request(&mut rng, i, 15);
+            let a = appro_multi_cap_cached(&sdn, &req, 2, &mut first);
+            let b = appro_multi_cap_cached(&snapshot, &req, 2, &mut second);
+            assert_eq!(a, b, "req {i}");
+            assert_eq!(a, appro_multi_cap(&sdn, &req, 2), "req {i}");
+        }
+        // Every tree the second handle needed, the first had computed.
+        assert_eq!(second.spt_misses(), 0);
+        assert!(first.spt_misses() > 0);
     }
 }

@@ -50,7 +50,7 @@ use crate::audit::Auditor;
 use crate::repair::{RepairConfig, RepairReport, SessionManager};
 use crate::spec::{feasibility_disturbed, TouchedSet};
 use netgraph::{EdgeId, NodeId};
-use nfv_multicast::{appro_multi_cap_with_scratch, Admission, ApproScratch, CapPlan};
+use nfv_multicast::{appro_multi_cap_with_scratch, Admission, ApproScratch, CapPlan, PathCache};
 use nfv_online::TimedRequest;
 use sdn::{MulticastRequest, RequestId, Sdn, SdnError};
 use std::collections::{BTreeMap, VecDeque};
@@ -297,11 +297,13 @@ impl AdmissionPipeline {
             None
         } else {
             let shared = Arc::new(Mutex::new(job_rx));
+            let trees = PathCache::new(&sdn);
             for _ in 0..config.workers {
                 let rx = Arc::clone(&shared);
                 let tx = result_tx.clone();
                 let k = config.k;
-                handles.push(std::thread::spawn(move || worker_loop(&rx, &tx, k)));
+                let cache = trees.share();
+                handles.push(std::thread::spawn(move || worker_loop(&rx, &tx, k, cache)));
             }
             Some(job_tx)
         };
@@ -687,17 +689,18 @@ impl AdmissionPipeline {
 }
 
 /// Worker thread body: pull a job, plan it against the job's snapshot,
-/// send the result. One persistent [`PathCache`](nfv_multicast::PathCache)
-/// per worker carries shortest-path trees across requests *and*
-/// snapshots — the fingerprint re-syncs whenever the snapshot version
-/// moves, and the topology never changes under a running pipeline.
+/// send the result. Every worker plans through its own
+/// [`PathCache::share`] of one cache, so a shortest-path tree any worker
+/// computed serves all of them, across requests *and* snapshots — each
+/// handle's fingerprint re-syncs whenever the snapshot version moves, and
+/// the topology never changes under a running pipeline.
 // lint:entry(worker)
 fn worker_loop(
     jobs: &Mutex<mpsc::Receiver<PlanJob>>,
     results: &mpsc::Sender<PlanResult>,
     k: usize,
+    mut cache: PathCache,
 ) {
-    let mut cache: Option<nfv_multicast::PathCache> = None;
     loop {
         let job = {
             let Ok(guard) = jobs.lock() else {
@@ -709,14 +712,14 @@ fn worker_loop(
             }
         };
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let cache = cache.get_or_insert_with(|| nfv_multicast::PathCache::new(&job.snapshot));
-            nfv_multicast::appro_multi_cap_plan_cached(&job.snapshot, &job.request, k, cache)
+            nfv_multicast::appro_multi_cap_plan_cached(&job.snapshot, &job.request, k, &mut cache)
         }));
         let plan = match outcome {
             Ok(plan) => Some(plan),
             Err(_) => {
-                // The cache may be mid-update: rebuild before the next job.
-                cache = None;
+                // The handle's working memory may be mid-update: take a
+                // fresh handle on the same store before the next job.
+                cache = cache.share();
                 None
             }
         };

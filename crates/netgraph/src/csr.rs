@@ -13,12 +13,11 @@
 //! two produce bit-identical distance and predecessor arrays.
 //!
 //! [`SptCache`] memoizes full shortest-path trees per source on top of a
-//! snapshot; callers invalidate it when the weights they derived the
-//! snapshot from change.
+//! snapshot, in a store that any number of planner threads can share.
 
 use crate::paths::{shortest_paths, Adjacency, DijkstraScratch, ShortestPathTree, Stop};
 use crate::{EdgeId, Graph, NodeId};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// One directed arc of a [`CsrGraph`], packed into 16 bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -205,40 +204,115 @@ pub fn dijkstra_csr_with_targets(
 
 /// A per-source cache of full shortest-path trees over one CSR snapshot.
 ///
-/// The cache answers every source with an `Arc` so workers can hold trees
-/// across further queries without cloning the arrays. It knows nothing
-/// about *why* its snapshot might go stale — the owner calls
-/// [`SptCache::invalidate`] when the weights underlying the snapshot
-/// change (in the SDN crates: when residual capacities move).
+/// An `SptCache` is a handle on a store of trees. The store holds the
+/// snapshot and one slot per resident source; every handle made by
+/// [`SptCache::share`] queries the same store, so a tree one planner
+/// thread computed is a hit for every other. Each handle keeps its own
+/// Dijkstra working memory and its own hit/miss/eviction counters.
+/// `Clone` is a deep copy: the clone starts from the same resident trees
+/// but gets a store of its own, so neither copy ever sees a tree the
+/// other computes afterwards.
+///
+/// Trees are handed out as `Arc`s so callers can hold them across further
+/// queries without copying the arrays. Edge weights in this codebase are
+/// immutable unit costs, so a tree never goes stale.
+///
+/// ## Exactly once, outside the lock
+///
+/// A slot is an `Arc<OnceLock<_>>`. A query takes the store's lock only to
+/// find or insert its source's slot (and to evict, see below), then runs
+/// Dijkstra through the slot's `OnceLock` with the lock released: the
+/// first handle to reach an empty slot computes the tree, and a concurrent
+/// query for the same source waits on that slot alone. Each tree is thus
+/// computed once per residency.
 ///
 /// ## Bounded mode
 ///
 /// [`SptCache::new`] is unbounded — fine at the paper's n=250, but one
 /// full tree is `Θ(n)` memory, so at 10k+ nodes an unbounded cache grows
 /// towards `Θ(n²)`. [`SptCache::with_capacity`] bounds the number of
-/// resident trees: on a miss at capacity, the **unpinned** resident tree
-/// with the oldest last-use tick is evicted (deterministic — ticks are a
-/// monotone counter, never wall clock). Sources pinned via
-/// [`SptCache::pin`] (e.g. a session's multicast source that every
-/// request re-queries) are never evicted; when every resident tree is
-/// pinned, the freshly computed tree is returned *uncached* rather than
-/// displacing a pin. Eviction never changes answers — a re-computed tree
-/// is bit-identical to the evicted one.
-#[derive(Debug, Clone)]
+/// resident trees: a query for a non-resident source at capacity evicts
+/// the resident tree with the oldest last-use tick (ties: lowest id;
+/// ticks are a monotone counter shared by every handle, never wall
+/// clock). Eviction never changes answers — a re-computed tree is
+/// bit-identical to the evicted one.
+#[derive(Debug)]
 pub struct SptCache {
-    csr: CsrGraph,
+    store: Arc<SptStore>,
     scratch: DijkstraScratch,
-    trees: Vec<Option<Arc<ShortestPathTree>>>,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+}
+
+/// The state every handle of one [`SptCache`] shares.
+#[derive(Debug)]
+struct SptStore {
+    csr: Arc<CsrGraph>,
     /// Max resident trees; `None` = unbounded.
     capacity: Option<usize>,
-    pinned: Vec<bool>,
+    slots: Mutex<SlotTable>,
+}
+
+/// A tree slot: empty until the first query for its source fills it.
+type Slot = Arc<OnceLock<Arc<ShortestPathTree>>>;
+
+/// The resident slots of one store, with their last-use ticks.
+#[derive(Debug)]
+struct SlotTable {
+    slots: Vec<Option<Slot>>,
     /// Last-use tick per source (valid only while resident).
     stamp: Vec<u64>,
     tick: u64,
     resident: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
+}
+
+impl SlotTable {
+    /// The slot for `source`, inserted (after evicting the least recently
+    /// used slot when the store is full) if `source` is not resident.
+    /// Also reports whether a slot was evicted. An out-of-range source, or
+    /// a zero capacity, gets a fresh slot that is never stored.
+    fn lookup(&mut self, source: NodeId, capacity: Option<usize>) -> (Slot, bool) {
+        self.tick += 1;
+        let tick = self.tick;
+        let i = source.index();
+        if let (Some(Some(slot)), Some(stamp)) = (self.slots.get(i), self.stamp.get_mut(i)) {
+            *stamp = tick;
+            return (Arc::clone(slot), false);
+        }
+        let slot = Slot::default();
+        if i >= self.slots.len() || capacity == Some(0) {
+            return (slot, false);
+        }
+        let evicted = capacity.is_some_and(|cap| self.resident >= cap) && self.evict_lru();
+        if let (Some(entry), Some(stamp)) = (self.slots.get_mut(i), self.stamp.get_mut(i)) {
+            *entry = Some(Arc::clone(&slot));
+            *stamp = tick;
+            self.resident += 1;
+        }
+        (slot, evicted)
+    }
+
+    /// Drops the resident slot with the oldest last-use tick (lowest id on
+    /// ties). Returns `false` when nothing is resident.
+    fn evict_lru(&mut self) -> bool {
+        let victim = self
+            .slots
+            .iter()
+            .zip(&self.stamp)
+            .enumerate()
+            .filter(|(_, (slot, _))| slot.is_some())
+            .min_by_key(|&(i, (_, &stamp))| (stamp, i))
+            .map(|(i, _)| i);
+        match victim.and_then(|i| self.slots.get_mut(i)) {
+            Some(slot) => {
+                *slot = None;
+                self.resident -= 1;
+                true
+            }
+            None => false,
+        }
+    }
 }
 
 impl SptCache {
@@ -258,152 +332,130 @@ impl SptCache {
 
     fn build(csr: CsrGraph, capacity: Option<usize>) -> Self {
         let n = csr.node_count();
-        SptCache {
-            csr,
-            scratch: DijkstraScratch::new(),
-            trees: vec![None; n],
-            capacity,
-            pinned: vec![false; n],
+        let table = SlotTable {
+            slots: vec![None; n],
             stamp: vec![0; n],
             tick: 0,
             resident: 0,
+        };
+        SptCache::handle(Arc::new(SptStore {
+            csr: Arc::new(csr),
+            capacity,
+            slots: Mutex::new(table),
+        }))
+    }
+
+    /// A fresh handle with zeroed counters on `store`.
+    fn handle(store: Arc<SptStore>) -> Self {
+        SptCache {
+            store,
+            scratch: DijkstraScratch::new(),
             hits: 0,
             misses: 0,
             evictions: 0,
         }
     }
 
-    /// Convenience: snapshot `g` and cache over it (unbounded).
+    /// A sibling handle on the same store: trees either handle computes
+    /// are hits for the other. The new handle has its own Dijkstra
+    /// working memory and starts its counters at zero.
     #[must_use]
-    pub fn for_graph(g: &Graph) -> Self {
-        SptCache::new(CsrGraph::from_graph(g))
+    pub fn share(&self) -> Self {
+        SptCache::handle(Arc::clone(&self.store))
     }
 
-    /// The underlying snapshot.
-    #[must_use]
-    pub fn csr(&self) -> &CsrGraph {
-        &self.csr
-    }
-
-    /// The resident-tree bound (`None` = unbounded).
-    #[must_use]
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    /// Marks `source` as never-evictable while resident. Pinning is
-    /// advisory: it does not force computation, and an out-of-range id is
-    /// ignored.
-    pub fn pin(&mut self, source: NodeId) {
-        if let Some(p) = self.pinned.get_mut(source.index()) {
-            *p = true;
-        }
-    }
-
-    /// Clears a pin set by [`SptCache::pin`].
-    pub fn unpin(&mut self, source: NodeId) {
-        if let Some(p) = self.pinned.get_mut(source.index()) {
-            *p = false;
-        }
+    /// Locks the slot table. Nothing under the lock runs a Dijkstra or
+    /// user code, and a lookup cut short at any step leaves at worst a
+    /// resident count off by one, which never changes an answer — so a
+    /// poisoned lock is recovered rather than propagated.
+    fn slots(&self) -> MutexGuard<'_, SlotTable> {
+        self.store
+            .slots
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The full shortest-path tree rooted at `source`, computing it on
     /// first request. Identical to `dijkstra(g, source)` on the snapshot's
     /// source graph, whether the tree was cached, evicted-and-recomputed,
-    /// or (all-pins case) returned uncached.
+    /// or computed by another handle on the same store.
     ///
     /// # Panics
     ///
     /// Panics if `source` is not a node of the snapshot.
     pub fn spt(&mut self, source: NodeId) -> Arc<ShortestPathTree> {
-        self.tick += 1;
-        if let Some(Some(t)) = self.trees.get(source.index()) {
-            let t = Arc::clone(t);
-            if let Some(s) = self.stamp.get_mut(source.index()) {
-                *s = self.tick;
-            }
+        let (slot, evicted) = self.slots().lookup(source, self.store.capacity);
+        if evicted {
+            self.evictions += 1;
+            telemetry::hit(telemetry::Counter::SptCacheEvictions);
+        }
+        let mut computed = false;
+        let tree = slot.get_or_init(|| {
+            computed = true;
+            Arc::new(dijkstra_csr(&self.store.csr, source, &mut self.scratch))
+        });
+        if computed {
+            self.misses += 1;
+            telemetry::hit(telemetry::Counter::SptCacheMisses);
+        } else {
             self.hits += 1;
             telemetry::hit(telemetry::Counter::SptCacheHits);
-            return t;
         }
-        self.misses += 1;
-        telemetry::hit(telemetry::Counter::SptCacheMisses);
-        let tree = Arc::new(dijkstra_csr(&self.csr, source, &mut self.scratch));
-        if let Some(cap) = self.capacity {
-            if self.resident >= cap && !self.evict_one() {
-                // At capacity with every resident tree pinned (or cap 0):
-                // hand the tree out without displacing anything.
-                return tree;
-            }
-        }
-        if let Some(slot) = self.trees.get_mut(source.index()) {
-            *slot = Some(Arc::clone(&tree));
-            self.resident += 1;
-        }
-        if let Some(s) = self.stamp.get_mut(source.index()) {
-            *s = self.tick;
-        }
-        tree
+        Arc::clone(tree)
     }
 
-    /// Evicts the unpinned resident tree with the oldest last-use tick.
-    /// Returns `false` when nothing is evictable.
-    fn evict_one(&mut self) -> bool {
-        let mut victim: Option<(u64, usize)> = None;
-        for (i, slot) in self.trees.iter().enumerate() {
-            if slot.is_none() || self.pinned.get(i).copied().unwrap_or(false) {
-                continue;
-            }
-            let s = self.stamp.get(i).copied().unwrap_or(0);
-            if victim.is_none_or(|(vs, _)| s < vs) {
-                victim = Some((s, i));
-            }
-        }
-        match victim {
-            Some((_, i)) => {
-                if let Some(slot) = self.trees.get_mut(i) {
-                    *slot = None;
-                }
-                self.resident = self.resident.saturating_sub(1);
-                self.evictions += 1;
-                telemetry::hit(telemetry::Counter::SptCacheEvictions);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Drops every cached tree (the snapshot itself is retained — edge
-    /// weights in this codebase are immutable unit costs). Pins survive.
-    pub fn invalidate(&mut self) {
-        for t in &mut self.trees {
-            *t = None;
-        }
-        self.resident = 0;
-    }
-
-    /// Number of sources currently cached.
-    #[must_use]
-    pub fn cached_sources(&self) -> usize {
-        self.resident
-    }
-
-    /// Cache hits since creation.
+    /// Cache hits on this handle since it was made.
     #[must_use]
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Cache misses since creation.
+    /// Cache misses (Dijkstra runs) on this handle since it was made.
     #[must_use]
     pub fn misses(&self) -> u64 {
         self.misses
     }
 
-    /// Trees evicted since creation (always zero for unbounded caches).
+    /// Trees this handle's queries evicted (always zero for unbounded
+    /// caches).
     #[must_use]
     pub fn evictions(&self) -> u64 {
         self.evictions
+    }
+}
+
+impl Clone for SptCache {
+    /// A deep copy: a new store holding the trees resident now (an entry
+    /// still being computed by another handle is left out), with this
+    /// handle's counters.
+    fn clone(&self) -> Self {
+        let table = {
+            let src = self.slots();
+            let slots: Vec<Option<Slot>> = src
+                .slots
+                .iter()
+                .map(|slot| {
+                    let tree = slot.as_ref()?.get()?;
+                    Some(Arc::new(OnceLock::from(Arc::clone(tree))))
+                })
+                .collect();
+            SlotTable {
+                resident: slots.iter().filter(|s| s.is_some()).count(),
+                slots,
+                stamp: src.stamp.clone(),
+                tick: src.tick,
+            }
+        };
+        SptCache {
+            hits: self.hits,
+            misses: self.misses,
+            evictions: self.evictions,
+            ..SptCache::handle(Arc::new(SptStore {
+                csr: Arc::clone(&self.store.csr),
+                capacity: self.store.capacity,
+                slots: Mutex::new(table),
+            }))
+        }
     }
 }
 
@@ -516,27 +568,26 @@ mod tests {
         assert_same_tree(&t1, &t1_again, g1.node_count());
     }
 
+    fn cache(g: &Graph) -> SptCache {
+        SptCache::new(CsrGraph::from_graph(g))
+    }
+
     #[test]
-    fn cache_hits_and_invalidation() {
+    fn cache_hits_return_the_same_tree() {
         let (g, v) = diamond();
-        let mut cache = SptCache::for_graph(&g);
+        let mut cache = cache(&g);
         let a = cache.spt(v[0]);
         let b = cache.spt(v[0]);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.cached_sources(), 1);
-        cache.invalidate();
-        assert_eq!(cache.cached_sources(), 0);
-        let c = cache.spt(v[0]);
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_same_tree(&a, &c, g.node_count());
+        assert_same_tree(&a, &dijkstra(&g, v[0]), g.node_count());
     }
 
     #[test]
     fn cache_matches_fresh_dijkstra_for_every_source() {
         let (g, v) = diamond();
-        let mut cache = SptCache::for_graph(&g);
+        let mut cache = cache(&g);
         for &s in &v {
             let cached = cache.spt(s);
             let fresh = dijkstra(&g, s);
@@ -577,17 +628,15 @@ mod tests {
     }
 
     #[test]
-    fn bounded_cache_evicts_lru_and_respects_pins() {
+    fn bounded_cache_evicts_lru() {
         let (g, v) = diamond();
         let mut cache = SptCache::with_capacity(CsrGraph::from_graph(&g), 2);
-        assert_eq!(cache.capacity(), Some(2));
         let t0 = cache.spt(v[0]);
         let _t1 = cache.spt(v[1]);
-        assert_eq!(cache.cached_sources(), 2);
+        assert_eq!(cache.evictions(), 0);
         // Touch v0 so v1 is the LRU victim.
         let _ = cache.spt(v[0]);
         let _t2 = cache.spt(v[2]);
-        assert_eq!(cache.cached_sources(), 2);
         assert_eq!(cache.evictions(), 1);
         // v1 was evicted: re-requesting it is a miss but bit-identical.
         // Touch v0 first so v2 (not v0) is the next victim.
@@ -605,26 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_trees_are_never_evicted() {
-        let (g, v) = diamond();
-        let mut cache = SptCache::with_capacity(CsrGraph::from_graph(&g), 1);
-        cache.pin(v[0]);
-        let t0 = cache.spt(v[0]);
-        // All residents pinned: further sources are served uncached, the
-        // pin stays resident, nothing is evicted.
-        let t1 = cache.spt(v[1]);
-        assert_same_tree(&t1, &dijkstra(&g, v[1]), g.node_count());
-        assert_eq!(cache.evictions(), 0);
-        assert_eq!(cache.cached_sources(), 1);
-        assert!(Arc::ptr_eq(&t0, &cache.spt(v[0])));
-        // Unpinning makes v0 evictable again.
-        cache.unpin(v[0]);
-        let _ = cache.spt(v[2]);
-        assert_eq!(cache.evictions(), 1);
-        assert_eq!(cache.cached_sources(), 1);
-    }
-
-    #[test]
     fn zero_capacity_cache_never_stores() {
         let (g, v) = diamond();
         let mut cache = SptCache::with_capacity(CsrGraph::from_graph(&g), 0);
@@ -632,7 +661,6 @@ mod tests {
             let t = cache.spt(v[0]);
             assert_same_tree(&t, &dijkstra(&g, v[0]), g.node_count());
         }
-        assert_eq!(cache.cached_sources(), 0);
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 3);
         assert_eq!(cache.evictions(), 0);
@@ -642,7 +670,7 @@ mod tests {
     fn bounded_cache_answers_match_unbounded() {
         let (g, v) = diamond();
         let mut bounded = SptCache::with_capacity(CsrGraph::from_graph(&g), 1);
-        let mut unbounded = SptCache::for_graph(&g);
+        let mut unbounded = cache(&g);
         // A query order that thrashes the capacity-1 cache.
         let order = [v[0], v[1], v[0], v[2], v[3], v[0], v[1]];
         for &s in &order {
@@ -651,5 +679,122 @@ mod tests {
             assert_same_tree(&a, &b, g.node_count());
         }
         assert!(bounded.evictions() > 0);
+    }
+
+    #[test]
+    fn shared_handles_hit_each_others_trees() {
+        let (g, v) = diamond();
+        let mut a = cache(&g);
+        let mut b = a.share();
+        let from_a = a.spt(v[0]);
+        let from_b = b.spt(v[0]);
+        assert!(Arc::ptr_eq(&from_a, &from_b));
+        let _ = b.spt(v[1]);
+        let _ = a.spt(v[1]);
+        // Counters belong to the handle that queried.
+        assert_eq!((a.hits(), a.misses()), (1, 1));
+        assert_eq!((b.hits(), b.misses()), (1, 1));
+        // A handle shared after the fact sees every resident tree.
+        let mut c = b.share();
+        assert!(Arc::ptr_eq(&c.spt(v[0]), &from_a));
+        assert_eq!((c.hits(), c.misses()), (1, 0));
+    }
+
+    #[test]
+    fn concurrent_handles_compute_each_tree_exactly_once() {
+        // A 12×12 grid with uneven integer weights: enough work per tree
+        // for the threads' queries to overlap.
+        let side = 12;
+        let mut g = Graph::with_nodes(side * side);
+        for r in 0..side {
+            for c in 0..side {
+                let u = NodeId::new(r * side + c);
+                let w = ((r * 7 + c * 3) % 5 + 1) as f64;
+                if c + 1 < side {
+                    g.add_edge(u, NodeId::new(r * side + c + 1), w).unwrap();
+                }
+                if r + 1 < side {
+                    g.add_edge(u, NodeId::new((r + 1) * side + c), w + 1.0)
+                        .unwrap();
+                }
+            }
+        }
+        let csr = CsrGraph::from_graph(&g);
+        let root = SptCache::new(csr.clone());
+        let threads = 4;
+        // Thread t queries roots 8t..8t+24 twice: neighbours overlap on 16.
+        let roots = |t: usize| (8 * t..8 * t + 24).map(NodeId::new);
+        let distinct = 8 * (threads - 1) + 24;
+        let barrier = std::sync::Barrier::new(threads);
+        let (trees, misses): (Vec<_>, Vec<u64>) = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..threads)
+                .map(|t| {
+                    let mut handle = root.share();
+                    let barrier = &barrier;
+                    s.spawn(move || {
+                        barrier.wait();
+                        let mut got = Vec::new();
+                        for _ in 0..2 {
+                            got.extend(roots(t).map(|r| (r, handle.spt(r))));
+                        }
+                        (got, handle.misses())
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).unzip()
+        });
+        assert_eq!(misses.iter().sum::<u64>(), distinct as u64);
+        let mut scratch = DijkstraScratch::new();
+        for (r, tree) in trees.iter().flatten() {
+            let fresh = dijkstra_csr(&csr, *r, &mut scratch);
+            for i in 0..g.node_count() {
+                let n = NodeId::new(i);
+                assert_eq!(
+                    tree.distance(n).map(f64::to_bits),
+                    fresh.distance(n).map(f64::to_bits),
+                    "distance {r} → {n}"
+                );
+                assert_eq!(tree.predecessor(n), fresh.predecessor(n));
+            }
+        }
+    }
+
+    #[test]
+    fn shared_bounded_store_evicts_in_lru_order() {
+        let (g, v) = diamond();
+        let mut a = SptCache::with_capacity(CsrGraph::from_graph(&g), 2);
+        let mut b = a.share();
+        let t0 = a.spt(v[0]);
+        let _ = b.spt(v[1]);
+        // a's touch makes v1 (b's tree) the LRU victim of b's next miss.
+        let _ = a.spt(v[0]);
+        let _ = b.spt(v[2]);
+        assert_eq!((a.evictions(), b.evictions()), (0, 1));
+        assert!(Arc::ptr_eq(&b.spt(v[0]), &t0));
+        // v0 was just touched, so v2 goes next.
+        let _ = a.spt(v[1]);
+        assert_eq!((a.evictions(), a.misses()), (1, 2));
+        // v2 is gone; bringing it back evicts v0, now the oldest.
+        let misses = b.misses();
+        let _ = b.spt(v[2]);
+        assert_eq!((b.misses(), b.evictions()), (misses + 1, 2));
+        assert!(!Arc::ptr_eq(&a.spt(v[0]), &t0));
+    }
+
+    #[test]
+    fn clone_is_an_independent_store() {
+        let (g, v) = diamond();
+        let mut original = cache(&g);
+        let t0 = original.spt(v[0]);
+        let mut copy = original.clone();
+        // The clone starts with the resident trees…
+        assert!(Arc::ptr_eq(&copy.spt(v[0]), &t0));
+        // …but what either computes afterwards stays its own.
+        let in_copy = copy.spt(v[1]);
+        let misses = original.misses();
+        let in_original = original.spt(v[1]);
+        assert_eq!(original.misses(), misses + 1);
+        assert!(!Arc::ptr_eq(&in_copy, &in_original));
+        assert_same_tree(&in_copy, &in_original, g.node_count());
     }
 }

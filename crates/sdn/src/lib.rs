@@ -43,7 +43,7 @@ pub use cost::{
     PRUNE_GUARD_ABS, PRUNE_GUARD_REL, RELEASE_EPS, VALIDATE_REL_TOL,
 };
 pub use error::SdnError;
-pub use network::{Sdn, SdnBuilder};
+pub use network::{Sdn, SdnBuilder, Topology};
 pub use nfv::{NfvType, ServiceChain};
 pub use request::{MulticastRequest, RequestId};
 pub use resources::Allocation;

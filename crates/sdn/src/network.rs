@@ -3,6 +3,7 @@
 use crate::{Allocation, SdnError};
 use netgraph::{EdgeId, Graph, NodeId};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Incremental builder for an [`Sdn`].
 ///
@@ -129,11 +130,13 @@ impl SdnBuilder {
         let link_alive = vec![true; self.bandwidth_capacity.len()];
         let node_alive = vec![true; self.graph.node_count()];
         Ok(Sdn {
-            graph: self.graph,
-            servers,
-            computing_capacity: self.computing_capacity,
-            unit_computing_cost: self.unit_computing_cost,
-            bandwidth_capacity: self.bandwidth_capacity,
+            topology: Arc::new(Topology {
+                graph: self.graph,
+                servers,
+                computing_capacity: self.computing_capacity,
+                unit_computing_cost: self.unit_computing_cost,
+                bandwidth_capacity: self.bandwidth_capacity,
+            }),
             residual_bandwidth,
             residual_computing,
             link_alive,
@@ -148,14 +151,12 @@ impl SdnBuilder {
 ///
 /// The ledger is the mutable part: [`Sdn::allocate`] and [`Sdn::release`]
 /// move residual capacity atomically (an allocation either fully applies
-/// or the network is left untouched).
+/// or the network is left untouched). Everything else never changes after
+/// [`SdnBuilder::build`] and lives in one shared [`Topology`], so a clone
+/// — every planner snapshot — copies only the ledger.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Sdn {
-    graph: Graph,
-    servers: Vec<NodeId>,
-    computing_capacity: Vec<f64>,
-    unit_computing_cost: Vec<f64>,
-    bandwidth_capacity: Vec<f64>,
+    topology: Arc<Topology>,
     residual_bandwidth: Vec<f64>,
     residual_computing: Vec<f64>,
     /// Per-link liveness: `false` while the link is failed. Reserved
@@ -170,20 +171,30 @@ pub struct Sdn {
     version: u64,
 }
 
+/// The immutable half of an [`Sdn`]: graph, servers, capacities and unit
+/// costs. Every clone of a network shares one `Topology`
+/// ([`Sdn::topology`]); caches built over a network keep it to check
+/// that they are used on the same topology.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+pub struct Topology {
+    graph: Graph,
+    servers: Vec<NodeId>,
+    computing_capacity: Vec<f64>,
+    unit_computing_cost: Vec<f64>,
+    bandwidth_capacity: Vec<f64>,
+}
+
 impl PartialEq for Sdn {
     /// Structural equality: two networks are equal when topology,
     /// capacities, costs, and residual state match. The mutation counter
     /// [`Sdn::version`] is deliberately excluded — it tracks *history*,
     /// not state (a network reached by allocate+release equals one that
-    /// was never touched).
+    /// was never touched). Clones share their topology, so it is compared
+    /// by value only when the two networks were built separately.
     fn eq(&self, other: &Self) -> bool {
         // lint:allow(T1): bit-exact equality is the point — the chaos gate
         // compares replayed ledgers for *identity*, not approximate match.
-        self.graph == other.graph
-            && self.servers == other.servers
-            && self.computing_capacity == other.computing_capacity
-            && self.unit_computing_cost == other.unit_computing_cost
-            && self.bandwidth_capacity == other.bandwidth_capacity
+        (Arc::ptr_eq(&self.topology, &other.topology) || self.topology == other.topology)
             && self.residual_bandwidth == other.residual_bandwidth
             && self.residual_computing == other.residual_computing
             && self.link_alive == other.link_alive
@@ -192,29 +203,35 @@ impl PartialEq for Sdn {
 }
 
 impl Sdn {
+    /// The immutable half of the network, shared by every clone.
+    #[must_use]
+    pub fn topology(&self) -> &Arc<Topology> {
+        &self.topology
+    }
+
     /// The underlying topology. Edge weights are the unit bandwidth costs
     /// `c_e`.
     #[must_use]
     pub fn graph(&self) -> &Graph {
-        &self.graph
+        &self.topology.graph
     }
 
     /// Number of switches `|V|`.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.graph.node_count()
+        self.topology.graph.node_count()
     }
 
     /// Number of links `|E|`.
     #[must_use]
     pub fn link_count(&self) -> usize {
-        self.graph.edge_count()
+        self.topology.graph.edge_count()
     }
 
     /// The switches with attached servers, `V_S`, in id order.
     #[must_use]
     pub fn servers(&self) -> &[NodeId] {
-        &self.servers
+        &self.topology.servers
     }
 
     /// Returns `true` if node `n` has an attached server.
@@ -222,7 +239,8 @@ impl Sdn {
     pub fn is_server(&self, n: NodeId) -> bool {
         // The capacity vector is node-indexed, so the bounds check doubles
         // as the contains-node check.
-        self.computing_capacity
+        self.topology
+            .computing_capacity
             .get(n.index())
             .is_some_and(|&c| c > 0.0)
     }
@@ -231,7 +249,8 @@ impl Sdn {
     /// switches.
     #[must_use]
     pub fn computing_capacity(&self, v: NodeId) -> Option<f64> {
-        self.computing_capacity
+        self.topology
+            .computing_capacity
             .get(v.index())
             .copied()
             .filter(|&c| c > 0.0)
@@ -242,7 +261,7 @@ impl Sdn {
     #[must_use]
     pub fn unit_computing_cost(&self, v: NodeId) -> Option<f64> {
         if self.is_server(v) {
-            self.unit_computing_cost.get(v.index()).copied()
+            self.topology.unit_computing_cost.get(v.index()).copied()
         } else {
             None
         }
@@ -255,7 +274,8 @@ impl Sdn {
     /// Panics if `e` is not a link of this network.
     #[must_use]
     pub fn bandwidth_capacity(&self, e: EdgeId) -> f64 {
-        self.bandwidth_capacity
+        self.topology
+            .bandwidth_capacity
             .get(e.index())
             .copied()
             .unwrap_or_else(|| panic!("unknown link {e}")) // lint:allow(P1): documented panic on a foreign edge id
@@ -268,7 +288,7 @@ impl Sdn {
     /// Panics if `e` is not a link of this network.
     #[must_use]
     pub fn unit_bandwidth_cost(&self, e: EdgeId) -> f64 {
-        self.graph.edge(e).weight
+        self.topology.graph.edge(e).weight
     }
 
     /// Residual bandwidth `B_e(k)` on link `e`.
@@ -480,7 +500,8 @@ impl Sdn {
 
     /// Currently failed servers, in id order.
     pub fn failed_servers(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.servers
+        self.topology
+            .servers
             .iter()
             .copied()
             .filter(|v| !self.node_alive.get(v.index()).copied().unwrap_or(true))
@@ -502,7 +523,8 @@ impl Sdn {
     /// order; `+∞` for a network without servers.
     #[must_use]
     pub fn min_usable_computing(&self) -> f64 {
-        self.servers
+        self.topology
+            .servers
             .iter()
             .map(|v| {
                 let alive = self.node_alive.get(v.index()).copied().unwrap_or(false);
@@ -609,7 +631,7 @@ impl Sdn {
         for (e, load) in alloc.links() {
             let (Some(&res), Some(&cap)) = (
                 self.residual_bandwidth.get(e.index()),
-                self.bandwidth_capacity.get(e.index()),
+                self.topology.bandwidth_capacity.get(e.index()),
             ) else {
                 return Err(SdnError::Graph(netgraph::GraphError::InvalidEdge(e)));
             };
@@ -629,6 +651,7 @@ impl Sdn {
                 .copied()
                 .unwrap_or(0.0);
             let cap = self
+                .topology
                 .computing_capacity
                 .get(v.index())
                 .copied()
@@ -641,6 +664,7 @@ impl Sdn {
         }
         for (e, load) in alloc.links() {
             let cap = self
+                .topology
                 .bandwidth_capacity
                 .get(e.index())
                 .copied()
@@ -651,6 +675,7 @@ impl Sdn {
         }
         for (v, load) in alloc.servers() {
             let cap = self
+                .topology
                 .computing_capacity
                 .get(v.index())
                 .copied()
@@ -667,9 +692,9 @@ impl Sdn {
     /// untouched — failed elements stay failed (use [`Sdn::recover_all`]).
     pub fn reset(&mut self) {
         self.residual_bandwidth
-            .copy_from_slice(&self.bandwidth_capacity);
+            .copy_from_slice(&self.topology.bandwidth_capacity);
         self.residual_computing
-            .copy_from_slice(&self.computing_capacity);
+            .copy_from_slice(&self.topology.computing_capacity);
         self.version = self.version.wrapping_add(1);
     }
 
@@ -687,13 +712,13 @@ impl Sdn {
     /// Sum of all link bandwidth capacities (Mbps).
     #[must_use]
     pub fn total_bandwidth_capacity(&self) -> f64 {
-        self.bandwidth_capacity.iter().sum()
+        self.topology.bandwidth_capacity.iter().sum()
     }
 
     /// Sum of all server computing capacities (MHz).
     #[must_use]
     pub fn total_computing_capacity(&self) -> f64 {
-        self.computing_capacity.iter().sum()
+        self.topology.computing_capacity.iter().sum()
     }
 }
 
@@ -852,6 +877,45 @@ mod tests {
         assert_eq!(sdn.version(), 3);
         // Equality ignores history.
         assert_eq!(sdn, pristine);
+    }
+
+    #[test]
+    fn clones_share_the_topology_and_copy_the_ledger() {
+        let (sdn, v, e) = small();
+        let mut copy = sdn.clone();
+        assert!(std::ptr::eq(sdn.graph(), copy.graph()));
+        assert!(Arc::ptr_eq(sdn.topology(), copy.topology()));
+        let mut a = Allocation::new(RequestId(1));
+        a.add_link(e[1], 50.0);
+        a.add_server(v[1], 300.0);
+        copy.allocate(&a).unwrap();
+        assert_eq!(copy.version(), 1);
+        assert_eq!(sdn.version(), 0);
+        assert_eq!(sdn.residual_bandwidth(e[1]), 200.0);
+        assert_eq!(sdn.residual_computing(v[1]), Some(1000.0));
+        assert_ne!(sdn, copy);
+        // Equality still ignores the version once the ledgers agree.
+        copy.release(&a).unwrap();
+        assert_eq!(copy.version(), 2);
+        assert_eq!(sdn, copy);
+    }
+
+    #[test]
+    fn separately_built_networks_compare_by_value() {
+        let (a, _, _) = small();
+        let (b, v, _) = small();
+        assert!(!Arc::ptr_eq(a.topology(), b.topology()));
+        assert_eq!(a, b);
+        // A different topology with the same ledger is a different network.
+        let mut bld = SdnBuilder::new();
+        let u0 = bld.add_switch();
+        let u1 = bld.add_server(1000.0, 2.5);
+        let u2 = bld.add_switch();
+        bld.add_link(u0, u1, 100.0, 1.0).unwrap();
+        bld.add_link(u1, u2, 200.0, 3.0).unwrap();
+        let other = bld.build().unwrap();
+        assert_eq!(other.residual_computing(v[1]), a.residual_computing(v[1]));
+        assert_ne!(a, other);
     }
 
     #[test]
