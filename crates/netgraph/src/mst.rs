@@ -55,13 +55,13 @@ pub fn kruskal(g: &Graph) -> MstResult {
 ///
 /// Selects exactly the edges, in exactly the order, of [`kruskal`] on
 /// `induced_subgraph(g, |_| true, |e| edges.contains(&e))` mapped back to
-/// parent ids: the subgraph numbers its edges in ascending parent id, and
-/// both sorts are stable, so ties by weight break by edge id either way.
+/// parent ids: the subgraph numbers its edges in ascending parent id and
+/// [`kruskal`]'s sort is stable, so ties by weight break by edge id —
+/// the `(weight, id)` order sorted here in one pass.
 #[must_use]
 pub fn kruskal_over(g: &Graph, mut edges: Vec<EdgeId>) -> Vec<EdgeId> {
-    edges.sort_unstable();
+    edges.sort_unstable_by_key(|&e| (TotalCost::new(g.edge(e).weight), e));
     edges.dedup();
-    edges.sort_by_key(|&e| TotalCost::new(g.edge(e).weight));
     let mut uf = UnionFind::new(g.node_count());
     edges.retain(|&e| {
         let er = g.edge(e);
@@ -160,6 +160,45 @@ mod tests {
         all.push(all[0]);
         assert_eq!(kruskal_over(&g, all), kruskal(&g).edges);
         assert!(kruskal_over(&g, Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn kruskal_over_sorts_like_id_dedup_then_stable_weight_sort() {
+        // Ties and zero weights everywhere: the selection order hinges on
+        // the tie-break by edge id.
+        let mut g = Graph::with_nodes(6);
+        let edges = [
+            (0, 1, 0.0),
+            (1, 2, 1.0),
+            (0, 2, 0.0),
+            (2, 3, 2.0),
+            (3, 4, 1.0),
+            (4, 5, 0.0),
+            (5, 0, 2.0),
+            (1, 4, 1.0),
+            (0, 1, 0.0),
+        ];
+        for (u, v, w) in edges {
+            g.add_edge(NodeId::new(u), NodeId::new(v), w).unwrap();
+        }
+        let two_pass = |mut edges: Vec<EdgeId>| {
+            edges.sort_unstable();
+            edges.dedup();
+            edges.sort_by_key(|&e| TotalCost::new(g.edge(e).weight));
+            let mut uf = UnionFind::new(g.node_count());
+            edges.retain(|&e| uf.union(g.edge(e).u.index(), g.edge(e).v.index()));
+            edges
+        };
+        let ids = |xs: &[usize]| xs.iter().map(|&i| EdgeId::new(i)).collect::<Vec<_>>();
+        for list in [
+            ids(&[8, 0, 5, 2, 8, 0, 0]),
+            ids(&[7, 4, 1, 7, 1, 3, 6, 6]),
+            ids(&[8, 7, 6, 5, 4, 3, 2, 1, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8]),
+            ids(&[3, 3, 3]),
+            Vec::new(),
+        ] {
+            assert_eq!(kruskal_over(&g, list.clone()), two_pass(list));
+        }
     }
 
     #[test]

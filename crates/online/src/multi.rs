@@ -76,7 +76,11 @@ impl OnlineAlgorithm for OnlineCpMulti {
         if usable.is_empty() {
             return None;
         }
-        let c_max = sdn.graph().edges().map(|e| e.weight).fold(1e-12, f64::max);
+        let c_max = sdn
+            .graph()
+            .edges()
+            .map(|e| e.weight)
+            .fold(sdn::COST_FLOOR, f64::max);
         let mut edge_map: Vec<EdgeId> = Vec::new();
         for e in sdn.graph().edges() {
             if !sdn.is_link_alive(e.id) || sdn.residual_bandwidth(e.id) + sdn::CAPACITY_EPS < b {
@@ -86,7 +90,7 @@ impl OnlineAlgorithm for OnlineCpMulti {
             if w >= sigma {
                 continue; // per-edge admission threshold, applied up front
             }
-            let tiebreak = 1e-6 * e.weight / c_max;
+            let tiebreak = sdn::COST_TIEBREAK_REL * e.weight / c_max;
             // appro_multi_on multiplies unit costs by b_k; divide it out
             // so the Steiner objective is exactly the congestion weight.
             bld.add_link(e.u, e.v, sdn.bandwidth_capacity(e.id), (w + tiebreak) / b)

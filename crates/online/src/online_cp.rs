@@ -2,7 +2,9 @@
 //! model and LCA-based pseudo-multicast trees.
 
 use crate::OnlineAlgorithm;
-use netgraph::{CsrGraph, DijkstraScratch, EdgeId, Graph, LandmarkOracle, NodeId, RootedTree};
+use netgraph::{
+    CsrGraph, DijkstraScratch, EdgeId, Graph, LandmarkOracle, NodeId, RootedTree, UnionFind,
+};
 use nfv_multicast::{PseudoMulticastTree, ServerUse};
 use sdn::{ExponentialCostModel, LinearCostModel, MulticastRequest, Sdn};
 
@@ -60,6 +62,141 @@ struct AdmissionGraphCache {
     /// admissible lower bounds on weighted-graph distances, rebuilt
     /// together with the graph it describes so it can never go stale.
     oracle: Option<LandmarkOracle>,
+    /// The σ-cut of `graph.weighted` (present only under
+    /// [`CostMode::Exponential`], the one mode with thresholds).
+    cut: Option<SigmaCut>,
+}
+
+/// Connected-component labels of an admission graph `G_k`, once over
+/// every edge and once over its *light* edges only — those whose stored
+/// weight (tie-break included) is below `σ`.
+///
+/// A tree whose terminals lie in two light components contains an edge of
+/// weight `≥ σ`: step 9 of Algorithm 2 rejects it under
+/// [`ThresholdRule::PerEdge`] outright, and under
+/// [`ThresholdRule::TreeSum`] too, since the non-negative weights sum to
+/// at least that edge's. So the scan can drop such a server before its
+/// Steiner tree is built (DESIGN.md §"The σ-cut gate").
+#[derive(Debug, Clone)]
+struct SigmaCut {
+    /// Component label per node over every edge of `G_k`.
+    full: Vec<usize>,
+    /// Component label per node over the light edges of `G_k`.
+    light: Vec<usize>,
+}
+
+impl SigmaCut {
+    /// Labels both partitions with one union–find and one pass over
+    /// `g`'s edges: the light edges are joined first, then the few heavy
+    /// ones merge light components into full ones.
+    fn new(g: &Graph, sigma: f64) -> Self {
+        let n = g.node_count();
+        let mut uf = UnionFind::new(n);
+        let mut heavy = Vec::new();
+        for e in g.edges() {
+            // The exact complement of step 9's `w ≥ σ`.
+            if e.weight < sigma {
+                uf.union(e.u.index(), e.v.index());
+            } else {
+                heavy.push((e.u.index(), e.v.index()));
+            }
+        }
+        let light: Vec<usize> = (0..n).map(|x| uf.find(x)).collect();
+        if heavy.is_empty() {
+            return SigmaCut {
+                full: light.clone(),
+                light,
+            };
+        }
+        for (u, v) in heavy {
+            uf.union(u, v);
+        }
+        SigmaCut {
+            full: (0..n).map(|x| uf.find(x)).collect(),
+            light,
+        }
+    }
+
+    /// The cut as seen from `request`'s anchors `{s_k} ∪ D_k`.
+    fn anchors(&self, request: &MulticastRequest) -> AnchorCut<'_> {
+        let shared = |labels: &[usize]| {
+            let l = *labels.get(request.source.index())?;
+            request
+                .destinations
+                .iter()
+                .all(|d| labels.get(d.index()) == Some(&l))
+                .then_some(l)
+        };
+        AnchorCut {
+            cut: self,
+            light: shared(&self.light),
+            full: shared(&self.full),
+        }
+    }
+}
+
+/// A [`SigmaCut`] pinned to one request's anchors.
+struct AnchorCut<'a> {
+    cut: &'a SigmaCut,
+    /// The anchors' light component, if they all share one.
+    light: Option<usize>,
+    /// The anchors' full component, if they all share one.
+    full: Option<usize>,
+}
+
+impl AnchorCut<'_> {
+    /// `None` when server `v` has to be evaluated; otherwise the outcome
+    /// [`AdmissionCtx::evaluate`] is certain to return for it.
+    fn verdict(&self, v: NodeId) -> Option<EvalOutcome> {
+        let joins = |anchors: Option<usize>, labels: &[usize]| {
+            anchors.is_some() && labels.get(v.index()).copied() == anchors
+        };
+        if joins(self.light, &self.cut.light) {
+            return None;
+        }
+        // Any tree over {s_k, v} ∪ D_k crosses the cut, so step 9 blocks
+        // it — when KMB finds one at all, i.e. when G_k connects them.
+        Some(if joins(self.full, &self.cut.full) {
+            EvalOutcome::ThresholdBlocked
+        } else {
+            EvalOutcome::Skip
+        })
+    }
+}
+
+/// Why `Online_CP` rejected a request; each reason has its telemetry
+/// counter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rejection {
+    /// No server can be connected to the terminals in `G_k`.
+    Infeasible,
+    /// No candidate was admissible and a σ threshold (step 7 or 9)
+    /// blocked at least one server.
+    Threshold,
+    /// Every admissible candidate failed the final ledger check.
+    Capacity,
+}
+
+impl Rejection {
+    /// Picks the reason from what the scan saw.
+    fn from_scan(had_candidates: bool, threshold_blocked: bool) -> Self {
+        if had_candidates {
+            Rejection::Capacity
+        } else if threshold_blocked {
+            Rejection::Threshold
+        } else {
+            Rejection::Infeasible
+        }
+    }
+
+    /// The telemetry counter this reason increments.
+    fn counter(self) -> telemetry::Counter {
+        match self {
+            Rejection::Infeasible => telemetry::Counter::OnlineRejectedInfeasible,
+            Rejection::Threshold => telemetry::Counter::OnlineRejectedThreshold,
+            Rejection::Capacity => telemetry::Counter::OnlineRejectedCapacity,
+        }
+    }
 }
 
 /// The `Online_CP` admission algorithm (Algorithm 2, `K = 1`).
@@ -147,9 +284,9 @@ impl OnlineCp {
     }
 
     /// Returns (building if needed) the admission graph for bandwidth `b`
-    /// against the current residual state, plus the landmark oracle over
-    /// it when oracle mode is on.
-    fn admission_graph(&mut self, sdn: &Sdn, b: f64) -> (&AdmissionGraph, Option<&LandmarkOracle>) {
+    /// against the current residual state, with the landmark oracle over
+    /// it when oracle mode is on and its σ-cut in the exponential mode.
+    fn admission_graph(&mut self, sdn: &Sdn, b: f64) -> &AdmissionGraphCache {
         let version = sdn.version();
         let bandwidth_bits = b.to_bits();
         let fresh = self
@@ -169,15 +306,163 @@ impl OnlineCp {
                 let csr = CsrGraph::from_graph(&graph.weighted);
                 LandmarkOracle::build(&csr, self.oracle_landmarks, &mut DijkstraScratch::new())
             });
+            let cut = (self.mode == CostMode::Exponential)
+                .then(|| SigmaCut::new(&graph.weighted, ExponentialCostModel::threshold(sdn)));
             self.cache = Some(AdmissionGraphCache {
                 version,
                 bandwidth_bits,
                 graph,
                 oracle,
+                cut,
             });
         }
-        let c = self.cache.as_ref().expect("cache was just filled"); // lint:allow(P1): the branch above just filled the cache
-        (&c.graph, c.oracle.as_ref())
+        self.cache.as_ref().expect("cache was just filled") // lint:allow(P1): the branch above just filled the cache
+    }
+
+    /// Algorithm 2 for one request: the admitted tree, or why there is
+    /// none.
+    fn decide(
+        &mut self,
+        sdn: &Sdn,
+        request: &MulticastRequest,
+    ) -> Result<PseudoMulticastTree, Rejection> {
+        let b = request.bandwidth;
+        let demand = request.computing_demand();
+        let sigma = ExponentialCostModel::threshold(sdn);
+
+        let mode = self.mode;
+        let rule = self.rule;
+        let cache = self.admission_graph(sdn, b);
+        if cache.graph.weighted.edge_count() == 0 {
+            return Err(Rejection::Infeasible);
+        }
+        let ctx = AdmissionCtx {
+            sdn,
+            request,
+            b,
+            demand,
+            sigma,
+            mode,
+            rule,
+            graph: &cache.graph,
+        };
+
+        // Phase 1: cheap per-server checks. These always run over every
+        // server, so the saturation telemetry and the threshold-blocked
+        // rejection reason are identical with and without the oracle.
+        let (mut phase1, saturated) = phase1_survivors(sdn, request, mode, sigma);
+        telemetry::add(telemetry::Counter::OnlineSaturatedServers, saturated);
+        let mut threshold_blocked = saturated > 0;
+        // The σ-cut gate: drop every survivor whose evaluation is already
+        // decided, recording the rejection reason it would have given.
+        if let Some(cut) = &cache.cut {
+            let anchors = cut.anchors(request);
+            phase1.retain(|&(v, _)| match anchors.verdict(v) {
+                None => true,
+                Some(outcome) => {
+                    threshold_blocked |= matches!(outcome, EvalOutcome::ThresholdBlocked);
+                    false
+                }
+            });
+        }
+        // Every scan draws its shortest-path trees from one bank.
+        let mut bank = ctx.scan_bank(phase1.iter().map(|&(v, _)| v));
+
+        if let Some(oracle) = &cache.oracle {
+            // Oracle scan: order survivors by an admissible lower bound on
+            // their final admission weight (`wv` plus the Steiner bound
+            // over {s_k, v} ∪ D_k, since the send-back term is ≥ 0), then
+            // evaluate lazily. The bound never exceeds the true weight, so
+            // stopping once it passes the incumbent cannot change the
+            // decision — only skip Steiner constructions that were going
+            // to lose anyway.
+            let mut terminals = vec![request.source];
+            terminals.extend(request.destinations.iter().copied());
+            let mut survivors: Vec<Survivor> = phase1
+                .iter()
+                .enumerate()
+                .map(|(pos, &(v, wv))| {
+                    terminals.push(v);
+                    let lb = wv
+                        + steiner::steiner_lower_bound(&terminals, |x, y| oracle.lower_bound(x, y));
+                    terminals.pop();
+                    Survivor { pos, v, wv, lb }
+                })
+                .collect();
+            survivors.sort_by(|x, y| {
+                x.lb.partial_cmp(&y.lb)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(x.pos.cmp(&y.pos))
+            });
+
+            let mut had_candidates = false;
+            let mut best: Option<(f64, usize, PseudoMulticastTree)> = None;
+            for (idx, s) in survivors.iter().enumerate() {
+                if let Some((best_w, _, _)) = &best {
+                    // Strictly worse than the incumbent (with a margin so
+                    // float noise can never prune an exact tie, which the
+                    // position rule below might still award differently).
+                    if s.lb > best_w * (1.0 + sdn::PRUNE_GUARD_REL) + sdn::PRUNE_GUARD_ABS {
+                        telemetry::add(
+                            telemetry::Counter::OnlineCandidatesPruned,
+                            (survivors.len() - idx) as u64,
+                        );
+                        break;
+                    }
+                }
+                match ctx.evaluate(s.v, s.wv, &mut bank) {
+                    EvalOutcome::Admissible(c) => {
+                        had_candidates = true;
+                        // The final ledger check runs per candidate here;
+                        // the exact scan's "sort then first-allocatable"
+                        // is the same min over (weight, server position).
+                        let tree = ctx.materialize(&c);
+                        if sdn.can_allocate(&tree.allocation(request)) {
+                            let replace = match &best {
+                                None => true,
+                                Some((bw, bp, _)) => {
+                                    c.weight < *bw || (c.weight == *bw && s.pos < *bp)
+                                }
+                            };
+                            if replace {
+                                best = Some((c.weight, s.pos, tree));
+                            }
+                        }
+                    }
+                    EvalOutcome::ThresholdBlocked => threshold_blocked = true,
+                    EvalOutcome::Skip => {}
+                }
+            }
+            // No early-exit fires without an incumbent, so on rejection
+            // every survivor was evaluated and the reason comes from
+            // exactly the same evidence as the exact scan's.
+            return best
+                .map(|(_, _, tree)| tree)
+                .ok_or(Rejection::from_scan(had_candidates, threshold_blocked));
+        }
+
+        // Exact scan (the paper's listing): evaluate every survivor in
+        // server order.
+        let mut candidates: Vec<Candidate> = Vec::new();
+        for &(v, wv) in &phase1 {
+            match ctx.evaluate(v, wv, &mut bank) {
+                EvalOutcome::Admissible(c) => candidates.push(c),
+                EvalOutcome::ThresholdBlocked => threshold_blocked = true,
+                EvalOutcome::Skip => {}
+            }
+        }
+
+        // Try candidates cheapest-first; the send-back path may need 2·b_k
+        // on some link, so the accumulated allocation is the final check.
+        candidates.sort_by(|a, b| a.weight.partial_cmp(&b.weight).expect("weights are finite")); // lint:allow(P1): candidate weights are finite sums of finite unit costs
+        let had_candidates = !candidates.is_empty();
+        for c in &candidates {
+            let tree = ctx.materialize(c);
+            if sdn.can_allocate(&tree.allocation(request)) {
+                return Ok(tree);
+            }
+        }
+        Err(Rejection::from_scan(had_candidates, threshold_blocked))
     }
 }
 
@@ -465,148 +750,9 @@ impl OnlineAlgorithm for OnlineCp {
 
     // lint:entry(api)
     fn admit(&mut self, sdn: &Sdn, request: &MulticastRequest) -> Option<PseudoMulticastTree> {
-        let b = request.bandwidth;
-        let demand = request.computing_demand();
-        let sigma = ExponentialCostModel::threshold(sdn);
-
-        let mode = self.mode;
-        let rule = self.rule;
-        let (graph, oracle) = self.admission_graph(sdn, b);
-        if graph.weighted.edge_count() == 0 {
-            telemetry::hit(telemetry::Counter::OnlineRejectedInfeasible);
-            return None;
-        }
-        let ctx = AdmissionCtx {
-            sdn,
-            request,
-            b,
-            demand,
-            sigma,
-            mode,
-            rule,
-            graph,
-        };
-
-        // Phase 1: cheap per-server checks. These always run over every
-        // server, so the saturation telemetry and the threshold-blocked
-        // rejection reason are identical with and without the oracle.
-        let (phase1, saturated) = phase1_survivors(sdn, request, mode, sigma);
-        telemetry::add(telemetry::Counter::OnlineSaturatedServers, saturated);
-        let mut threshold_blocked = saturated > 0;
-        // Every scan draws its shortest-path trees from one bank.
-        let mut bank = ctx.scan_bank(phase1.iter().map(|&(v, _)| v));
-
-        if let Some(oracle) = oracle {
-            // Oracle scan: order survivors by an admissible lower bound on
-            // their final admission weight (`wv` plus the Steiner bound
-            // over {s_k, v} ∪ D_k, since the send-back term is ≥ 0), then
-            // evaluate lazily. The bound never exceeds the true weight, so
-            // stopping once it passes the incumbent cannot change the
-            // decision — only skip Steiner constructions that were going
-            // to lose anyway.
-            let mut terminals = vec![request.source];
-            terminals.extend(request.destinations.iter().copied());
-            let mut survivors: Vec<Survivor> = phase1
-                .iter()
-                .enumerate()
-                .map(|(pos, &(v, wv))| {
-                    terminals.push(v);
-                    let lb = wv
-                        + steiner::steiner_lower_bound(&terminals, |x, y| oracle.lower_bound(x, y));
-                    terminals.pop();
-                    Survivor { pos, v, wv, lb }
-                })
-                .collect();
-            survivors.sort_by(|x, y| {
-                x.lb.partial_cmp(&y.lb)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(x.pos.cmp(&y.pos))
-            });
-
-            let mut had_candidates = false;
-            let mut best: Option<(f64, usize, PseudoMulticastTree)> = None;
-            for (idx, s) in survivors.iter().enumerate() {
-                if let Some((best_w, _, _)) = &best {
-                    // Strictly worse than the incumbent (with a margin so
-                    // float noise can never prune an exact tie, which the
-                    // position rule below might still award differently).
-                    if s.lb > best_w * (1.0 + sdn::PRUNE_GUARD_REL) + sdn::PRUNE_GUARD_ABS {
-                        telemetry::add(
-                            telemetry::Counter::OnlineCandidatesPruned,
-                            (survivors.len() - idx) as u64,
-                        );
-                        break;
-                    }
-                }
-                match ctx.evaluate(s.v, s.wv, &mut bank) {
-                    EvalOutcome::Admissible(c) => {
-                        had_candidates = true;
-                        // The final ledger check runs per candidate here;
-                        // the exact scan's "sort then first-allocatable"
-                        // is the same min over (weight, server position).
-                        let tree = ctx.materialize(&c);
-                        if sdn.can_allocate(&tree.allocation(request)) {
-                            let replace = match &best {
-                                None => true,
-                                Some((bw, bp, _)) => {
-                                    c.weight < *bw || (c.weight == *bw && s.pos < *bp)
-                                }
-                            };
-                            if replace {
-                                best = Some((c.weight, s.pos, tree));
-                            }
-                        }
-                    }
-                    EvalOutcome::ThresholdBlocked => threshold_blocked = true,
-                    EvalOutcome::Skip => {}
-                }
-            }
-            if let Some((_, _, tree)) = best {
-                return Some(tree);
-            }
-            // No early-exit fired on this path (it requires an incumbent),
-            // so every survivor was evaluated and the rejection reason is
-            // computed from exactly the same evidence as the exact scan.
-            telemetry::hit(if had_candidates {
-                telemetry::Counter::OnlineRejectedCapacity
-            } else if threshold_blocked {
-                telemetry::Counter::OnlineRejectedThreshold
-            } else {
-                telemetry::Counter::OnlineRejectedInfeasible
-            });
-            return None;
-        }
-
-        // Exact scan (the paper's listing): evaluate every survivor in
-        // server order.
-        let mut candidates: Vec<Candidate> = Vec::new();
-        for &(v, wv) in &phase1 {
-            match ctx.evaluate(v, wv, &mut bank) {
-                EvalOutcome::Admissible(c) => candidates.push(c),
-                EvalOutcome::ThresholdBlocked => threshold_blocked = true,
-                EvalOutcome::Skip => {}
-            }
-        }
-
-        // Try candidates cheapest-first; the send-back path may need 2·b_k
-        // on some link, so the accumulated allocation is the final check.
-        candidates.sort_by(|a, b| a.weight.partial_cmp(&b.weight).expect("weights are finite")); // lint:allow(P1): candidate weights are finite sums of finite unit costs
-        let had_candidates = !candidates.is_empty();
-        for c in &candidates {
-            let tree = ctx.materialize(c);
-            if sdn.can_allocate(&tree.allocation(request)) {
-                return Some(tree);
-            }
-        }
-        telemetry::hit(if had_candidates {
-            // Every surviving candidate failed the final ledger check.
-            telemetry::Counter::OnlineRejectedCapacity
-        } else if threshold_blocked {
-            telemetry::Counter::OnlineRejectedThreshold
-        } else {
-            telemetry::Counter::OnlineRejectedInfeasible
-        });
-        None
+        self.decide(sdn, request)
+            .map_err(|r| telemetry::hit(r.counter()))
+            .ok()
     }
 }
 
@@ -886,6 +1032,173 @@ mod tests {
         }
         assert!(admitted > 0, "fixture admits nothing; test is vacuous");
         assert_eq!(exact_net, oracle_net);
+    }
+
+    /// Whether `evaluate` returned exactly the outcome the σ-cut predicted.
+    fn same_outcome(predicted: &EvalOutcome, evaluated: &EvalOutcome) -> bool {
+        matches!(
+            (predicted, evaluated),
+            (EvalOutcome::ThresholdBlocked, EvalOutcome::ThresholdBlocked)
+                | (EvalOutcome::Skip, EvalOutcome::Skip)
+        )
+    }
+
+    #[test]
+    fn sigma_cut_predicts_every_dropped_evaluation() {
+        // Load random networks by admitting a long stream; before each
+        // admission, evaluate every survivor the gate would drop and check
+        // that the full Steiner evaluation agrees with the prediction.
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use topology::{annotate, place_servers_random, AnnotationParams, Waxman};
+        use workload::RequestGenerator;
+
+        for rule in [ThresholdRule::PerEdge, ThresholdRule::TreeSum] {
+            let (mut blocked, mut skipped) = (0, 0);
+            for seed in [3, 17, 29] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let (g, _) = Waxman::new(30).generate(&mut rng);
+                let servers = place_servers_random(&g, 0.2, &mut rng);
+                let mut sdn =
+                    annotate(&g, &servers, &AnnotationParams::default(), &mut rng).unwrap();
+                let requests = RequestGenerator::new(30).generate_batch(400, &mut rng);
+                let mut algo = OnlineCp::new().with_threshold_rule(rule);
+                for req in &requests {
+                    let graph = build_admission_graph(&sdn, req.bandwidth, CostMode::Exponential);
+                    let sigma = ExponentialCostModel::threshold(&sdn);
+                    let cut = SigmaCut::new(&graph.weighted, sigma);
+                    let anchors = cut.anchors(req);
+                    let ctx = AdmissionCtx {
+                        sdn: &sdn,
+                        request: req,
+                        b: req.bandwidth,
+                        demand: req.computing_demand(),
+                        sigma,
+                        mode: CostMode::Exponential,
+                        rule,
+                        graph: &graph,
+                    };
+                    let (survivors, _) = phase1_survivors(&sdn, req, CostMode::Exponential, sigma);
+                    let mut bank = ctx.scan_bank(survivors.iter().map(|&(v, _)| v));
+                    for &(v, wv) in &survivors {
+                        let Some(predicted) = anchors.verdict(v) else {
+                            continue;
+                        };
+                        match predicted {
+                            EvalOutcome::ThresholdBlocked => blocked += 1,
+                            _ => skipped += 1,
+                        }
+                        let evaluated = ctx.evaluate(v, wv, &mut bank);
+                        assert!(
+                            same_outcome(&predicted, &evaluated),
+                            "{rule:?}, seed {seed}, request {}, server {v}",
+                            req.id
+                        );
+                    }
+                    if let Some(tree) = algo.admit(&sdn, req) {
+                        sdn.allocate(&tree.allocation(req)).unwrap();
+                    }
+                }
+            }
+            assert!(
+                blocked > 0,
+                "{rule:?}: the gate never dropped a blocked server"
+            );
+            assert!(
+                skipped > 0,
+                "{rule:?}: the gate never dropped an unreachable server"
+            );
+        }
+    }
+
+    #[test]
+    fn sigma_cut_treats_a_weight_of_exactly_sigma_as_heavy() {
+        // Step 9 blocks `w ≥ σ`, so an edge of weight exactly σ must cut.
+        let (sdn, v, e) = sendback_fixture();
+        let sigma = ExponentialCostModel::threshold(&sdn);
+        let mut weighted = Graph::with_nodes(sdn.node_count());
+        for (&orig, w) in e.iter().zip([0.0, sigma, 0.0]) {
+            let link = sdn.graph().edge(orig);
+            weighted.add_edge(link.u, link.v, w).unwrap();
+        }
+        let graph = AdmissionGraph {
+            weighted,
+            parent_edge: e,
+        };
+        let req = MulticastRequest::new(RequestId(0), v[0], vec![v[3]], 100.0, chain());
+        let cut = SigmaCut::new(&graph.weighted, sigma);
+        let predicted = cut.anchors(&req).verdict(v[2]).expect("a-v is heavy");
+        assert!(matches!(predicted, EvalOutcome::ThresholdBlocked));
+        let ctx = AdmissionCtx {
+            sdn: &sdn,
+            request: &req,
+            b: req.bandwidth,
+            demand: req.computing_demand(),
+            sigma,
+            mode: CostMode::Exponential,
+            rule: ThresholdRule::PerEdge,
+            graph: &graph,
+        };
+        let mut bank = ctx.scan_bank([v[2]]);
+        assert!(same_outcome(
+            &predicted,
+            &ctx.evaluate(v[2], 0.0, &mut bank)
+        ));
+    }
+
+    /// s -- v(server) -- d1, plus the bridge v -- d2 loaded to `load`
+    /// of its 1 000 Mbps.
+    fn bridge_fixture(load: f64) -> (Sdn, MulticastRequest) {
+        let mut bld = SdnBuilder::new();
+        let s = bld.add_switch();
+        let v = bld.add_server(8_000.0, 1.0);
+        let d1 = bld.add_switch();
+        let d2 = bld.add_switch();
+        bld.add_link(s, v, 1_000.0, 1.0).unwrap();
+        bld.add_link(v, d1, 1_000.0, 1.0).unwrap();
+        let bridge = bld.add_link(v, d2, 1_000.0, 1.0).unwrap();
+        let mut sdn = bld.build().unwrap();
+        let mut pre = Allocation::new(RequestId(9));
+        pre.add_link(bridge, load);
+        sdn.allocate(&pre).unwrap();
+        let req = MulticastRequest::new(RequestId(0), s, vec![d1, d2], 50.0, chain());
+        (sdn, req)
+    }
+
+    #[test]
+    fn saturated_bridge_is_a_threshold_rejection_without_a_steiner_tree() {
+        // 90% on the bridge: w = 8^0.9 − 1 ≈ 5.5 ≥ σ = 3, yet the 100 Mbps
+        // left keep it in G_k. The only server is unloaded, so nothing but
+        // the link-side threshold can reject.
+        let (sdn, req) = bridge_fixture(900.0);
+        let mut algo = OnlineCp::new();
+        assert_eq!(algo.decide(&sdn, &req).unwrap_err(), Rejection::Threshold);
+        // The gate dropped the only survivor, so no tree was evaluated.
+        let cache = algo.cache.as_ref().unwrap();
+        let anchors = cache.cut.as_ref().unwrap().anchors(&req);
+        assert!(matches!(
+            anchors.verdict(sdn.servers()[0]),
+            Some(EvalOutcome::ThresholdBlocked)
+        ));
+        // A lighter load leaves the bridge under σ: the same request lands.
+        assert!(OnlineCp::new()
+            .decide(&bridge_fixture(500.0).0, &req)
+            .is_ok());
+        // The linear mode has no thresholds, hence no cut to gate on.
+        let mut linear = OnlineCp::with_mode(CostMode::Linear);
+        assert!(linear.decide(&sdn, &req).is_ok());
+        assert!(linear.cache.unwrap().cut.is_none());
+    }
+
+    #[test]
+    fn gated_unreachable_destination_is_infeasible_not_threshold() {
+        // 960 Mbps on the bridge leave too little for 50 Mbps: d2 drops out
+        // of G_k entirely, so the gate's drop is a `Skip`, not a block.
+        let (sdn, req) = bridge_fixture(960.0);
+        assert_eq!(
+            OnlineCp::new().decide(&sdn, &req).unwrap_err(),
+            Rejection::Infeasible
+        );
     }
 
     #[test]

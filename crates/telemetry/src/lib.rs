@@ -8,9 +8,6 @@
 //!   (runs, hits, prunes, replans, ...), never a wall-clock measurement.
 //! * Events carry a logical sequence number (their position in the log), not
 //!   a timestamp, and are only recorded from sequential control paths.
-//! * Wall-clock helpers exist behind the opt-in `timing` cargo feature; the
-//!   default build contains no time source at all, so the `D2` lint rule and
-//!   the chaos byte-identical-replay gate stay green.
 //!
 //! Recording is gated on a global enable flag (off by default). When the
 //! flag is off every record call is a single relaxed atomic load, and the
@@ -31,9 +28,6 @@
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-
-#[cfg(feature = "timing")]
-pub mod timing;
 
 // ---------------------------------------------------------------------------
 // Counters
