@@ -183,7 +183,7 @@ pub fn audit(sdn: &Sdn, manager: &SessionManager) -> Result<(), AuditError> {
     }
 
     for (id, s) in manager.sessions() {
-        if let Err(reason) = s.tree.validate(sdn, &s.request) {
+        if let Err(reason) = s.payload.tree.validate(sdn, &s.payload.request) {
             return Err(AuditError::InvalidTree {
                 session: id,
                 reason,
@@ -323,7 +323,7 @@ mod tests {
         assert!(mgr.admit(&mut sdn, &req(&v, 0), 1, &mut scratch).unwrap());
         assert!(mgr.admit(&mut sdn, &req(&v, 1), 1, &mut scratch).unwrap());
         audit(&sdn, &mgr).unwrap();
-        mgr.depart(&mut sdn, sdn::RequestId(0)).unwrap();
+        mgr.depart(&mut sdn, sdn::RequestId(0));
         audit(&sdn, &mgr).unwrap();
         sdn.fail_link(e[1]).unwrap();
         mgr.repair(&mut sdn, &RepairConfig::new(1), &mut scratch);

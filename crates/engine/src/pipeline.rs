@@ -52,7 +52,7 @@ use crate::spec::{feasibility_disturbed, TouchedSet};
 use netgraph::{EdgeId, NodeId};
 use nfv_multicast::{appro_multi_cap_with_scratch, Admission, ApproScratch, CapPlan, PathCache};
 use nfv_online::TimedRequest;
-use sdn::{MulticastRequest, RequestId, Sdn, SdnError};
+use sdn::{MulticastRequest, Sdn, SdnError};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -253,8 +253,6 @@ pub struct AdmissionPipeline {
     cfg: PipelineConfig,
     sdn: Sdn,
     sessions: SessionManager,
-    /// Scheduled departure time per admitted session.
-    deadlines: BTreeMap<RequestId, f64>,
     window: VecDeque<InFlight>,
     /// Out-of-order worker results parked until their turn.
     reorder: BTreeMap<u64, Option<CapPlan>>,
@@ -320,7 +318,6 @@ impl AdmissionPipeline {
             sessions: config
                 .resilience
                 .map_or_else(SessionManager::new, SessionManager::with_resilience),
-            deadlines: BTreeMap::new(),
             window: VecDeque::new(),
             reorder: BTreeMap::new(),
             deltas,
@@ -425,8 +422,8 @@ impl AdmissionPipeline {
                 // bookkeeping; republish before the next plan as well.
                 self.mutations_since_publish = self.cfg.refresh;
             }
-            // Sessions the repair service dropped keep their scheduled
-            // deadline; when it fires, the departure is a guarded no-op.
+            // Sessions the repair service dropped left every table; their
+            // scheduled departure time passes without a release.
             self.check_invariants();
             r
         } else {
@@ -553,7 +550,17 @@ impl AdmissionPipeline {
 
     fn commit_decision(&mut self, timed: TimedRequest, spec: Speculation) {
         let now = timed.arrival;
-        self.release_due(now);
+        // A departure hands back the session's allocation and any reserved
+        // backup capacity; both move live residuals.
+        for (alloc, reservations) in self.sessions.release_due(&mut self.sdn, now) {
+            self.touch(&alloc);
+            for reservation in &reservations {
+                self.touch(reservation);
+                self.mutations_since_publish += 1;
+            }
+            self.report.departed += 1;
+            self.mutations_since_publish += 1;
+        }
         let req = &timed.request;
         let decision = match spec {
             Speculation::Plan {
@@ -583,10 +590,14 @@ impl AdmissionPipeline {
         if let Admission::Admitted(tree) = &decision {
             let alloc = tree.allocation(req);
             self.sessions
-                .commit(&mut self.sdn, req.clone(), tree.clone())
+                .commit(
+                    &mut self.sdn,
+                    req.clone(),
+                    tree.clone(),
+                    now + timed.duration,
+                )
                 .expect("admitted tree fits residual capacities"); // lint:allow(P1): the tree was planned or validated on this exact residual state
             self.touch(&alloc);
-            self.deadlines.insert(req.id, now + timed.duration);
             self.report.admitted += 1;
             self.mutations_since_publish += 1;
             if self.cfg.resilience.is_some() {
@@ -606,42 +617,6 @@ impl AdmissionPipeline {
         }
         self.decisions.push(decision);
         self.check_invariants();
-    }
-
-    /// Releases every session whose departure time passed, in ascending
-    /// id order — the same semantics as `ActiveSessions::release_due`.
-    // lint:entry(committer)
-    fn release_due(&mut self, now: f64) {
-        let due: Vec<RequestId> = self
-            .deadlines
-            .iter()
-            .filter(|(_, &dep)| dep <= now)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in due {
-            self.deadlines.remove(&id);
-            let alloc = self.sessions.session(id).map(|s| s.allocation.clone());
-            // The departure also hands back any reserved backup capacity;
-            // snapshot those allocations before they are discarded.
-            let reservations = self.sessions.reserved_backup_allocations(id);
-            let outcome = self
-                .sessions
-                .depart(&mut self.sdn, id)
-                .expect("a tracked session releases cleanly"); // lint:allow(P1): the allocation was applied at commit, so release balances
-            if outcome == crate::repair::Departure::Released {
-                if let Some(alloc) = alloc {
-                    self.touch(&alloc);
-                }
-                for reservation in &reservations {
-                    self.touch(reservation);
-                    self.mutations_since_publish += 1;
-                }
-                self.report.departed += 1;
-                self.mutations_since_publish += 1;
-            }
-            // Cancelled/Unknown: the session was torn down earlier (e.g.
-            // by the repair service); nothing was released now.
-        }
     }
 
     /// Records elements whose residuals just moved into the current
@@ -762,7 +737,7 @@ mod tests {
     use crate::admit_sequential;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use sdn::{NfvType, SdnBuilder, ServiceChain};
+    use sdn::{NfvType, RequestId, SdnBuilder, ServiceChain};
     use workload::{OpenLoopWorkload, RequestGenerator};
 
     /// A ring of `n` 600 Mbps links with a server on every fourth node;
@@ -902,6 +877,7 @@ mod tests {
             out.sessions
                 .session(RequestId(0))
                 .unwrap()
+                .payload
                 .tree
                 .servers_used(),
             vec![m2]
@@ -912,6 +888,85 @@ mod tests {
             out.sdn.residual_bandwidth(e0),
             out.sdn.bandwidth_capacity(e0)
         );
+    }
+
+    #[test]
+    fn departures_follow_sessions_through_repair() {
+        // s-m1-d is the cheap route, s-m2-d the detour; each link fits
+        // every session here.
+        let mut bld = SdnBuilder::new();
+        let s = bld.add_switch();
+        let m1 = bld.add_server(4_000.0, 1.0);
+        let m2 = bld.add_server(4_000.0, 1.0);
+        let d = bld.add_switch();
+        let _ = bld.add_link(s, m1, 1_000.0, 1.0).unwrap();
+        let e1 = bld.add_link(m1, d, 1_000.0, 1.0).unwrap();
+        let e2 = bld.add_link(s, m2, 1_000.0, 3.0).unwrap();
+        let e3 = bld.add_link(m2, d, 1_000.0, 3.0).unwrap();
+        let fresh = bld.build().unwrap();
+        let session = |id: u64, arrival: f64| {
+            let chain = ServiceChain::new(vec![NfvType::Firewall]);
+            let req = MulticastRequest::new(RequestId(id), s, vec![d], 100.0, chain);
+            TimedRequest::new(req, arrival, 10.0)
+        };
+        // Wider than any link: always rejected, so it only moves the clock.
+        let tick = |id: u64, arrival: f64| {
+            let chain = ServiceChain::new(vec![NfvType::Firewall]);
+            let req = MulticastRequest::new(RequestId(id), s, vec![d], 2_000.0, chain);
+            TimedRequest::new(req, arrival, 1.0)
+        };
+        let cfg = PipelineConfig::new(1)
+            .with_workers(2)
+            .with_repair(RepairConfig::new(1).with_max_retries(2));
+        let mut p = AdmissionPipeline::launch(fresh.clone(), cfg);
+
+        // 1. A session broken beyond repair is still pending when its
+        //    departure (t = 10) passes: it is cancelled, and a later
+        //    recovery never recommits it.
+        p.push(session(0, 0.0));
+        assert!(p.inject(FaultEvent::FailLink(e3)).unwrap().is_quiet());
+        let report = p.inject(FaultEvent::FailLink(e1)).unwrap();
+        assert_eq!(report.deferred, vec![RequestId(0)]);
+        p.push(tick(1, 20.0));
+        let report = p.inject(FaultEvent::RecoverLink(e1)).unwrap();
+        assert!(report.is_quiet(), "a cancelled session was replanned");
+        p.inject(FaultEvent::RecoverLink(e3)).unwrap();
+        assert_eq!(p.report().departed, 0);
+
+        // 2. A session repaired before its departure departs at its
+        //    original time, t = 40.
+        p.push(session(2, 30.0));
+        let report = p.inject(FaultEvent::FailLink(e1)).unwrap();
+        assert_eq!(report.repaired, vec![RequestId(2)]);
+        p.push(tick(3, 39.0));
+        p.drain();
+        assert_eq!(p.report().departed, 0);
+        p.push(tick(4, 40.0));
+        p.drain();
+        assert_eq!(p.report().departed, 1);
+        p.inject(FaultEvent::RecoverLink(e1)).unwrap();
+
+        // 3. A session repair dropped has left every table: its scheduled
+        //    time (t = 60) passes without a double release.
+        p.push(session(5, 50.0));
+        p.inject(FaultEvent::FailLink(e3)).unwrap();
+        let report = p.inject(FaultEvent::FailLink(e1)).unwrap();
+        assert_eq!(report.deferred, vec![RequestId(5)]);
+        let report = p.inject(FaultEvent::FailLink(e2)).unwrap();
+        assert_eq!(report.dropped, vec![RequestId(5)]);
+        p.push(tick(6, 70.0));
+        for e in [e1, e2, e3] {
+            p.inject(FaultEvent::RecoverLink(e)).unwrap();
+        }
+
+        // 4. After the last departure the ledger is the fresh network's.
+        let out = p.finish();
+        assert_eq!(out.report.departed, 1);
+        assert_eq!(out.report.admitted, 3);
+        assert_eq!(out.sessions.double_release_count(), 0);
+        assert!(out.sessions.is_empty());
+        assert!(out.sessions.pending_repairs().is_empty());
+        assert_eq!(out.sdn, fresh);
     }
 
     #[test]
@@ -962,6 +1017,7 @@ mod tests {
                 out.sessions
                     .session(RequestId(0))
                     .unwrap()
+                    .payload
                     .tree
                     .servers_used(),
                 vec![m2]

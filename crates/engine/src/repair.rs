@@ -18,11 +18,17 @@
 //! Sessions that exhaust their attempt budget are dropped; sessions with
 //! budget left stay *pending* inside the manager and are retried on the
 //! next [`SessionManager::repair`] call (typically after a recovery
-//! event restores some capacity).
+//! event restores some capacity). A pending session keeps its departure
+//! time: [`SessionManager::release_due`] cancels it once that time
+//! passes, and a repaired one departs at its original time.
+//!
+//! Live sessions sit in one [`ActiveSessions`] table, which releases
+//! them, counts departures, and guards against double release.
 
 use crate::resilience::{BackupTree, ResilienceConfig};
 use netgraph::{EdgeId, NodeId, UnionFind};
 use nfv_multicast::{appro_multi_cap_with_scratch, Admission, ApproScratch, PseudoMulticastTree};
+use nfv_online::{ActiveSession, ActiveSessions};
 use sdn::{Allocation, MulticastRequest, RequestId, Sdn, SdnError};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -82,16 +88,14 @@ impl RepairConfig {
     }
 }
 
-/// A committed session: the request, its tree, and the exact allocation
-/// held in the network ledger.
+/// What the manager keeps with each live session besides its departure
+/// time and allocation: the request and the tree serving it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommittedSession {
     /// The admitted request (for degraded sessions, the *reduced* one).
     pub request: MulticastRequest,
     /// The pseudo-multicast tree serving it.
     pub tree: PseudoMulticastTree,
-    /// The allocation currently charged to the network for it.
-    pub allocation: Allocation,
 }
 
 /// Outcome of [`SessionManager::depart`].
@@ -110,6 +114,7 @@ pub enum Departure {
 #[derive(Debug, Clone)]
 struct PendingRepair {
     request: MulticastRequest,
+    departure: f64,
     attempts: usize,
 }
 
@@ -118,6 +123,7 @@ struct PendingRepair {
 struct Casualty {
     id: RequestId,
     request: MulticastRequest,
+    departure: f64,
     backups: Vec<BackupTree>,
 }
 
@@ -167,11 +173,10 @@ impl RepairReport {
 /// every repair decision — is deterministic in request-id order.
 #[derive(Debug, Clone, Default)]
 pub struct SessionManager {
-    pub(crate) sessions: BTreeMap<RequestId, CommittedSession>,
+    pub(crate) sessions: ActiveSessions<CommittedSession>,
     link_members: BTreeMap<EdgeId, BTreeSet<RequestId>>,
     server_members: BTreeMap<NodeId, BTreeSet<RequestId>>,
     pending: BTreeMap<RequestId, PendingRepair>,
-    double_release_count: u64,
     /// Proactive protection knobs; `None` disables backups, grafting
     /// drift tracking, and re-optimization (the pre-resilience behavior).
     pub(crate) resilience: Option<ResilienceConfig>,
@@ -204,18 +209,18 @@ impl SessionManager {
     /// `true` when `id` is committed (not merely pending repair).
     #[must_use]
     pub fn contains(&self, id: RequestId) -> bool {
-        self.sessions.contains_key(&id)
+        self.sessions.contains(id)
     }
 
     /// The committed session for `id`, if any.
     #[must_use]
-    pub fn session(&self, id: RequestId) -> Option<&CommittedSession> {
-        self.sessions.get(&id)
+    pub fn session(&self, id: RequestId) -> Option<&ActiveSession<CommittedSession>> {
+        self.sessions.get(id)
     }
 
     /// Iterates committed sessions in ascending request-id order.
-    pub fn sessions(&self) -> impl Iterator<Item = (RequestId, &CommittedSession)> {
-        self.sessions.iter().map(|(&id, s)| (id, s))
+    pub fn sessions(&self) -> impl Iterator<Item = (RequestId, &ActiveSession<CommittedSession>)> {
+        self.sessions.iter()
     }
 
     /// Request ids currently awaiting a repair attempt.
@@ -228,11 +233,12 @@ impl SessionManager {
     /// resources (the double-release guard fired).
     #[must_use]
     pub fn double_release_count(&self) -> u64 {
-        self.double_release_count
+        self.sessions.double_release_count()
     }
 
     /// Runs `Appro_Multi_Cap` for `request` and commits the tree on
-    /// success. Returns `Ok(true)` if admitted and committed.
+    /// success, to hold until an explicit [`depart`](Self::depart).
+    /// Returns `Ok(true)` if admitted and committed.
     ///
     /// # Errors
     ///
@@ -247,14 +253,16 @@ impl SessionManager {
     ) -> Result<bool, SdnError> {
         match appro_multi_cap_with_scratch(sdn, request, k, scratch) {
             Admission::Admitted(tree) => {
-                self.commit(sdn, request.clone(), tree)?;
+                self.commit(sdn, request.clone(), tree, f64::INFINITY)?;
                 Ok(true)
             }
             Admission::Rejected => Ok(false),
         }
     }
 
-    /// Allocates `tree`'s resources and records the session.
+    /// Allocates `tree`'s resources and records the session, to depart
+    /// at `departure` (`f64::INFINITY`: only an explicit
+    /// [`depart`](Self::depart) ends it).
     ///
     /// # Errors
     ///
@@ -266,9 +274,10 @@ impl SessionManager {
         sdn: &mut Sdn,
         request: MulticastRequest,
         tree: PseudoMulticastTree,
+        departure: f64,
     ) -> Result<(), SdnError> {
         let id = request.id;
-        if self.sessions.contains_key(&id) || self.pending.contains_key(&id) {
+        if self.sessions.contains(id) || self.pending.contains_key(&id) {
             return Err(SdnError::InfeasibleRequest {
                 reason: format!("session {id:?} is already tracked"),
             });
@@ -276,13 +285,11 @@ impl SessionManager {
         let allocation = tree.allocation(&request);
         sdn.allocate(&allocation)?;
         self.index(id, &allocation);
-        self.sessions.insert(
+        self.sessions.insert_with(
             id,
-            CommittedSession {
-                request,
-                tree,
-                allocation,
-            },
+            departure,
+            allocation,
+            CommittedSession { request, tree },
         );
         Ok(())
     }
@@ -290,38 +297,51 @@ impl SessionManager {
     /// Tears a session down. Committed sessions release their resources;
     /// pending ones only cancel the queued replan (their resources were
     /// released when the failure broke them); unknown ids are a guarded
-    /// no-op — never a double release. The guard is surfaced through the
-    /// telemetry registry (an `UnknownDeparture` event plus the shared
-    /// `double_release` counter) rather than stderr: library crates must
-    /// not write to the process's streams.
-    ///
-    /// # Errors
-    ///
-    /// Propagates ledger errors from [`Sdn::release`].
-    pub fn depart(&mut self, sdn: &mut Sdn, id: RequestId) -> Result<Departure, SdnError> {
-        if let Some(s) = self.sessions.remove(&id) {
-            self.unindex(id, &s.allocation);
-            sdn.release(&s.allocation)?;
-            self.discard_backups(sdn, id);
-            self.drift.remove(&id);
-            telemetry::hit(telemetry::Counter::SessionsDeparted);
-            telemetry::gauge_set(telemetry::Gauge::ActiveSessions, self.sessions.len() as u64);
-            return Ok(Departure::Released);
-        }
+    /// no-op — never a double release (see [`ActiveSessions::depart`]).
+    pub fn depart(&mut self, sdn: &mut Sdn, id: RequestId) -> Departure {
         if self.pending.remove(&id).is_some() {
-            // A pending session's own allocation was already released when
-            // it broke, and its backups were consumed by that same repair
-            // pass — but purge defensively so a departed id can never leak
-            // a reservation.
-            self.discard_backups(sdn, id);
-            self.drift.remove(&id);
+            // A pending session holds no allocation, backups or drift:
+            // the repair pass that broke it removed all three.
             telemetry::gauge_set(telemetry::Gauge::PendingRepairs, self.pending.len() as u64);
-            return Ok(Departure::Cancelled);
+            return Departure::Cancelled;
         }
-        self.double_release_count += 1;
-        telemetry::hit(telemetry::Counter::DoubleRelease);
-        telemetry::record(telemetry::Event::UnknownDeparture { request: id.0 });
-        Ok(Departure::Unknown)
+        match self.release(sdn, id) {
+            Some(_) => Departure::Released,
+            None => Departure::Unknown,
+        }
+    }
+
+    /// Departs every session whose departure time is `<= now`: pending
+    /// repairs are cancelled, and committed sessions release in
+    /// ascending id order, each followed by its reserved backups.
+    /// Returns, per released session, its allocation and the backup
+    /// reservations it handed back.
+    pub fn release_due(&mut self, sdn: &mut Sdn, now: f64) -> Vec<(Allocation, Vec<Allocation>)> {
+        let expired: Vec<RequestId> = self
+            .pending
+            .iter()
+            .filter(|(_, p)| p.departure <= now)
+            .map(|(&id, _)| id)
+            .collect();
+        for id in expired {
+            self.depart(sdn, id);
+        }
+        self.sessions
+            .due(now)
+            .into_iter()
+            .filter_map(|id| self.release(sdn, id))
+            .collect()
+    }
+
+    /// Departs the committed session `id` through the table (which
+    /// counts it, or trips the guard for an unknown id), then drops its
+    /// index entries, backups and drift.
+    fn release(&mut self, sdn: &mut Sdn, id: RequestId) -> Option<(Allocation, Vec<Allocation>)> {
+        let s = self.sessions.depart(sdn, id)?;
+        self.unindex(id, &s.allocation);
+        let reservations = self.discard_backups(sdn, id);
+        self.drift.remove(&id);
+        Some((s.allocation, reservations))
     }
 
     /// Committed sessions whose footprint touches a failed link or
@@ -372,11 +392,9 @@ impl SessionManager {
         for &id in &report.broken {
             let s = self
                 .sessions
-                .remove(&id)
+                .detach(sdn, id)
                 .expect("invariant: broken_sessions only lists committed sessions"); // lint:allow(P1): broken_sessions is built from the committed-session index
             self.unindex(id, &s.allocation);
-            sdn.release(&s.allocation)
-                .expect("invariant: a committed allocation releases cleanly"); // lint:allow(P1): a committed allocation was applied, so release balances
             self.drift.remove(&id);
             let backups = self.backups.remove(&id).unwrap_or_default();
             for b in &backups {
@@ -388,7 +406,8 @@ impl SessionManager {
             }
             casualties.push(Casualty {
                 id,
-                request: s.request,
+                request: s.payload.request,
+                departure: s.departure,
                 backups,
             });
         }
@@ -405,7 +424,7 @@ impl SessionManager {
                     && sdn.can_allocate(&b.allocation)
             });
             if let Some(b) = chosen {
-                self.commit(sdn, c.request, b.tree)
+                self.commit(sdn, c.request, b.tree, c.departure)
                     .expect("invariant: a fitting backup tree commits cleanly"); // lint:allow(P1): fit was just checked against the live residual
                 telemetry::hit(telemetry::Counter::BackupHits);
                 telemetry::add(
@@ -424,6 +443,7 @@ impl SessionManager {
                     c.id,
                     PendingRepair {
                         request: c.request,
+                        departure: c.departure,
                         attempts: 0,
                     },
                 );
@@ -442,13 +462,14 @@ impl SessionManager {
                 continue;
             }
             let request = entry.request.clone();
+            let departure = entry.departure;
 
             report.plan_events += 1;
             if let Admission::Admitted(tree) =
                 appro_multi_cap_with_scratch(sdn, &request, config.k, scratch)
             {
                 self.pending.remove(&id);
-                self.commit(sdn, request, tree)
+                self.commit(sdn, request, tree, departure)
                     .expect("invariant: a replanned tree fits the residual it was planned on"); // lint:allow(P1): replanning ran on the exact residual being committed
                 telemetry::hit(telemetry::Counter::RepairRepaired);
                 telemetry::observe(telemetry::Hist::FailoverPlanEvents, 1);
@@ -465,7 +486,7 @@ impl SessionManager {
                         appro_multi_cap_with_scratch(sdn, &reduced, config.k, scratch)
                     {
                         self.pending.remove(&id);
-                        self.commit(sdn, reduced, tree)
+                        self.commit(sdn, reduced, tree, departure)
                             .expect("invariant: a degraded tree fits the residual"); // lint:allow(P1): the degraded tree was planned on this exact residual
                         telemetry::hit(telemetry::Counter::RepairDegraded);
                         telemetry::observe(telemetry::Hist::FailoverPlanEvents, 2);
@@ -510,7 +531,6 @@ impl SessionManager {
             }
         }
         telemetry::gauge_set(telemetry::Gauge::PendingRepairs, self.pending.len() as u64);
-        telemetry::gauge_set(telemetry::Gauge::ActiveSessions, self.sessions.len() as u64);
         report
     }
 
@@ -620,7 +640,11 @@ mod tests {
         let r = req(&v, 0, vec![v[4]]);
         assert!(mgr.admit(&mut sdn, &r, 1, &mut scratch).unwrap());
         assert_eq!(
-            mgr.session(RequestId(0)).unwrap().tree.servers_used(),
+            mgr.session(RequestId(0))
+                .unwrap()
+                .payload
+                .tree
+                .servers_used(),
             vec![v[1]]
         );
 
@@ -631,7 +655,7 @@ mod tests {
         assert!(report.dropped.is_empty());
         // Rerouted via m2, and the membership index moved with it.
         let s = mgr.session(RequestId(0)).unwrap();
-        assert_eq!(s.tree.servers_used(), vec![v[3]]);
+        assert_eq!(s.payload.tree.servers_used(), vec![v[3]]);
         assert_eq!(mgr.broken_sessions(&sdn), Vec::<RequestId>::new());
     }
 
@@ -686,8 +710,8 @@ mod tests {
         let report = mgr.repair(&mut sdn, &cfg, &mut scratch);
         assert_eq!(report.degraded, vec![(RequestId(0), 1)]);
         let s = mgr.session(RequestId(0)).unwrap();
-        assert_eq!(s.request.destinations, vec![v[4]]);
-        s.tree.validate(&sdn, &s.request).unwrap();
+        assert_eq!(s.payload.request.destinations, vec![v[4]]);
+        s.payload.tree.validate(&sdn, &s.payload.request).unwrap();
         // Full-reroute policy would have dropped the session instead.
         let (mut sdn2, v2, e2) = fixture();
         let mut mgr2 = SessionManager::new();
@@ -730,15 +754,9 @@ mod tests {
         assert!(mgr
             .admit(&mut sdn, &req(&v, 0, vec![v[4]]), 1, &mut scratch)
             .unwrap());
-        assert_eq!(
-            mgr.depart(&mut sdn, RequestId(0)).unwrap(),
-            Departure::Released
-        );
+        assert_eq!(mgr.depart(&mut sdn, RequestId(0)), Departure::Released);
         // Second departure for the same id: guarded no-op.
-        assert_eq!(
-            mgr.depart(&mut sdn, RequestId(0)).unwrap(),
-            Departure::Unknown
-        );
+        assert_eq!(mgr.depart(&mut sdn, RequestId(0)), Departure::Unknown);
         assert_eq!(mgr.double_release_count(), 1);
         assert_eq!(sdn.residual_bandwidth(e[0]), sdn.bandwidth_capacity(e[0]));
         // Departing a session the repair engine dropped is also a no-op.
@@ -750,10 +768,7 @@ mod tests {
         let cfg = RepairConfig::new(1).with_max_retries(1);
         let report = mgr.repair(&mut sdn, &cfg, &mut scratch);
         assert_eq!(report.dropped, vec![RequestId(1)]);
-        assert_eq!(
-            mgr.depart(&mut sdn, RequestId(1)).unwrap(),
-            Departure::Unknown
-        );
+        assert_eq!(mgr.depart(&mut sdn, RequestId(1)), Departure::Unknown);
         assert_eq!(mgr.double_release_count(), 2);
     }
 
@@ -770,10 +785,7 @@ mod tests {
         let cfg = RepairConfig::new(1).with_max_retries(5);
         mgr.repair(&mut sdn, &cfg, &mut scratch);
         assert_eq!(mgr.pending_repairs(), vec![RequestId(0)]);
-        assert_eq!(
-            mgr.depart(&mut sdn, RequestId(0)).unwrap(),
-            Departure::Cancelled
-        );
+        assert_eq!(mgr.depart(&mut sdn, RequestId(0)), Departure::Cancelled);
         assert!(mgr.pending_repairs().is_empty());
         assert_eq!(mgr.double_release_count(), 0);
     }
@@ -794,10 +806,7 @@ mod tests {
         mgr.repair(&mut sdn, &cfg, &mut scratch);
         assert_eq!(mgr.pending_repairs(), vec![RequestId(0)]);
         // The user departs while the session awaits repair.
-        assert_eq!(
-            mgr.depart(&mut sdn, RequestId(0)).unwrap(),
-            Departure::Cancelled
-        );
+        assert_eq!(mgr.depart(&mut sdn, RequestId(0)), Departure::Cancelled);
         // Capacity comes back — the repair pass must not resurrect the
         // departed session.
         sdn.recover_link(e[1]).unwrap();

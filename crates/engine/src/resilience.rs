@@ -45,7 +45,7 @@
 //! construction, and all iteration is BTree-ordered so decisions are
 //! byte-reproducible.
 
-use crate::repair::SessionManager;
+use crate::repair::{CommittedSession, SessionManager};
 use netgraph::{EdgeId, Graph, NodeId};
 use nfv_multicast::{
     appro_multi_cap_plan_excluding, appro_multi_cap_with_scratch, Admission, ApproScratch, CapPlan,
@@ -215,19 +215,6 @@ impl SessionManager {
             .map(|b| &b.allocation)
     }
 
-    /// The reserved backup allocations currently charged for `id`
-    /// (empty under [`BackupPolicy::BestEffort`]). Streaming callers
-    /// snapshot these before a departure to account for the capacity the
-    /// departure hands back.
-    #[must_use]
-    pub fn reserved_backup_allocations(&self, id: RequestId) -> Vec<Allocation> {
-        self.session_backups(id)
-            .iter()
-            .filter(|b| b.reserved)
-            .map(|b| b.allocation.clone())
-            .collect()
-    }
-
     /// Total bandwidth currently held by reserved backup trees — the
     /// standing capacity overhead of proactive protection.
     #[must_use]
@@ -267,10 +254,10 @@ impl SessionManager {
         if cfg.top_f == 0 {
             return Vec::new();
         }
-        let Some(s) = self.sessions.get(&id) else {
+        let Some(s) = self.sessions.get(id) else {
             return Vec::new();
         };
-        let request = s.request.clone();
+        let request = s.payload.request.clone();
         let primary = s.allocation.clone();
         self.discard_backups(sdn, id);
 
@@ -336,18 +323,22 @@ impl SessionManager {
     }
 
     /// Drops every backup held for `id`, releasing reserved capacity.
-    pub(crate) fn discard_backups(&mut self, sdn: &mut Sdn, id: RequestId) {
+    /// Returns the released reservations in protected-link order.
+    pub(crate) fn discard_backups(&mut self, sdn: &mut Sdn, id: RequestId) -> Vec<Allocation> {
         let Some(backups) = self.backups.remove(&id) else {
-            return;
+            return Vec::new();
         };
         telemetry::add(telemetry::Counter::BackupDiscarded, backups.len() as u64);
+        let mut released = Vec::new();
         for b in backups {
             if b.reserved {
                 sdn.release(&b.allocation)
                     .expect("a charged reservation releases cleanly"); // lint:allow(P1): the reservation was applied at protect time, so release balances
+                released.push(b.allocation);
             }
         }
         self.update_reserved_gauge();
+        released
     }
 
     pub(crate) fn update_reserved_gauge(&self) {
@@ -370,10 +361,11 @@ impl SessionManager {
         v: NodeId,
         scratch: &mut ApproScratch,
     ) -> GraftOutcome {
-        let Some(s) = self.sessions.get(&id) else {
+        let Some(s) = self.sessions.get(id) else {
             return GraftOutcome::UnknownSession;
         };
-        if v == s.request.source || s.request.destinations.contains(&v) {
+        let (request, tree) = (&s.payload.request, &s.payload.tree);
+        if v == request.source || request.destinations.contains(&v) {
             return GraftOutcome::AlreadyMember;
         }
         let g = sdn.graph();
@@ -383,21 +375,16 @@ impl SessionManager {
         // Nodes already on the delivery structure: servers plus every
         // endpoint of the distribution/extra edges. (Ingress-path interior
         // nodes carry only the unprocessed stream and are *not* covered.)
-        let mut covered: BTreeSet<NodeId> = s.tree.servers.iter().map(|su| su.server).collect();
-        for &e in s
-            .tree
-            .distribution_edges
-            .iter()
-            .chain(&s.tree.extra_traversals)
-        {
+        let mut covered: BTreeSet<NodeId> = tree.servers.iter().map(|su| su.server).collect();
+        for &e in tree.distribution_edges.iter().chain(&tree.extra_traversals) {
             let er = g.edge(e);
             covered.insert(er.u);
             covered.insert(er.v);
         }
-        let b = s.request.bandwidth;
-        let request = s.request.clone();
+        let b = request.bandwidth;
+        let request = request.clone();
         let old_alloc = s.allocation.clone();
-        let mut tree = s.tree.clone();
+        let mut tree = tree.clone();
 
         let (attach_cost, attach_edges);
         if covered.contains(&v) {
@@ -465,14 +452,16 @@ impl SessionManager {
                 .expect("the attach path was planned on exactly these residuals"); // lint:allow(P1): every new edge passed the residual-headroom filter above
             self.unindex(id, &old_alloc);
             self.index(id, &new_alloc);
-            if let Some(sess) = self.sessions.get_mut(&id) {
-                sess.request = new_request;
-                sess.tree = tree;
+            if let Some(sess) = self.sessions.get_mut(id) {
+                sess.payload = CommittedSession {
+                    request: new_request,
+                    tree,
+                };
                 sess.allocation = new_alloc;
             }
-        } else if let Some(sess) = self.sessions.get_mut(&id) {
+        } else if let Some(sess) = self.sessions.get_mut(id) {
             // Allocation unchanged; only the request grows.
-            sess.request = new_request;
+            sess.payload.request = new_request;
         }
 
         *self.drift.entry(id).or_insert(0.0) += attach_cost;
@@ -504,19 +493,19 @@ impl SessionManager {
         v: NodeId,
         scratch: &mut ApproScratch,
     ) -> PruneOutcome {
-        let Some(s) = self.sessions.get(&id) else {
+        let Some(s) = self.sessions.get(id) else {
             return PruneOutcome::UnknownSession;
         };
-        if !s.request.destinations.contains(&v) {
+        if !s.payload.request.destinations.contains(&v) {
             return PruneOutcome::NotAMember;
         }
-        if s.request.destinations.len() == 1 {
+        if s.payload.request.destinations.len() == 1 {
             return PruneOutcome::LastDestination;
         }
         let g = sdn.graph();
-        let request = s.request.clone();
+        let request = s.payload.request.clone();
         let old_alloc = s.allocation.clone();
-        let mut tree = s.tree.clone();
+        let mut tree = s.payload.tree.clone();
         let b = request.bandwidth;
 
         // Keep set: servers plus the surviving destinations. Everything
@@ -600,9 +589,11 @@ impl SessionManager {
             .expect("the pruned allocation is a subset of the released one"); // lint:allow(P1): pruning only removes edge instances, never adds load
         self.unindex(id, &old_alloc);
         self.index(id, &new_alloc);
-        if let Some(sess) = self.sessions.get_mut(&id) {
-            sess.request = new_request;
-            sess.tree = tree;
+        if let Some(sess) = self.sessions.get_mut(id) {
+            sess.payload = CommittedSession {
+                request: new_request,
+                tree,
+            };
             sess.allocation = new_alloc;
         }
 
@@ -637,11 +628,11 @@ impl SessionManager {
         if cfg.drift_bound <= 0.0 {
             return false;
         }
-        let Some(s) = self.sessions.get(&id) else {
+        let Some(s) = self.sessions.get(id) else {
             return false;
         };
         let drift = self.drift.get(&id).copied().unwrap_or(0.0);
-        let cost = s.tree.total_cost();
+        let cost = s.payload.tree.total_cost();
         let ratio_pct = if cost > 0.0 {
             (drift / cost * 100.0).round() as u64
         } else {
@@ -654,16 +645,18 @@ impl SessionManager {
 
         let s = self
             .sessions
-            .remove(&id)
+            .detach(sdn, id)
             .expect("checked committed just above"); // lint:allow(P1): the session was fetched two statements earlier
         self.unindex(id, &s.allocation);
-        sdn.release(&s.allocation)
-            .expect("a committed allocation releases cleanly"); // lint:allow(P1): the allocation was applied at commit, so release balances
         self.drift.remove(&id);
         self.discard_backups(sdn, id);
-        match appro_multi_cap_with_scratch(sdn, &s.request, cfg.k, scratch) {
+        let CommittedSession {
+            request,
+            tree: old_tree,
+        } = s.payload;
+        match appro_multi_cap_with_scratch(sdn, &request, cfg.k, scratch) {
             Admission::Admitted(tree) => {
-                self.commit(sdn, s.request, tree)
+                self.commit(sdn, request, tree, s.departure)
                     .expect("a fresh plan fits the residual it was planned on"); // lint:allow(P1): replanning ran on the exact residual being committed
                 telemetry::hit(telemetry::Counter::Reoptimizations);
                 telemetry::record(telemetry::Event::SessionReoptimized { request: id.0 });
@@ -673,7 +666,7 @@ impl SessionManager {
             Admission::Rejected => {
                 // Fragmented capacity: the drifted tree is still the best
                 // feasible implementation — recommit it unchanged.
-                self.commit(sdn, s.request, s.tree)
+                self.commit(sdn, request, old_tree, s.departure)
                     .expect("the just-released tree refits its own hold"); // lint:allow(P1): the identical allocation was released one statement earlier
                 false
             }
@@ -752,7 +745,7 @@ mod tests {
             assert!(report.repaired.is_empty());
             assert_eq!(report.plan_events, 0, "a swap needs no planner");
             let s = mgr.session(RequestId(0)).unwrap();
-            assert_eq!(s.tree.servers_used(), vec![v[3]]);
+            assert_eq!(s.payload.tree.servers_used(), vec![v[3]]);
             audit(&sdn, &mgr);
         }
     }
@@ -777,8 +770,8 @@ mod tests {
         assert_eq!(rr.repaired, vec![RequestId(0)]);
         // Identical restored tree => identical residual state.
         assert_eq!(
-            proactive.session(RequestId(0)).unwrap().tree,
-            reactive.session(RequestId(0)).unwrap().tree
+            proactive.session(RequestId(0)).unwrap().payload.tree,
+            reactive.session(RequestId(0)).unwrap().payload.tree
         );
         assert_eq!(sdn, sdn2);
     }
@@ -830,7 +823,7 @@ mod tests {
         mgr.protect(&mut sdn, RequestId(0), &mut scratch);
         assert!(mgr.reserved_backup_bandwidth() > 0.0);
         audit(&sdn, &mgr);
-        mgr.depart(&mut sdn, RequestId(0)).unwrap();
+        mgr.depart(&mut sdn, RequestId(0));
         assert_eq!(mgr.reserved_backup_bandwidth(), 0.0);
         audit(&sdn, &mgr);
         sdn.reset();
@@ -859,10 +852,10 @@ mod tests {
         assert_eq!(attach_edges, 2);
         assert!((attach_cost - 2.0 * 100.0).abs() < 1e-9);
         let s = mgr.session(RequestId(0)).unwrap();
-        assert_eq!(s.request.destinations, vec![v[4], v[6]]);
-        s.tree.validate(&sdn, &s.request).unwrap();
-        assert!(s.tree.distribution_edges.contains(&e[5]));
-        assert!(s.tree.distribution_edges.contains(&e[6]));
+        assert_eq!(s.payload.request.destinations, vec![v[4], v[6]]);
+        s.payload.tree.validate(&sdn, &s.payload.request).unwrap();
+        assert!(s.payload.tree.distribution_edges.contains(&e[5]));
+        assert!(s.payload.tree.distribution_edges.contains(&e[6]));
         assert!(mgr.session_drift(RequestId(0)) > 0.0);
         audit(&sdn, &mgr);
         // Idempotent: the node is now a member.
@@ -929,8 +922,8 @@ mod tests {
         assert_eq!(sdn.residual_bandwidth(e[5]), before_x + 100.0);
         assert_eq!(sdn.residual_bandwidth(e[6]), before_y + 100.0);
         let s = mgr.session(RequestId(0)).unwrap();
-        assert_eq!(s.request.destinations, vec![v[4]]);
-        s.tree.validate(&sdn, &s.request).unwrap();
+        assert_eq!(s.payload.request.destinations, vec![v[4]]);
+        s.payload.tree.validate(&sdn, &s.payload.request).unwrap();
         audit(&sdn, &mgr);
         // Guards.
         assert_eq!(
@@ -971,7 +964,7 @@ mod tests {
                 Admission::Rejected => panic!("a fresh plan fits an empty network"),
             }
         };
-        assert!((s.tree.total_cost() - fresh).abs() < 1e-9);
+        assert!((s.payload.tree.total_cost() - fresh).abs() < 1e-9);
         audit(&sdn, &mgr);
     }
 
@@ -997,7 +990,7 @@ mod tests {
         sdn.recover_link(e[1]).unwrap();
         mgr.prune(&mut sdn, RequestId(0), v[6], &mut scratch);
         audit(&sdn, &mgr);
-        mgr.depart(&mut sdn, RequestId(0)).unwrap();
+        mgr.depart(&mut sdn, RequestId(0));
         audit(&sdn, &mgr);
         sdn.reset();
         assert_eq!(sdn, fresh);

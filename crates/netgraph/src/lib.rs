@@ -40,7 +40,6 @@ mod error;
 mod graph;
 mod heap;
 mod ids;
-mod ksp;
 mod mst;
 mod oracle;
 mod paths;
@@ -57,17 +56,16 @@ pub use error::GraphError;
 pub use graph::{EdgeRef, Graph, Neighbor};
 pub use heap::IndexedQuadHeap;
 pub use ids::{EdgeId, NodeId};
-pub use ksp::k_shortest_paths;
 pub use mst::{kruskal, kruskal_over, prim, MstResult};
 pub use oracle::LandmarkOracle;
 pub use paths::{
     bellman_ford, dijkstra, dijkstra_with_targets, nearest_target_path, DijkstraScratch, Path,
     ShortestPathTree,
 };
-pub use stats::{clustering_coefficient, graph_stats, GraphStats};
+pub use stats::{graph_stats, GraphStats};
 pub use subgraph::{induced_subgraph, FilteredGraph};
 pub use total::TotalCost;
-pub use traversal::{bfs_order, connected_components, dfs_order, is_connected, same_component};
+pub use traversal::{connected_components, is_connected};
 pub use tree::RootedTree;
 pub use unionfind::UnionFind;
 pub use voronoi::{voronoi_closure, ClosureEdge, VoronoiClosure};

@@ -77,8 +77,7 @@ pub fn graph_stats(g: &Graph) -> GraphStats {
 
 /// Global clustering coefficient: `3 × triangles / connected triples`.
 /// Parallel edges are collapsed; returns `0` when no triples exist.
-#[must_use]
-pub fn clustering_coefficient(g: &Graph) -> f64 {
+fn clustering_coefficient(g: &Graph) -> f64 {
     // Simple-neighbor sets.
     let neighbor_sets: Vec<std::collections::BTreeSet<NodeId>> = g
         .nodes()

@@ -1,4 +1,4 @@
-//! Breadth-first / depth-first traversal and connectivity queries.
+//! Breadth-first traversal and connectivity queries.
 
 use crate::{Graph, NodeId};
 use std::collections::VecDeque;
@@ -8,8 +8,7 @@ use std::collections::VecDeque;
 /// # Panics
 ///
 /// Panics if `start` is not a node of `g`.
-#[must_use]
-pub fn bfs_order(g: &Graph, start: NodeId) -> Vec<NodeId> {
+fn bfs_order(g: &Graph, start: NodeId) -> Vec<NodeId> {
     assert!(g.contains_node(start), "start {start} not in graph");
     let mut seen = vec![false; g.node_count()];
     let mut order = Vec::new();
@@ -26,33 +25,6 @@ pub fn bfs_order(g: &Graph, start: NodeId) -> Vec<NodeId> {
                     *s = true;
                     queue.push_back(nb.node);
                 }
-            }
-        }
-    }
-    order
-}
-
-/// Nodes reachable from `start` in (iterative) depth-first preorder.
-///
-/// # Panics
-///
-/// Panics if `start` is not a node of `g`.
-#[must_use]
-pub fn dfs_order(g: &Graph, start: NodeId) -> Vec<NodeId> {
-    assert!(g.contains_node(start), "start {start} not in graph");
-    let mut seen = vec![false; g.node_count()];
-    let mut order = Vec::new();
-    let mut stack = vec![start];
-    while let Some(u) = stack.pop() {
-        match seen.get_mut(u.index()) {
-            Some(s) if !*s => *s = true,
-            _ => continue,
-        }
-        order.push(u);
-        // Push in reverse so lower-indexed neighbors are visited first.
-        for nb in g.neighbors(u).iter().rev() {
-            if !seen.get(nb.node.index()).copied().unwrap_or(true) {
-                stack.push(nb.node);
             }
         }
     }
@@ -106,17 +78,6 @@ pub fn is_connected(g: &Graph) -> bool {
     bfs_order(g, NodeId::new(0)).len() == g.node_count()
 }
 
-/// Returns `true` if `a` and `b` are in the same connected component.
-///
-/// # Panics
-///
-/// Panics if either node is not in the graph.
-#[must_use]
-pub fn same_component(g: &Graph, a: NodeId, b: NodeId) -> bool {
-    assert!(g.contains_node(b), "node {b} not in graph");
-    bfs_order(g, a).contains(&b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,17 +111,6 @@ mod tests {
     }
 
     #[test]
-    fn dfs_goes_deep_first() {
-        let mut g = Graph::new();
-        let v: Vec<NodeId> = (0..4).map(|_| g.add_node()).collect();
-        g.add_edge(v[0], v[1], 1.0).unwrap();
-        g.add_edge(v[0], v[2], 1.0).unwrap();
-        g.add_edge(v[1], v[3], 1.0).unwrap();
-        let order = dfs_order(&g, v[0]);
-        assert_eq!(order, vec![v[0], v[1], v[3], v[2]]);
-    }
-
-    #[test]
     fn components_are_partition() {
         let (g, v) = two_components();
         let comps = connected_components(&g);
@@ -174,29 +124,20 @@ mod tests {
 
     #[test]
     fn connectivity_checks() {
-        let (g, v) = two_components();
+        let (g, _) = two_components();
         assert!(!is_connected(&g));
-        assert!(same_component(&g, v[0], v[2]));
-        assert!(!same_component(&g, v[0], v[3]));
         assert!(is_connected(&Graph::new()));
         assert!(is_connected(&Graph::with_nodes(1)));
     }
 
-    // Both traversals share one out-of-range contract: the documented
-    // panic, checked up front — never a silent empty (or partial) order.
+    // An out-of-range start is the documented panic, checked up front —
+    // never a silent empty (or partial) order.
 
     #[test]
     #[should_panic(expected = "not in graph")]
     fn bfs_panics_on_foreign_start() {
         let (g, _) = two_components();
         let _ = bfs_order(&g, NodeId::new(g.node_count()));
-    }
-
-    #[test]
-    #[should_panic(expected = "not in graph")]
-    fn dfs_panics_on_foreign_start() {
-        let (g, _) = two_components();
-        let _ = dfs_order(&g, NodeId::new(g.node_count()));
     }
 
     #[test]

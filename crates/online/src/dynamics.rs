@@ -67,26 +67,59 @@ impl TimedRequest {
     }
 }
 
-/// Active-session table keyed by request id, with a double-release guard.
+/// One live session in an [`ActiveSessions`] table.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ActiveSession<P> {
+    /// When the session releases its resources. `f64::INFINITY` means
+    /// only an explicit [`ActiveSessions::depart`] ends it.
+    pub departure: f64,
+    /// The allocation it holds in the network ledger.
+    pub allocation: Allocation,
+    /// What the caller keeps with the session (the engine keeps its
+    /// request and tree; [`run_dynamic`] keeps nothing).
+    pub payload: P,
+}
+
+/// The table of live sessions, keyed by request id: each entry's
+/// departure time, ledger allocation and caller payload.
 ///
-/// Departure handling used to be a bare `Vec<(f64, Allocation)>` drained
-/// inline by [`run_dynamic`]; once an external actor (e.g. a repair
-/// engine) can also tear sessions down, a departure must not release an
-/// allocation twice. All mutations go through this table: a departure
-/// for an id that no longer holds resources is a logged no-op.
-#[derive(Debug, Clone, Default)]
-pub struct ActiveSessions {
-    sessions: BTreeMap<RequestId, (f64, Allocation)>,
+/// Every way a session leaves goes through this table, so it alone
+/// counts departures (`sessions_departed`), keeps the `active_sessions`
+/// gauge, and guards against double release: a departure for an id that
+/// holds nothing is a counted no-op, never a second release.
+#[derive(Debug, Clone)]
+pub struct ActiveSessions<P = ()> {
+    sessions: BTreeMap<RequestId, ActiveSession<P>>,
     double_release_count: u64,
 }
 
+impl<P> Default for ActiveSessions<P> {
+    fn default() -> Self {
+        ActiveSessions {
+            sessions: BTreeMap::new(),
+            double_release_count: 0,
+        }
+    }
+}
+
 impl ActiveSessions {
-    /// An empty table.
+    /// An empty table without payloads.
     #[must_use]
     pub fn new() -> Self {
         ActiveSessions::default()
     }
 
+    /// Records an admitted session holding `alloc` until `departure`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a duplicate id, see [`ActiveSessions::insert_with`].
+    pub fn insert(&mut self, id: RequestId, departure: f64, alloc: Allocation) {
+        self.insert_with(id, departure, alloc, ());
+    }
+}
+
+impl<P> ActiveSessions<P> {
     /// Number of sessions currently holding resources.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -105,6 +138,23 @@ impl ActiveSessions {
         self.sessions.contains_key(&id)
     }
 
+    /// The live session `id`, if any.
+    #[must_use]
+    pub fn get(&self, id: RequestId) -> Option<&ActiveSession<P>> {
+        self.sessions.get(&id)
+    }
+
+    /// The live session `id` for in-place updates. A caller that swaps
+    /// the allocation keeps the ledger in step itself.
+    pub fn get_mut(&mut self, id: RequestId) -> Option<&mut ActiveSession<P>> {
+        self.sessions.get_mut(&id)
+    }
+
+    /// Live sessions in ascending id order.
+    pub fn iter(&self) -> impl Iterator<Item = (RequestId, &ActiveSession<P>)> {
+        self.sessions.iter().map(|(&id, s)| (id, s))
+    }
+
     /// How many departures hit a session that no longer held resources
     /// (the double-release guard fired).
     #[must_use]
@@ -112,90 +162,111 @@ impl ActiveSessions {
         self.double_release_count
     }
 
-    /// Records an admitted session holding `alloc` until `departure`.
+    /// Records a session holding `allocation` (already charged to the
+    /// ledger) until `departure`, with the caller's `payload`.
     ///
     /// # Panics
     ///
     /// Panics on a duplicate id — two live sessions must never share one
     /// (the second would silently shadow the first's allocation).
-    pub fn insert(&mut self, id: RequestId, departure: f64, alloc: Allocation) {
-        let prev = self.sessions.insert(id, (departure, alloc));
+    pub fn insert_with(
+        &mut self,
+        id: RequestId,
+        departure: f64,
+        allocation: Allocation,
+        payload: P,
+    ) {
+        let prev = self.sessions.insert(
+            id,
+            ActiveSession {
+                departure,
+                allocation,
+                payload,
+            },
+        );
         assert!(
             prev.is_none(),
             "invariant violated: session {id} was already active"
         );
+        self.set_gauge();
     }
 
-    /// Departs `id` now, releasing its allocation. Returns `true` if the
-    /// session was active; an unknown id — already departed, or torn
-    /// down by a repair engine — is a guarded no-op returning `false`,
-    /// surfaced through the telemetry registry (an `UnknownDeparture`
-    /// event plus the shared `double_release` counter) rather than stderr.
+    /// Departs `id` now, releasing its allocation, and returns the
+    /// session. An unknown id — already departed, or torn down by a
+    /// repair engine — is a guarded no-op returning `None`, surfaced
+    /// through the telemetry registry (an `UnknownDeparture` event plus
+    /// the shared `double_release` counter) rather than stderr.
     ///
     /// # Panics
     ///
     /// Panics if the ledger refuses the release (accounting bug).
-    pub fn depart(&mut self, sdn: &mut Sdn, id: RequestId) -> bool {
-        match self.sessions.remove(&id) {
-            Some((_, alloc)) => {
-                sdn.release(&alloc).expect("release departed session"); // lint:allow(P1): the session allocation was applied, so release balances
-                telemetry::hit(telemetry::Counter::SessionsDeparted);
-                telemetry::gauge_set(telemetry::Gauge::ActiveSessions, self.sessions.len() as u64);
-                true
-            }
-            None => {
-                self.double_release_count += 1;
-                telemetry::hit(telemetry::Counter::DoubleRelease);
-                telemetry::record(telemetry::Event::UnknownDeparture { request: id.0 });
-                false
-            }
-        }
+    pub fn depart(&mut self, sdn: &mut Sdn, id: RequestId) -> Option<ActiveSession<P>> {
+        let Some(session) = self.detach(sdn, id) else {
+            self.double_release_count += 1;
+            telemetry::hit(telemetry::Counter::DoubleRelease);
+            telemetry::record(telemetry::Event::UnknownDeparture { request: id.0 });
+            return None;
+        };
+        telemetry::hit(telemetry::Counter::SessionsDeparted);
+        Some(session)
     }
 
-    /// Drops `id` from the table *without* releasing — for sessions whose
-    /// resources were already released elsewhere (e.g. by a repair
-    /// engine that tore the session down). Returns `true` if removed.
-    pub fn forget(&mut self, id: RequestId) -> bool {
-        self.sessions.remove(&id).is_some()
+    /// Removes `id` and releases its allocation without counting a
+    /// departure: the caller carries the session on elsewhere (a repair
+    /// engine replans it). `None` when `id` is not live.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ledger refuses the release (accounting bug).
+    pub fn detach(&mut self, sdn: &mut Sdn, id: RequestId) -> Option<ActiveSession<P>> {
+        let session = self.sessions.remove(&id)?;
+        release(sdn, &session.allocation);
+        self.set_gauge();
+        Some(session)
     }
 
-    /// Releases every session whose departure time is `<= now`, in
-    /// ascending id order. Returns how many departed.
+    /// Ids of the sessions whose departure time is `<= now`, ascending.
+    #[must_use]
+    pub fn due(&self, now: f64) -> Vec<RequestId> {
+        self.sessions
+            .iter()
+            .filter(|(_, s)| s.departure <= now)
+            .map(|(&id, _)| id)
+            .collect()
+    }
+
+    /// Departs every session whose departure time is `<= now`, in
+    /// ascending id order (the ledger's float sums depend on that
+    /// order). Returns how many departed.
     ///
     /// # Panics
     ///
     /// Panics if the ledger refuses a release (accounting bug).
     pub fn release_due(&mut self, sdn: &mut Sdn, now: f64) -> usize {
-        self.release_due_detailed(sdn, now).len()
+        let before = self.sessions.len();
+        // `retain` visits entries in ascending key order.
+        self.sessions.retain(|_, s| {
+            let due = s.departure <= now;
+            if due {
+                release(sdn, &s.allocation);
+            }
+            !due
+        });
+        let departed = before - self.sessions.len();
+        if departed > 0 {
+            telemetry::add(telemetry::Counter::SessionsDeparted, departed as u64);
+            self.set_gauge();
+        }
+        departed
     }
 
-    /// Like [`ActiveSessions::release_due`], but returns the released
-    /// sessions themselves (ascending id order) so callers that layer
-    /// bookkeeping on top — e.g. a speculative pipeline tracking which
-    /// links and servers a release touched — see exactly what was freed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ledger refuses a release (accounting bug).
-    pub fn release_due_detailed(
-        &mut self,
-        sdn: &mut Sdn,
-        now: f64,
-    ) -> Vec<(RequestId, Allocation)> {
-        let due: Vec<RequestId> = self
-            .sessions
-            .iter()
-            .filter(|(_, (dep, _))| *dep <= now)
-            .map(|(&id, _)| id)
-            .collect();
-        let mut released = Vec::with_capacity(due.len());
-        for id in due {
-            let (_, alloc) = self.sessions.remove(&id).expect("just listed"); // lint:allow(P1): due was collected from live sessions just above
-            sdn.release(&alloc).expect("release departed session"); // lint:allow(P1): the session allocation was applied, so release balances
-            released.push((id, alloc));
-        }
-        released
+    fn set_gauge(&self) {
+        telemetry::gauge_set(telemetry::Gauge::ActiveSessions, self.sessions.len() as u64);
     }
+}
+
+fn release(sdn: &mut Sdn, allocation: &Allocation) {
+    sdn.release(allocation).expect("release a live session"); // lint:allow(P1): the session allocation was applied, so release balances
 }
 
 /// Result of a dynamic (arrival/departure) simulation.
@@ -273,7 +344,6 @@ pub fn run_dynamic<A: OnlineAlgorithm + ?Sized>(
                 admitted_ids.push(tr.request.id);
                 peak = peak.max(active.len());
                 telemetry::hit(telemetry::Counter::OnlineAdmitted);
-                telemetry::gauge_set(telemetry::Gauge::ActiveSessions, active.len() as u64);
             }
             None => {
                 rejected += 1;
@@ -400,7 +470,7 @@ mod tests {
 
     #[test]
     fn departure_after_external_teardown_is_a_guarded_no_op() {
-        // A repair engine (or any external actor) tore the session down
+        // A repair engine (or any external actor) detached the session
         // and released its resources; the scheduled departure later fires
         // for the same id. It must not release twice.
         let (mut sdn, nodes) = tiny_net();
@@ -414,12 +484,13 @@ mod tests {
         let mut active = ActiveSessions::new();
         active.insert(RequestId(7), 10.0, alloc.clone());
 
-        // External teardown: resources released outside the table.
-        sdn.release(&alloc).unwrap();
-        assert!(active.forget(RequestId(7)));
+        // External teardown: released, but not counted as a departure.
+        let detached = active.detach(&mut sdn, RequestId(7)).unwrap();
+        assert_eq!(detached.allocation, alloc);
+        assert_eq!(sdn, fresh);
 
         // The departure is now a no-op: no second release, guard counted.
-        assert!(!active.depart(&mut sdn, RequestId(7)));
+        assert!(active.depart(&mut sdn, RequestId(7)).is_none());
         assert_eq!(active.double_release_count(), 1);
         assert_eq!(sdn, fresh);
 
@@ -440,14 +511,14 @@ mod tests {
         sdn.allocate(&alloc).unwrap();
         let mut active = ActiveSessions::new();
         active.insert(RequestId(0), 10.0, alloc);
-        assert!(active.depart(&mut sdn, RequestId(0)));
-        assert!(!active.depart(&mut sdn, RequestId(0)));
+        assert!(active.depart(&mut sdn, RequestId(0)).is_some());
+        assert!(active.depart(&mut sdn, RequestId(0)).is_none());
         assert_eq!(active.double_release_count(), 1);
         assert_eq!(sdn, fresh);
     }
 
     #[test]
-    fn release_due_detailed_returns_freed_allocations_in_id_order() {
+    fn release_due_frees_sessions_in_id_order() {
         // Like tiny_net, but with room for three concurrent sessions.
         let (mut sdn, nodes) = {
             let mut b = SdnBuilder::new();
@@ -471,15 +542,14 @@ mod tests {
             let departure = if id == 2 { 50.0 } else { 10.0 };
             active.insert(tr.request.id, departure, alloc);
         }
-        let released = active.release_due_detailed(&mut sdn, 10.0);
-        let ids: Vec<RequestId> = released.iter().map(|(id, _)| *id).collect();
-        assert_eq!(ids, vec![RequestId(1), RequestId(3)]);
-        for (id, alloc) in &released {
-            assert_eq!(alloc.request(), *id);
-            assert!(!alloc.is_empty());
-        }
-        assert!(active.contains(RequestId(2)));
+        assert_eq!(active.due(10.0), vec![RequestId(1), RequestId(3)]);
+        assert_eq!(active.release_due(&mut sdn, 10.0), 2);
+        assert_eq!(
+            active.iter().map(|(id, _)| id).collect::<Vec<_>>(),
+            vec![RequestId(2)]
+        );
         assert_eq!(active.release_due(&mut sdn, 100.0), 1);
+        assert_eq!(active.double_release_count(), 0);
         assert_eq!(sdn, fresh);
     }
 

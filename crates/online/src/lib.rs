@@ -65,7 +65,7 @@ mod sp;
 pub use benchmark::{
     empirical_competitive_ratio, offline_exact_benchmark, offline_greedy_benchmark,
 };
-pub use dynamics::{run_dynamic, ActiveSessions, DynamicResult, TimedRequest};
+pub use dynamics::{run_dynamic, ActiveSession, ActiveSessions, DynamicResult, TimedRequest};
 pub use emp::{request_revenue, EmpPricing};
 pub use ls_chain::LsChainAdmission;
 pub use multi::OnlineCpMulti;

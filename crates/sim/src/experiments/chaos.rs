@@ -21,7 +21,7 @@
 //! throughout.
 
 use crate::waxman_sdn;
-use nfv_engine::{audit, Departure, RepairConfig, RepairPolicy, SessionManager};
+use nfv_engine::{audit, RepairConfig, RepairPolicy, SessionManager};
 use nfv_multicast::ApproScratch;
 use nfv_online::TimedRequest;
 use rand::rngs::StdRng;
@@ -228,7 +228,7 @@ pub fn run_chaos(params: &ChaosParams) -> ChaosOutcome {
                 // session the repair engine already dropped trips the
                 // double-release guard here, on purpose.
                 if ever_admitted.contains(&id) {
-                    let _: Departure = mgr.depart(&mut sdn, id).expect("ledger releases cleanly");
+                    mgr.depart(&mut sdn, id);
                 }
             }
             Event::ToggleLink(e) => {
@@ -281,12 +281,12 @@ pub fn run_chaos(params: &ChaosParams) -> ChaosOutcome {
     // Sessions still pending after a full recovery lack capacity for
     // good: count them as dropped.
     for id in mgr.pending_repairs() {
-        let _ = mgr.depart(&mut sdn, id).expect("cancel pending");
+        mgr.depart(&mut sdn, id);
         was_dropped.insert(id);
     }
     let survivors: Vec<RequestId> = mgr.sessions().map(|(id, _)| id).collect();
     for id in survivors {
-        let _ = mgr.depart(&mut sdn, id).expect("drain survivor");
+        mgr.depart(&mut sdn, id);
     }
     // With no live sessions, the audit's conservation check asserts the
     // residuals round-tripped to full capacity (within float tolerance —

@@ -303,7 +303,7 @@ pub fn run_churn(params: &ChurnParams) -> ChurnOutcome {
             }
             Event::Departure(id) => {
                 if ever_admitted.contains(&id) {
-                    let _ = mgr.depart(&mut sdn, id).expect("ledger releases cleanly");
+                    mgr.depart(&mut sdn, id);
                 }
             }
             Event::Churn(action) => {
@@ -324,7 +324,7 @@ pub fn run_churn(params: &ChurnParams) -> ChurnOutcome {
                         }
                         ChurnAction::Leave(idx) => {
                             let victim = mgr.session(target).and_then(|s| {
-                                let d = &s.request.destinations;
+                                let d = &s.payload.request.destinations;
                                 d.get(idx % d.len()).copied()
                             });
                             match victim.map(|v| mgr.prune(&mut sdn, target, v, &mut scratch)) {
@@ -370,11 +370,11 @@ pub fn run_churn(params: &ChurnParams) -> ChurnOutcome {
     out.degraded_or_dropped += report.degraded.len() + report.dropped.len();
     out.plan_events += report.plan_events;
     for id in mgr.pending_repairs() {
-        let _ = mgr.depart(&mut sdn, id).expect("cancel pending");
+        mgr.depart(&mut sdn, id);
     }
     let survivors: Vec<RequestId> = mgr.sessions().map(|(id, _)| id).collect();
     for id in survivors {
-        let _ = mgr.depart(&mut sdn, id).expect("drain survivor");
+        mgr.depart(&mut sdn, id);
     }
     audit(&sdn, &mgr).expect("invariant audit after settle");
     out.audit_checks += 1;
