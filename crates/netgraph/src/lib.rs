@@ -56,16 +56,16 @@ pub use error::GraphError;
 pub use graph::{EdgeRef, Graph, Neighbor};
 pub use heap::IndexedQuadHeap;
 pub use ids::{EdgeId, NodeId};
-pub use mst::{kruskal, kruskal_over, prim, MstResult};
+pub use mst::{kruskal, kruskal_over, kruskal_over_in_place, prim, MstResult};
 pub use oracle::LandmarkOracle;
 pub use paths::{
-    bellman_ford, dijkstra, dijkstra_with_targets, nearest_target_path, DijkstraScratch, Path,
-    ShortestPathTree,
+    bellman_ford, dijkstra, dijkstra_with_targets, dijkstra_with_targets_into, nearest_target_path,
+    DijkstraScratch, Path, ShortestPathTree,
 };
 pub use stats::{graph_stats, GraphStats};
 pub use subgraph::{induced_subgraph, FilteredGraph};
 pub use total::TotalCost;
 pub use traversal::{connected_components, is_connected};
-pub use tree::RootedTree;
+pub use tree::{RootedTree, RootingScratch};
 pub use unionfind::UnionFind;
 pub use voronoi::{voronoi_closure, ClosureEdge, VoronoiClosure};

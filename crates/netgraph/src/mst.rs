@@ -60,14 +60,22 @@ pub fn kruskal(g: &Graph) -> MstResult {
 /// the `(weight, id)` order sorted here in one pass.
 #[must_use]
 pub fn kruskal_over(g: &Graph, mut edges: Vec<EdgeId>) -> Vec<EdgeId> {
+    kruskal_over_in_place(g, &mut edges, &mut UnionFind::default());
+    edges
+}
+
+/// [`kruskal_over`] in caller-owned memory: `edges` is replaced by the
+/// selected edges in selection order, and `uf` is working memory, reset
+/// here to `g`'s nodes. Repeated runs allocate nothing once both have
+/// grown to size.
+pub fn kruskal_over_in_place(g: &Graph, edges: &mut Vec<EdgeId>, uf: &mut UnionFind) {
     edges.sort_unstable_by_key(|&e| (TotalCost::new(g.edge(e).weight), e));
     edges.dedup();
-    let mut uf = UnionFind::new(g.node_count());
+    uf.reset(g.node_count());
     edges.retain(|&e| {
         let er = g.edge(e);
         uf.union(er.u.index(), er.v.index())
     });
-    edges
 }
 
 /// Prim's algorithm, restarted per component. `O(m log n)`.

@@ -96,6 +96,15 @@ pub struct ShortestPathTree {
 }
 
 impl ShortestPathTree {
+    /// A tree with no storage yet, for a kernel run to fill.
+    fn unfilled(source: NodeId) -> Self {
+        ShortestPathTree {
+            source,
+            dist: Vec::new(),
+            pred: Vec::new(),
+        }
+    }
+
     /// The source node this tree is rooted at.
     #[must_use]
     pub fn source(&self) -> NodeId {
@@ -154,7 +163,9 @@ impl ShortestPathTree {
 /// Panics if `source` is not a node of `g`.
 #[must_use]
 pub fn dijkstra(g: &Graph, source: NodeId) -> ShortestPathTree {
-    on_thread_scratch(g, source, Stop::Never).1
+    let mut tree = ShortestPathTree::unfilled(source);
+    on_thread_scratch(g, source, Stop::Never, &mut tree);
+    tree
 }
 
 /// Dijkstra with early exit: stops once every node in `targets` has been
@@ -166,7 +177,26 @@ pub fn dijkstra(g: &Graph, source: NodeId) -> ShortestPathTree {
 /// Panics if `source` is not a node of `g`.
 #[must_use]
 pub fn dijkstra_with_targets(g: &Graph, source: NodeId, targets: &[NodeId]) -> ShortestPathTree {
-    on_thread_scratch(g, source, Stop::AllOf(targets)).1
+    let mut tree = ShortestPathTree::unfilled(source);
+    dijkstra_with_targets_into(g, source, targets, &mut tree);
+    tree
+}
+
+/// [`dijkstra_with_targets`] into a caller-owned `tree`, which is
+/// overwritten with this run's result. Its old arrays become the next
+/// run's working memory, so trees refilled run after run on graphs of
+/// one size allocate nothing.
+///
+/// # Panics
+///
+/// Panics if `source` is not a node of `g`.
+pub fn dijkstra_with_targets_into(
+    g: &Graph,
+    source: NodeId,
+    targets: &[NodeId],
+    tree: &mut ShortestPathTree,
+) {
+    on_thread_scratch(g, source, Stop::AllOf(targets), tree);
 }
 
 /// The shortest path from `source` to its nearest node of `targets` in
@@ -186,7 +216,13 @@ pub fn nearest_target_path(
     targets: &[NodeId],
     exclude: &BTreeSet<EdgeId>,
 ) -> Option<Path> {
-    let (hit, tree) = on_thread_scratch(&Excluding { g, exclude }, source, Stop::FirstOf(targets));
+    let mut tree = ShortestPathTree::unfilled(source);
+    let hit = on_thread_scratch(
+        &Excluding { g, exclude },
+        source,
+        Stop::FirstOf(targets),
+        &mut tree,
+    );
     tree.path_to(hit?)
 }
 
@@ -274,26 +310,37 @@ impl DijkstraScratch {
             pred: self.pred.clone(),
         }
     }
+
+    /// Moves the last run's result into `tree` without copying, taking
+    /// `tree`'s old arrays in exchange for the next run to reset.
+    fn swap_into(&mut self, source: NodeId, tree: &mut ShortestPathTree) {
+        tree.source = source;
+        std::mem::swap(&mut self.dist, &mut tree.dist);
+        std::mem::swap(&mut self.pred, &mut tree.pred);
+    }
 }
 
 thread_local! {
     /// Working memory for the `Graph` entry points ([`dijkstra`],
-    /// [`dijkstra_with_targets`], [`nearest_target_path`]), reused by
-    /// every run on this thread. The kernel resets it fully, so no state
-    /// carries over from one run to the next.
+    /// [`dijkstra_with_targets`], [`dijkstra_with_targets_into`],
+    /// [`nearest_target_path`]), reused by every run on this thread. The
+    /// kernel resets it fully, so no state carries over from one run to
+    /// the next.
     static THREAD_SCRATCH: RefCell<DijkstraScratch> = RefCell::new(DijkstraScratch::new());
 }
 
-/// Runs the kernel on this thread's scratch and copies the tree out, so
-/// a call allocates only the tree it returns.
+/// Runs the kernel on this thread's scratch and swaps the result into
+/// `tree`, so a call allocates at most the arrays `tree` lacked.
 fn on_thread_scratch<A: Adjacency>(
     adj: &A,
     source: NodeId,
     stop: Stop<'_>,
-) -> (Option<NodeId>, ShortestPathTree) {
+    tree: &mut ShortestPathTree,
+) -> Option<NodeId> {
     THREAD_SCRATCH.with_borrow_mut(|scratch| {
         let hit = shortest_paths(adj, source, stop, scratch);
-        (hit, scratch.tree(source))
+        scratch.swap_into(source, tree);
+        hit
     })
 }
 
@@ -494,6 +541,34 @@ mod tests {
         let targeted = dijkstra_with_targets(&g, v[0], &[v[1], v[2]]);
         assert_eq!(full.distance(v[1]), targeted.distance(v[1]));
         assert_eq!(full.distance(v[2]), targeted.distance(v[2]));
+    }
+
+    #[test]
+    fn refilled_tree_equals_a_fresh_one() {
+        // One tree refilled across sources, target sets and graph sizes
+        // holds exactly what a fresh run returns each time.
+        let (g, v) = diamond();
+        let mut big = Graph::with_nodes(9);
+        for i in 1..9 {
+            big.add_edge(NodeId::new(i - 1), NodeId::new(i), 1.0)
+                .unwrap();
+        }
+        let mut tree = dijkstra(&big, NodeId::new(4));
+        let runs: [(&Graph, NodeId, &[NodeId]); 4] = [
+            (&g, v[0], &[v[3]]),
+            (&g, v[2], &[v[0], v[1]]),
+            (&big, NodeId::new(8), &[NodeId::new(0)]),
+            (&g, v[4], &[]),
+        ];
+        for (graph, source, targets) in runs {
+            dijkstra_with_targets_into(graph, source, targets, &mut tree);
+            let fresh = dijkstra_with_targets(graph, source, targets);
+            assert_eq!(tree.source(), fresh.source());
+            assert_eq!(tree.pred, fresh.pred);
+            let bits =
+                |t: &ShortestPathTree| t.dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&tree), bits(&fresh));
+        }
     }
 
     #[test]

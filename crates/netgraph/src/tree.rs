@@ -35,7 +35,7 @@ use crate::{EdgeId, Graph, NodeId, Path};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RootedTree {
     root: NodeId,
     /// Local index per graph node id; [`ABSENT`] for nodes off the tree.
@@ -58,6 +58,50 @@ pub struct RootedTree {
 /// [`RootedTree::index`] entry of a graph node that is not in the tree.
 const ABSENT: u32 = u32::MAX;
 
+/// Working memory for [`RootedTree::rebuild`]: the tree's flat adjacency
+/// and the BFS queue. It lives apart from the tree, so a stored tree
+/// carries none of it, and one scratch serves any number of trees.
+#[derive(Debug, Clone, Default)]
+pub struct RootingScratch {
+    /// Local endpoints and weight per tree edge.
+    ends: Vec<(usize, usize, f64)>,
+    /// Offset of each local node's entries in `adj`, plus the end.
+    start: Vec<usize>,
+    /// Next free slot per local node while `adj` is filled.
+    fill: Vec<usize>,
+    /// (neighbour, edge, weight), each node's entries in edge order.
+    adj: Vec<(usize, EdgeId, f64)>,
+    /// BFS order from the root.
+    queue: Vec<usize>,
+}
+
+impl Default for RootedTree {
+    /// An empty tree, holding no node, to [`RootedTree::rebuild`] into.
+    fn default() -> Self {
+        RootedTree {
+            root: NodeId::new(0),
+            index: Vec::new(),
+            nodes: Vec::new(),
+            parent: Vec::new(),
+            depth: Vec::new(),
+            dist: Vec::new(),
+            edges: Vec::new(),
+            total_weight: 0.0,
+        }
+    }
+}
+
+/// Local index of `n`, interning it on first sight; `None` if `n` is not
+/// covered by `index`.
+fn intern(index: &mut [u32], nodes: &mut Vec<NodeId>, n: NodeId) -> Option<usize> {
+    let slot = index.get_mut(n.index())?;
+    if *slot == ABSENT {
+        *slot = nodes.len() as u32;
+        nodes.push(n);
+    }
+    Some(*slot as usize)
+}
+
 impl RootedTree {
     /// Builds a rooted tree from `edges` of `g`, rooted at `root`.
     ///
@@ -67,87 +111,143 @@ impl RootedTree {
     /// tree.
     #[must_use]
     pub fn from_edges(g: &Graph, edges: &[EdgeId], root: NodeId) -> Option<RootedTree> {
-        if !g.contains_node(root) {
-            return None;
+        let mut tree = RootedTree::default();
+        tree.rebuild(g, edges, root, &mut RootingScratch::default())
+            .then_some(tree)
+    }
+
+    /// Rebuilds this tree in place from `edges` of `g`, rooted at `root`,
+    /// keeping its allocations and drawing the BFS buffers from
+    /// `scratch`. Returns `true` when the result equals
+    /// [`RootedTree::from_edges`]`(g, edges, root)`, and `false` exactly
+    /// where that returns `None`; after `false` the tree answers no
+    /// query meaningfully until the next successful rebuild.
+    pub fn rebuild(
+        &mut self,
+        g: &Graph,
+        edges: &[EdgeId],
+        root: NodeId,
+        scratch: &mut RootingScratch,
+    ) -> bool {
+        // The only entries of `index` not ABSENT are the nodes the
+        // previous build interned, whether or not it succeeded.
+        for n in &self.nodes {
+            if let Some(slot) = self.index.get_mut(n.index()) {
+                *slot = ABSENT;
+            }
         }
+        self.index.resize(g.node_count(), ABSENT);
+        self.root = root;
+        self.nodes.clear();
+        self.parent.clear();
+        self.depth.clear();
+        self.dist.clear();
+        self.edges.clear();
+        self.total_weight = 0.0;
+        if intern(&mut self.index, &mut self.nodes, root).is_none() {
+            return false;
+        }
+        let RootingScratch {
+            ends,
+            start,
+            fill,
+            adj,
+            queue,
+        } = scratch;
         // Intern incident nodes; `ends` holds each edge's local endpoints.
-        let mut index = vec![ABSENT; g.node_count()];
-        let mut nodes = vec![root];
-        index[root.index()] = 0;
-        let mut ends: Vec<(usize, usize, f64)> = Vec::with_capacity(edges.len());
+        ends.clear();
         for &e in edges {
-            let er = g.try_edge(e)?;
-            let mut intern = |n: NodeId| {
-                let slot = &mut index[n.index()];
-                if *slot == ABSENT {
-                    *slot = nodes.len() as u32;
-                    nodes.push(n);
-                }
-                *slot as usize
+            let Some(er) = g.try_edge(e) else {
+                return false;
             };
-            let (ui, vi) = (intern(er.u), intern(er.v));
+            let ends_of = intern(&mut self.index, &mut self.nodes, er.u).zip(intern(
+                &mut self.index,
+                &mut self.nodes,
+                er.v,
+            ));
+            let Some((ui, vi)) = ends_of else {
+                return false;
+            };
             ends.push((ui, vi, er.weight));
         }
-        let n = nodes.len();
+        let n = self.nodes.len();
         // A tree on n nodes has exactly n - 1 edges.
         if edges.len() != n - 1 {
-            return None;
+            return false;
         }
 
-        // Flat adjacency (neighbour, edge, weight), each node's entries in
-        // edge order.
-        let mut start = vec![0usize; n + 1];
-        for &(ui, vi, _) in &ends {
-            start[ui + 1] += 1;
-            start[vi + 1] += 1;
+        // Flat adjacency: count each node's entries one slot up, take the
+        // running sum, then place the entries in edge order.
+        start.clear();
+        start.resize(n + 1, 0);
+        for &(ui, vi, _) in ends.iter() {
+            for x in [ui, vi] {
+                if let Some(c) = start.get_mut(x + 1) {
+                    *c += 1;
+                }
+            }
         }
-        for i in 0..n {
-            start[i + 1] += start[i];
+        let mut sum = 0;
+        for s in start.iter_mut() {
+            sum += *s;
+            *s = sum;
         }
-        let mut fill = start.clone();
-        let mut adj = vec![(0usize, EdgeId::new(0), 0.0); 2 * ends.len()];
+        fill.clear();
+        fill.extend_from_slice(start);
+        adj.clear();
+        adj.resize(2 * ends.len(), (0, EdgeId::new(0), 0.0));
         for (&(ui, vi, w), &e) in ends.iter().zip(edges) {
-            adj[fill[ui]] = (vi, e, w);
-            fill[ui] += 1;
-            adj[fill[vi]] = (ui, e, w);
-            fill[vi] += 1;
+            for (from, to) in [(ui, vi), (vi, ui)] {
+                if let Some(slot) = fill.get_mut(from) {
+                    if let Some(cell) = adj.get_mut(*slot) {
+                        *cell = (to, e, w);
+                    }
+                    *slot += 1;
+                }
+            }
         }
 
         // BFS from the root; must reach every node without revisits.
-        let mut parent: Vec<Option<(usize, EdgeId)>> = vec![None; n];
-        let mut depth = vec![usize::MAX; n];
-        let mut dist = vec![f64::INFINITY; n];
-        depth[0] = 0;
-        dist[0] = 0.0;
-        let mut queue = Vec::with_capacity(n);
+        self.parent.resize(n, None);
+        self.depth.resize(n, usize::MAX);
+        self.dist.resize(n, f64::INFINITY);
+        if let (Some(d0), Some(x0)) = (self.depth.first_mut(), self.dist.first_mut()) {
+            *d0 = 0;
+            *x0 = 0.0;
+        }
+        queue.clear();
         queue.push(0);
         let mut head = 0;
         while let Some(&u) = queue.get(head) {
             head += 1;
-            for &(v, e, w) in &adj[start[u]..start[u + 1]] {
-                if depth[v] == usize::MAX {
-                    depth[v] = depth[u] + 1;
-                    dist[v] = dist[u] + w;
-                    parent[v] = Some((u, e));
+            let (Some(&du), Some(&xu)) = (self.depth.get(u), self.dist.get(u)) else {
+                break;
+            };
+            let (lo, hi) = (start.get(u).copied(), start.get(u + 1).copied());
+            let around = lo.zip(hi).and_then(|(lo, hi)| adj.get(lo..hi));
+            for &(v, e, w) in around.unwrap_or_default() {
+                let (Some(dv), Some(xv), Some(pv)) = (
+                    self.depth.get_mut(v),
+                    self.dist.get_mut(v),
+                    self.parent.get_mut(v),
+                ) else {
+                    continue;
+                };
+                if *dv == usize::MAX {
+                    *dv = du + 1;
+                    *xv = xu + w;
+                    *pv = Some((u, e));
                     queue.push(v);
                 }
             }
         }
         if queue.len() != n {
-            return None; // disconnected (cycle elsewhere given the edge count)
+            return false; // disconnected (cycle elsewhere given the edge count)
         }
 
-        let total_weight = ends.iter().map(|&(_, _, w)| w).sum();
-        Some(RootedTree {
-            root,
-            index,
-            nodes,
-            parent,
-            depth,
-            dist,
-            edges: edges.to_vec(),
-            total_weight,
-        })
+        self.total_weight = ends.iter().map(|&(_, _, w)| w).sum();
+        self.edges.extend_from_slice(edges);
+        true
     }
 
     /// Local index of `n`, or `None` if it is not a tree node.

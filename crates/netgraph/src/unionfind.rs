@@ -15,7 +15,7 @@
 /// assert!(!uf.connected(0, 2));
 /// assert_eq!(uf.set_count(), 2);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct UnionFind {
     parent: Vec<u32>,
     rank: Vec<u8>,
@@ -31,6 +31,17 @@ impl UnionFind {
             rank: vec![0; n],
             sets: n,
         }
+    }
+
+    /// Resets to `n` singleton sets, exactly as [`UnionFind::new`]
+    /// builds them, keeping the allocations: a union–find rebuilt once
+    /// per candidate costs no allocation once it has grown to size.
+    pub fn reset(&mut self, n: usize) {
+        self.parent.clear();
+        self.parent.extend(0..n as u32);
+        self.rank.clear();
+        self.rank.resize(n, 0);
+        self.sets = n;
     }
 
     /// Number of elements.
@@ -165,6 +176,31 @@ mod tests {
         let r = uf.find(0);
         for i in 0..100 {
             assert_eq!(uf.find(i), r);
+        }
+    }
+
+    #[test]
+    fn reset_is_a_fresh_structure() {
+        let mut uf = UnionFind::new(6);
+        uf.union(0, 1);
+        uf.union(2, 3);
+        uf.union(1, 3);
+        // Shrinking, same-size and growing resets all equal `new`: every
+        // element is its own set again, and later unions pick the same
+        // roots a fresh structure picks.
+        for n in [4, 4, 9, 0, 3] {
+            uf.reset(n);
+            let mut fresh = UnionFind::new(n);
+            assert_eq!(uf.len(), n);
+            assert_eq!(uf.set_count(), n);
+            for i in 0..n {
+                assert_eq!(uf.find(i), i);
+            }
+            for i in 1..n {
+                assert_eq!(uf.union(i, i - 1), fresh.union(i, i - 1));
+                assert_eq!(uf.find(0), fresh.find(0));
+            }
+            assert_eq!(uf.set_count(), fresh.set_count());
         }
     }
 

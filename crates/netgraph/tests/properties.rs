@@ -6,7 +6,7 @@
 
 use netgraph::{
     bellman_ford, connected_components, dijkstra, dijkstra_with_targets, is_connected, kruskal,
-    prim, voronoi_closure, Graph, NodeId, RootedTree, UnionFind,
+    prim, voronoi_closure, EdgeId, Graph, NodeId, RootedTree, RootingScratch, UnionFind,
 };
 use proptest::prelude::*;
 
@@ -236,6 +236,44 @@ proptest! {
                     + t.distance_from_root(b).unwrap()
                     - 2.0 * t.distance_from_root(l).unwrap();
                 prop_assert!((p.cost() - via_root).abs() < 1e-9);
+            }
+        }
+    }
+
+    #[test]
+    fn rebuilt_tree_equals_a_fresh_one(
+        (g, builds) in arb_connected_graph().prop_flat_map(|g| {
+            let (n, m) = (g.node_count(), g.edge_count());
+            let build = (proptest::collection::vec(0..m, 0..12), 0..n + 2);
+            (Just(g), proptest::collection::vec(build, 1..6))
+        })
+    ) {
+        // One tree and one scratch live across every build: random edge
+        // sets (mostly cycles, forests or missing the root, some with an
+        // out-of-graph root), each followed by a spanning tree of `g` and
+        // a lone root on a smaller graph. Any stale `index` entry from an
+        // earlier build, failed or not, would break the equality.
+        let mst = kruskal(&g).edges;
+        let small = Graph::with_nodes(2);
+        let mut tree = RootedTree::default();
+        let mut scratch = RootingScratch::default();
+        for (picks, root) in builds {
+            let edges: Vec<EdgeId> = picks.into_iter().map(EdgeId::new).collect();
+            let root = NodeId::new(root);
+            let runs: [(&Graph, &[EdgeId], NodeId); 3] = [
+                (&g, &edges, root),
+                (&g, &mst, NodeId::new(root.index() % g.node_count())),
+                (&small, &[], NodeId::new(1)),
+            ];
+            for (graph, edges, root) in runs {
+                let built = tree.rebuild(graph, edges, root, &mut scratch);
+                match RootedTree::from_edges(graph, edges, root) {
+                    Some(fresh) => {
+                        prop_assert!(built, "rebuild refused a tree");
+                        prop_assert_eq!(&tree, &fresh);
+                    }
+                    None => prop_assert!(!built, "rebuild accepted a non-tree"),
+                }
             }
         }
     }

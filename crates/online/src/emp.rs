@@ -19,7 +19,7 @@
 //! prices live on the same normalized scale. Price-caused rejections are
 //! recorded on [`telemetry::Counter::OnlinePriceRejections`].
 
-use crate::online_cp::{build_admission_graph, AdmissionCtx, Candidate, EvalOutcome};
+use crate::online_cp::{build_admission_graph, AdmissionCtx, Candidate, EvalOutcome, ScanMemory};
 use crate::{phase1_survivors, CostMode, OnlineAlgorithm, ThresholdRule};
 use nfv_multicast::PseudoMulticastTree;
 use sdn::{ExponentialCostModel, MulticastRequest, Sdn};
@@ -103,11 +103,20 @@ impl OnlineAlgorithm for EmpPricing {
             graph: &graph,
         };
 
-        let (survivors, _) = phase1_survivors(sdn, request, CostMode::Exponential, f64::INFINITY);
-        let mut bank = ctx.scan_bank(survivors.iter().map(|&(v, _)| v));
+        // Fresh working memory per admission: EMP keeps none between them.
+        let mut survivors = Vec::new();
+        phase1_survivors(
+            sdn,
+            request,
+            CostMode::Exponential,
+            f64::INFINITY,
+            &mut survivors,
+        );
+        let mut scan = ScanMemory::default();
+        ctx.start_scan(&mut scan, survivors.iter().map(|&(v, _)| v));
         let mut candidates: Vec<Candidate> = Vec::new();
         for &(v, wv) in &survivors {
-            match ctx.evaluate(v, wv, &mut bank) {
+            match ctx.evaluate(v, wv, &mut scan) {
                 EvalOutcome::Admissible(c) => candidates.push(c),
                 // Unreachable with σ = ∞, kept for exhaustiveness.
                 EvalOutcome::ThresholdBlocked => {}
@@ -132,7 +141,9 @@ impl OnlineAlgorithm for EmpPricing {
                 priced_out = true;
                 break;
             }
-            let tree = ctx.materialize(c);
+            let Some(tree) = ctx.materialize(c, &mut scan) else {
+                continue;
+            };
             if sdn.can_allocate(&tree.allocation(request)) {
                 return Some(tree);
             }

@@ -62,7 +62,8 @@ impl OnlineAlgorithm for OnlineCpMulti {
             bld.add_switch();
         }
         let mut usable: Vec<NodeId> = Vec::new();
-        let (survivors, _) = phase1_survivors(sdn, request, CostMode::Exponential, sigma);
+        let mut survivors = Vec::new();
+        phase1_survivors(sdn, request, CostMode::Exponential, sigma, &mut survivors);
         for (v, wv) in survivors {
             let unit = if demand > 0.0 { wv / demand } else { 0.0 };
             bld.attach_server(

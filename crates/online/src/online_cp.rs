@@ -3,10 +3,12 @@
 
 use crate::OnlineAlgorithm;
 use netgraph::{
-    CsrGraph, DijkstraScratch, EdgeId, Graph, LandmarkOracle, NodeId, RootedTree, UnionFind,
+    CsrGraph, DijkstraScratch, EdgeId, Graph, LandmarkOracle, NodeId, RootedTree, RootingScratch,
+    UnionFind,
 };
 use nfv_multicast::{PseudoMulticastTree, ServerUse};
 use sdn::{ExponentialCostModel, LinearCostModel, MulticastRequest, Sdn};
+use steiner::{SteinerTree, TerminalSptBank};
 
 /// How `Online_CP` prices residual resources when weighting the admission
 /// graph `G_k`.
@@ -52,11 +54,14 @@ pub enum ThresholdRule {
 /// the cache stays valid exactly until the next successful allocation,
 /// release, or reset bumps [`Sdn::version`]. Rejections do not move the
 /// version — under saturation, where most arrivals are rejected, this
-/// removes the full graph rebuild from the hot path.
-#[derive(Debug, Clone)]
+/// removes the full graph rebuild from the hot path. A stale cache is
+/// rebuilt in place: the graph, its edge map and the σ-cut keep their
+/// allocations from one generation to the next.
+#[derive(Debug, Clone, Default)]
 struct AdmissionGraphCache {
-    version: u64,
-    bandwidth_bits: u64,
+    /// The `(Sdn::version, bandwidth bits)` the graph was built for;
+    /// `None` before the first build.
+    key: Option<(u64, u64)>,
     graph: AdmissionGraph,
     /// Landmark oracle over `graph.weighted` (present only in oracle mode):
     /// admissible lower bounds on weighted-graph distances, rebuilt
@@ -65,6 +70,35 @@ struct AdmissionGraphCache {
     /// The σ-cut of `graph.weighted` (present only under
     /// [`CostMode::Exponential`], the one mode with thresholds).
     cut: Option<SigmaCut>,
+}
+
+impl AdmissionGraphCache {
+    /// Brings the cache up to date for bandwidth `b` against `sdn`'s
+    /// residual state, with the landmark oracle when `landmarks > 0` and
+    /// the σ-cut in the exponential mode. Returns whether it already was.
+    fn refresh(&mut self, sdn: &Sdn, b: f64, mode: CostMode, landmarks: usize) -> bool {
+        let key = (sdn.version(), b.to_bits());
+        if self.key == Some(key) {
+            return true;
+        }
+        self.graph.rebuild(sdn, b, mode);
+        // The oracle prices the same weighted graph the Steiner scan runs
+        // on, so its bounds are admissible for exactly the trees this
+        // cache generation will build.
+        self.oracle = (landmarks > 0).then(|| {
+            let csr = CsrGraph::from_graph(&self.graph.weighted);
+            LandmarkOracle::build(&csr, landmarks, &mut DijkstraScratch::new())
+        });
+        if mode == CostMode::Exponential {
+            self.cut
+                .get_or_insert_with(SigmaCut::default)
+                .rebuild(&self.graph.weighted, ExponentialCostModel::threshold(sdn));
+        } else {
+            self.cut = None;
+        }
+        self.key = Some(key);
+        false
+    }
 }
 
 /// Connected-component labels of an admission graph `G_k`, once over
@@ -77,22 +111,32 @@ struct AdmissionGraphCache {
 /// [`ThresholdRule::TreeSum`] too, since the non-negative weights sum to
 /// at least that edge's. So the scan can drop such a server before its
 /// Steiner tree is built (DESIGN.md §"The σ-cut gate").
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct SigmaCut {
     /// Component label per node over every edge of `G_k`.
     full: Vec<usize>,
     /// Component label per node over the light edges of `G_k`.
     light: Vec<usize>,
+    /// Working memory: the union–find behind both labellings.
+    uf: UnionFind,
+    /// Working memory: the heavy edges' endpoints.
+    heavy: Vec<(usize, usize)>,
 }
 
 impl SigmaCut {
-    /// Labels both partitions with one union–find and one pass over
-    /// `g`'s edges: the light edges are joined first, then the few heavy
-    /// ones merge light components into full ones.
-    fn new(g: &Graph, sigma: f64) -> Self {
+    /// Relabels both partitions for `g` in place, with one union–find and
+    /// one pass over `g`'s edges: the light edges are joined first, then
+    /// the few heavy ones merge light components into full ones.
+    fn rebuild(&mut self, g: &Graph, sigma: f64) {
         let n = g.node_count();
-        let mut uf = UnionFind::new(n);
-        let mut heavy = Vec::new();
+        let SigmaCut {
+            full,
+            light,
+            uf,
+            heavy,
+        } = self;
+        uf.reset(n);
+        heavy.clear();
         for e in g.edges() {
             // The exact complement of step 9's `w ≥ σ`.
             if e.weight < sigma {
@@ -101,20 +145,13 @@ impl SigmaCut {
                 heavy.push((e.u.index(), e.v.index()));
             }
         }
-        let light: Vec<usize> = (0..n).map(|x| uf.find(x)).collect();
-        if heavy.is_empty() {
-            return SigmaCut {
-                full: light.clone(),
-                light,
-            };
-        }
-        for (u, v) in heavy {
+        light.clear();
+        light.extend((0..n).map(|x| uf.find(x)));
+        for &(u, v) in heavy.iter() {
             uf.union(u, v);
         }
-        SigmaCut {
-            full: (0..n).map(|x| uf.find(x)).collect(),
-            light,
-        }
+        full.clear();
+        full.extend((0..n).map(|x| uf.find(x)));
     }
 
     /// The cut as seen from `request`'s anchors `{s_k} ∪ D_k`.
@@ -200,14 +237,30 @@ impl Rejection {
 }
 
 /// The `Online_CP` admission algorithm (Algorithm 2, `K = 1`).
+///
+/// One instance decides a whole stream in one working memory: `G_k` and
+/// its σ-cut, the terminal SPT bank with KMB's buffers, and the rooted
+/// tree of steps 10–12 are all rebuilt in place, decision after decision
+/// (DESIGN.md §13).
 #[derive(Debug, Clone, Default)]
 pub struct OnlineCp {
     mode: CostMode,
     rule: ThresholdRule,
     /// Landmarks for the candidate-scan oracle (0 = exact scan).
     oracle_landmarks: usize,
-    cache: Option<AdmissionGraphCache>,
+    cache: AdmissionGraphCache,
     cache_hits: u64,
+    work: Workspace,
+}
+
+/// The per-decision buffers `Online_CP` keeps between decisions.
+#[derive(Debug, Clone, Default)]
+struct Workspace {
+    scan: ScanMemory,
+    /// Phase-1 survivors with their server weights.
+    survivors: Vec<(NodeId, f64)>,
+    /// The exact scan's admissible candidates.
+    candidates: Vec<Candidate>,
 }
 
 impl OnlineCp {
@@ -280,43 +333,7 @@ impl OnlineCp {
     /// this against the live network right after an admission is served.
     #[must_use]
     pub fn cached_version(&self) -> Option<u64> {
-        self.cache.as_ref().map(|c| c.version)
-    }
-
-    /// Returns (building if needed) the admission graph for bandwidth `b`
-    /// against the current residual state, with the landmark oracle over
-    /// it when oracle mode is on and its σ-cut in the exponential mode.
-    fn admission_graph(&mut self, sdn: &Sdn, b: f64) -> &AdmissionGraphCache {
-        let version = sdn.version();
-        let bandwidth_bits = b.to_bits();
-        let fresh = self
-            .cache
-            .as_ref()
-            .is_some_and(|c| c.version == version && c.bandwidth_bits == bandwidth_bits);
-        if fresh {
-            self.cache_hits += 1;
-            telemetry::hit(telemetry::Counter::AdmissionCacheHits);
-        } else {
-            telemetry::hit(telemetry::Counter::AdmissionCacheRebuilds);
-            let graph = build_admission_graph(sdn, b, self.mode);
-            // The oracle prices the same weighted graph the Steiner scan
-            // runs on, so its bounds are admissible for exactly the trees
-            // this cache generation will build.
-            let oracle = (self.oracle_landmarks > 0).then(|| {
-                let csr = CsrGraph::from_graph(&graph.weighted);
-                LandmarkOracle::build(&csr, self.oracle_landmarks, &mut DijkstraScratch::new())
-            });
-            let cut = (self.mode == CostMode::Exponential)
-                .then(|| SigmaCut::new(&graph.weighted, ExponentialCostModel::threshold(sdn)));
-            self.cache = Some(AdmissionGraphCache {
-                version,
-                bandwidth_bits,
-                graph,
-                oracle,
-                cut,
-            });
-        }
-        self.cache.as_ref().expect("cache was just filled") // lint:allow(P1): the branch above just filled the cache
+        self.cache.key.map(|(version, _)| version)
     }
 
     /// Algorithm 2 for one request: the admitted tree, or why there is
@@ -332,7 +349,18 @@ impl OnlineCp {
 
         let mode = self.mode;
         let rule = self.rule;
-        let cache = self.admission_graph(sdn, b);
+        if self.cache.refresh(sdn, b, mode, self.oracle_landmarks) {
+            self.cache_hits += 1;
+            telemetry::hit(telemetry::Counter::AdmissionCacheHits);
+        } else {
+            telemetry::hit(telemetry::Counter::AdmissionCacheRebuilds);
+        }
+        let cache = &self.cache;
+        let Workspace {
+            scan,
+            survivors,
+            candidates,
+        } = &mut self.work;
         if cache.graph.weighted.edge_count() == 0 {
             return Err(Rejection::Infeasible);
         }
@@ -350,14 +378,14 @@ impl OnlineCp {
         // Phase 1: cheap per-server checks. These always run over every
         // server, so the saturation telemetry and the threshold-blocked
         // rejection reason are identical with and without the oracle.
-        let (mut phase1, saturated) = phase1_survivors(sdn, request, mode, sigma);
+        let saturated = phase1_survivors(sdn, request, mode, sigma, survivors);
         telemetry::add(telemetry::Counter::OnlineSaturatedServers, saturated);
         let mut threshold_blocked = saturated > 0;
         // The σ-cut gate: drop every survivor whose evaluation is already
         // decided, recording the rejection reason it would have given.
         if let Some(cut) = &cache.cut {
             let anchors = cut.anchors(request);
-            phase1.retain(|&(v, _)| match anchors.verdict(v) {
+            survivors.retain(|&(v, _)| match anchors.verdict(v) {
                 None => true,
                 Some(outcome) => {
                     threshold_blocked |= matches!(outcome, EvalOutcome::ThresholdBlocked);
@@ -366,7 +394,7 @@ impl OnlineCp {
             });
         }
         // Every scan draws its shortest-path trees from one bank.
-        let mut bank = ctx.scan_bank(phase1.iter().map(|&(v, _)| v));
+        ctx.start_scan(scan, survivors.iter().map(|&(v, _)| v));
 
         if let Some(oracle) = &cache.oracle {
             // Oracle scan: order survivors by an admissible lower bound on
@@ -378,7 +406,7 @@ impl OnlineCp {
             // to lose anyway.
             let mut terminals = vec![request.source];
             terminals.extend(request.destinations.iter().copied());
-            let mut survivors: Vec<Survivor> = phase1
+            let mut ranked: Vec<Survivor> = survivors
                 .iter()
                 .enumerate()
                 .map(|(pos, &(v, wv))| {
@@ -389,7 +417,7 @@ impl OnlineCp {
                     Survivor { pos, v, wv, lb }
                 })
                 .collect();
-            survivors.sort_by(|x, y| {
+            ranked.sort_by(|x, y| {
                 x.lb.partial_cmp(&y.lb)
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then(x.pos.cmp(&y.pos))
@@ -397,7 +425,7 @@ impl OnlineCp {
 
             let mut had_candidates = false;
             let mut best: Option<(f64, usize, PseudoMulticastTree)> = None;
-            for (idx, s) in survivors.iter().enumerate() {
+            for (idx, s) in ranked.iter().enumerate() {
                 if let Some((best_w, _, _)) = &best {
                     // Strictly worse than the incumbent (with a margin so
                     // float noise can never prune an exact tie, which the
@@ -405,18 +433,20 @@ impl OnlineCp {
                     if s.lb > best_w * (1.0 + sdn::PRUNE_GUARD_REL) + sdn::PRUNE_GUARD_ABS {
                         telemetry::add(
                             telemetry::Counter::OnlineCandidatesPruned,
-                            (survivors.len() - idx) as u64,
+                            (ranked.len() - idx) as u64,
                         );
                         break;
                     }
                 }
-                match ctx.evaluate(s.v, s.wv, &mut bank) {
+                match ctx.evaluate(s.v, s.wv, scan) {
                     EvalOutcome::Admissible(c) => {
                         had_candidates = true;
                         // The final ledger check runs per candidate here;
                         // the exact scan's "sort then first-allocatable"
                         // is the same min over (weight, server position).
-                        let tree = ctx.materialize(&c);
+                        let Some(tree) = ctx.materialize(&c, scan) else {
+                            continue;
+                        };
                         if sdn.can_allocate(&tree.allocation(request)) {
                             let replace = match &best {
                                 None => true,
@@ -443,9 +473,9 @@ impl OnlineCp {
 
         // Exact scan (the paper's listing): evaluate every survivor in
         // server order.
-        let mut candidates: Vec<Candidate> = Vec::new();
-        for &(v, wv) in &phase1 {
-            match ctx.evaluate(v, wv, &mut bank) {
+        candidates.clear();
+        for &(v, wv) in survivors.iter() {
+            match ctx.evaluate(v, wv, scan) {
                 EvalOutcome::Admissible(c) => candidates.push(c),
                 EvalOutcome::ThresholdBlocked => threshold_blocked = true,
                 EvalOutcome::Skip => {}
@@ -456,8 +486,10 @@ impl OnlineCp {
         // on some link, so the accumulated allocation is the final check.
         candidates.sort_by(|a, b| a.weight.partial_cmp(&b.weight).expect("weights are finite")); // lint:allow(P1): candidate weights are finite sums of finite unit costs
         let had_candidates = !candidates.is_empty();
-        for c in &candidates {
-            let tree = ctx.materialize(c);
+        for c in candidates.iter() {
+            let Some(tree) = ctx.materialize(c, scan) else {
+                continue;
+            };
             if sdn.can_allocate(&tree.allocation(request)) {
                 return Ok(tree);
             }
@@ -468,20 +500,13 @@ impl OnlineCp {
 
 /// The admission graph `G_k`: the network's alive, residual-feasible
 /// links, weighted under one cost mode.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct AdmissionGraph {
     /// The weighted graph. Its node ids are the network's; its edge ids
     /// are dense over the kept links.
     pub(crate) weighted: Graph,
     /// Network edge id per `weighted` edge id.
     pub(crate) parent_edge: Vec<EdgeId>,
-}
-
-impl AdmissionGraph {
-    /// Maps `weighted` edge ids back to network edge ids.
-    fn parent_edges(&self, edges: &[EdgeId]) -> Vec<EdgeId> {
-        edges.iter().map(|e| self.parent_edge[e.index()]).collect()
-    }
 }
 
 /// Builds the admission graph `G_k` for bandwidth `b` under the chosen
@@ -497,57 +522,72 @@ impl AdmissionGraph {
 /// those ties toward cost-efficient trees without ever influencing a
 /// loaded decision or the admission thresholds.
 pub(crate) fn build_admission_graph(sdn: &Sdn, b: f64, mode: CostMode) -> AdmissionGraph {
-    let model = ExponentialCostModel::for_network(sdn);
-    let linear = LinearCostModel::new();
-    let net = sdn.graph();
-    let parent_edge: Vec<EdgeId> = net
-        .edges()
-        .map(|e| e.id)
-        .filter(|&e| sdn.is_link_alive(e) && sdn.residual_bandwidth(e) + sdn::CAPACITY_EPS >= b)
-        .collect();
-    let c_max = parent_edge
-        .iter()
-        .map(|&e| sdn.unit_bandwidth_cost(e))
-        .fold(sdn::COST_FLOOR, f64::max);
-    let mut weighted = Graph::with_nodes(net.node_count());
-    for &orig in &parent_edge {
-        let tiebreak = sdn::COST_TIEBREAK_REL * sdn.unit_bandwidth_cost(orig) / c_max;
-        let w = match mode {
-            CostMode::Exponential => model.edge_weight(sdn, orig) + tiebreak,
-            CostMode::Linear => linear.edge_cost(sdn, orig, 1.0),
-        };
-        let e = net.edge(orig);
-        weighted
-            .add_edge(e.u, e.v, w)
-            .expect("network edges are valid"); // lint:allow(P1): copies an edge the network graph already validated
+    let mut graph = AdmissionGraph::default();
+    graph.rebuild(sdn, b, mode);
+    graph
+}
+
+impl AdmissionGraph {
+    /// Maps `weighted` edge ids back to network edge ids.
+    fn parent_edges(&self, edges: &[EdgeId]) -> Vec<EdgeId> {
+        edges.iter().map(|e| self.parent_edge[e.index()]).collect()
     }
-    AdmissionGraph {
-        weighted,
-        parent_edge,
+
+    /// Rebuilds `G_k` in place for bandwidth `b` under `mode` (see
+    /// [`build_admission_graph`]), keeping the graph's and the edge map's
+    /// allocations.
+    fn rebuild(&mut self, sdn: &Sdn, b: f64, mode: CostMode) {
+        let model = ExponentialCostModel::for_network(sdn);
+        let linear = LinearCostModel::new();
+        let net = sdn.graph();
+        let AdmissionGraph {
+            weighted,
+            parent_edge,
+        } = self;
+        parent_edge.clear();
+        parent_edge.extend(net.edges().map(|e| e.id).filter(|&e| {
+            sdn.is_link_alive(e) && sdn.residual_bandwidth(e) + sdn::CAPACITY_EPS >= b
+        }));
+        let c_max = parent_edge
+            .iter()
+            .map(|&e| sdn.unit_bandwidth_cost(e))
+            .fold(sdn::COST_FLOOR, f64::max);
+        weighted.reset(net.node_count());
+        for &orig in parent_edge.iter() {
+            let tiebreak = sdn::COST_TIEBREAK_REL * sdn.unit_bandwidth_cost(orig) / c_max;
+            let w = match mode {
+                CostMode::Exponential => model.edge_weight(sdn, orig) + tiebreak,
+                CostMode::Linear => linear.edge_cost(sdn, orig, 1.0),
+            };
+            let e = net.edge(orig);
+            weighted
+                .add_edge(e.u, e.v, w)
+                .expect("network edges are valid"); // lint:allow(P1): copies an edge the network graph already validated
+        }
     }
 }
 
 /// Phase 1 of an online candidate scan (Algorithm 2, steps 6–7): the
 /// servers that are alive, have the residual computing for `request`'s
 /// whole chain, and — under [`CostMode::Exponential`] — a server weight
-/// below `sigma`. Returns the survivors in [`Sdn::servers`] order with
-/// their server weights, plus how many servers the `sigma` threshold
-/// blocked.
+/// below `sigma`. Replaces `survivors` with them in [`Sdn::servers`]
+/// order with their server weights, and returns how many servers the
+/// `sigma` threshold blocked.
 ///
 /// `Online_CP` passes `σ = |V| − 1`; `EMP_Online` passes `∞`, since it
 /// prices and never thresholds (a surviving server's weight is finite:
 /// its utilisation stays below 1).
-#[must_use]
 pub(crate) fn phase1_survivors(
     sdn: &Sdn,
     request: &MulticastRequest,
     mode: CostMode,
     sigma: f64,
-) -> (Vec<(NodeId, f64)>, u64) {
+    survivors: &mut Vec<(NodeId, f64)>,
+) -> u64 {
     let demand = request.computing_demand();
     let model = ExponentialCostModel::for_network(sdn);
     let linear = LinearCostModel::new();
-    let mut survivors = Vec::new();
+    survivors.clear();
     let mut saturated = 0;
     for &v in sdn.servers() {
         // Hard feasibility: the server must be up and the chain must fit
@@ -569,18 +609,19 @@ pub(crate) fn phase1_survivors(
         }
         survivors.push((v, wv));
     }
-    (survivors, saturated)
+    saturated
 }
 
-/// One evaluated admission candidate: its weight and the rooted Steiner
-/// tree it came from, materialized into a [`PseudoMulticastTree`] only if
-/// it reaches the final allocation check.
+/// One evaluated admission candidate: its weight and the Steiner tree it
+/// came from, rooted again and materialized into a
+/// [`PseudoMulticastTree`] only if it reaches the final allocation check.
+#[derive(Debug, Clone)]
 pub(crate) struct Candidate {
     pub(crate) weight: f64,
     /// The processing server `v`.
     server: NodeId,
-    /// The Steiner tree in `G_k` edge ids, rooted at the source.
-    rooted: RootedTree,
+    /// The Steiner tree over `{s_k} ∪ D_k ∪ {v}` in `G_k` edge ids.
+    tree: SteinerTree,
     /// The send-back target `u = LCA({v} ∪ D_k)`.
     lca: NodeId,
 }
@@ -607,6 +648,18 @@ pub(crate) enum EvalOutcome {
     Skip,
 }
 
+/// The working memory of a candidate scan: the terminal SPT bank (with
+/// KMB's buffers), the rooted tree of steps 10–12 and its BFS buffers,
+/// and the terminal list. `Online_CP` keeps one across decisions.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ScanMemory {
+    bank: TerminalSptBank,
+    rooted: RootedTree,
+    rooting: RootingScratch,
+    /// `{s_k} ∪ D_k ∪ {v}` for KMB, then `{v} ∪ D_k` for the LCA.
+    terminals: Vec<NodeId>,
+}
+
 /// Everything the per-server Steiner evaluation (steps 8-12 of
 /// Algorithm 2 plus candidate materialization) needs, bundled so the
 /// exact and oracle scans share a single code path and can never drift
@@ -623,40 +676,41 @@ pub(crate) struct AdmissionCtx<'a> {
 }
 
 impl AdmissionCtx<'_> {
-    /// One terminal-SPT bank for a whole candidate scan over `servers`:
-    /// its targets are `{s_k} ∪ D_k ∪ servers`. Every candidate's Steiner
-    /// construction draws the anchor terminals' trees from it, and since
-    /// [`AdmissionCtx::evaluate`] puts the server last, no server's own
-    /// tree is ever built.
-    pub(crate) fn scan_bank(
+    /// Readies `mem` for a candidate scan over `servers`: one
+    /// terminal-SPT bank whose targets are `{s_k} ∪ D_k ∪ servers`. Every
+    /// candidate's Steiner construction draws the anchor terminals' trees
+    /// from it, and since [`AdmissionCtx::evaluate`] puts the server
+    /// last, no server's own tree is ever built.
+    pub(crate) fn start_scan(
         &self,
+        mem: &mut ScanMemory,
         servers: impl IntoIterator<Item = NodeId>,
-    ) -> steiner::TerminalSptBank {
-        let mut targets = vec![self.request.source];
-        targets.extend(self.request.destinations.iter().copied());
-        targets.extend(servers);
-        steiner::TerminalSptBank::new(targets)
+    ) {
+        let request = self.request;
+        let anchors = std::iter::once(request.source).chain(request.destinations.iter().copied());
+        mem.bank.reset(anchors.chain(servers));
     }
 
-    /// Evaluates server `v` (server weight `wv`), drawing the Steiner
-    /// construction's shortest-path trees from `bank`, which must come
-    /// from [`AdmissionCtx::scan_bank`] over a set containing `v`.
-    pub(crate) fn evaluate(
-        &self,
-        v: NodeId,
-        wv: f64,
-        bank: &mut steiner::TerminalSptBank,
-    ) -> EvalOutcome {
+    /// Evaluates server `v` (server weight `wv`) in `mem`, whose bank
+    /// must come from [`AdmissionCtx::start_scan`] over a set containing
+    /// `v`.
+    pub(crate) fn evaluate(&self, v: NodeId, wv: f64, mem: &mut ScanMemory) -> EvalOutcome {
         let (request, weighted) = (self.request, &self.graph.weighted);
+        let ScanMemory {
+            bank,
+            rooted,
+            rooting,
+            terminals,
+        } = mem;
         // Step 8: Steiner tree over {s_k} ∪ D_k ∪ {v} in G_k. KMB builds
         // no tree for its last terminal, so with the server last every
         // shortest-path tree comes from the anchors the whole scan shares;
         // the server's closure row is read off those trees at `v`.
-        let mut terminals = Vec::with_capacity(request.destinations.len() + 2);
+        terminals.clear();
         terminals.push(request.source);
         terminals.extend(request.destinations.iter().copied());
         terminals.push(v);
-        let Some(tree) = steiner::kmb_with_bank(weighted, &terminals, bank) else {
+        let Some(tree) = steiner::kmb_with_bank(weighted, terminals, bank) else {
             return EvalOutcome::Skip;
         };
         // Step 9: link-side admission threshold.
@@ -675,13 +729,15 @@ impl AdmissionCtx<'_> {
         }
         // Steps 10-12: LCA send-back construction. `u` is an ancestor of
         // `v`, so the send-back path is the climb from `v` to `u`.
-        let Some(rooted) = tree.root_at(weighted, request.source) else {
+        if !rooted.rebuild(weighted, tree.edges(), request.source, rooting) {
             return EvalOutcome::Skip;
-        };
+        }
         // Reuse the terminal buffer as the LCA arguments `{v} ∪ D_k`.
         terminals.pop();
-        terminals[0] = v;
-        let lca = rooted.lca_of_set(&terminals);
+        if let Some(first) = terminals.first_mut() {
+            *first = v;
+        }
+        let lca = rooted.lca_of_set(terminals);
         let (Some(dist_v), Some(dist_lca)) =
             (rooted.distance_from_root(v), rooted.distance_from_root(lca))
         else {
@@ -690,20 +746,35 @@ impl AdmissionCtx<'_> {
         EvalOutcome::Admissible(Candidate {
             weight: tree_weight + wv + (dist_v - dist_lca),
             server: v,
-            rooted,
+            tree,
             lca,
         })
     }
 
     /// Materializes candidate `c` as a pseudo-multicast tree in network
-    /// edge ids.
-    pub(crate) fn materialize(&self, c: &Candidate) -> PseudoMulticastTree {
+    /// edge ids, rooting its Steiner tree at the source in `mem`. `None`
+    /// only if the tree no longer roots, which [`AdmissionCtx::evaluate`]
+    /// already ruled out.
+    pub(crate) fn materialize(
+        &self,
+        c: &Candidate,
+        mem: &mut ScanMemory,
+    ) -> Option<PseudoMulticastTree> {
         let (sdn, request, v) = (self.sdn, self.request, c.server);
+        let rooted = &mut mem.rooted;
+        if !rooted.rebuild(
+            &self.graph.weighted,
+            c.tree.edges(),
+            request.source,
+            &mut mem.rooting,
+        ) {
+            return None;
+        }
         let ingress_ids = self
             .graph
-            .parent_edges(c.rooted.path_between(request.source, v).edges());
+            .parent_edges(rooted.path_between(request.source, v).edges());
         let ingress_set: std::collections::BTreeSet<EdgeId> = ingress_ids.iter().copied().collect();
-        let all_tree = self.graph.parent_edges(c.rooted.edges());
+        let all_tree = self.graph.parent_edges(rooted.edges());
         let distribution: Vec<EdgeId> = all_tree
             .iter()
             .copied()
@@ -711,7 +782,7 @@ impl AdmissionCtx<'_> {
             .collect();
         let extra = self
             .graph
-            .parent_edges(c.rooted.path_between(v, c.lca).edges());
+            .parent_edges(rooted.path_between(v, c.lca).edges());
 
         let ingress_cost: f64 = ingress_ids
             .iter()
@@ -723,7 +794,7 @@ impl AdmissionCtx<'_> {
             .chain(&extra)
             .map(|&e| sdn.unit_bandwidth_cost(e) * self.b)
             .sum();
-        PseudoMulticastTree {
+        Some(PseudoMulticastTree {
             request: request.id,
             source: request.source,
             servers: vec![ServerUse {
@@ -736,7 +807,7 @@ impl AdmissionCtx<'_> {
             extra_traversals: extra,
             bandwidth_cost,
             computing_cost,
-        }
+        })
     }
 }
 
@@ -855,18 +926,24 @@ mod tests {
         let req = req_for(s, d);
         let sigma = ExponentialCostModel::threshold(&sdn);
 
-        let (survivors, saturated) = phase1_survivors(&sdn, &req, CostMode::Exponential, sigma);
+        let mut survivors = vec![(hot, 1.0)];
+        let saturated = phase1_survivors(&sdn, &req, CostMode::Exponential, sigma, &mut survivors);
         assert_eq!(survivors, vec![(ok, 0.0)]);
         assert_eq!(saturated, 1);
         // σ = ∞ (EMP) and the linear mode never threshold.
-        let (survivors, saturated) =
-            phase1_survivors(&sdn, &req, CostMode::Exponential, f64::INFINITY);
+        let saturated = phase1_survivors(
+            &sdn,
+            &req,
+            CostMode::Exponential,
+            f64::INFINITY,
+            &mut survivors,
+        );
         assert_eq!(
             survivors.iter().map(|&(v, _)| v).collect::<Vec<_>>(),
             [ok, hot]
         );
         assert_eq!(saturated, 0);
-        let (survivors, saturated) = phase1_survivors(&sdn, &req, CostMode::Linear, sigma);
+        let saturated = phase1_survivors(&sdn, &req, CostMode::Linear, sigma, &mut survivors);
         assert_eq!(
             survivors.iter().map(|&(v, _)| v).collect::<Vec<_>>(),
             [ok, hot]
@@ -978,6 +1055,76 @@ mod tests {
     }
 
     #[test]
+    fn warm_memory_decides_like_fresh_memory_across_departures() {
+        // One long-lived `OnlineCp` per variant against a fresh one built
+        // for every decision, over a loaded stream whose sessions depart:
+        // the rebuilt-in-place G_k, σ-cut, bank and rooted tree must give
+        // exactly the fresh trees and rejection reasons.
+        use crate::ActiveSessions;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use topology::{annotate, place_servers_random, AnnotationParams, Waxman};
+        use workload::{PoissonWorkload, RequestGenerator};
+
+        let variants: [fn() -> OnlineCp; 4] = [
+            OnlineCp::new,
+            || OnlineCp::new().with_threshold_rule(ThresholdRule::TreeSum),
+            || OnlineCp::with_mode(CostMode::Linear),
+            || OnlineCp::new().with_oracle(3),
+        ];
+        let mut rng = StdRng::seed_from_u64(41);
+        let (g, _) = Waxman::new(40).generate(&mut rng);
+        let servers = place_servers_random(&g, 0.15, &mut rng);
+        let sdn0 = annotate(&g, &servers, &AnnotationParams::default(), &mut rng).unwrap();
+        let mut gen = RequestGenerator::new(40).with_bandwidth_range(100.0, 300.0);
+        let stream = PoissonWorkload::new(1.0, 40.0).generate(&mut gen, 300, &mut rng);
+        let mut reasons = Vec::new();
+        for make in variants {
+            let mut sdn = sdn0.clone();
+            let mut sessions: ActiveSessions = ActiveSessions::new();
+            let mut warm = make();
+            let (mut admitted, mut departed, mut rejected) = (0, 0, 0);
+            for (req, arrival, holding) in &stream {
+                departed += sessions.release_due(&mut sdn, *arrival);
+                let decision = warm.decide(&sdn, req);
+                assert_eq!(decision, make().decide(&sdn, req), "request {}", req.id);
+                // The σ-cut gate is exact, so a stale cut that keeps every
+                // server would not move a decision: compare the rebuilt
+                // G_k and cut with fresh ones directly.
+                let fresh = build_admission_graph(&sdn, req.bandwidth, warm.mode());
+                assert_eq!(warm.cache.graph.weighted, fresh.weighted);
+                assert_eq!(warm.cache.graph.parent_edge, fresh.parent_edge);
+                if let Some(cut) = &warm.cache.cut {
+                    let sigma = ExponentialCostModel::threshold(&sdn);
+                    let fresh_cut = cut_of(&fresh.weighted, sigma);
+                    assert_eq!((&cut.light, &cut.full), (&fresh_cut.light, &fresh_cut.full));
+                }
+                match decision {
+                    Ok(tree) => {
+                        let alloc = tree.allocation(req);
+                        sdn.allocate(&alloc).unwrap();
+                        sessions.insert(req.id, arrival + holding, alloc);
+                        admitted += 1;
+                    }
+                    Err(reason) => {
+                        rejected += 1;
+                        if !reasons.contains(&reason) {
+                            reasons.push(reason);
+                        }
+                    }
+                }
+            }
+            let name = warm.name();
+            assert!(
+                admitted > 0 && rejected > 0,
+                "{name}: {admitted} admitted, {rejected} rejected"
+            );
+            assert!(departed > 0, "{name}: nothing departed");
+        }
+        assert_eq!(reasons.len(), 3, "every rejection reason must occur");
+    }
+
+    #[test]
     fn oracle_scan_matches_exact_decisions() {
         // Ring of 16 nodes with chords, a server on every third node.
         // The oracle-ordered lazy scan must admit exactly the same trees
@@ -1034,6 +1181,13 @@ mod tests {
         assert_eq!(exact_net, oracle_net);
     }
 
+    /// The σ-cut of `g`, built from scratch.
+    fn cut_of(g: &Graph, sigma: f64) -> SigmaCut {
+        let mut cut = SigmaCut::default();
+        cut.rebuild(g, sigma);
+        cut
+    }
+
     /// Whether `evaluate` returned exactly the outcome the σ-cut predicted.
     fn same_outcome(predicted: &EvalOutcome, evaluated: &EvalOutcome) -> bool {
         matches!(
@@ -1066,7 +1220,7 @@ mod tests {
                 for req in &requests {
                     let graph = build_admission_graph(&sdn, req.bandwidth, CostMode::Exponential);
                     let sigma = ExponentialCostModel::threshold(&sdn);
-                    let cut = SigmaCut::new(&graph.weighted, sigma);
+                    let cut = cut_of(&graph.weighted, sigma);
                     let anchors = cut.anchors(req);
                     let ctx = AdmissionCtx {
                         sdn: &sdn,
@@ -1078,8 +1232,10 @@ mod tests {
                         rule,
                         graph: &graph,
                     };
-                    let (survivors, _) = phase1_survivors(&sdn, req, CostMode::Exponential, sigma);
-                    let mut bank = ctx.scan_bank(survivors.iter().map(|&(v, _)| v));
+                    let mut survivors = Vec::new();
+                    phase1_survivors(&sdn, req, CostMode::Exponential, sigma, &mut survivors);
+                    let mut scan = ScanMemory::default();
+                    ctx.start_scan(&mut scan, survivors.iter().map(|&(v, _)| v));
                     for &(v, wv) in &survivors {
                         let Some(predicted) = anchors.verdict(v) else {
                             continue;
@@ -1088,7 +1244,7 @@ mod tests {
                             EvalOutcome::ThresholdBlocked => blocked += 1,
                             _ => skipped += 1,
                         }
-                        let evaluated = ctx.evaluate(v, wv, &mut bank);
+                        let evaluated = ctx.evaluate(v, wv, &mut scan);
                         assert!(
                             same_outcome(&predicted, &evaluated),
                             "{rule:?}, seed {seed}, request {}, server {v}",
@@ -1126,7 +1282,7 @@ mod tests {
             parent_edge: e,
         };
         let req = MulticastRequest::new(RequestId(0), v[0], vec![v[3]], 100.0, chain());
-        let cut = SigmaCut::new(&graph.weighted, sigma);
+        let cut = cut_of(&graph.weighted, sigma);
         let predicted = cut.anchors(&req).verdict(v[2]).expect("a-v is heavy");
         assert!(matches!(predicted, EvalOutcome::ThresholdBlocked));
         let ctx = AdmissionCtx {
@@ -1139,10 +1295,11 @@ mod tests {
             rule: ThresholdRule::PerEdge,
             graph: &graph,
         };
-        let mut bank = ctx.scan_bank([v[2]]);
+        let mut scan = ScanMemory::default();
+        ctx.start_scan(&mut scan, [v[2]]);
         assert!(same_outcome(
             &predicted,
-            &ctx.evaluate(v[2], 0.0, &mut bank)
+            &ctx.evaluate(v[2], 0.0, &mut scan)
         ));
     }
 
@@ -1174,8 +1331,7 @@ mod tests {
         let mut algo = OnlineCp::new();
         assert_eq!(algo.decide(&sdn, &req).unwrap_err(), Rejection::Threshold);
         // The gate dropped the only survivor, so no tree was evaluated.
-        let cache = algo.cache.as_ref().unwrap();
-        let anchors = cache.cut.as_ref().unwrap().anchors(&req);
+        let anchors = algo.cache.cut.as_ref().unwrap().anchors(&req);
         assert!(matches!(
             anchors.verdict(sdn.servers()[0]),
             Some(EvalOutcome::ThresholdBlocked)
@@ -1187,7 +1343,7 @@ mod tests {
         // The linear mode has no thresholds, hence no cut to gate on.
         let mut linear = OnlineCp::with_mode(CostMode::Linear);
         assert!(linear.decide(&sdn, &req).is_ok());
-        assert!(linear.cache.unwrap().cut.is_none());
+        assert!(linear.cache.cut.is_none());
     }
 
     #[test]

@@ -754,10 +754,14 @@ fn run_pipeline(check: bool) {
     let json = render_pipeline_json(workers, &[wax_point, ft_point]);
     println!("pipeline_vs_sequential: {pipeline_vs_sequential:.2}x");
 
-    // The pipeline gauges/histograms ride along for the CI artifact.
+    // The pipeline gauges/histograms ride along for the CI artifact, in
+    // a file of their own: `results/telemetry.json` belongs to `arena`.
     std::fs::create_dir_all("results").expect("create results/");
-    std::fs::write("results/telemetry.json", telemetry::snapshot().to_json())
-        .expect("write results/telemetry.json");
+    std::fs::write(
+        "results/telemetry-bench.json",
+        telemetry::snapshot().to_json(),
+    )
+    .expect("write results/telemetry-bench.json");
 
     if workers_override.is_some() {
         println!("(NFV_PIPELINE_WORKERS sweep run: snapshot not written)");

@@ -17,7 +17,8 @@
 //! failover path can never silently regress into always-replanning. The
 //! outcomes land in `results/chaos.json` (one object with a `"chaos"`
 //! array and one array per churn mode) and the accumulated telemetry
-//! snapshot in `results/telemetry.json`.
+//! snapshot in `results/telemetry-chaos.json` (not committed;
+//! `results/telemetry.json` belongs to `arena`).
 
 use nfv_engine::BackupPolicy;
 use sim::experiments::chaos::{run_chaos, ChaosParams};
@@ -132,10 +133,10 @@ fn main() {
     );
     std::fs::write("results/chaos.json", json).expect("write results/chaos.json");
     let snapshot = telemetry::snapshot();
-    std::fs::write("results/telemetry.json", snapshot.to_json())
-        .expect("write results/telemetry.json");
+    std::fs::write("results/telemetry-chaos.json", snapshot.to_json())
+        .expect("write results/telemetry-chaos.json");
     println!(
-        "wrote results/chaos.json ({} seeds, chaos + 3 churn modes) and results/telemetry.json",
+        "wrote results/chaos.json ({} seeds, chaos + 3 churn modes) and results/telemetry-chaos.json",
         seeds.len()
     );
 }

@@ -1,7 +1,8 @@
 //! Regenerates Fig. 5: `cargo run -p sim --release --bin fig5 [quick|default|paper]`.
 //!
 //! Runs with telemetry enabled and leaves the accumulated counter
-//! snapshot in `results/telemetry.json` next to the CSV artifacts.
+//! snapshot in `results/telemetry-fig5.json` (not committed) next to the
+//! CSV artifacts; `results/telemetry.json` belongs to `arena`.
 
 use sim::{experiments::fig5, write_csv, ExperimentScale};
 
@@ -15,7 +16,7 @@ fn main() {
     write_csv(&time, "fig5_time").expect("write results/fig5_time.csv");
     let snapshot = telemetry::snapshot();
     std::fs::create_dir_all("results").expect("create results/");
-    std::fs::write("results/telemetry.json", snapshot.to_json())
-        .expect("write results/telemetry.json");
-    println!("wrote results/telemetry.json");
+    std::fs::write("results/telemetry-fig5.json", snapshot.to_json())
+        .expect("write results/telemetry-fig5.json");
+    println!("wrote results/telemetry-fig5.json");
 }

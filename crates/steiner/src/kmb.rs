@@ -14,10 +14,11 @@
 
 #![allow(clippy::needless_range_loop)] // paired-index loops over parallel arrays
 
-use crate::{prune_non_terminal_leaves, SteinerTree};
+use crate::prune::{prune_into, PruneScratch};
+use crate::SteinerTree;
 use netgraph::{
-    dijkstra_with_targets, kruskal_over, EdgeId, Graph, NodeId, ShortestPathTree, TotalCost,
-    UnionFind,
+    dijkstra_with_targets, dijkstra_with_targets_into, kruskal_over_in_place, EdgeId, Graph,
+    NodeId, RootedTree, RootingScratch, ShortestPathTree, TotalCost, UnionFind,
 };
 
 /// Computes an approximate minimum Steiner tree spanning `terminals`.
@@ -36,8 +37,9 @@ use netgraph::{
 /// Complexity: `O(t·(m + n) log n + m log m)` with `t` terminals.
 #[must_use]
 pub fn kmb(g: &Graph, terminals: &[NodeId]) -> Option<SteinerTree> {
-    let uniq = dedup_terminals(g, terminals)?;
-    let mut bank = TerminalSptBank::new(uniq.clone());
+    let mut bank = TerminalSptBank::default();
+    let uniq = dedup_terminals(g, terminals, &mut bank.kmb.seen)?;
+    bank.reset(uniq.iter().copied());
     kmb_core(g, uniq, &mut bank)
 }
 
@@ -55,10 +57,40 @@ pub fn kmb(g: &Graph, terminals: &[NodeId]) -> Option<SteinerTree> {
 /// bit-identical to what a per-call Dijkstra over a terminal subset would
 /// produce — which is what makes [`kmb_with_bank`] byte-identical to
 /// [`kmb`].
-#[derive(Debug, Clone)]
+///
+/// The bank is also KMB's working memory: the closure, both union–finds,
+/// the expanded path edges and the pruning arrays live here, and
+/// [`TerminalSptBank::reset`] keeps the tree arrays for the next scan.
+/// A bank reset scan after scan on one graph allocates only the trees it
+/// returns once it has grown to size.
+#[derive(Debug, Clone, Default)]
 pub struct TerminalSptBank {
     targets: Vec<NodeId>,
+    /// Trees by root: the first `live` belong to the current scan, the
+    /// rest are recycled arrays waiting to be refilled.
     entries: Vec<(NodeId, ShortestPathTree)>,
+    live: usize,
+    kmb: KmbScratch,
+}
+
+/// The working memory of one KMB construction.
+#[derive(Debug, Clone, Default)]
+struct KmbScratch {
+    /// Dedup set over node ids.
+    seen: Vec<bool>,
+    /// Bank entry per terminal but the last.
+    spts: Vec<usize>,
+    /// The metric closure as terminal-index pairs, then its MST.
+    pairs: Vec<(usize, usize, f64)>,
+    /// Union–find over the terminals (step 2).
+    closure_uf: UnionFind,
+    /// The expanded closure paths, then their MST (steps 3–4).
+    path_edges: Vec<EdgeId>,
+    /// Union–find over the graph's nodes (step 4).
+    graph_uf: UnionFind,
+    prune: PruneScratch,
+    /// The debug self-check's rooted tree and BFS buffers.
+    check: (RootedTree, RootingScratch),
 }
 
 impl TerminalSptBank {
@@ -68,8 +100,17 @@ impl TerminalSptBank {
     pub fn new(targets: Vec<NodeId>) -> Self {
         TerminalSptBank {
             targets,
-            entries: Vec::new(),
+            ..TerminalSptBank::default()
         }
+    }
+
+    /// Empties the bank for a new scan over `targets`, keeping every
+    /// allocation: the trees computed next refill the old trees' arrays.
+    /// Equivalent to [`TerminalSptBank::new`]`(targets)`.
+    pub fn reset(&mut self, targets: impl IntoIterator<Item = NodeId>) {
+        self.targets.clear();
+        self.targets.extend(targets);
+        self.live = 0;
     }
 
     /// The target superset every banked tree covers.
@@ -78,27 +119,43 @@ impl TerminalSptBank {
         &self.targets
     }
 
-    /// Number of shortest-path trees computed so far.
+    /// Number of shortest-path trees computed since the bank was created
+    /// or last reset.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.live
     }
 
     /// Whether no tree has been computed yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.live == 0
     }
 
-    /// Index of the tree rooted at `t`, computing it on first use. The
-    /// linear probe is fine: banks hold tens of entries, not thousands.
+    /// Index of the tree rooted at `t`, computing it on first use into a
+    /// recycled tree if there is one. The linear probe is fine: banks
+    /// hold tens of entries, not thousands.
     fn spt_index(&mut self, g: &Graph, t: NodeId) -> usize {
-        if let Some(pos) = self.entries.iter().position(|(root, _)| *root == t) {
+        let live = self.live;
+        if let Some(pos) = self
+            .entries
+            .iter()
+            .take(live)
+            .position(|(root, _)| *root == t)
+        {
             return pos;
         }
-        self.entries
-            .push((t, dijkstra_with_targets(g, t, &self.targets)));
-        self.entries.len() - 1
+        match self.entries.get_mut(live) {
+            Some((root, spt)) => {
+                *root = t;
+                dijkstra_with_targets_into(g, t, &self.targets, spt);
+            }
+            None => self
+                .entries
+                .push((t, dijkstra_with_targets(g, t, &self.targets))),
+        }
+        self.live += 1;
+        live
     }
 }
 
@@ -118,7 +175,7 @@ pub fn kmb_with_bank(
     terminals: &[NodeId],
     bank: &mut TerminalSptBank,
 ) -> Option<SteinerTree> {
-    let uniq = dedup_terminals(g, terminals)?;
+    let uniq = dedup_terminals(g, terminals, &mut bank.kmb.seen)?;
     for &t in &uniq {
         assert!(
             bank.targets.contains(&t),
@@ -129,18 +186,17 @@ pub fn kmb_with_bank(
 }
 
 /// Deduplicates terminals preserving caller order; `None` when empty or
-/// when some terminal is not a node of `g`.
-fn dedup_terminals(g: &Graph, terminals: &[NodeId]) -> Option<Vec<NodeId>> {
+/// when some terminal is not a node of `g`. `seen` is working memory.
+fn dedup_terminals(g: &Graph, terminals: &[NodeId], seen: &mut Vec<bool>) -> Option<Vec<NodeId>> {
     // Dense node ids make a bool vector the cheapest dedup set — no
     // hashing, and iteration order stays the caller's terminal order.
-    let mut seen = vec![false; g.node_count()];
+    seen.clear();
+    seen.resize(g.node_count(), false);
     let mut uniq: Vec<NodeId> = Vec::with_capacity(terminals.len());
     for &t in terminals {
-        if !g.contains_node(t) {
-            return None;
-        }
-        if !seen[t.index()] {
-            seen[t.index()] = true;
+        let slot = seen.get_mut(t.index())?;
+        if !*slot {
+            *slot = true;
             uniq.push(t);
         }
     }
@@ -163,55 +219,72 @@ fn kmb_core(g: &Graph, uniq: Vec<NodeId>, bank: &mut TerminalSptBank) -> Option<
     }
     // Step 1: one shortest-path tree per terminal but the last, drawn
     // from the bank.
-    let indices: Vec<usize> = uniq[..t - 1]
-        .iter()
-        .map(|&x| bank.spt_index(g, x))
-        .collect();
-    let spts: Vec<&ShortestPathTree> = indices
-        .iter()
-        .map(|&i| {
-            let (_, spt) = bank.entries.get(i).expect("index from spt_index"); // lint:allow(P1): spt_index returns in-bounds positions
-            spt
-        })
-        .collect();
+    bank.kmb.spts.clear();
+    for &x in uniq.iter().take(t - 1) {
+        let i = bank.spt_index(g, x);
+        bank.kmb.spts.push(i);
+    }
+    let TerminalSptBank {
+        entries,
+        kmb:
+            KmbScratch {
+                spts,
+                pairs,
+                closure_uf,
+                path_edges,
+                graph_uf,
+                prune,
+                check,
+                ..
+            },
+        ..
+    } = bank;
+    let spt = |i: usize| spts.get(i).and_then(|&e| entries.get(e)).map(|(_, s)| s);
 
     // Metric closure as a flat list of terminal-index pairs `(i, j)`,
-    // `i < j`, in lexicographic order: step 2 breaks distance ties by it.
-    let mut pairs: Vec<(usize, usize, f64)> = Vec::with_capacity(t * (t - 1) / 2);
-    for (i, spt) in spts.iter().enumerate() {
-        for j in (i + 1)..t {
-            let d = spt.distance(uniq[j])?; // None => disconnected
+    // `i < j`, generated in lexicographic order: step 2 breaks distance
+    // ties by it.
+    pairs.clear();
+    for i in 0..t - 1 {
+        let from = spt(i)?;
+        for (j, &x) in uniq.iter().enumerate().skip(i + 1) {
+            let d = from.distance(x)?; // None => disconnected
             pairs.push((i, j, d));
         }
     }
 
-    // Step 2: MST of the closure (Kruskal with a stable sort).
-    pairs.sort_by_key(|&(_, _, d)| TotalCost::new(d));
-    let mut uf = UnionFind::new(t);
-    pairs.retain(|&(i, j, _)| uf.union(i, j));
+    // Step 2: MST of the closure (Kruskal). Sorting by distance, then by
+    // pair, is the stable sort by distance over the lexicographic list.
+    pairs.sort_unstable_by_key(|&(i, j, d)| (TotalCost::new(d), i, j));
+    closure_uf.reset(t);
+    pairs.retain(|&(i, j, _)| closure_uf.union(i, j));
     if pairs.len() + 1 != t {
         return None; // not spanning: unreachable once every distance is finite
     }
 
     // Step 3: expand closure edges into their shortest paths in `g`,
     // walking predecessors (step 4 sorts the edges, so order is moot).
-    let mut path_edges: Vec<EdgeId> = Vec::new();
-    for &(i, j, _) in &pairs {
-        let mut cur = uniq[j];
-        while let Some((prev, edge)) = spts[i].predecessor(cur) {
+    path_edges.clear();
+    for &(i, j, _) in pairs.iter() {
+        let (from, mut cur) = (spt(i)?, *uniq.get(j)?);
+        while let Some((prev, edge)) = from.predecessor(cur) {
             path_edges.push(edge);
             cur = prev;
         }
     }
 
     // Step 4: MST of the expanded subgraph, over the collected edges only.
-    let tree_edges = kruskal_over(g, path_edges);
+    kruskal_over_in_place(g, path_edges, graph_uf);
 
     // Step 5: prune non-terminal leaves.
-    let (kept, cost) = prune_non_terminal_leaves(g, &tree_edges, &uniq);
+    let mut kept = Vec::with_capacity(path_edges.len());
+    let cost = prune_into(g, path_edges, &uniq, prune, &mut kept);
 
     let tree = SteinerTree::from_parts(uniq, kept, cost);
-    debug_assert!(tree.validate(g).is_ok(), "KMB produced an invalid tree");
+    debug_assert!(
+        tree.validate_in(g, &mut check.0, &mut check.1).is_ok(),
+        "KMB produced an invalid tree"
+    );
     Some(tree)
 }
 

@@ -14,16 +14,50 @@ pub fn prune_non_terminal_leaves(
     edges: &[EdgeId],
     terminals: &[NodeId],
 ) -> (Vec<EdgeId>, f64) {
+    let mut kept = Vec::new();
+    let cost = prune_into(g, edges, terminals, &mut PruneScratch::default(), &mut kept);
+    (kept, cost)
+}
+
+/// The working arrays of [`prune_into`], reusable across calls.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PruneScratch {
+    /// Degree per node over the surviving edges.
+    degree: Vec<u32>,
+    /// Whether each input edge survives.
+    alive: Vec<bool>,
+    /// Whether each node is a terminal.
+    is_terminal: Vec<bool>,
+}
+
+/// [`prune_non_terminal_leaves`] in caller-owned memory: the surviving
+/// edges replace `kept`'s contents, their total weight is returned, and
+/// the working arrays come from `scratch`.
+pub(crate) fn prune_into(
+    g: &Graph,
+    edges: &[EdgeId],
+    terminals: &[NodeId],
+    scratch: &mut PruneScratch,
+    kept: &mut Vec<EdgeId>,
+) -> f64 {
     // Dense per-node arrays: node ids index straight into them, no
     // hashing or tree lookups on the hot KMB path.
-    let mut degree: Vec<u32> = vec![0; g.node_count()];
-    let mut alive: Vec<bool> = vec![true; edges.len()];
+    let PruneScratch {
+        degree,
+        alive,
+        is_terminal,
+    } = scratch;
+    degree.clear();
+    degree.resize(g.node_count(), 0);
+    alive.clear();
+    alive.resize(edges.len(), true);
     for &e in edges {
         let er = g.edge(e);
         degree[er.u.index()] += 1;
         degree[er.v.index()] += 1;
     }
-    let mut is_terminal: Vec<bool> = vec![false; g.node_count()];
+    is_terminal.clear();
+    is_terminal.resize(g.node_count(), false);
     for &t in terminals {
         if let Some(slot) = is_terminal.get_mut(t.index()) {
             *slot = true;
@@ -52,14 +86,15 @@ pub fn prune_non_terminal_leaves(
         }
     }
 
-    let kept: Vec<EdgeId> = edges
-        .iter()
-        .zip(&alive)
-        .filter(|&(_, &a)| a)
-        .map(|(&e, _)| e)
-        .collect();
-    let cost = kept.iter().map(|&e| g.edge(e).weight).sum();
-    (kept, cost)
+    kept.clear();
+    kept.extend(
+        edges
+            .iter()
+            .zip(alive.iter())
+            .filter(|&(_, &a)| a)
+            .map(|(&e, _)| e),
+    );
+    kept.iter().map(|&e| g.edge(e).weight).sum()
 }
 
 #[cfg(test)]

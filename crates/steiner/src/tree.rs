@@ -1,6 +1,6 @@
 //! The Steiner tree result type.
 
-use netgraph::{EdgeId, Graph, NodeId, RootedTree};
+use netgraph::{EdgeId, Graph, NodeId, RootedTree, RootingScratch};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -96,13 +96,28 @@ impl SteinerTree {
     /// Returns `Err` with a human-readable description on violation; meant
     /// for tests and debug assertions.
     pub fn validate(&self, g: &Graph) -> Result<(), String> {
-        if self.terminals.is_empty() {
+        self.validate_in(
+            g,
+            &mut RootedTree::default(),
+            &mut RootingScratch::default(),
+        )
+    }
+
+    /// [`SteinerTree::validate`], rooting the tree in `rt` with
+    /// `scratch`'s buffers, so a caller that checks tree after tree
+    /// allocates nothing for it.
+    pub(crate) fn validate_in(
+        &self,
+        g: &Graph,
+        rt: &mut RootedTree,
+        scratch: &mut RootingScratch,
+    ) -> Result<(), String> {
+        let Some(&t0) = self.terminals.first() else {
             return Err("steiner tree has no terminals".into());
-        }
-        let t0 = self.terminals[0];
-        let Some(rt) = RootedTree::from_edges(g, &self.edges, t0) else {
-            return Err("edge set is not a tree containing the first terminal".into());
         };
+        if !rt.rebuild(g, &self.edges, t0, scratch) {
+            return Err("edge set is not a tree containing the first terminal".into());
+        }
         for &t in &self.terminals {
             if !rt.contains(t) {
                 return Err(format!("terminal {t} not spanned"));

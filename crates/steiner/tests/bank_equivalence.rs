@@ -192,6 +192,42 @@ proptest! {
     }
 
     #[test]
+    fn reset_bank_is_a_fresh_bank(
+        (g, scans) in arb_graph().prop_flat_map(|g| {
+            let n = g.node_count();
+            let scan = (
+                proptest::collection::vec(0..n, 1..5),
+                proptest::collection::vec(0..n, 1..8),
+            );
+            (Just(g), proptest::collection::vec(scan, 1..5))
+        })
+    ) {
+        // One bank reset for each scan's target set, as `Online_CP` keeps
+        // it across decisions: its recycled trees and KMB buffers must
+        // give what a bank built for that scan alone gives.
+        let mut reused = TerminalSptBank::default();
+        for (anchors, extras) in scans {
+            let ids = |v: &[usize]| v.iter().map(|&i| NodeId::new(i)).collect::<Vec<_>>();
+            let (anchors, extras) = (ids(&anchors), ids(&extras));
+            let mut targets = anchors.clone();
+            targets.extend(&extras);
+            reused.reset(targets.iter().copied());
+            prop_assert!(reused.is_empty());
+            prop_assert_eq!(reused.targets(), &targets[..]);
+            let mut fresh = TerminalSptBank::new(targets);
+            for &x in &extras {
+                let mut terminals = anchors.clone();
+                terminals.push(x);
+                let a = kmb_with_bank(&g, &terminals, &mut reused);
+                let b = kmb_with_bank(&g, &terminals, &mut fresh);
+                prop_assert!(same_tree(a.as_ref(), b.as_ref()),
+                    "reset bank {a:?} != fresh bank {b:?} for {terminals:?}");
+            }
+            prop_assert_eq!(reused.len(), fresh.len());
+        }
+    }
+
+    #[test]
     fn kmb_is_invariant_under_terminal_order((g, terminals, permuted) in arb_distinct_weights()) {
         let mut uniq = terminals.clone();
         uniq.sort_unstable();
