@@ -50,7 +50,7 @@ pub const D1_CRATES: &[&str] = &[
     "engine",
     "telemetry",
 ];
-/// Crates where ambient nondeterminism (`D2`) is banned; `sim`/`bench`
+/// Crates where ambient nondeterminism (`D2`) is banned; `sim`
 /// and the linter itself may read clocks and the environment.
 pub const D2_CRATES: &[&str] = &[
     "netgraph",

@@ -38,7 +38,7 @@ pub enum CostMode {
 /// the throughput the paper reports for `Online_CP`. The per-edge rule
 /// keeps admitting until individual links approach
 /// `log|V|/log(2|V|) ≈ 87 %` utilization and satisfies the same analysis,
-/// so it is the default; the ablation bench measures both.
+/// so it is the default; `sim ablation` measures both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ThresholdRule {
     /// `w_e(k) < σ_e` must hold for every tree edge individually.

@@ -5,8 +5,8 @@
 //! 2. **Threshold rule** — per-edge vs literal tree-sum `σ_e` (see
 //!    [`nfv_online::ThresholdRule`]).
 //! 3. **K sweep** — `Appro_Multi` with K = 1..4: cost falls, time rises.
-//! 4. **Steiner routine** — KMB vs Takahashi–Matsuyama inside the literal
-//!    Algorithm 1.
+//! 4. **Steiner routine** — KMB vs Mehlhorn vs Takahashi–Matsuyama inside
+//!    the literal Algorithm 1.
 //! 5. **Competitive ratio** — `Online_CP` against the offline greedy
 //!    benchmark.
 //! 6. **Local search** — KMB with/without key-path refinement.
@@ -114,15 +114,19 @@ pub fn k_sweep(scale: ExperimentScale) -> Table {
     t
 }
 
-/// Ablation 4: KMB vs SPH inside the literal Algorithm 1 (small network —
-/// the literal path materializes every auxiliary graph).
+/// Ablation 4: KMB vs Mehlhorn vs SPH inside the literal Algorithm 1
+/// (small network — the literal path materializes every auxiliary graph).
 #[must_use]
 pub fn steiner_routine(scale: ExperimentScale) -> Table {
     let mut t = Table::new(
         "Ablation: Steiner routine in literal Algorithm 1 (n = 50, K = 2)",
         &["routine", "cost", "time [ms]"],
     );
-    for (label, routine) in [("KMB", SteinerRoutine::Kmb), ("SPH", SteinerRoutine::Sph)] {
+    for (label, routine) in [
+        ("KMB", SteinerRoutine::Kmb),
+        ("Mehlhorn", SteinerRoutine::Mehlhorn),
+        ("SPH", SteinerRoutine::Sph),
+    ] {
         let mut costs = Vec::new();
         let mut times = Vec::new();
         for rep in 0..scale.repetitions {

@@ -33,5 +33,5 @@ mod table;
 
 pub use chart::{render_chart, Series};
 pub use measure::{mean, stdev, time_it};
-pub use setup::{ba_sdn, fat_tree_sdn, geant_sdn, isp_sdn, metro_sdn, waxman_sdn, ExperimentScale};
+pub use setup::{fat_tree_sdn, geant_sdn, isp_sdn, waxman_sdn, ExperimentScale};
 pub use table::{write_csv, Table};

@@ -34,6 +34,6 @@ pub use annotate::{annotate, place_servers_random, place_servers_spread, Annotat
 pub use io::{parse_edge_list, to_edge_list, ParseTopologyError};
 pub use random::{barabasi_albert, erdos_renyi};
 pub use real::{as1755, geant, NamedTopology};
-pub use scale::{barabasi_albert_edges, fat_tree_edges, metro_rings_edges, EdgeList};
+pub use scale::{fat_tree_edges, EdgeList};
 pub use structured::{fat_tree, grid, FatTreeLayout};
 pub use waxman::Waxman;

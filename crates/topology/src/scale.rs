@@ -1,30 +1,23 @@
-//! Scalable structured generators that stream edges straight into a
+//! A scalable structured generator that streams edges straight into a
 //! [`CsrGraph`] — no intermediate per-node adjacency `Vec`s.
 //!
 //! The classic generators in this crate build a [`netgraph::Graph`]
 //! (`Vec<Vec<Neighbor>>`), which is one heap allocation per node — fine at
 //! the paper's n=250, wasteful at the 10k+ scale the distance-oracle work
-//! targets. The generators here emit a flat [`EdgeList`] instead, which
+//! targets. The generator here emits a flat [`EdgeList`] instead, which
 //! converts to a CSR snapshot with two counting-sort passes
 //! ([`CsrGraph::from_edge_list`]) or, when an [`sdn::Sdn`] substrate is
 //! needed, to a `Graph` in one pass with exactly the same edge ids and
 //! adjacency order.
 //!
-//! Three families cover the evaluation's scaling stories:
-//!
-//! * [`fat_tree_edges`] — k-ary fat-tree/Clos data centers (parameterized
-//!   radix); edge-order-identical to [`crate::fat_tree`].
-//! * [`barabasi_albert_edges`] — preferential-attachment ISP-like graphs;
-//!   stream-identical to [`crate::barabasi_albert`] for the same RNG.
-//! * [`metro_rings_edges`] — concentric metro rings with radial spokes,
-//!   the standard metro-aggregation shape.
+//! [`fat_tree_edges`] builds k-ary fat-tree/Clos data centers
+//! (parameterized radix), edge-order-identical to [`crate::fat_tree`].
 
 use crate::structured::FatTreeLayout;
 use netgraph::{CsrGraph, Graph, NodeId};
-use rand::Rng;
 
 /// A flat undirected edge list with a fixed node universe — the streaming
-/// interchange format between the scalable generators and [`CsrGraph`].
+/// interchange format between the scalable generator and [`CsrGraph`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EdgeList {
     nodes: usize,
@@ -140,92 +133,9 @@ pub fn fat_tree_edges(k: usize) -> (EdgeList, FatTreeLayout) {
     )
 }
 
-/// [`crate::barabasi_albert`] as an edge stream: for the same RNG state it
-/// draws the same random sequence and emits the same edges in the same
-/// order.
-///
-/// # Panics
-///
-/// Panics if `m == 0` or `n <= m`.
-pub fn barabasi_albert_edges<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> EdgeList {
-    assert!(m > 0, "attachment count must be positive");
-    assert!(n > m, "need more nodes than attachments");
-    let mut list = EdgeList::new(n);
-    // Degree-weighted urn: node id appears once per incident edge.
-    let mut urn: Vec<usize> = Vec::new();
-    for i in 0..=m {
-        for j in (i + 1)..=m {
-            list.push(NodeId::new(i), NodeId::new(j), 1.0);
-            urn.push(i);
-            urn.push(j);
-        }
-    }
-    for v in (m + 1)..n {
-        let mut chosen: Vec<usize> = Vec::with_capacity(m);
-        let mut guard = 0;
-        while chosen.len() < m && guard < 10_000 {
-            guard += 1;
-            let pick = urn.get(rng.gen_range(0..urn.len())).copied();
-            if let Some(pick) = pick {
-                if !chosen.contains(&pick) {
-                    chosen.push(pick);
-                }
-            }
-        }
-        for &u in &chosen {
-            list.push(NodeId::new(v), NodeId::new(u), 1.0);
-            urn.push(v);
-            urn.push(u);
-        }
-    }
-    list
-}
-
-/// Concentric metro/aggregation rings: `rings` rings of `ring_size` nodes
-/// each, ring `r` node `i` having id `r * ring_size + i`. Each ring is a
-/// unit-weight cycle; node `i` of ring `r` connects radially to node `i`
-/// of ring `r + 1`. The result is connected for any positive parameters.
-///
-/// # Panics
-///
-/// Panics if either parameter is zero.
-#[must_use]
-pub fn metro_rings_edges(rings: usize, ring_size: usize) -> EdgeList {
-    assert!(rings > 0 && ring_size > 0, "parameters must be positive");
-    let mut list = EdgeList::new(rings * ring_size);
-    for r in 0..rings {
-        let base = r * ring_size;
-        // Cycle within the ring (a 2-ring is a single edge, a 1-ring none).
-        if ring_size >= 2 {
-            let closing = if ring_size > 2 {
-                ring_size
-            } else {
-                ring_size - 1
-            };
-            for i in 0..closing {
-                let j = (i + 1) % ring_size;
-                list.push(NodeId::new(base + i), NodeId::new(base + j), 1.0);
-            }
-        }
-        // Radial spokes to the next ring out.
-        if r + 1 < rings {
-            for i in 0..ring_size {
-                list.push(
-                    NodeId::new(base + i),
-                    NodeId::new(base + ring_size + i),
-                    1.0,
-                );
-            }
-        }
-    }
-    list
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn fat_tree_stream_matches_classic_generator() {
@@ -249,54 +159,6 @@ mod tests {
         // Per pod: (k/2) aggs x ((k/2) core links + (k/2) edge links).
         assert_eq!(list.edge_count(), k * (k / 2) * k);
         assert!(netgraph::is_connected(&list.to_graph()));
-    }
-
-    #[test]
-    fn ba_stream_matches_classic_generator() {
-        let (n, m) = (120, 3);
-        let mut rng_a = StdRng::seed_from_u64(42);
-        let mut rng_b = StdRng::seed_from_u64(42);
-        let list = barabasi_albert_edges(n, m, &mut rng_a);
-        let g = crate::barabasi_albert(n, m, &mut rng_b);
-        assert_eq!(list.to_csr(), CsrGraph::from_graph(&g));
-    }
-
-    #[test]
-    fn ba_stream_is_deterministic_and_connected() {
-        let (n, m) = (300, 2);
-        let a = barabasi_albert_edges(n, m, &mut StdRng::seed_from_u64(7));
-        let b = barabasi_albert_edges(n, m, &mut StdRng::seed_from_u64(7));
-        assert_eq!(a, b);
-        let expected = m * (m + 1) / 2 + (n - m - 1) * m;
-        assert_eq!(a.edge_count(), expected);
-        assert!(netgraph::is_connected(&a.to_graph()));
-    }
-
-    #[test]
-    fn metro_rings_shape() {
-        let list = metro_rings_edges(3, 6);
-        assert_eq!(list.node_count(), 18);
-        // 3 rings x 6 cycle edges + 2 x 6 spokes.
-        assert_eq!(list.edge_count(), 3 * 6 + 2 * 6);
-        let g = list.to_graph();
-        assert!(netgraph::is_connected(&g));
-        // Deterministic: no RNG involved.
-        assert_eq!(list, metro_rings_edges(3, 6));
-    }
-
-    #[test]
-    fn metro_rings_degenerate_sizes() {
-        // 1x1: a single node, no edges.
-        let dot = metro_rings_edges(1, 1);
-        assert_eq!(dot.edge_count(), 0);
-        // Rings of two collapse to one edge, not a doubled edge.
-        let pair = metro_rings_edges(2, 2);
-        assert_eq!(pair.edge_count(), 2 + 2);
-        assert!(netgraph::is_connected(&pair.to_graph()));
-        // A chain of 1-node rings is a path.
-        let path = metro_rings_edges(4, 1);
-        assert_eq!(path.edge_count(), 3);
-        assert!(netgraph::is_connected(&path.to_graph()));
     }
 
     #[test]
