@@ -679,8 +679,9 @@ impl AdmissionCtx<'_> {
     /// Readies `mem` for a candidate scan over `servers`: one
     /// terminal-SPT bank whose targets are `{s_k} ∪ D_k ∪ servers`. Every
     /// candidate's Steiner construction draws the anchor terminals' trees
-    /// from it, and since [`AdmissionCtx::evaluate`] puts the server
-    /// last, no server's own tree is ever built.
+    /// and their closure MST from it, and since
+    /// [`AdmissionCtx::evaluate`] puts the server last, no server's own
+    /// tree is ever built.
     pub(crate) fn start_scan(
         &self,
         mem: &mut ScanMemory,
@@ -704,8 +705,10 @@ impl AdmissionCtx<'_> {
         } = mem;
         // Step 8: Steiner tree over {s_k} ∪ D_k ∪ {v} in G_k. KMB builds
         // no tree for its last terminal, so with the server last every
-        // shortest-path tree comes from the anchors the whole scan shares;
-        // the server's closure row is read off those trees at `v`.
+        // shortest-path tree comes from the anchors the whole scan shares.
+        // So does the closure MST of {s_k} ∪ D_k with its expanded paths,
+        // built on the scan's first call: each server only merges its
+        // star row, read off the anchors' trees at `v`, into that MST.
         terminals.clear();
         terminals.push(request.source);
         terminals.extend(request.destinations.iter().copied());

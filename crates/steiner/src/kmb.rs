@@ -11,6 +11,12 @@
 //! 5. Prune non-terminal leaves from `T_s`.
 //!
 //! Approximation ratio `2(1 − 1/ℓ) < 2`, `ℓ` = leaves of the optimal tree.
+//!
+//! Steps 2–3 run in two parts. The terminals before the last one are
+//! the *anchors*: their closure MST and its expanded paths are built once
+//! and kept in the [`TerminalSptBank`], where a candidate scan over many
+//! last terminals with the same anchors shares them. The last terminal
+//! then only merges its star row into that MST.
 
 #![allow(clippy::needless_range_loop)] // paired-index loops over parallel arrays
 
@@ -29,18 +35,18 @@ use netgraph::{
 /// Duplicate terminals are tolerated. A single (deduplicated) terminal
 /// yields the trivial zero-cost tree.
 ///
-/// Step 1 runs through a [`TerminalSptBank`] whose targets are the
-/// deduplicated terminals themselves, one code path shared with
-/// [`kmb_with_bank`]: one Dijkstra per terminal but the last, whose tree
-/// the construction never reads.
+/// Runs through a fresh [`TerminalSptBank`] of its own terminals, one
+/// code path shared with [`kmb_with_bank`]: one Dijkstra per terminal but
+/// the last, whose tree the construction never reads, and the closure MST
+/// built as the MST of the other terminals plus the last one's star.
 ///
 /// Complexity: `O(t·(m + n) log n + m log m)` with `t` terminals.
 #[must_use]
 pub fn kmb(g: &Graph, terminals: &[NodeId]) -> Option<SteinerTree> {
     let mut bank = TerminalSptBank::default();
-    let uniq = dedup_terminals(g, terminals, &mut bank.kmb.seen)?;
+    let (uniq, anchors) = dedup_terminals(g, terminals, &mut bank.kmb.seen)?;
     bank.reset(uniq.iter().copied());
-    kmb_core(g, uniq, &mut bank)
+    kmb_core(g, uniq, anchors, &mut bank)
 }
 
 /// Shortest-path trees from terminals, computed once and shared across
@@ -58,11 +64,19 @@ pub fn kmb(g: &Graph, terminals: &[NodeId]) -> Option<SteinerTree> {
 /// produce — which is what makes [`kmb_with_bank`] byte-identical to
 /// [`kmb`].
 ///
-/// The bank is also KMB's working memory: the closure, both union–finds,
+/// The bank also holds the scan's shared closure work. A call's
+/// terminals are its *anchors* (the distinct terminals before the last)
+/// and a *candidate* (the last). The closure MST of the anchors and the
+/// expanded shortest path of each of its edges (KMB steps 2–3) are built
+/// on the first call and reused by every later call with the same
+/// anchors; each call then merges only the candidate's star row into that
+/// MST. [`TerminalSptBank::reset`] drops the MST with the trees.
+///
+/// The bank is KMB's working memory too: the closure, both union–finds,
 /// the expanded path edges and the pruning arrays live here, and
-/// [`TerminalSptBank::reset`] keeps the tree arrays for the next scan.
-/// A bank reset scan after scan on one graph allocates only the trees it
-/// returns once it has grown to size.
+/// [`TerminalSptBank::reset`] keeps every array for the next scan. A bank
+/// reset scan after scan on one graph allocates only the trees it returns
+/// once it has grown to size.
 #[derive(Debug, Clone, Default)]
 pub struct TerminalSptBank {
     targets: Vec<NodeId>,
@@ -80,8 +94,10 @@ struct KmbScratch {
     seen: Vec<bool>,
     /// Bank entry per terminal but the last.
     spts: Vec<usize>,
-    /// The metric closure as terminal-index pairs, then its MST.
-    pairs: Vec<(usize, usize, f64)>,
+    /// The anchors' closure MST, shared by the calls of a scan.
+    anchor_mst: AnchorMst,
+    /// The candidate's star row of the closure (step 2).
+    star: Vec<ClosureEdge>,
     /// Union–find over the terminals (step 2).
     closure_uf: UnionFind,
     /// The expanded closure paths, then their MST (steps 3–4).
@@ -91,6 +107,100 @@ struct KmbScratch {
     prune: PruneScratch,
     /// The debug self-check's rooted tree and BFS buffers.
     check: (RootedTree, RootingScratch),
+}
+
+/// A metric-closure edge `(i, j, distance)` between terminal indices
+/// `i < j`. Step 2 orders them by the strict total order `(distance, i, j)`.
+type ClosureEdge = (usize, usize, f64);
+
+fn closure_key(&(i, j, d): &ClosureEdge) -> (TotalCost, usize, usize) {
+    (TotalCost::new(d), i, j)
+}
+
+/// KMB steps 2–3 over a scan's anchor terminals: the closure MST and each
+/// MST edge's expanded shortest path.
+#[derive(Debug, Clone, Default)]
+struct AnchorMst {
+    /// Whether the fields below belong to the current scan;
+    /// [`TerminalSptBank::reset`] clears it.
+    valid: bool,
+    /// The anchors it spans, deduplicated, in caller order.
+    anchors: Vec<NodeId>,
+    /// Whether every anchor reaches every other; `edges` and `paths` are
+    /// meaningful only then.
+    connected: bool,
+    /// The closure MST, sorted by `(distance, i, j)`.
+    edges: Vec<ClosureEdge>,
+    /// The expanded paths of `edges`, concatenated: edge `k`'s path is
+    /// `paths[ends[k]..ends[k + 1]]`.
+    paths: Vec<EdgeId>,
+    ends: Vec<usize>,
+    /// How many times the MST has been built (read by the unit tests).
+    builds: usize,
+}
+
+impl AnchorMst {
+    /// Builds the MST of `anchors`' metric closure and expands its edges.
+    /// `spt(i)` is anchor `i`'s shortest-path tree for every `i` below
+    /// the last: pair `(i, j)`, `i < j`, reads `i`'s tree only.
+    fn build<'t>(
+        &mut self,
+        anchors: &[NodeId],
+        spt: impl Fn(usize) -> Option<&'t ShortestPathTree>,
+        uf: &mut UnionFind,
+    ) {
+        self.valid = true;
+        self.builds += 1;
+        self.anchors.clear();
+        self.anchors.extend_from_slice(anchors);
+        self.paths.clear();
+        self.ends.clear();
+        self.ends.push(0);
+        self.connected = self.closure_mst(spt, uf).is_some();
+    }
+
+    /// [`AnchorMst::build`]'s work; `None` once some anchor pair is
+    /// disconnected.
+    fn closure_mst<'t>(
+        &mut self,
+        spt: impl Fn(usize) -> Option<&'t ShortestPathTree>,
+        uf: &mut UnionFind,
+    ) -> Option<()> {
+        let a = self.anchors.len();
+        // Every closure pair, generated in lexicographic order, then
+        // Kruskal by `(distance, i, j)`.
+        self.edges.clear();
+        for i in 0..a.saturating_sub(1) {
+            let from = spt(i)?;
+            for (j, &x) in self.anchors.iter().enumerate().skip(i + 1) {
+                self.edges.push((i, j, from.distance(x)?)); // None => disconnected
+            }
+        }
+        self.edges.sort_unstable_by_key(closure_key);
+        uf.reset(a);
+        self.edges.retain(|&(i, j, _)| uf.union(i, j));
+        // Step 3 for the anchors: walk each MST edge's predecessors once.
+        for &(i, j, _) in &self.edges {
+            let (from, cur) = (spt(i)?, *self.anchors.get(j)?);
+            push_path(from, cur, &mut self.paths);
+            self.ends.push(self.paths.len());
+        }
+        Some(())
+    }
+
+    /// The expanded shortest path of MST edge `k`.
+    fn path(&self, k: usize) -> Option<&[EdgeId]> {
+        self.paths.get(*self.ends.get(k)?..*self.ends.get(k + 1)?)
+    }
+}
+
+/// Appends the edges of `from`'s tree path to `to`, walking predecessors
+/// (step 4 sorts the edges, so their order is moot).
+fn push_path(from: &ShortestPathTree, mut to: NodeId, out: &mut Vec<EdgeId>) {
+    while let Some((prev, edge)) = from.predecessor(to) {
+        out.push(edge);
+        to = prev;
+    }
 }
 
 impl TerminalSptBank {
@@ -105,12 +215,14 @@ impl TerminalSptBank {
     }
 
     /// Empties the bank for a new scan over `targets`, keeping every
-    /// allocation: the trees computed next refill the old trees' arrays.
+    /// allocation: the trees computed next refill the old trees' arrays,
+    /// and the anchors' closure MST is rebuilt on the next call.
     /// Equivalent to [`TerminalSptBank::new`]`(targets)`.
     pub fn reset(&mut self, targets: impl IntoIterator<Item = NodeId>) {
         self.targets.clear();
         self.targets.extend(targets);
         self.live = 0;
+        self.kmb.anchor_mst.valid = false;
     }
 
     /// The target superset every banked tree covers.
@@ -160,9 +272,10 @@ impl TerminalSptBank {
 }
 
 /// [`kmb`] with the step-1 shortest-path trees drawn from (and cached in)
-/// `bank` instead of recomputed per call. Byte-identical to [`kmb`] for
-/// every terminal set drawn from `bank.targets()` — see
-/// [`TerminalSptBank`] for why.
+/// `bank` instead of recomputed per call, and the closure MST of the
+/// terminals before the last shared by every call with the same ones.
+/// Byte-identical to [`kmb`] for every terminal set drawn from
+/// `bank.targets()` — see [`TerminalSptBank`] for why.
 ///
 /// # Panics
 ///
@@ -175,44 +288,64 @@ pub fn kmb_with_bank(
     terminals: &[NodeId],
     bank: &mut TerminalSptBank,
 ) -> Option<SteinerTree> {
-    let uniq = dedup_terminals(g, terminals, &mut bank.kmb.seen)?;
+    let (uniq, anchors) = dedup_terminals(g, terminals, &mut bank.kmb.seen)?;
     for &t in &uniq {
         assert!(
             bank.targets.contains(&t),
             "terminal {t} is outside the bank's target set"
         );
     }
-    kmb_core(g, uniq, bank)
+    kmb_core(g, uniq, anchors, bank)
 }
 
 /// Deduplicates terminals preserving caller order; `None` when empty or
-/// when some terminal is not a node of `g`. `seen` is working memory.
-fn dedup_terminals(g: &Graph, terminals: &[NodeId], seen: &mut Vec<bool>) -> Option<Vec<NodeId>> {
+/// when some terminal is not a node of `g`. Also returns the number of
+/// anchors: the distinct terminals before the last one, which lead the
+/// list. The last terminal ends it unless it is an anchor already. `seen`
+/// is working memory.
+fn dedup_terminals(
+    g: &Graph,
+    terminals: &[NodeId],
+    seen: &mut Vec<bool>,
+) -> Option<(Vec<NodeId>, usize)> {
     // Dense node ids make a bool vector the cheapest dedup set — no
     // hashing, and iteration order stays the caller's terminal order.
     seen.clear();
     seen.resize(g.node_count(), false);
+    let (&candidate, rest) = terminals.split_last()?;
     let mut uniq: Vec<NodeId> = Vec::with_capacity(terminals.len());
-    for &t in terminals {
+    for &t in rest {
         let slot = seen.get_mut(t.index())?;
         if !*slot {
             *slot = true;
             uniq.push(t);
         }
     }
-    if uniq.is_empty() {
-        return None;
+    let anchors = uniq.len();
+    if !*seen.get(candidate.index())? {
+        uniq.push(candidate);
     }
-    Some(uniq)
+    Some((uniq, anchors))
 }
 
 /// Steps 1–5 of KMB over the deduplicated terminals `uniq`, every one of
-/// which must lie in `bank.targets()`.
+/// which must lie in `bank.targets()`; `uniq[..anchors]` are the anchors.
 ///
 /// Only `uniq[..t−1]` get a shortest-path tree: closure pair `(i, j)`,
 /// `i < j`, reads its distance and its expansion from `uniq[i]`'s tree,
 /// so the last terminal's tree is never consulted and never built.
-fn kmb_core(g: &Graph, uniq: Vec<NodeId>, bank: &mut TerminalSptBank) -> Option<SteinerTree> {
+///
+/// Step 2 is exact: under the strict total order `(distance, i, j)` the
+/// closure MST is unique, and by the cycle property the MST of the
+/// anchors plus a candidate is the MST of the anchors' MST plus the
+/// candidate's star (DESIGN.md §2). A candidate that is an anchor already
+/// leaves the anchors' MST as it is.
+fn kmb_core(
+    g: &Graph,
+    uniq: Vec<NodeId>,
+    anchors: usize,
+    bank: &mut TerminalSptBank,
+) -> Option<SteinerTree> {
     let t = uniq.len();
     if t == 1 {
         return Some(SteinerTree::from_parts(uniq, Vec::new(), 0.0));
@@ -229,7 +362,8 @@ fn kmb_core(g: &Graph, uniq: Vec<NodeId>, bank: &mut TerminalSptBank) -> Option<
         kmb:
             KmbScratch {
                 spts,
-                pairs,
+                anchor_mst,
+                star,
                 closure_uf,
                 path_edges,
                 graph_uf,
@@ -241,35 +375,49 @@ fn kmb_core(g: &Graph, uniq: Vec<NodeId>, bank: &mut TerminalSptBank) -> Option<
     } = bank;
     let spt = |i: usize| spts.get(i).and_then(|&e| entries.get(e)).map(|(_, s)| s);
 
-    // Metric closure as a flat list of terminal-index pairs `(i, j)`,
-    // `i < j`, generated in lexicographic order: step 2 breaks distance
-    // ties by it.
-    pairs.clear();
-    for i in 0..t - 1 {
-        let from = spt(i)?;
-        for (j, &x) in uniq.iter().enumerate().skip(i + 1) {
-            let d = from.distance(x)?; // None => disconnected
-            pairs.push((i, j, d));
-        }
+    // Steps 2–3 for the anchors, once per scan.
+    let anchor_set = uniq.get(..anchors)?;
+    if !(anchor_mst.valid && anchor_mst.anchors == anchor_set) {
+        anchor_mst.build(anchor_set, spt, closure_uf);
     }
-
-    // Step 2: MST of the closure (Kruskal). Sorting by distance, then by
-    // pair, is the stable sort by distance over the lexicographic list.
-    pairs.sort_unstable_by_key(|&(i, j, d)| (TotalCost::new(d), i, j));
-    closure_uf.reset(t);
-    pairs.retain(|&(i, j, _)| closure_uf.union(i, j));
-    if pairs.len() + 1 != t {
-        return None; // not spanning: unreachable once every distance is finite
+    if !anchor_mst.connected {
+        return None;
     }
-
-    // Step 3: expand closure edges into their shortest paths in `g`,
-    // walking predecessors (step 4 sorts the edges, so order is moot).
     path_edges.clear();
-    for &(i, j, _) in pairs.iter() {
-        let (from, mut cur) = (spt(i)?, *uniq.get(j)?);
-        while let Some((prev, edge)) = from.predecessor(cur) {
-            path_edges.push(edge);
-            cur = prev;
+    if anchors == t {
+        // The candidate is an anchor: the closure MST is the anchors' own.
+        path_edges.extend_from_slice(&anchor_mst.paths);
+    } else {
+        // Step 2: the candidate's star row `(i, anchors, dist_i(v))`, then
+        // Kruskal over its merge with the anchors' MST by `(distance, i, j)`.
+        let v = *uniq.last()?;
+        star.clear();
+        for i in 0..anchors {
+            star.push((i, anchors, spt(i)?.distance(v)?)); // None => unreachable
+        }
+        star.sort_unstable_by_key(closure_key);
+        closure_uf.reset(t);
+        let mut anchor_edges = anchor_mst.edges.iter().enumerate().peekable();
+        let mut star_edges = star.iter().peekable();
+        loop {
+            let take_anchor_edge = match (anchor_edges.peek(), star_edges.peek()) {
+                (Some((_, e)), Some(x)) => closure_key(e) < closure_key(x),
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => break,
+            };
+            if take_anchor_edge {
+                let (k, &(i, j, _)) = anchor_edges.next()?;
+                if closure_uf.union(i, j) {
+                    // Step 3: a kept anchor edge's path is cached.
+                    path_edges.extend_from_slice(anchor_mst.path(k)?);
+                }
+            } else {
+                let &(i, j, _) = star_edges.next()?;
+                if closure_uf.union(i, j) {
+                    push_path(spt(i)?, v, path_edges);
+                }
+            }
         }
     }
 
@@ -447,6 +595,55 @@ mod tests {
             assert_eq!(bank.len(), t - 1, "t = {t}");
             assert_eq!(kmb(&g, terminals), Some(banked));
         }
+    }
+
+    #[test]
+    fn a_scan_builds_the_anchor_mst_once() {
+        let mut g = Graph::new();
+        let v: Vec<NodeId> = (0..12).map(|_| g.add_node()).collect();
+        for i in 0..12 {
+            g.add_edge(v[i], v[(i + 1) % 12], 1.0 + (i % 3) as f64)
+                .unwrap();
+        }
+        g.add_edge(v[0], v[6], 2.0).unwrap();
+        let anchors = [v[0], v[5], v[8], v[5]];
+        // An anchor comes first, and another one later.
+        let mut candidates = vec![v[5]];
+        candidates.extend(&v);
+        let mut targets = anchors.to_vec();
+        targets.extend(&candidates);
+        let mut bank = TerminalSptBank::new(targets.clone());
+        for round in 1..=2 {
+            for &x in &candidates {
+                let mut terminals = anchors.to_vec();
+                terminals.push(x);
+                let banked = kmb_with_bank(&g, &terminals, &mut bank);
+                assert_eq!(banked, kmb(&g, &terminals), "candidate {x}");
+            }
+            assert_eq!(bank.kmb.anchor_mst.builds, round);
+            bank.reset(targets.iter().copied());
+        }
+    }
+
+    #[test]
+    fn disconnected_anchors_or_candidate_give_none() {
+        let mut g = Graph::new();
+        let v: Vec<NodeId> = (0..5).map(|_| g.add_node()).collect();
+        g.add_edge(v[0], v[1], 1.0).unwrap();
+        g.add_edge(v[1], v[2], 1.0).unwrap();
+        g.add_edge(v[3], v[4], 1.0).unwrap();
+        let mut bank = TerminalSptBank::new(v.clone());
+        // Connected anchors: only the candidate in the other component fails.
+        assert!(kmb_with_bank(&g, &[v[0], v[2], v[3]], &mut bank).is_none());
+        assert!(kmb_with_bank(&g, &[v[0], v[2], v[1]], &mut bank).is_some());
+        assert!(kmb_with_bank(&g, &[v[0], v[2], v[0]], &mut bank).is_some());
+        assert_eq!(bank.kmb.anchor_mst.builds, 1);
+        // Disconnected anchors: every candidate fails, anchors included.
+        bank.reset(v.iter().copied());
+        for &x in &v {
+            assert!(kmb_with_bank(&g, &[v[0], v[3], x], &mut bank).is_none());
+        }
+        assert_eq!(bank.kmb.anchor_mst.builds, 2);
     }
 
     #[test]

@@ -2,6 +2,10 @@
 //! constructions they replace, and KMB's tree does not depend on the
 //! order of its terminals once weights are tie-free.
 //!
+//! The bank builds the anchors' closure MST once per scan and merges each
+//! candidate's star row into it; the reference below sorts the whole
+//! closure per call, so every comparison against it checks that merge.
+//!
 //! Weights are small integers, so nearly every shortest path and every
 //! MST step has ties: exactly the inputs where a changed tie-break would
 //! show. Trees are compared edge for edge, terminal for terminal, and
@@ -103,18 +107,44 @@ fn tie_free(g: &Graph, terminals: &[NodeId]) -> bool {
     sorted.len() == closure.len()
 }
 
-/// A graph, fixed anchor terminals and per-call extra terminals, drawn
-/// the way an `Online_CP` scan uses them (duplicates included).
-fn arb_scan() -> impl Strategy<Value = (Graph, Vec<NodeId>, Vec<NodeId>)> {
+/// One candidate scan: its anchor terminals and its candidates.
+type Scan = (Vec<NodeId>, Vec<NodeId>);
+
+/// Scans as `Online_CP` runs them, several per bank: anchors (one of
+/// them repeated if the flag says so) and candidates, the first of which
+/// is the anchor the index picks when there is one, so a candidate that
+/// is already an anchor often comes first.
+fn arb_scans() -> impl Strategy<Value = (Graph, Vec<Scan>)> {
     arb_graph().prop_flat_map(|g| {
         let n = g.node_count();
-        let anchors = proptest::collection::vec(0..n, 1..5);
-        let extras = proptest::collection::vec(0..n, 1..8);
-        (Just(g), anchors, extras).prop_map(|(g, a, x)| {
-            let ids = |v: Vec<usize>| v.into_iter().map(NodeId::new).collect::<Vec<_>>();
-            (g, ids(a), ids(x))
-        })
+        let scan = (
+            proptest::collection::vec(0..n, 1..6),
+            proptest::collection::vec(0..n, 1..8),
+            0usize..8,
+            any::<bool>(),
+        )
+            .prop_map(|(mut anchors, mut extras, first, repeat)| {
+                if repeat {
+                    anchors.push(anchors[anchors.len() / 2]);
+                }
+                if let Some(&a) = anchors.get(first) {
+                    extras.insert(0, a);
+                }
+                let ids = |v: Vec<usize>| v.into_iter().map(NodeId::new).collect::<Vec<_>>();
+                (ids(anchors), ids(extras))
+            });
+        (Just(g), proptest::collection::vec(scan, 1..4))
     })
+}
+
+/// `g` with every weight `w` (in 1..=3) replaced by `4 − w`: the same
+/// nodes and edges, other shortest paths.
+fn reweighted(g: &Graph) -> Graph {
+    let mut h = Graph::with_nodes(g.node_count());
+    for e in g.edges() {
+        h.add_edge(e.u, e.v, 4.0 - e.weight).unwrap();
+    }
+    h
 }
 
 /// KMB as it was built before the bank: one Dijkstra per terminal, then
@@ -173,21 +203,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn banked_kmb_is_fresh_kmb_is_reference((g, anchors, extras) in arb_scan()) {
-        // One bank across the whole scan, as Online_CP and EMP share it.
-        let mut targets = anchors.clone();
-        targets.extend(&extras);
-        let mut bank = TerminalSptBank::new(targets);
-        for &x in &extras {
-            let mut terminals = anchors.clone();
-            terminals.push(x);
-            let reference = reference_kmb(&g, &terminals);
-            let fresh = kmb(&g, &terminals);
-            let banked = kmb_with_bank(&g, &terminals, &mut bank);
-            prop_assert!(same_tree(fresh.as_ref(), reference.as_ref()),
-                "kmb {fresh:?} != reference {reference:?} for {terminals:?}");
-            prop_assert!(same_tree(banked.as_ref(), reference.as_ref()),
-                "banked {banked:?} != reference {reference:?} for {terminals:?}");
+    fn banked_kmb_is_fresh_kmb_is_reference((g, scans) in arb_scans()) {
+        // One bank for every scan, reset between them. Each anchor set is
+        // scanned on `g` and then again on a reweighted `g`, so a closure
+        // MST kept across a reset would serve the second scan stale paths.
+        let h = reweighted(&g);
+        let mut bank = TerminalSptBank::default();
+        for (anchors, extras) in &scans {
+            for graph in [&g, &h] {
+                bank.reset(anchors.iter().chain(extras).copied());
+                for &x in extras {
+                    let mut terminals = anchors.clone();
+                    terminals.push(x);
+                    let reference = reference_kmb(graph, &terminals);
+                    let fresh = kmb(graph, &terminals);
+                    let banked = kmb_with_bank(graph, &terminals, &mut bank);
+                    prop_assert!(same_tree(fresh.as_ref(), reference.as_ref()),
+                        "kmb {fresh:?} != reference {reference:?} for {terminals:?}");
+                    prop_assert!(same_tree(banked.as_ref(), reference.as_ref()),
+                        "banked {banked:?} != reference {reference:?} for {terminals:?}");
+                }
+            }
         }
     }
 
