@@ -251,7 +251,6 @@ pub fn appro_multi_on_scratch(
         &spt_source,
         &dest_refs,
         scratch,
-        f64::INFINITY,
         true,
     )
 }
@@ -296,50 +295,7 @@ pub fn appro_multi_unpruned(
         &spt_source,
         &dest_refs,
         &mut scratch,
-        f64::INFINITY,
         false,
-    )
-}
-
-/// The combination-enumeration core of `Appro_Multi`, evaluated against
-/// caller-supplied shortest-path trees.
-///
-/// `spt_source` must be (equivalent to) `dijkstra(g, request.source)` and
-/// `spt_dests[i]` to a Dijkstra run from `request.destinations[i]` that
-/// settled every destination, the source, and every candidate server.
-/// A *full* tree satisfies that trivially, which is what lets the
-/// per-source SPT cache drive this path: early-exit and full runs agree
-/// exactly on all settled nodes, so the result is byte-identical either
-/// way.
-///
-/// `initial_bound` seeds the branch-and-bound prune: it must be the exact
-/// pseudo-tree cost of *some combination in the enumeration* (or
-/// `f64::INFINITY` for no seed). Because that combination is re-evaluated
-/// in scan order and its cost upper-bounds the optimum, pruning against
-/// `min(incumbent, initial_bound)` discards only combinations whose cost
-/// strictly exceeds the final best — the returned tree is byte-identical
-/// to the unseeded scan (see the seeded-vs-unseeded property tests).
-#[allow(clippy::too_many_arguments)] // internal; public wrappers are narrow
-pub(crate) fn appro_multi_with_spts(
-    sdn: &Sdn,
-    request: &MulticastRequest,
-    k: usize,
-    servers: &[NodeId],
-    spt_source: &ShortestPathTree,
-    spt_dests: &[&ShortestPathTree],
-    scratch: &mut ApproScratch,
-    initial_bound: f64,
-) -> Option<PseudoMulticastTree> {
-    appro_multi_scan(
-        sdn,
-        request,
-        k,
-        servers,
-        spt_source,
-        spt_dests,
-        scratch,
-        initial_bound,
-        true,
     )
 }
 
@@ -470,10 +426,19 @@ impl ScanTables {
     }
 }
 
-/// The shared scan driving both the pruned production path and the
-/// unpruned audit path.
+/// The combination-enumeration core of `Appro_Multi`, evaluated against
+/// caller-supplied shortest-path trees: the shared scan driving both the
+/// pruned production path and the unpruned audit path.
+///
+/// `spt_source` must be (equivalent to) `dijkstra(g, request.source)` and
+/// `spt_dests[i]` to a Dijkstra run from `request.destinations[i]` that
+/// settled every destination, the source, and every candidate server.
+/// A *full* tree satisfies that trivially, which is what lets the
+/// per-source SPT cache drive this path: early-exit and full runs agree
+/// exactly on all settled nodes, so the result is byte-identical either
+/// way.
 #[allow(clippy::too_many_arguments)] // internal; public wrappers are narrow
-fn appro_multi_scan(
+pub(crate) fn appro_multi_scan(
     sdn: &Sdn,
     request: &MulticastRequest,
     k: usize,
@@ -481,7 +446,6 @@ fn appro_multi_scan(
     spt_source: &ShortestPathTree,
     spt_dests: &[&ShortestPathTree],
     scratch: &mut ApproScratch,
-    initial_bound: f64,
     prune: bool,
 ) -> Option<PseudoMulticastTree> {
     assert!(k >= 1, "at least one server is required (K >= 1)");
@@ -521,18 +485,13 @@ fn appro_multi_scan(
     let indices: Vec<usize> = (0..virt.len()).collect();
     let mut combos = Combinations::new(&indices, k);
     while let Some(combo) = combos.next() {
-        let prune_bound = best_cost.min(initial_bound);
-        if prune && prune_bound.is_finite() {
+        if prune && best_cost.is_finite() {
             // The incumbent can only be *replaced* by a strictly
             // cheaper tree; a combination whose admissible bound
             // clears the incumbent (with float headroom) cannot
-            // change the result, so skipping it is byte-exact. The
-            // same holds for the caller-supplied seed bound: it is the
-            // exact cost of a combination in this very enumeration, so
-            // anything it prunes costs strictly more than the final
-            // best and could never have set the incumbent.
+            // change the result, so skipping it is byte-exact.
             let (lb1, lb2) = tables.lower_bounds(&virt, combo);
-            if lb1.max(lb2) > prune_bound * (1.0 + sdn::PRUNE_GUARD_REL) + sdn::PRUNE_GUARD_ABS {
+            if lb1.max(lb2) > best_cost * (1.0 + sdn::PRUNE_GUARD_REL) + sdn::PRUNE_GUARD_ABS {
                 scratch.pruned += 1;
                 if lb1 >= lb2 {
                     telemetry::hit(telemetry::Counter::CombosPrunedLb1);

@@ -21,20 +21,23 @@
 //! * Topology trees ignore residual capacities, so
 //!   [`appro_multi_cap_cached`] may use them only when the request's
 //!   residual-feasible subgraph *is* the full topology. The cache keeps a
-//!   feasibility fingerprint — the minimum residual bandwidth over all
-//!   links and minimum residual computing over all servers, keyed by
-//!   [`Sdn::version`] and recomputed whenever residual capacities change
-//!   (the invalidation rule) — making that check `O(1)` per request.
-//!   Requests whose feasible subgraph is strictly smaller fall back to
-//!   the uncached [`appro_multi_cap`], which is the definition of the
+//!   feasibility fingerprint — whether every element is alive, the
+//!   minimum residual bandwidth over all links and minimum residual
+//!   computing over all servers, keyed by [`Sdn::version`] and recomputed
+//!   whenever residual capacities change (the invalidation rule) —
+//!   making that check `O(1)` per request: the minima pass
+//!   [`sdn::fits`], the predicate behind [`Sdn::link_fits`] and
+//!   [`Sdn::server_fits`], exactly when every element does. Requests
+//!   whose feasible subgraph is strictly smaller fall back to the
+//!   uncached [`appro_multi_cap`], which is the definition of the
 //!   sequential result.
 
-use crate::appro_multi::appro_multi_with_spts;
+use crate::appro_multi::appro_multi_scan;
 use crate::{
     appro_multi_cap_plan_with_scratch, Admission, ApproScratch, CapPlan, PseudoMulticastTree,
 };
-use netgraph::{CsrGraph, DijkstraScratch, LandmarkOracle, NodeId, ShortestPathTree, SptCache};
-use sdn::{MulticastRequest, Sdn, Topology};
+use netgraph::{CsrGraph, NodeId, ShortestPathTree, SptCache};
+use sdn::{fits, MulticastRequest, Sdn, Topology};
 use std::sync::Arc;
 
 /// Residual-capacity fingerprint of one [`Sdn::version`].
@@ -52,15 +55,15 @@ struct Fingerprint {
 }
 
 impl Fingerprint {
-    /// Minima are taken over the **alive-masked** residual view: a failed
-    /// link or server contributes `0.0`, so any request with positive
-    /// demand fails the full-graph test and falls back to the (alive-aware)
-    /// uncached algorithm. Topology trees never see dead elements.
+    /// Minima are taken over the live residuals (a failed link or server
+    /// contributes `0.0`); a failed element also clears `all_alive`, so
+    /// any request then falls back to the (alive-aware) uncached
+    /// algorithm. Topology trees never see dead elements.
     fn of(sdn: &Sdn) -> Self {
         Fingerprint {
             version: sdn.version(),
-            min_residual_bandwidth: sdn.min_usable_bandwidth(),
-            min_residual_computing: sdn.min_usable_computing(),
+            min_residual_bandwidth: sdn.min_live_bandwidth(),
+            min_residual_computing: sdn.min_live_computing(),
             all_alive: sdn.all_alive(),
         }
     }
@@ -80,11 +83,6 @@ pub struct PathCache {
     /// The topology the trees were computed on; a query on any other
     /// network panics rather than plan on the wrong trees.
     topology: Arc<Topology>,
-    /// Optional landmark oracle over the same unit-cost snapshot; used to
-    /// pre-select a promising server combination and seed the scan's
-    /// branch-and-bound with its exact cost. Decisions stay byte-identical
-    /// (the seed bound only prunes strictly-worse combinations).
-    oracle: Option<Arc<LandmarkOracle>>,
     fingerprint: Fingerprint,
     /// Combination-scan working memory, reused across requests.
     scratch: ApproScratch,
@@ -94,21 +92,18 @@ pub struct PathCache {
     slow_path: u64,
 }
 
-/// Scaling knobs for [`PathCache`]. The default (`None` capacity, zero
-/// landmarks) reproduces the original unbounded, oracle-free cache.
+/// Scaling knobs for [`PathCache`]. The default (`None` capacity)
+/// reproduces the original unbounded cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PathCacheOptions {
     /// Bound on resident shortest-path trees (`None` = unbounded). At 10k+
     /// nodes one tree is `Θ(n)` memory, so bound this to keep the cache
     /// from growing towards `Θ(n²)`.
     pub capacity: Option<usize>,
-    /// Number of landmarks for the ALT distance oracle (0 = no oracle).
-    /// 8–16 is plenty; construction costs one Dijkstra per landmark.
-    pub landmarks: usize,
 }
 
 impl PathCache {
-    /// Creates an unbounded, oracle-free cache over `sdn`'s topology.
+    /// Creates an unbounded cache over `sdn`'s topology.
     #[must_use]
     pub fn new(sdn: &Sdn) -> Self {
         PathCache::with_options(sdn, PathCacheOptions::default())
@@ -118,13 +113,6 @@ impl PathCache {
     #[must_use]
     pub fn with_options(sdn: &Sdn, options: PathCacheOptions) -> Self {
         let csr = CsrGraph::from_graph(sdn.graph());
-        let oracle = (options.landmarks > 0).then(|| {
-            Arc::new(LandmarkOracle::build(
-                &csr,
-                options.landmarks,
-                &mut DijkstraScratch::new(),
-            ))
-        });
         let cache = match options.capacity {
             Some(cap) => SptCache::with_capacity(csr, cap),
             None => SptCache::new(csr),
@@ -132,7 +120,6 @@ impl PathCache {
         PathCache {
             cache,
             topology: Arc::clone(sdn.topology()),
-            oracle,
             fingerprint: Fingerprint::of(sdn),
             scratch: ApproScratch::new(),
             fast_path: 0,
@@ -148,7 +135,6 @@ impl PathCache {
         PathCache {
             cache: self.cache.share(),
             topology: Arc::clone(&self.topology),
-            oracle: self.oracle.clone(),
             fingerprint: self.fingerprint,
             scratch: ApproScratch::new(),
             fast_path: 0,
@@ -179,12 +165,13 @@ impl PathCache {
 
     /// Returns `true` when a request with bandwidth `b` and computing
     /// demand `demand` keeps every link and server of `sdn` — i.e. its
-    /// residual-feasible subgraph is the full topology.
+    /// residual-feasible subgraph is the full topology: every
+    /// [`Sdn::link_fits`] and [`Sdn::server_fits`] holds.
     fn full_graph_feasible(&mut self, sdn: &Sdn, b: f64, demand: f64) -> bool {
         self.sync(sdn);
         self.fingerprint.all_alive
-            && self.fingerprint.min_residual_bandwidth + sdn::CAPACITY_EPS >= b
-            && self.fingerprint.min_residual_computing + sdn::CAPACITY_EPS >= demand
+            && fits(self.fingerprint.min_residual_bandwidth, b)
+            && fits(self.fingerprint.min_residual_computing, demand)
     }
 
     /// The [`Sdn::version`] the cache's residual fingerprint was last
@@ -255,27 +242,7 @@ pub fn appro_multi_cached(
     let spt_dests: Vec<Arc<ShortestPathTree>> =
         request.destinations.iter().map(|&d| cache.spt(d)).collect();
     let dest_refs: Vec<&ShortestPathTree> = spt_dests.iter().map(Arc::as_ref).collect();
-    // Oracle mode: pre-evaluate one promising singleton exactly and seed
-    // the branch-and-bound with its cost, so pruning fires from the very
-    // first combination instead of only after the first evaluation.
-    let initial_bound = match &cache.oracle {
-        Some(oracle) => match oracle_seed_server(sdn, request, &spt_source, oracle) {
-            Some(seed) => appro_multi_with_spts(
-                sdn,
-                request,
-                1,
-                &[seed],
-                &spt_source,
-                &dest_refs,
-                &mut cache.scratch,
-                f64::INFINITY,
-            )
-            .map_or(f64::INFINITY, |t| t.total_cost()),
-            None => f64::INFINITY,
-        },
-        None => f64::INFINITY,
-    };
-    appro_multi_with_spts(
+    appro_multi_scan(
         sdn,
         request,
         k,
@@ -283,39 +250,8 @@ pub fn appro_multi_cached(
         &spt_source,
         &dest_refs,
         &mut cache.scratch,
-        initial_bound,
+        true,
     )
-}
-
-/// Picks the server minimising the oracle's estimate of a singleton
-/// pseudo-tree cost: exact ingress (source tree is resident) plus
-/// admissible per-destination attach bounds. The estimate only chooses
-/// *which* singleton to pre-evaluate — correctness never depends on it.
-fn oracle_seed_server(
-    sdn: &Sdn,
-    request: &MulticastRequest,
-    spt_source: &ShortestPathTree,
-    oracle: &LandmarkOracle,
-) -> Option<NodeId> {
-    let b = request.bandwidth;
-    let demand = request.computing_demand();
-    let mut best: Option<(f64, NodeId)> = None;
-    for &v in sdn.servers() {
-        let Some(dist) = spt_source.distance(v) else {
-            continue;
-        };
-        let Some(unit) = sdn.unit_computing_cost(v) else {
-            continue;
-        };
-        let mut score = dist * b + unit * demand;
-        for &d in &request.destinations {
-            score += b * oracle.lower_bound(d, v);
-        }
-        if best.is_none_or(|(s, _)| score < s) {
-            best = Some((score, v));
-        }
-    }
-    best.map(|(_, v)| v)
 }
 
 /// [`appro_multi_cap`](crate::appro_multi_cap) driven by cached shortest-path trees where valid.
@@ -539,13 +475,8 @@ mod tests {
             let mut plain_net = random_net(seed, 14);
             let mut bounded_net = plain_net.clone();
             let mut unbounded = PathCache::new(&plain_net);
-            let mut bounded = PathCache::with_options(
-                &bounded_net,
-                PathCacheOptions {
-                    capacity: Some(1),
-                    landmarks: 0,
-                },
-            );
+            let mut bounded =
+                PathCache::with_options(&bounded_net, PathCacheOptions { capacity: Some(1) });
             let mut rng = StdRng::seed_from_u64(seed ^ 0xB0B);
             for i in 0..20 {
                 let req = random_request(&mut rng, i, 14);
@@ -561,40 +492,6 @@ mod tests {
                 bounded.spt_evictions() > 0,
                 "seed {seed}: cache never thrashed"
             );
-        }
-    }
-
-    #[test]
-    fn oracle_seeded_cache_matches_default() {
-        for seed in 0..4u64 {
-            let mut plain_net = random_net(seed, 15);
-            let mut oracle_net = plain_net.clone();
-            let mut plain = PathCache::new(&plain_net);
-            let mut seeded = PathCache::with_options(
-                &oracle_net,
-                PathCacheOptions {
-                    capacity: Some(4),
-                    landmarks: 6,
-                },
-            );
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x07AC);
-            for i in 0..20 {
-                let req = random_request(&mut rng, i, 15);
-                for k in 1..=2 {
-                    assert_eq!(
-                        appro_multi_cached(&plain_net, &req, k, &mut plain),
-                        appro_multi_cached(&oracle_net, &req, k, &mut seeded),
-                        "seed {seed} req {i} k {k}"
-                    );
-                }
-                let a = appro_multi_cap_cached(&plain_net, &req, 2, &mut plain);
-                let b = appro_multi_cap_cached(&oracle_net, &req, 2, &mut seeded);
-                assert_eq!(a, b, "seed {seed} req {i} cap");
-                if let Admission::Admitted(tree) = &a {
-                    plain_net.allocate(&tree.allocation(&req)).unwrap();
-                    oracle_net.allocate(&tree.allocation(&req)).unwrap();
-                }
-            }
         }
     }
 

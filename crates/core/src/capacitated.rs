@@ -179,9 +179,7 @@ pub fn appro_multi_cap_plan_excluding(
     }
     let mut usable_servers: Vec<NodeId> = Vec::new();
     for &v in sdn.servers() {
-        // lint:allow(P1): v is drawn from servers()
-        let residual = sdn.residual_computing(v).expect("server");
-        if sdn.is_server_alive(v) && residual + sdn::CAPACITY_EPS >= demand {
+        if sdn.server_fits(v, demand) {
             bld.attach_server(
                 v,
                 sdn.computing_capacity(v).expect("server"), // lint:allow(P1): v is drawn from servers()
@@ -196,10 +194,7 @@ pub fn appro_multi_cap_plan_excluding(
     }
     let mut edge_map: Vec<EdgeId> = Vec::new(); // filtered edge idx -> original id
     for e in g.edges() {
-        if sdn.is_link_alive(e.id)
-            && !excluded.contains(&e.id)
-            && sdn.residual_bandwidth(e.id) + sdn::CAPACITY_EPS >= b
-        {
+        if !excluded.contains(&e.id) && sdn.link_fits(e.id, b) {
             bld.add_link(e.u, e.v, sdn.bandwidth_capacity(e.id), e.weight)
                 .expect("copied link is valid"); // lint:allow(P1): copies a link the parent network already validated
             edge_map.push(e.id);

@@ -636,13 +636,7 @@ impl AdmissionPipeline {
         let mut scanned = 0usize;
         let disturbed = self.deltas.range(epoch..).any(|(_, delta)| {
             scanned += delta.links.len() + delta.servers.len();
-            feasibility_disturbed(
-                delta,
-                |e| snapshot.usable_bandwidth(e),
-                |v| snapshot.usable_computing(v),
-                &self.sdn,
-                req,
-            )
+            feasibility_disturbed(delta, snapshot, &self.sdn, req)
         });
         self.report.disturbance_checks += scanned;
         disturbed

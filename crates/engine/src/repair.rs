@@ -564,16 +564,14 @@ impl SessionManager {
 }
 
 /// The sub-request keeping only destinations still connected to the
-/// source through usable links (alive, residual ≥ `b`). Returns `None`
+/// source through links that fit `b` ([`Sdn::link_fits`]). Returns `None`
 /// when nothing would be shed (degradation cannot help) or when no
 /// destination survives.
 fn reachable_subrequest(sdn: &Sdn, request: &MulticastRequest) -> Option<MulticastRequest> {
     let g = sdn.graph();
     let mut uf = UnionFind::new(g.node_count());
     for e in g.edges() {
-        if sdn.is_link_alive(e.id)
-            && sdn.residual_bandwidth(e.id) + sdn::CAPACITY_EPS >= request.bandwidth
-        {
+        if sdn.link_fits(e.id, request.bandwidth) {
             uf.union(e.u.index(), e.v.index());
         }
     }

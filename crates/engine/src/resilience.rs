@@ -399,8 +399,7 @@ impl SessionManager {
             let mut fg = Graph::with_nodes(g.node_count());
             let mut emap: Vec<EdgeId> = Vec::new();
             for e in g.edges() {
-                if sdn.is_link_alive(e.id) && sdn.residual_bandwidth(e.id) + sdn::CAPACITY_EPS >= b
-                {
+                if sdn.link_fits(e.id, b) {
                     fg.add_edge(e.u, e.v, e.weight)
                         .expect("copied link is valid"); // lint:allow(P1): copies an edge the parent network already validated
                     emap.push(e.id);

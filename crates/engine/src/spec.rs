@@ -3,12 +3,11 @@
 //! [`crate::pipeline`] plans requests on snapshots and follows one
 //! contract: a plan computed against an older residual state may be
 //! committed iff no commit or release since that state crossed the
-//! request's feasibility thresholds — the set of links with *usable*
-//! (alive-masked) bandwidth `>= b_k` and servers with usable computing
-//! `>= C(SC_k)` (both with the shared [`sdn::CAPACITY_EPS`] slack).
-//! Planners define the feasible subgraph through the usable view
-//! ([`Sdn::usable_bandwidth`] / [`Sdn::usable_computing`]), so the
-//! predicate reads the same view on both the snapshot and live sides.
+//! request's feasibility thresholds — the set of links for which
+//! [`Sdn::link_fits`]`(e, b_k)` holds and servers for which
+//! [`Sdn::server_fits`]`(v, C(SC_k))` holds. Planners define the feasible
+//! subgraph through those two predicates, so the disturbance check asks
+//! the same ones on both the snapshot and live sides.
 //!
 //! The sequential decision is a function of **two** residual reads, and
 //! the speculative protocol covers each with a different mechanism:
@@ -70,45 +69,114 @@ impl TouchedSet {
 }
 
 /// Whether any touched element crossed `request`'s feasibility threshold
-/// between the snapshot the plan was computed on (read through
-/// `then_bandwidth` / `then_computing`) and the live state `now`.
-///
-/// Both sides are the alive-masked *usable* view the planners see:
-/// `then_bandwidth` / `then_computing` must mirror
-/// [`Sdn::usable_bandwidth`] / [`Sdn::usable_computing`] on the snapshot
-/// (`then_computing` returns `None` for nodes that are not servers), and
-/// the live side reads the same accessors on `now`.
+/// between the snapshot `then` the plan was computed on and the live
+/// state `now`: some touched link's [`Sdn::link_fits`] or touched
+/// server's [`Sdn::server_fits`] answers differently on the two.
 pub fn feasibility_disturbed(
     touched: &TouchedSet,
-    then_bandwidth: impl Fn(netgraph::EdgeId) -> f64,
-    then_computing: impl Fn(netgraph::NodeId) -> Option<f64>,
+    then: &Sdn,
     now: &Sdn,
     request: &MulticastRequest,
 ) -> bool {
     let b = request.bandwidth;
     let demand = request.computing_demand();
-    let link_flipped = touched.links.iter().any(|&e| {
-        let feasible_then = then_bandwidth(e) + sdn::CAPACITY_EPS >= b;
-        let feasible_now = now.usable_bandwidth(e) + sdn::CAPACITY_EPS >= b;
-        feasible_then != feasible_now
-    });
-    if link_flipped {
-        return true;
-    }
-    touched.servers.iter().any(|&v| {
-        let feasible_then = then_computing(v).is_some_and(|r| r + sdn::CAPACITY_EPS >= demand);
-        let feasible_now = now
-            .usable_computing(v)
-            .is_some_and(|r| r + sdn::CAPACITY_EPS >= demand);
-        feasible_then != feasible_now
-    })
+    touched
+        .links
+        .iter()
+        .any(|&e| then.link_fits(e, b) != now.link_fits(e, b))
+        || touched
+            .servers
+            .iter()
+            .any(|&v| then.server_fits(v, demand) != now.server_fits(v, demand))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use netgraph::{EdgeId, NodeId};
-    use sdn::RequestId;
+    use sdn::{NfvType, RequestId, SdnBuilder, ServiceChain};
+
+    /// A link of 100 into a server of 1 000, with `link` and `server`
+    /// loads committed; the commit touches both.
+    fn loaded(link: f64, server: f64) -> (Sdn, TouchedSet) {
+        let mut bld = SdnBuilder::new();
+        let s = bld.add_switch();
+        let m = bld.add_server(1_000.0, 1.0);
+        bld.add_link(s, m, 100.0, 1.0).unwrap();
+        let mut sdn = bld.build().unwrap();
+        let mut a = Allocation::new(RequestId(9));
+        a.add_link(EdgeId::new(0), link);
+        a.add_server(m, server);
+        sdn.allocate(&a).unwrap();
+        let mut touched = TouchedSet::new();
+        touched.absorb(&a);
+        (sdn, touched)
+    }
+
+    /// A request for bandwidth `b` with computing demand `0.9·b`.
+    fn request(b: f64) -> MulticastRequest {
+        let chain = ServiceChain::new(vec![NfvType::Firewall]);
+        MulticastRequest::new(RequestId(0), NodeId::new(0), vec![NodeId::new(1)], b, chain)
+    }
+
+    /// Whether a plan for bandwidth `b` made with the `then` loads is
+    /// disturbed by the `now` loads.
+    fn disturbed(then: (f64, f64), now: (f64, f64), b: f64) -> bool {
+        let (then, _) = loaded(then.0, then.1);
+        let (now, touched) = loaded(now.0, now.1);
+        feasibility_disturbed(&touched, &then, &now, &request(b))
+    }
+
+    /// The largest demand a residual of `r` fits — `r` plus the capacity
+    /// slack — found by bisection on [`sdn::fits`] itself.
+    fn largest_fitting(r: f64) -> f64 {
+        let (mut lo, mut hi) = (r, r + 1.0);
+        while f64::next_up(lo) < hi {
+            let mid = lo + (hi - lo) / 2.0;
+            if sdn::fits(r, mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    #[test]
+    fn crossing_a_threshold_disturbs_and_moving_on_one_side_does_not() {
+        // Link residual 100 ↔ 40 across b = 50, in either direction.
+        assert!(disturbed((0.0, 0.0), (60.0, 0.0), 50.0));
+        assert!(disturbed((60.0, 0.0), (0.0, 0.0), 50.0));
+        // 100 → 80 above b = 50; 80 → 70 below b = 90.
+        assert!(!disturbed((0.0, 0.0), (20.0, 0.0), 50.0));
+        assert!(!disturbed((20.0, 0.0), (30.0, 0.0), 90.0));
+        // Server residual 1 000 ↔ 40 across the demand 45 of b = 50.
+        assert!(disturbed((0.0, 0.0), (0.0, 960.0), 50.0));
+        assert!(disturbed((0.0, 960.0), (0.0, 0.0), 50.0));
+        // 1 000 → 100 above the demand 45; 40 → 30 below it.
+        assert!(!disturbed((0.0, 0.0), (0.0, 900.0), 50.0));
+        assert!(!disturbed((0.0, 960.0), (0.0, 970.0), 50.0));
+        // An element the touched set does not name is never compared.
+        let (then, now) = (loaded(0.0, 0.0).0, loaded(60.0, 0.0).0);
+        assert!(!feasibility_disturbed(
+            &TouchedSet::new(),
+            &then,
+            &now,
+            &request(50.0)
+        ));
+    }
+
+    #[test]
+    fn residual_of_b_minus_eps_fits_on_both_sides() {
+        // Link residual 60 fits b = 60 + the capacity slack, whether it
+        // is the snapshot's or the live residual.
+        let b = largest_fitting(60.0);
+        assert!(b > 60.0);
+        assert!(!disturbed((0.0, 0.0), (40.0, 0.0), b));
+        assert!(!disturbed((40.0, 0.0), (0.0, 0.0), b));
+        // One ulp more and residual 60 no longer fits.
+        assert!(disturbed((0.0, 0.0), (40.0, 0.0), f64::next_up(b)));
+    }
 
     #[test]
     fn absorb_deduplicates_across_allocations() {

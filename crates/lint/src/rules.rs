@@ -12,7 +12,8 @@
 //! | `O1`     | `#[allow(...)]` needs a trailing reason comment               |
 //! | `A1`     | `lint:allow` escapes themselves must carry a reason           |
 //! | `T1`     | capacity/residual comparisons must reference a named          |
-//! |          | `sdn::cost` tolerance constant (no raw epsilons)              |
+//! |          | `sdn::cost` tolerance constant (no raw epsilons); only        |
+//! |          | `sdn` names `CAPACITY_EPS` (others ask `sdn::fits`)           |
 //!
 //! The cross-file families (`P2` panic reachability, `C1`/`C2`
 //! concurrency, `TL1` dead telemetry) live in [`crate::semantic`]; they
@@ -80,11 +81,15 @@ pub const P1_CRATES: &[&str] = &[
 pub const T1_CRATES: &[&str] = &["sdn", "core", "online", "engine"];
 /// The one file exempt from `T1`: where the constants themselves live.
 pub const T1_EXEMPT_FILE: &str = "crates/sdn/src/cost.rs";
+/// The only source tree of a `T1` crate that may name `CAPACITY_EPS`:
+/// everywhere else capacity feasibility is asked of `sdn::fits`,
+/// `Sdn::link_fits` or `Sdn::server_fits`, so the decision has one owner.
+pub const T1_EPS_OWNER: &str = "crates/sdn/src/";
 /// Identifier stems marking a comparison as touching ledger quantities.
 const T1_STEMS: &[&str] = &["residual", "bandwidth", "capacity", "usable", "demand"];
 /// Identifiers that satisfy `T1` when they appear in the same statement:
-/// the named tolerance constants of `sdn::cost` plus the shared ledger
-/// predicate that encapsulates them.
+/// the named tolerance constants of `sdn::cost` plus the shared
+/// feasibility predicates that encapsulate them.
 const T1_GUARDS: &[&str] = &[
     "CAPACITY_EPS",
     "RELEASE_EPS",
@@ -94,6 +99,9 @@ const T1_GUARDS: &[&str] = &[
     "PRUNE_GUARD_REL",
     "PRUNE_GUARD_ABS",
     "can_allocate",
+    "fits",
+    "link_fits",
+    "server_fits",
 ];
 /// Float literal values that duplicate a named tolerance constant: writing
 /// them out is a `T1` violation anywhere in a comparison, whether or not a
@@ -362,6 +370,27 @@ pub fn lint_source(rel: &str, src: &str, cfg: &Config) -> Vec<Violation> {
             &attr_ranges,
             &mut out,
         );
+    }
+
+    // ---- T1 (ownership): the capacity slack is named in `sdn` alone,
+    // test modules included.
+    if T1_CRATES.contains(&info.crate_dir.as_str())
+        && !info.is_test_like
+        && !info.rel.starts_with(T1_EPS_OWNER)
+    {
+        for t in tokens {
+            if matches!(&t.tok, Tok::Ident(id) if id == "CAPACITY_EPS") {
+                out.push(Violation {
+                    rule: "T1".into(),
+                    severity: Severity::Deny,
+                    path: info.rel.clone(),
+                    line: t.line,
+                    message: "CAPACITY_EPS named outside the sdn crate; ask sdn::fits, \
+                              Sdn::link_fits or Sdn::server_fits instead"
+                        .into(),
+                });
+            }
+        }
     }
 
     // ---- U1 (crate roots): library crates must forbid unsafe code.

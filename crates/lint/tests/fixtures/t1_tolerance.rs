@@ -11,7 +11,7 @@ fn magic_literal(x: f64, y: f64) -> bool {
 }
 
 fn guarded(residual: f64, demand: f64) -> bool {
-    residual + CAPACITY_EPS >= demand
+    residual + RELEASE_EPS >= demand
 }
 
 fn justified(residual: f64, demand: f64) -> bool {

@@ -155,6 +155,28 @@ fn t1_flags_raw_money_comparisons_and_magic_literals() {
     );
 }
 
+#[test]
+fn t1_flags_capacity_eps_named_outside_sdn() {
+    let got = lint_fixture("t1_eps.rs", include_str!("fixtures/t1_capacity_eps.rs"));
+    assert_eq!(
+        got,
+        vec![
+            deny("T1", 5),  // use sdn::CAPACITY_EPS
+            deny("T1", 8),  // hand-rolled residual + sdn::CAPACITY_EPS >= b
+            deny("T1", 12), // bare CAPACITY_EPS
+            deny("T1", 26), // in a test module too
+        ]
+    );
+    // The owner may name it, and crates outside T1 are not checked.
+    for rel in ["crates/sdn/src/t1_eps.rs", "crates/netgraph/src/t1_eps.rs"] {
+        let src = include_str!("fixtures/t1_capacity_eps.rs");
+        assert!(
+            lint_source(rel, src, &Config::default()).is_empty(),
+            "{rel} should be silent"
+        );
+    }
+}
+
 /// Lints the semantic mini-workspace with the token-level panic rules off,
 /// isolating the call-graph families.
 fn lint_semws() -> nfv_lint::Report {

@@ -10,7 +10,8 @@
 //! *compliant* when, for **every** destination `d`, the processed route
 //! `s_k → v → d` uses at most `L` hops; among compliant servers the one
 //! with the fewest total hops wins. Unlike [`ShortestPathBaseline`], which
-//! admits any connected route no matter how long, this policy rejects a
+//! runs the same scan with `L = ∞` and so admits any connected route no
+//! matter how long, this policy rejects a
 //! request outright when its only embeddings are long — the
 //! [`telemetry::Counter::OnlineHopBoundRejections`] counter records
 //! exactly those bound-caused rejections.
@@ -67,120 +68,144 @@ impl OnlineAlgorithm for LsChainAdmission {
 
     // lint:entry(api)
     fn admit(&mut self, sdn: &Sdn, request: &MulticastRequest) -> Option<PseudoMulticastTree> {
-        let b = request.bandwidth;
-        let demand = request.computing_demand();
-        let budget = self.hop_budget(sdn) as f64;
-
-        // Length classes are measured on the residual-feasible alive
-        // subgraph with uniform weights, so "hops" means hops.
-        let filtered = induced_subgraph(
-            sdn.graph(),
-            |_| true,
-            |e| sdn.is_link_alive(e) && sdn.residual_bandwidth(e) + sdn::CAPACITY_EPS >= b,
-        );
-        let g = filtered.graph();
-        let mut uniform = netgraph::Graph::with_nodes(g.node_count());
-        for e in g.edges() {
-            // Copies an edge the parent graph already validated.
-            uniform.add_edge(e.u, e.v, 1.0).ok()?;
-        }
-
-        let mut best: Option<(f64, PseudoMulticastTree)> = None;
-        let mut bound_blocked = false;
-        let spt_source = dijkstra_with_targets(&uniform, request.source, sdn.servers());
-        for &v in sdn.servers() {
-            // v is drawn from servers(), so the residual lookup cannot
-            // miss; a dead server reads as zero capacity.
-            let residual = sdn.residual_computing(v).unwrap_or(0.0);
-            if !sdn.is_server_alive(v) || residual + sdn::CAPACITY_EPS < demand {
-                continue;
-            }
-            let Some(ingress) = spt_source.path_to(v) else {
-                continue;
-            };
-            let h_in = ingress.cost();
-            if h_in > budget {
-                // Even the empty-destination prefix is too long.
-                bound_blocked = true;
-                continue;
-            }
-            let spt_v = dijkstra_with_targets(&uniform, v, &request.destinations);
-            let mut tree_edges: Vec<EdgeId> = Vec::new();
-            let mut hops = h_in;
-            let mut feasible = true;
-            let mut compliant = true;
-            for &d in &request.destinations {
-                let Some(p) = spt_v.path_to(d) else {
-                    feasible = false;
-                    break;
-                };
-                // The Lukovszki–Schmid length constraint: the processed
-                // route to *this* destination must fit the budget.
-                if h_in + p.cost() > budget {
-                    compliant = false;
-                    break;
-                }
-                hops += p.cost();
-                tree_edges.extend(p.edges().iter().copied());
-            }
-            if !feasible {
-                continue;
-            }
-            if !compliant {
-                bound_blocked = true;
-                continue;
-            }
-            tree_edges.sort_unstable();
-            tree_edges.dedup();
-
-            if best.as_ref().is_none_or(|(h, _)| hops < *h) {
-                let ingress_ids = filtered.parent_edges(ingress.edges());
-                let distribution = filtered.parent_edges(&tree_edges);
-                let ingress_cost: f64 = ingress_ids
-                    .iter()
-                    .map(|&e| sdn.unit_bandwidth_cost(e) * b)
-                    .sum();
-                // v is drawn from servers(), so the cost lookup cannot miss.
-                let computing_cost = sdn.unit_computing_cost(v).unwrap_or(0.0) * demand;
-                let bandwidth_cost: f64 = ingress_cost
-                    + distribution
-                        .iter()
-                        .map(|&e| sdn.unit_bandwidth_cost(e) * b)
-                        .sum::<f64>();
-                best = Some((
-                    hops,
-                    PseudoMulticastTree {
-                        request: request.id,
-                        source: request.source,
-                        servers: vec![ServerUse {
-                            server: v,
-                            ingress_edges: ingress_ids,
-                            ingress_cost,
-                            computing_cost,
-                        }],
-                        distribution_edges: distribution,
-                        extra_traversals: Vec::new(),
-                        bandwidth_cost,
-                        computing_cost,
-                    },
-                ));
-            }
-        }
-
-        let Some((_, tree)) = best else {
-            if bound_blocked {
+        match hop_scan(sdn, request, self.hop_budget(sdn) as f64) {
+            HopScan::Admit(tree) => Some(tree),
+            HopScan::Reject => None,
+            HopScan::BoundReject => {
                 // At least one server was connected and capacitated but
                 // every compliant embedding exceeded L: a pure
                 // length-bound rejection, the policy's signature move.
                 telemetry::hit(telemetry::Counter::OnlineHopBoundRejections);
+                None
             }
-            return None;
-        };
-        if sdn.can_allocate(&tree.allocation(request)) {
-            Some(tree)
-        } else {
-            None
         }
+    }
+}
+
+/// The outcome of [`hop_scan`].
+pub(crate) enum HopScan {
+    /// The fewest-hops compliant tree; it fits the live residuals.
+    Admit(PseudoMulticastTree),
+    /// No tree, or the best one does not fit the live residuals.
+    Reject,
+    /// No compliant tree, and the hop budget alone ruled out at least one
+    /// connected, capacitated server.
+    BoundReject,
+}
+
+/// The hop-count admission scan shared by `LS_Online` and the `SP`
+/// baseline (which is this scan with `budget = ∞`).
+///
+/// Links and servers outside the residual-feasible alive subgraph
+/// ([`Sdn::link_fits`] / [`Sdn::server_fits`]) are removed and every
+/// remaining link weighs one hop. For each candidate server `v` the
+/// route is the shortest path `s_k → v` plus a shortest-path tree rooted
+/// at `v` spanning the destinations; `v` is compliant when every
+/// processed route `s_k → v → d` has at most `budget` hops, and the
+/// compliant candidate with the fewest total hops wins.
+pub(crate) fn hop_scan(sdn: &Sdn, request: &MulticastRequest, budget: f64) -> HopScan {
+    let b = request.bandwidth;
+    let demand = request.computing_demand();
+
+    // Length classes are measured on the residual-feasible alive
+    // subgraph with uniform weights, so "hops" means hops.
+    let filtered = induced_subgraph(sdn.graph(), |_| true, |e| sdn.link_fits(e, b));
+    let g = filtered.graph();
+    let mut uniform = netgraph::Graph::with_nodes(g.node_count());
+    for e in g.edges() {
+        // Copies an edge the parent graph already validated.
+        if uniform.add_edge(e.u, e.v, 1.0).is_err() {
+            return HopScan::Reject;
+        }
+    }
+
+    let mut best: Option<(f64, PseudoMulticastTree)> = None;
+    let mut bound_blocked = false;
+    let spt_source = dijkstra_with_targets(&uniform, request.source, sdn.servers());
+    for &v in sdn.servers() {
+        if !sdn.server_fits(v, demand) {
+            continue;
+        }
+        let Some(ingress) = spt_source.path_to(v) else {
+            continue;
+        };
+        let h_in = ingress.cost();
+        if h_in > budget {
+            // Even the empty-destination prefix is too long.
+            bound_blocked = true;
+            continue;
+        }
+        // Shortest-path tree rooted at the server spanning the
+        // destinations (union of shortest paths — a tree because they
+        // come from one Dijkstra run).
+        let spt_v = dijkstra_with_targets(&uniform, v, &request.destinations);
+        let mut tree_edges: Vec<EdgeId> = Vec::new();
+        let mut hops = h_in;
+        let mut feasible = true;
+        let mut compliant = true;
+        for &d in &request.destinations {
+            let Some(p) = spt_v.path_to(d) else {
+                feasible = false;
+                break;
+            };
+            // The Lukovszki–Schmid length constraint: the processed
+            // route to *this* destination must fit the budget.
+            if h_in + p.cost() > budget {
+                compliant = false;
+                break;
+            }
+            hops += p.cost();
+            tree_edges.extend(p.edges().iter().copied());
+        }
+        if !feasible {
+            continue;
+        }
+        if !compliant {
+            bound_blocked = true;
+            continue;
+        }
+        tree_edges.sort_unstable();
+        tree_edges.dedup();
+
+        if best.as_ref().is_none_or(|(h, _)| hops < *h) {
+            let ingress_ids = filtered.parent_edges(ingress.edges());
+            let distribution = filtered.parent_edges(&tree_edges);
+            let ingress_cost: f64 = ingress_ids
+                .iter()
+                .map(|&e| sdn.unit_bandwidth_cost(e) * b)
+                .sum();
+            // v is drawn from servers(), so the cost lookup cannot miss.
+            let computing_cost = sdn.unit_computing_cost(v).unwrap_or(0.0) * demand;
+            let bandwidth_cost: f64 = ingress_cost
+                + distribution
+                    .iter()
+                    .map(|&e| sdn.unit_bandwidth_cost(e) * b)
+                    .sum::<f64>();
+            best = Some((
+                hops,
+                PseudoMulticastTree {
+                    request: request.id,
+                    source: request.source,
+                    servers: vec![ServerUse {
+                        server: v,
+                        ingress_edges: ingress_ids,
+                        ingress_cost,
+                        computing_cost,
+                    }],
+                    distribution_edges: distribution,
+                    extra_traversals: Vec::new(),
+                    bandwidth_cost,
+                    computing_cost,
+                },
+            ));
+        }
+    }
+
+    match best {
+        Some((_, tree)) if sdn.can_allocate(&tree.allocation(request)) => HopScan::Admit(tree),
+        Some(_) => HopScan::Reject,
+        None if bound_blocked => HopScan::BoundReject,
+        None => HopScan::Reject,
     }
 }
 

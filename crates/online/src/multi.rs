@@ -84,7 +84,7 @@ impl OnlineAlgorithm for OnlineCpMulti {
             .fold(sdn::COST_FLOOR, f64::max);
         let mut edge_map: Vec<EdgeId> = Vec::new();
         for e in sdn.graph().edges() {
-            if !sdn.is_link_alive(e.id) || sdn.residual_bandwidth(e.id) + sdn::CAPACITY_EPS < b {
+            if !sdn.link_fits(e.id, b) {
                 continue;
             }
             let w = model.edge_weight(sdn, e.id);

@@ -545,9 +545,7 @@ impl AdmissionGraph {
             parent_edge,
         } = self;
         parent_edge.clear();
-        parent_edge.extend(net.edges().map(|e| e.id).filter(|&e| {
-            sdn.is_link_alive(e) && sdn.residual_bandwidth(e) + sdn::CAPACITY_EPS >= b
-        }));
+        parent_edge.extend(net.edges().map(|e| e.id).filter(|&e| sdn.link_fits(e, b)));
         let c_max = parent_edge
             .iter()
             .map(|&e| sdn.unit_bandwidth_cost(e))
@@ -591,10 +589,8 @@ pub(crate) fn phase1_survivors(
     let mut saturated = 0;
     for &v in sdn.servers() {
         // Hard feasibility: the server must be up and the chain must fit
-        // its residual capacity (a dead server reads as zero).
-        if !sdn.is_server_alive(v)
-            || sdn.residual_computing(v).unwrap_or(0.0) + sdn::CAPACITY_EPS < demand
-        {
+        // its residual capacity.
+        if !sdn.server_fits(v, demand) {
             continue;
         }
         let wv = match mode {

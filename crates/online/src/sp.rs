@@ -7,10 +7,14 @@
 //! at `v` spanning the destinations; the cheapest (fewest-hops) candidate
 //! is used. No workload awareness — the foil that Figs. 8–9 measure
 //! `Online_CP` against.
+//!
+//! That is the `LS_Online` hop-count scan ([`crate::LsChainAdmission`])
+//! with an infinite hop budget, so `SP` runs that scan rather than a copy
+//! of it.
 
+use crate::ls_chain::{hop_scan, HopScan};
 use crate::OnlineAlgorithm;
-use netgraph::{dijkstra_with_targets, induced_subgraph, EdgeId};
-use nfv_multicast::{PseudoMulticastTree, ServerUse};
+use nfv_multicast::PseudoMulticastTree;
 use sdn::{MulticastRequest, Sdn};
 
 /// The `SP` online heuristic.
@@ -32,93 +36,11 @@ impl OnlineAlgorithm for ShortestPathBaseline {
 
     // lint:entry(api)
     fn admit(&mut self, sdn: &Sdn, request: &MulticastRequest) -> Option<PseudoMulticastTree> {
-        let b = request.bandwidth;
-        let demand = request.computing_demand();
-
-        // Remove saturated and failed links; uniform weight on the rest.
-        let filtered = induced_subgraph(
-            sdn.graph(),
-            |_| true,
-            |e| sdn.is_link_alive(e) && sdn.residual_bandwidth(e) + sdn::CAPACITY_EPS >= b,
-        );
-        let g = filtered.graph();
-        let mut uniform = netgraph::Graph::with_nodes(g.node_count());
-        for e in g.edges() {
-            uniform
-                .add_edge(e.u, e.v, 1.0)
-                .expect("filtered edges are valid"); // lint:allow(P1): copies an edge the parent graph already validated
-        }
-
-        let mut best: Option<(f64, PseudoMulticastTree)> = None;
-        let spt_source = dijkstra_with_targets(&uniform, request.source, sdn.servers());
-        for &v in sdn.servers() {
-            // lint:allow(P1): v is drawn from servers()
-            let residual = sdn.residual_computing(v).expect("server");
-            if !sdn.is_server_alive(v) || residual + sdn::CAPACITY_EPS < demand {
-                continue;
-            }
-            let Some(ingress) = spt_source.path_to(v) else {
-                continue;
-            };
-            // Shortest-path tree rooted at the server spanning the
-            // destinations (union of shortest paths — a tree because they
-            // come from one Dijkstra run).
-            let spt_v = dijkstra_with_targets(&uniform, v, &request.destinations);
-            let mut tree_edges: Vec<EdgeId> = Vec::new();
-            let mut hops = ingress.cost();
-            let mut feasible = true;
-            for &d in &request.destinations {
-                let Some(p) = spt_v.path_to(d) else {
-                    feasible = false;
-                    break;
-                };
-                hops += p.cost();
-                tree_edges.extend(p.edges().iter().copied());
-            }
-            if !feasible {
-                continue;
-            }
-            tree_edges.sort_unstable();
-            tree_edges.dedup();
-
-            if best.as_ref().is_none_or(|(h, _)| hops < *h) {
-                let ingress_ids = filtered.parent_edges(ingress.edges());
-                let distribution = filtered.parent_edges(&tree_edges);
-                let ingress_cost: f64 = ingress_ids
-                    .iter()
-                    .map(|&e| sdn.unit_bandwidth_cost(e) * b)
-                    .sum();
-                let computing_cost = sdn.unit_computing_cost(v).expect("server") * demand; // lint:allow(P1): v is drawn from servers()
-                let bandwidth_cost: f64 = ingress_cost
-                    + distribution
-                        .iter()
-                        .map(|&e| sdn.unit_bandwidth_cost(e) * b)
-                        .sum::<f64>();
-                best = Some((
-                    hops,
-                    PseudoMulticastTree {
-                        request: request.id,
-                        source: request.source,
-                        servers: vec![ServerUse {
-                            server: v,
-                            ingress_edges: ingress_ids,
-                            ingress_cost,
-                            computing_cost,
-                        }],
-                        distribution_edges: distribution,
-                        extra_traversals: Vec::new(),
-                        bandwidth_cost,
-                        computing_cost,
-                    },
-                ));
-            }
-        }
-
-        let (_, tree) = best?;
-        if sdn.can_allocate(&tree.allocation(request)) {
-            Some(tree)
-        } else {
-            None
+        // The `LS_Online` scan without a hop budget: every connected
+        // route complies, so the bound never rejects.
+        match hop_scan(sdn, request, f64::INFINITY) {
+            HopScan::Admit(tree) => Some(tree),
+            HopScan::Reject | HopScan::BoundReject => None,
         }
     }
 }
@@ -126,7 +48,7 @@ impl OnlineAlgorithm for ShortestPathBaseline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netgraph::NodeId;
+    use netgraph::{EdgeId, NodeId};
     use sdn::{Allocation, NfvType, RequestId, SdnBuilder, ServiceChain};
 
     fn chain() -> ServiceChain {

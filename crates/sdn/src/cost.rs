@@ -27,16 +27,26 @@ use serde::{Deserialize, Serialize};
 //
 // Every admission / release / validation comparison in the workspace goes
 // through these named constants so the planner and the ledger can never
-// disagree about a boundary case. A planner feasibility check
-// `residual + CAPACITY_EPS >= need` accepts exactly the loads the ledger's
-// `load <= avail + CAPACITY_EPS` accepts, because both sides use the same
-// epsilon in the same direction.
+// disagree about a boundary case. Capacity feasibility is decided in one
+// place, [`fits`]: the planners ask it through [`Sdn::link_fits`] and
+// [`Sdn::server_fits`] when they build the residual-feasible subgraph, and
+// the ledger asks it when it validates an allocation, so a plan the
+// planners' filters accept always commits.
 // ---------------------------------------------------------------------------
 
 /// Absolute slack for capacity feasibility: a demand fits a residual when
-/// `residual + CAPACITY_EPS >= demand`. Shared by planner-side feasibility
-/// filters and the `Sdn` allocation ledger.
+/// `residual + CAPACITY_EPS >= demand` (see [`fits`], the one place the
+/// inequality is written).
 pub const CAPACITY_EPS: f64 = 1e-9;
+
+/// Whether a demand of `need` fits a residual of `residual`, with the
+/// shared [`CAPACITY_EPS`] slack. The feasibility decision of every
+/// planner filter and of the allocation ledger.
+#[inline]
+#[must_use]
+pub fn fits(residual: f64, need: f64) -> bool {
+    residual + CAPACITY_EPS >= need
+}
 
 /// Absolute slack when releasing resources back to the ledger: released
 /// amounts may overshoot the recorded load by accumulated float error up to

@@ -39,7 +39,7 @@ mod request;
 mod resources;
 
 pub use cost::{
-    ExponentialCostModel, LinearCostModel, CAPACITY_EPS, COST_FLOOR, COST_TIEBREAK_REL,
+    fits, ExponentialCostModel, LinearCostModel, CAPACITY_EPS, COST_FLOOR, COST_TIEBREAK_REL,
     PRUNE_GUARD_ABS, PRUNE_GUARD_REL, RELEASE_EPS, VALIDATE_REL_TOL,
 };
 pub use error::SdnError;

@@ -1,6 +1,6 @@
 //! The SDN itself: topology + capacities + unit costs + residual state.
 
-use crate::{Allocation, SdnError};
+use crate::{fits, Allocation, SdnError};
 use netgraph::{EdgeId, Graph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -160,8 +160,8 @@ pub struct Sdn {
     residual_bandwidth: Vec<f64>,
     residual_computing: Vec<f64>,
     /// Per-link liveness: `false` while the link is failed. Reserved
-    /// capacity bookkeeping is unaffected by failures — only the *usable*
-    /// view ([`Sdn::usable_bandwidth`]) is masked.
+    /// capacity bookkeeping is unaffected by failures — only the
+    /// feasibility view ([`Sdn::link_fits`]) is masked.
     link_alive: Vec<bool>,
     /// Per-node (server) liveness: `false` while the attached server is
     /// failed. Plain switches are always `true`.
@@ -365,41 +365,33 @@ impl Sdn {
         self.is_server(v) && self.node_alive.get(v.index()).copied().unwrap_or(false)
     }
 
-    /// Alive-masked residual bandwidth: the residual `B_e(k)` while the
-    /// link is up, `0.0` while it is failed. Admission and repair planning
-    /// read this view; the raw ledger ([`Sdn::residual_bandwidth`]) keeps
-    /// reserved-capacity bookkeeping across failures so releases and
-    /// recoveries stay exact.
+    /// Whether link `e` is up and its residual bandwidth `B_e(k)` fits a
+    /// demand of `b` ([`crate::fits`]): the link-side membership test of
+    /// the residual-feasible subgraph every capacitated planner builds.
     ///
     /// # Panics
     ///
     /// Panics if `e` is not a link of this network.
     #[must_use]
-    pub fn usable_bandwidth(&self, e: EdgeId) -> f64 {
-        if self.is_link_alive(e) {
-            self.residual_bandwidth(e)
-        } else {
-            0.0
-        }
+    pub fn link_fits(&self, e: EdgeId, b: f64) -> bool {
+        self.is_link_alive(e) && fits(self.residual_bandwidth(e), b)
     }
 
-    /// Alive-masked residual computing: the residual `C_v(k)` while the
-    /// server is up, `Some(0.0)` while it is failed, `None` for plain
-    /// switches.
+    /// Whether `v` carries a server that is up and whose residual
+    /// computing `C_v(k)` fits a demand of `demand` ([`crate::fits`]).
+    /// `false` for plain switches and for failed servers alike.
     #[must_use]
-    pub fn usable_computing(&self, v: NodeId) -> Option<f64> {
-        if !self.is_server(v) {
-            None
-        } else if self.node_alive.get(v.index()).copied().unwrap_or(false) {
-            self.residual_computing.get(v.index()).copied()
-        } else {
-            Some(0.0)
-        }
+    pub fn server_fits(&self, v: NodeId, demand: f64) -> bool {
+        self.is_server_alive(v)
+            && self
+                .residual_computing
+                .get(v.index())
+                .is_some_and(|&r| fits(r, demand))
     }
 
     /// Takes link `e` down. Reserved capacity on the link is *not*
     /// released — sessions holding it stay accounted until their owner
-    /// releases or repairs them — but the usable view drops to zero and
+    /// releases or repairs them — but [`Sdn::link_fits`] turns false and
     /// [`Sdn::version`] moves so caches invalidate.
     ///
     /// Returns `Ok(true)` when the link went down, `Ok(false)` when it was
@@ -507,11 +499,11 @@ impl Sdn {
             .filter(|v| !self.node_alive.get(v.index()).copied().unwrap_or(true))
     }
 
-    /// The smallest [`Sdn::usable_bandwidth`] over every link, in link id
-    /// order; `+∞` for a network without links. One pass over the
-    /// ledger's residual and liveness arrays.
+    /// The smallest residual bandwidth over every link, a failed link
+    /// counting as `0.0`, in link id order; `+∞` for a network without
+    /// links. One pass over the ledger's residual and liveness arrays.
     #[must_use]
-    pub fn min_usable_bandwidth(&self) -> f64 {
+    pub fn min_live_bandwidth(&self) -> f64 {
         self.residual_bandwidth
             .iter()
             .zip(&self.link_alive)
@@ -519,10 +511,11 @@ impl Sdn {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// The smallest [`Sdn::usable_computing`] over every server, in id
-    /// order; `+∞` for a network without servers.
+    /// The smallest residual computing over every server, a failed
+    /// server counting as `0.0`, in id order; `+∞` for a network without
+    /// servers.
     #[must_use]
-    pub fn min_usable_computing(&self) -> f64 {
+    pub fn min_live_computing(&self) -> f64 {
         self.topology
             .servers
             .iter()
@@ -549,9 +542,8 @@ impl Sdn {
     }
 
     fn validate_allocation(&self, alloc: &Allocation) -> Result<(), SdnError> {
-        // Shared with every planner-side `residual + CAPACITY_EPS >= need`
-        // feasibility filter, so a plan the filters accept always commits.
-        const EPS: f64 = crate::cost::CAPACITY_EPS;
+        // The same `fits` every planner-side feasibility filter asks, so a
+        // plan the filters accept always commits.
         for (e, load) in alloc.links() {
             let (Some(&alive), Some(&avail)) = (
                 self.link_alive.get(e.index()),
@@ -564,7 +556,7 @@ impl Sdn {
                     what: format!("link {e}"),
                 });
             }
-            if load > avail + EPS {
+            if !fits(avail, load) {
                 return Err(SdnError::InsufficientBandwidth {
                     link: e,
                     requested: load,
@@ -586,7 +578,7 @@ impl Sdn {
                 .get(v.index())
                 .copied()
                 .unwrap_or(0.0);
-            if load > avail + EPS {
+            if !fits(avail, load) {
                 return Err(SdnError::InsufficientComputing {
                     server: v,
                     requested: load,
@@ -930,8 +922,9 @@ mod tests {
         assert_eq!(sdn.version(), v_before + 1);
         assert!(!sdn.is_link_alive(e[0]));
         assert!(!sdn.all_alive());
-        // Usable view is masked; the raw ledger still remembers the hold.
-        assert_eq!(sdn.usable_bandwidth(e[0]), 0.0);
+        // The feasibility view is masked; the raw ledger still remembers
+        // the hold.
+        assert!(!sdn.link_fits(e[0], 1.0));
         assert_eq!(sdn.residual_bandwidth(e[0]), 40.0);
         // Failing again is an idempotent no-op.
         assert!(!sdn.fail_link(e[0]).unwrap());
@@ -939,9 +932,10 @@ mod tests {
         // Releasing the session while the link is down still works.
         sdn.release(&a).unwrap();
         assert_eq!(sdn.residual_bandwidth(e[0]), 100.0);
-        // Recovery restores the usable view to the (restored) residual.
+        // Recovery restores the feasibility view to the (restored) residual.
         assert!(sdn.recover_link(e[0]).unwrap());
-        assert_eq!(sdn.usable_bandwidth(e[0]), 100.0);
+        assert!(sdn.link_fits(e[0], 100.0));
+        assert!(!sdn.link_fits(e[0], 101.0));
         assert!(sdn.all_alive());
     }
 
@@ -951,55 +945,68 @@ mod tests {
             let links = sdn
                 .graph()
                 .edges()
-                .map(|e| sdn.usable_bandwidth(e.id))
+                .map(|e| {
+                    if sdn.is_link_alive(e.id) {
+                        sdn.residual_bandwidth(e.id)
+                    } else {
+                        0.0
+                    }
+                })
                 .fold(f64::INFINITY, f64::min);
             let servers = sdn
                 .servers()
                 .iter()
-                .map(|&v| sdn.usable_computing(v).unwrap())
+                .map(|&v| {
+                    if sdn.is_server_alive(v) {
+                        sdn.residual_computing(v).unwrap()
+                    } else {
+                        0.0
+                    }
+                })
                 .fold(f64::INFINITY, f64::min);
-            assert_eq!(sdn.min_usable_bandwidth().to_bits(), links.to_bits());
-            assert_eq!(sdn.min_usable_computing().to_bits(), servers.to_bits());
+            assert_eq!(sdn.min_live_bandwidth().to_bits(), links.to_bits());
+            assert_eq!(sdn.min_live_computing().to_bits(), servers.to_bits());
         }
         let (mut sdn, v, e) = small();
         check(&sdn);
-        assert_eq!(sdn.min_usable_bandwidth(), 100.0);
+        assert_eq!(sdn.min_live_bandwidth(), 100.0);
         let mut a = Allocation::new(RequestId(1));
         a.add_link(e[1], 150.0);
         a.add_server(v[1], 400.0);
         sdn.allocate(&a).unwrap();
         check(&sdn);
-        assert_eq!(sdn.min_usable_bandwidth(), 50.0);
-        assert_eq!(sdn.min_usable_computing(), 600.0);
+        assert_eq!(sdn.min_live_bandwidth(), 50.0);
+        assert_eq!(sdn.min_live_computing(), 600.0);
         sdn.fail_link(e[0]).unwrap();
         sdn.fail_server(v[1]).unwrap();
         check(&sdn);
-        assert_eq!(sdn.min_usable_bandwidth(), 0.0);
-        assert_eq!(sdn.min_usable_computing(), 0.0);
+        assert_eq!(sdn.min_live_bandwidth(), 0.0);
+        assert_eq!(sdn.min_live_computing(), 0.0);
         let bare = SdnBuilder::new().build().unwrap();
         check(&bare);
-        assert_eq!(bare.min_usable_bandwidth(), f64::INFINITY);
-        assert_eq!(bare.min_usable_computing(), f64::INFINITY);
+        assert_eq!(bare.min_live_bandwidth(), f64::INFINITY);
+        assert_eq!(bare.min_live_computing(), f64::INFINITY);
     }
 
     #[test]
-    fn server_failure_masks_usable_computing() {
+    fn server_failure_masks_server_fits() {
         let (mut sdn, v, _) = small();
         assert!(sdn.fail_server(v[1]).unwrap());
         assert!(!sdn.is_server_alive(v[1]));
         assert!(sdn.is_server(v[1]), "failed server is still a server");
-        assert_eq!(sdn.usable_computing(v[1]), Some(0.0));
+        assert!(!sdn.server_fits(v[1], 0.0));
         assert_eq!(sdn.residual_computing(v[1]), Some(1000.0));
         assert_eq!(sdn.failed_servers().collect::<Vec<_>>(), vec![v[1]]);
         assert!(sdn.recover_server(v[1]).unwrap());
-        assert_eq!(sdn.usable_computing(v[1]), Some(1000.0));
+        assert!(sdn.server_fits(v[1], 1000.0));
+        assert!(!sdn.server_fits(v[1], 1001.0));
         // Switches are never "alive servers" and cannot fail as servers.
         assert!(!sdn.is_server_alive(v[0]));
         assert!(matches!(
             sdn.fail_server(v[0]),
             Err(SdnError::NotAServer(_))
         ));
-        assert_eq!(sdn.usable_computing(v[0]), None);
+        assert!(!sdn.server_fits(v[0], 0.0));
     }
 
     #[test]

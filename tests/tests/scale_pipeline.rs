@@ -56,8 +56,8 @@ fn online_oracle_scan_is_transparent_at_1k_nodes() {
     assert_eq!(exact_net, oracle_net);
 }
 
-/// Oracle-seeded pruning through a small bounded `PathCache` (evictions
-/// forced) plans exactly what the plain unbounded cache plans.
+/// A small bounded `PathCache` (evictions forced) on a seeded request
+/// stream plans exactly what the plain unbounded cache plans.
 #[test]
 fn seeded_bounded_cache_matches_plain_plans_under_eviction() {
     let sdn = fat_tree_fixture(16, 8, 4); // 320 nodes
@@ -68,20 +68,14 @@ fn seeded_bounded_cache_matches_plain_plans_under_eviction() {
         .generate_batch(10, &mut rng);
 
     let mut plain = PathCache::new(&sdn);
-    let mut seeded = PathCache::with_options(
-        &sdn,
-        PathCacheOptions {
-            capacity: Some(2),
-            landmarks: 6,
-        },
-    );
+    let mut bounded = PathCache::with_options(&sdn, PathCacheOptions { capacity: Some(2) });
     for req in &requests {
         let a = appro_multi_cached(&sdn, req, 2, &mut plain);
-        let b = appro_multi_cached(&sdn, req, 2, &mut seeded);
-        assert_eq!(a, b, "seeded bounded plan diverged on request {}", req.id);
+        let b = appro_multi_cached(&sdn, req, 2, &mut bounded);
+        assert_eq!(a, b, "bounded plan diverged on request {}", req.id);
     }
     assert!(
-        seeded.spt_evictions() > 0,
+        bounded.spt_evictions() > 0,
         "capacity-2 cache never evicted; the bounded path went unexercised"
     );
 }

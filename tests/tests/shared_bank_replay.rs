@@ -41,11 +41,7 @@ struct Candidate {
 /// their exponential price plus the unit-cost tie-break.
 fn admission_graph(sdn: &Sdn, b: f64) -> (netgraph::FilteredGraph, Graph) {
     let model = ExponentialCostModel::for_network(sdn);
-    let filtered = induced_subgraph(
-        sdn.graph(),
-        |_| true,
-        |e| sdn.is_link_alive(e) && sdn.residual_bandwidth(e) + sdn::CAPACITY_EPS >= b,
-    );
+    let filtered = induced_subgraph(sdn.graph(), |_| true, |e| sdn.link_fits(e, b));
     let g = filtered.graph();
     let c_max = g
         .edges()
@@ -82,10 +78,7 @@ fn reference_admit(
     let survivors: Vec<(NodeId, f64)> = sdn
         .servers()
         .iter()
-        .filter(|&&v| {
-            sdn.is_server_alive(v)
-                && sdn.residual_computing(v).unwrap_or(0.0) + sdn::CAPACITY_EPS >= demand
-        })
+        .filter(|&&v| sdn.server_fits(v, demand))
         .filter_map(|&v| Some((v, model.server_weight(sdn, v)?)))
         .filter(|&(_, wv)| wv < sigma)
         .collect();
