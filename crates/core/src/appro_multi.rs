@@ -192,67 +192,29 @@ pub fn appro_multi_with_scratch(
     k: usize,
     scratch: &mut ApproScratch,
 ) -> Option<PseudoMulticastTree> {
-    assert!(k >= 1, "at least one server is required (K >= 1)");
-    appro_multi_on_scratch(sdn, request, k, sdn.servers(), scratch)
+    plan(sdn.graph(), request, k, &priced_servers(sdn), scratch, true)
 }
 
-/// [`appro_multi`] restricted to an explicit candidate server set — the
-/// entry point `Appro_Multi_Cap` uses after filtering out saturated
-/// servers.
-#[must_use]
-// lint:entry(api)
-pub fn appro_multi_on(
-    sdn: &Sdn,
-    request: &MulticastRequest,
-    k: usize,
-    servers: &[NodeId],
-) -> Option<PseudoMulticastTree> {
-    let mut scratch = ApproScratch::new();
-    appro_multi_on_scratch(sdn, request, k, servers, &mut scratch)
-}
-
-/// [`appro_multi_on`] with caller-owned working memory.
+/// Algorithm 1 on an explicit graph and candidate server set: the entry
+/// point of every planner that plans on a subgraph or under its own
+/// prices. `g`'s edge weights are the unit bandwidth costs, and
+/// `servers` lists each candidate server with the unit computing cost
+/// `c_v` the scan charges for it. `Appro_Multi_Cap` passes the
+/// residual-feasible subgraph ([`sdn::FeasibleGraph`]) and the servers
+/// that fit the chain; `Online_CP_Multi` passes congestion prices.
 ///
 /// # Panics
 ///
 /// Panics if `k == 0`.
 #[must_use]
-pub fn appro_multi_on_scratch(
-    sdn: &Sdn,
+pub fn appro_multi_on_graph(
+    g: &Graph,
     request: &MulticastRequest,
     k: usize,
-    servers: &[NodeId],
+    servers: &[(NodeId, f64)],
     scratch: &mut ApproScratch,
 ) -> Option<PseudoMulticastTree> {
-    assert!(k >= 1, "at least one server is required (K >= 1)");
-    if servers.is_empty() {
-        return None;
-    }
-    let g = sdn.graph();
-
-    // One SPT from the source (ingress paths / virtual weights)...
-    let spt_source = dijkstra(g, request.source);
-    // ...and one early-exit SPT per destination (reaching all servers, the
-    // source, and the other destinations).
-    let mut targets: Vec<NodeId> = request.destinations.clone();
-    targets.push(request.source);
-    targets.extend_from_slice(servers);
-    let spt_dests: Vec<ShortestPathTree> = request
-        .destinations
-        .iter()
-        .map(|&d| dijkstra_with_targets(g, d, &targets))
-        .collect();
-    let dest_refs: Vec<&ShortestPathTree> = spt_dests.iter().collect();
-    appro_multi_scan(
-        sdn,
-        request,
-        k,
-        servers,
-        &spt_source,
-        &dest_refs,
-        scratch,
-        true,
-    )
+    plan(g, request, k, servers, scratch, true)
 }
 
 /// [`appro_multi`] with the branch-and-bound pruning disabled: every
@@ -270,32 +232,55 @@ pub fn appro_multi_unpruned(
     request: &MulticastRequest,
     k: usize,
 ) -> Option<PseudoMulticastTree> {
+    let (servers, mut scratch) = (priced_servers(sdn), ApproScratch::new());
+    plan(sdn.graph(), request, k, &servers, &mut scratch, false)
+}
+
+/// Every server of `sdn` with its unit computing cost: the candidate set
+/// of the uncapacitated algorithm.
+pub(crate) fn priced_servers(sdn: &Sdn) -> Vec<(NodeId, f64)> {
+    sdn.servers()
+        .iter()
+        .filter_map(|&v| Some((v, sdn.unit_computing_cost(v)?)))
+        .collect()
+}
+
+/// Computes the shortest-path trees of one request on `g` and runs the
+/// combination scan over them.
+fn plan(
+    g: &Graph,
+    request: &MulticastRequest,
+    k: usize,
+    servers: &[(NodeId, f64)],
+    scratch: &mut ApproScratch,
+    prune: bool,
+) -> Option<PseudoMulticastTree> {
     assert!(k >= 1, "at least one server is required (K >= 1)");
-    let servers = sdn.servers();
     if servers.is_empty() {
         return None;
     }
-    let g = sdn.graph();
+    // One SPT from the source (ingress paths / virtual weights)...
     let spt_source = dijkstra(g, request.source);
+    // ...and one early-exit SPT per destination (reaching all servers, the
+    // source, and the other destinations).
     let mut targets: Vec<NodeId> = request.destinations.clone();
     targets.push(request.source);
-    targets.extend_from_slice(servers);
+    targets.extend(servers.iter().map(|&(v, _)| v));
     let spt_dests: Vec<ShortestPathTree> = request
         .destinations
         .iter()
         .map(|&d| dijkstra_with_targets(g, d, &targets))
         .collect();
     let dest_refs: Vec<&ShortestPathTree> = spt_dests.iter().collect();
-    let mut scratch = ApproScratch::new();
     appro_multi_scan(
-        sdn,
+        g,
         request,
         k,
         servers,
         &spt_source,
         &dest_refs,
-        &mut scratch,
-        false,
+        scratch,
+        prune,
     )
 }
 
@@ -436,13 +421,14 @@ impl ScanTables {
 /// A *full* tree satisfies that trivially, which is what lets the
 /// per-source SPT cache drive this path: early-exit and full runs agree
 /// exactly on all settled nodes, so the result is byte-identical either
-/// way.
+/// way. `servers` pairs each candidate with its unit computing cost, as
+/// in [`appro_multi_on_graph`].
 #[allow(clippy::too_many_arguments)] // internal; public wrappers are narrow
 pub(crate) fn appro_multi_scan(
-    sdn: &Sdn,
+    g: &Graph,
     request: &MulticastRequest,
     k: usize,
-    servers: &[NodeId],
+    servers: &[(NodeId, f64)],
     spt_source: &ShortestPathTree,
     spt_dests: &[&ShortestPathTree],
     scratch: &mut ApproScratch,
@@ -452,16 +438,15 @@ pub(crate) fn appro_multi_scan(
     if servers.is_empty() {
         return None;
     }
-    let g = sdn.graph();
     let b = request.bandwidth;
     let demand = request.computing_demand();
 
     // Virtual-edge weight per candidate server; unreachable servers drop.
     let virt: Vec<VirtEdge> = servers
         .iter()
-        .filter_map(|&v| {
+        .filter_map(|&(v, unit)| {
             let dist = spt_source.distance(v)?;
-            let computing = sdn.unit_computing_cost(v)? * demand;
+            let computing = unit * demand;
             Some(VirtEdge {
                 node: v,
                 weight: dist * b + computing,
@@ -565,7 +550,7 @@ pub(crate) fn appro_multi_scan(
         let Some(tree) = eval_combination(g, b, &virt, request, spt_dests, &tables, scratch) else {
             continue;
         };
-        let pseudo = tree.into_pseudo(sdn, request, &virt, spt_source, demand);
+        let pseudo = tree.into_pseudo(g, request, &virt, spt_source);
         if pseudo.total_cost() < best_cost {
             best_cost = pseudo.total_cost();
             best = Some(pseudo);
@@ -586,31 +571,25 @@ struct MiniTree {
 impl MiniTree {
     fn into_pseudo(
         self,
-        sdn: &Sdn,
+        g: &Graph,
         request: &MulticastRequest,
         virt: &[VirtEdge],
         spt_source: &ShortestPathTree,
-        demand: f64,
     ) -> PseudoMulticastTree {
         let b = request.bandwidth;
         let mut servers = Vec::new();
         let mut computing_cost = 0.0;
         for &vi in &self.used_servers {
             let Some(ve) = virt.get(vi) else { continue };
-            let v = ve.node;
             let path = spt_source
-                .path_to(v)
+                .path_to(ve.node)
                 .expect("virtual weight implies reachability"); // lint:allow(P1): a finite virtual weight implies the SPT reaches v
-            let computing = sdn
-                .unit_computing_cost(v)
-                .expect("virt entries are servers") // lint:allow(P1): virt entries are drawn from servers()
-                * demand;
-            computing_cost += computing;
+            computing_cost += ve.computing;
             servers.push(ServerUse {
-                server: v,
+                server: ve.node,
                 ingress_edges: path.edges().to_vec(),
                 ingress_cost: path.cost() * b,
-                computing_cost: computing,
+                computing_cost: ve.computing,
             });
         }
         let mut pseudo = PseudoMulticastTree {
@@ -628,7 +607,7 @@ impl MiniTree {
             .ingress_union()
             .iter()
             .chain(&pseudo.distribution_edges)
-            .map(|&e| sdn.unit_bandwidth_cost(e) * b)
+            .map(|&e| g.edge(e).weight * b)
             .sum();
         pseudo
     }

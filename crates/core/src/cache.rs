@@ -32,7 +32,7 @@
 //!   uncached [`appro_multi_cap`], which is the definition of the
 //!   sequential result.
 
-use crate::appro_multi::appro_multi_scan;
+use crate::appro_multi::{appro_multi_scan, priced_servers};
 use crate::{
     appro_multi_cap_plan_with_scratch, Admission, ApproScratch, CapPlan, PseudoMulticastTree,
 };
@@ -243,10 +243,10 @@ pub fn appro_multi_cached(
         request.destinations.iter().map(|&d| cache.spt(d)).collect();
     let dest_refs: Vec<&ShortestPathTree> = spt_dests.iter().map(Arc::as_ref).collect();
     appro_multi_scan(
-        sdn,
+        sdn.graph(),
         request,
         k,
-        sdn.servers(),
+        &priced_servers(sdn),
         &spt_source,
         &dest_refs,
         &mut cache.scratch,

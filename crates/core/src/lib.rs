@@ -64,9 +64,8 @@ mod rules;
 mod viz;
 
 pub use appro_multi::{
-    appro_multi, appro_multi_on, appro_multi_on_scratch, appro_multi_reference,
-    appro_multi_unpruned, appro_multi_with_scratch, appro_multi_with_steiner, ApproScratch,
-    SteinerRoutine,
+    appro_multi, appro_multi_on_graph, appro_multi_reference, appro_multi_unpruned,
+    appro_multi_with_scratch, appro_multi_with_steiner, ApproScratch, SteinerRoutine,
 };
 pub use auxiliary::AuxiliaryGraph;
 pub use cache::{

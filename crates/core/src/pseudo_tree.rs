@@ -59,6 +59,23 @@ impl PseudoMulticastTree {
         self.bandwidth_cost + self.computing_cost
     }
 
+    /// Renames every edge of the tree — ingress paths, distribution
+    /// edges and extra traversals — through `f`: how a tree planned on a
+    /// [`sdn::FeasibleGraph`] is carried back to network edge ids.
+    #[must_use]
+    pub fn map_edges(mut self, mut f: impl FnMut(EdgeId) -> EdgeId) -> Self {
+        let edges = self
+            .servers
+            .iter_mut()
+            .flat_map(|su| su.ingress_edges.iter_mut())
+            .chain(self.distribution_edges.iter_mut())
+            .chain(self.extra_traversals.iter_mut());
+        for e in edges {
+            *e = f(*e);
+        }
+        self
+    }
+
     /// The servers hosting chain instances, in id order.
     #[must_use]
     pub fn servers_used(&self) -> Vec<NodeId> {

@@ -46,12 +46,12 @@
 //! byte-reproducible.
 
 use crate::repair::{CommittedSession, SessionManager};
-use netgraph::{EdgeId, Graph, NodeId};
+use netgraph::{EdgeId, NodeId};
 use nfv_multicast::{
     appro_multi_cap_plan_excluding, appro_multi_cap_with_scratch, Admission, ApproScratch, CapPlan,
     PseudoMulticastTree,
 };
-use sdn::{Allocation, MulticastRequest, RequestId, Sdn};
+use sdn::{Allocation, FeasibleGraph, MulticastRequest, RequestId, Sdn};
 use std::collections::BTreeSet;
 
 /// Capacity discipline for precomputed backup trees.
@@ -396,27 +396,16 @@ impl SessionManager {
             // headroom per edge (the path may re-traverse edges the
             // session already charges — ingress overlap — and each new
             // distribution instance costs another b).
-            let mut fg = Graph::with_nodes(g.node_count());
-            let mut emap: Vec<EdgeId> = Vec::new();
-            for e in g.edges() {
-                if sdn.link_fits(e.id, b) {
-                    fg.add_edge(e.u, e.v, e.weight)
-                        .expect("copied link is valid"); // lint:allow(P1): copies an edge the parent network already validated
-                    emap.push(e.id);
-                }
-            }
+            let feasible = FeasibleGraph::new(sdn, b, |e| Some(sdn.unit_bandwidth_cost(e)));
             let tree_nodes: Vec<NodeId> = covered.iter().copied().collect();
-            let Some(path) = steiner::join(&fg, &tree_nodes, v) else {
+            let Some(path) = steiner::join(feasible.graph(), &tree_nodes, v) else {
                 return GraftOutcome::Unreachable;
             };
-            let mut new_edges: Vec<EdgeId> = Vec::with_capacity(path.edges().len());
-            for le in path.edges() {
-                let Some(&orig) = emap.get(le.index()) else {
-                    // join only returns edges of fg, all of which are mapped.
-                    return GraftOutcome::Unreachable;
-                };
-                new_edges.push(orig);
-            }
+            let new_edges: Vec<EdgeId> = path
+                .edges()
+                .iter()
+                .map(|&e| feasible.parent_edge(e))
+                .collect();
             debug_assert!(
                 new_edges
                     .iter()

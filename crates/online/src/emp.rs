@@ -19,10 +19,10 @@
 //! prices live on the same normalized scale. Price-caused rejections are
 //! recorded on [`telemetry::Counter::OnlinePriceRejections`].
 
-use crate::online_cp::{build_admission_graph, AdmissionCtx, Candidate, EvalOutcome, ScanMemory};
+use crate::online_cp::{rebuild_admission_graph, AdmissionCtx, Candidate, EvalOutcome, ScanMemory};
 use crate::{phase1_survivors, CostMode, OnlineAlgorithm, ThresholdRule};
 use nfv_multicast::PseudoMulticastTree;
-use sdn::{ExponentialCostModel, MulticastRequest, Sdn};
+use sdn::{ExponentialCostModel, FeasibleGraph, MulticastRequest, Sdn};
 
 /// The benefit (revenue) of admitting `request` on `sdn`, on the same
 /// normalized scale as the exponential admission weights.
@@ -85,8 +85,9 @@ impl OnlineAlgorithm for EmpPricing {
         let demand = request.computing_demand();
         let benefit = self.benefit_scale * request_revenue(sdn, request);
 
-        let graph = build_admission_graph(sdn, b, CostMode::Exponential);
-        if graph.weighted.edge_count() == 0 {
+        let mut graph = FeasibleGraph::default();
+        rebuild_admission_graph(&mut graph, sdn, b, CostMode::Exponential);
+        if graph.graph().edge_count() == 0 {
             telemetry::hit(telemetry::Counter::OnlineRejectedInfeasible);
             return None;
         }

@@ -22,9 +22,9 @@
 //! [`ShortestPathBaseline`]: crate::ShortestPathBaseline
 
 use crate::OnlineAlgorithm;
-use netgraph::{dijkstra_with_targets, induced_subgraph, EdgeId};
+use netgraph::{dijkstra_with_targets, EdgeId};
 use nfv_multicast::{PseudoMulticastTree, ServerUse};
-use sdn::{MulticastRequest, Sdn};
+use sdn::{FeasibleGraph, MulticastRequest, Sdn};
 
 /// The Lukovszki–Schmid-style bounded-length admission policy.
 #[derive(Debug, Clone, Copy, Default)]
@@ -96,9 +96,9 @@ pub(crate) enum HopScan {
 /// The hop-count admission scan shared by `LS_Online` and the `SP`
 /// baseline (which is this scan with `budget = ∞`).
 ///
-/// Links and servers outside the residual-feasible alive subgraph
-/// ([`Sdn::link_fits`] / [`Sdn::server_fits`]) are removed and every
-/// remaining link weighs one hop. For each candidate server `v` the
+/// The scan runs on the residual-feasible subgraph ([`FeasibleGraph`])
+/// with every link weighing one hop, over the servers that fit the chain
+/// ([`Sdn::server_fits`]). For each candidate server `v` the
 /// route is the shortest path `s_k → v` plus a shortest-path tree rooted
 /// at `v` spanning the destinations; `v` is compliant when every
 /// processed route `s_k → v → d` has at most `budget` hops, and the
@@ -109,19 +109,15 @@ pub(crate) fn hop_scan(sdn: &Sdn, request: &MulticastRequest, budget: f64) -> Ho
 
     // Length classes are measured on the residual-feasible alive
     // subgraph with uniform weights, so "hops" means hops.
-    let filtered = induced_subgraph(sdn.graph(), |_| true, |e| sdn.link_fits(e, b));
-    let g = filtered.graph();
-    let mut uniform = netgraph::Graph::with_nodes(g.node_count());
-    for e in g.edges() {
-        // Copies an edge the parent graph already validated.
-        if uniform.add_edge(e.u, e.v, 1.0).is_err() {
-            return HopScan::Reject;
-        }
-    }
+    let feasible = FeasibleGraph::new(sdn, b, |_| Some(1.0));
+    let uniform = feasible.graph();
+    let to_network = |edges: &[EdgeId]| -> Vec<EdgeId> {
+        edges.iter().map(|&e| feasible.parent_edge(e)).collect()
+    };
 
     let mut best: Option<(f64, PseudoMulticastTree)> = None;
     let mut bound_blocked = false;
-    let spt_source = dijkstra_with_targets(&uniform, request.source, sdn.servers());
+    let spt_source = dijkstra_with_targets(uniform, request.source, sdn.servers());
     for &v in sdn.servers() {
         if !sdn.server_fits(v, demand) {
             continue;
@@ -138,7 +134,7 @@ pub(crate) fn hop_scan(sdn: &Sdn, request: &MulticastRequest, budget: f64) -> Ho
         // Shortest-path tree rooted at the server spanning the
         // destinations (union of shortest paths — a tree because they
         // come from one Dijkstra run).
-        let spt_v = dijkstra_with_targets(&uniform, v, &request.destinations);
+        let spt_v = dijkstra_with_targets(uniform, v, &request.destinations);
         let mut tree_edges: Vec<EdgeId> = Vec::new();
         let mut hops = h_in;
         let mut feasible = true;
@@ -168,8 +164,8 @@ pub(crate) fn hop_scan(sdn: &Sdn, request: &MulticastRequest, budget: f64) -> Ho
         tree_edges.dedup();
 
         if best.as_ref().is_none_or(|(h, _)| hops < *h) {
-            let ingress_ids = filtered.parent_edges(ingress.edges());
-            let distribution = filtered.parent_edges(&tree_edges);
+            let ingress_ids = to_network(ingress.edges());
+            let distribution = to_network(&tree_edges);
             let ingress_cost: f64 = ingress_ids
                 .iter()
                 .map(|&e| sdn.unit_bandwidth_cost(e) * b)

@@ -3,23 +3,31 @@
 //!
 //! The paper proves its competitive ratio only for `K = 1` and leaves the
 //! general case open (§VII). This module combines the two halves of the
-//! paper mechanically: the exponential congestion prices of §V-A become
-//! the unit costs of a *derived network*, and Algorithm 1's
-//! combination-enumerating Steiner reduction runs on it, so an admission
-//! may instantiate the chain on up to `K` servers. Admission control
-//! keeps the per-edge/per-server thresholds of Algorithm 2. No
-//! competitive guarantee is claimed — the ablation benches measure it
-//! empirically.
+//! paper mechanically: Algorithm 1's combination-enumerating Steiner
+//! reduction runs on the residual-feasible subgraph `G_k` (an
+//! [`sdn::FeasibleGraph`]) with the exponential congestion prices of §V-A
+//! as its unit costs, so an admission may instantiate the chain on up to
+//! `K` servers. Admission control keeps the per-edge/per-server
+//! thresholds of Algorithm 2. No competitive guarantee is claimed — the
+//! ablation benches measure it empirically.
 
 use crate::{phase1_survivors, CostMode, OnlineAlgorithm};
 use netgraph::{EdgeId, NodeId};
-use nfv_multicast::{appro_multi_on, PseudoMulticastTree};
-use sdn::{ExponentialCostModel, MulticastRequest, Sdn, SdnBuilder};
+use nfv_multicast::{appro_multi_on_graph, ApproScratch, PseudoMulticastTree};
+use sdn::{ExponentialCostModel, FeasibleGraph, MulticastRequest, Sdn};
 
 /// Online admission with up to `K` chain instances per request.
+///
+/// One instance keeps its priced subgraph, its candidate list and the
+/// combination scan's buffers across decisions.
 #[derive(Debug, Clone)]
 pub struct OnlineCpMulti {
     k: usize,
+    /// Phase-1 survivors, then the same servers at their unit prices.
+    servers: Vec<(NodeId, f64)>,
+    /// `G_k` under the congestion prices, σ-heavy links dropped.
+    feasible: FeasibleGraph,
+    scratch: ApproScratch,
 }
 
 impl OnlineCpMulti {
@@ -31,7 +39,12 @@ impl OnlineCpMulti {
     #[must_use]
     pub fn new(k: usize) -> Self {
         assert!(k >= 1, "at least one chain instance is required");
-        OnlineCpMulti { k }
+        OnlineCpMulti {
+            k,
+            servers: Vec::new(),
+            feasible: FeasibleGraph::default(),
+            scratch: ApproScratch::new(),
+        }
     }
 
     /// The instance budget `K`.
@@ -52,93 +65,56 @@ impl OnlineAlgorithm for OnlineCpMulti {
         let demand = request.computing_demand();
         let model = ExponentialCostModel::for_network(sdn);
         let sigma = ExponentialCostModel::threshold(sdn);
+        let OnlineCpMulti {
+            k,
+            servers,
+            feasible,
+            scratch,
+        } = self;
 
-        // Derived network: same switches; links that fit b_k priced at
-        // their congestion weight (plus the zero-tie epsilon); servers
-        // that fit the chain and pass the threshold priced so that
-        // `unit_cost * demand = w_v(k)`.
-        let mut bld = SdnBuilder::new();
-        for _ in sdn.graph().nodes() {
-            bld.add_switch();
-        }
-        let mut usable: Vec<NodeId> = Vec::new();
-        let mut survivors = Vec::new();
-        phase1_survivors(sdn, request, CostMode::Exponential, sigma, &mut survivors);
-        for (v, wv) in survivors {
-            let unit = if demand > 0.0 { wv / demand } else { 0.0 };
-            bld.attach_server(
-                v,
-                sdn.residual_computing(v).expect("server").max(1e-9), // lint:allow(P1): v is drawn from servers()
-                unit,
-            )
-            .expect("same node space"); // lint:allow(P1): the builder shares the parent node space
-            usable.push(v);
-        }
-        if usable.is_empty() {
+        // Candidates: the servers that fit the chain and pass the
+        // threshold, priced so that `unit_cost * demand = w_v(k)`.
+        phase1_survivors(sdn, request, CostMode::Exponential, sigma, servers);
+        if servers.is_empty() {
             return None;
         }
+        for (_, w) in servers.iter_mut() {
+            *w = if demand > 0.0 { *w / demand } else { 0.0 };
+        }
+        // Links that fit b_k and pass the per-edge threshold, priced at
+        // their congestion weight plus the zero-tie epsilon (normalised
+        // over every link). The scan multiplies unit costs by b_k; divide
+        // it out so the Steiner objective is exactly the congestion weight.
         let c_max = sdn
             .graph()
             .edges()
             .map(|e| e.weight)
             .fold(sdn::COST_FLOOR, f64::max);
-        let mut edge_map: Vec<EdgeId> = Vec::new();
-        for e in sdn.graph().edges() {
-            if !sdn.link_fits(e.id, b) {
-                continue;
-            }
-            let w = model.edge_weight(sdn, e.id);
-            if w >= sigma {
-                continue; // per-edge admission threshold, applied up front
-            }
-            let tiebreak = sdn::COST_TIEBREAK_REL * e.weight / c_max;
-            // appro_multi_on multiplies unit costs by b_k; divide it out
-            // so the Steiner objective is exactly the congestion weight.
-            bld.add_link(e.u, e.v, sdn.bandwidth_capacity(e.id), (w + tiebreak) / b)
-                .expect("copied link is valid"); // lint:allow(P1): copies a link the parent network already validated
-            edge_map.push(e.id);
-        }
-        let derived = bld.build().expect("derived network is well-formed"); // lint:allow(P1): the derived network reuses validated parameters only
+        feasible.rebuild(sdn, b, |e| {
+            let w = model.edge_weight(sdn, e);
+            let tiebreak = sdn::COST_TIEBREAK_REL * sdn.unit_bandwidth_cost(e) / c_max;
+            (w < sigma).then(|| (w + tiebreak) / b)
+        });
+        let mut tree = appro_multi_on_graph(feasible.graph(), request, *k, servers, scratch)?
+            .map_edges(|e| feasible.parent_edge(e));
 
-        let mut tree = appro_multi_on(&derived, request, self.k, &usable)?;
-
-        // Translate edge ids back and re-price costs in real units.
-        for su in &mut tree.servers {
-            for e in &mut su.ingress_edges {
-                *e = edge_map[e.index()];
-            }
-        }
-        for e in &mut tree.distribution_edges {
-            *e = edge_map[e.index()];
-        }
-        for e in &mut tree.extra_traversals {
-            *e = edge_map[e.index()];
-        }
-        let mut bandwidth_cost = 0.0;
-        for e in tree.ingress_union() {
-            bandwidth_cost += sdn.unit_bandwidth_cost(e) * b;
-        }
-        for &e in tree.distribution_edges.iter().chain(&tree.extra_traversals) {
-            bandwidth_cost += sdn.unit_bandwidth_cost(e) * b;
-        }
-        tree.bandwidth_cost = bandwidth_cost;
+        // Re-price the tree in real units.
+        let price = |e: EdgeId| sdn.unit_bandwidth_cost(e) * b;
+        let traversals = tree.distribution_edges.iter().chain(&tree.extra_traversals);
+        tree.bandwidth_cost = tree
+            .ingress_union()
+            .iter()
+            .chain(traversals)
+            .fold(0.0, |cost, &e| cost + price(e));
         let mut computing_cost = 0.0;
         for su in &mut tree.servers {
-            su.ingress_cost = su
-                .ingress_edges
-                .iter()
-                .map(|&e| sdn.unit_bandwidth_cost(e) * b)
-                .sum();
-            su.computing_cost = sdn.unit_computing_cost(su.server).expect("server") * demand; // lint:allow(P1): su.server is drawn from servers()
+            su.ingress_cost = su.ingress_edges.iter().map(|&e| price(e)).sum();
+            su.computing_cost = sdn.unit_computing_cost(su.server).unwrap_or(0.0) * demand;
             computing_cost += su.computing_cost;
         }
         tree.computing_cost = computing_cost;
 
-        if sdn.can_allocate(&tree.allocation(request)) {
-            Some(tree)
-        } else {
-            None
-        }
+        sdn.can_allocate(&tree.allocation(request)).then_some(tree)
     }
 }
 
@@ -147,7 +123,7 @@ mod tests {
     use super::*;
     use crate::{run_online, OnlineCp};
     use netgraph::NodeId;
-    use sdn::{NfvType, RequestId, ServiceChain};
+    use sdn::{NfvType, RequestId, SdnBuilder, ServiceChain};
 
     fn star_net() -> (Sdn, Vec<NodeId>) {
         // Source in the middle, two server-fronted destination arms.

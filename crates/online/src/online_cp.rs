@@ -7,7 +7,7 @@ use netgraph::{
     UnionFind,
 };
 use nfv_multicast::{PseudoMulticastTree, ServerUse};
-use sdn::{ExponentialCostModel, LinearCostModel, MulticastRequest, Sdn};
+use sdn::{ExponentialCostModel, FeasibleGraph, LinearCostModel, MulticastRequest, Sdn};
 use steiner::{SteinerTree, TerminalSptBank};
 
 /// How `Online_CP` prices residual resources when weighting the admission
@@ -62,12 +62,12 @@ struct AdmissionGraphCache {
     /// The `(Sdn::version, bandwidth bits)` the graph was built for;
     /// `None` before the first build.
     key: Option<(u64, u64)>,
-    graph: AdmissionGraph,
-    /// Landmark oracle over `graph.weighted` (present only in oracle mode):
+    graph: FeasibleGraph,
+    /// Landmark oracle over `graph` (present only in oracle mode):
     /// admissible lower bounds on weighted-graph distances, rebuilt
     /// together with the graph it describes so it can never go stale.
     oracle: Option<LandmarkOracle>,
-    /// The σ-cut of `graph.weighted` (present only under
+    /// The σ-cut of `graph` (present only under
     /// [`CostMode::Exponential`], the one mode with thresholds).
     cut: Option<SigmaCut>,
 }
@@ -81,18 +81,18 @@ impl AdmissionGraphCache {
         if self.key == Some(key) {
             return true;
         }
-        self.graph.rebuild(sdn, b, mode);
+        rebuild_admission_graph(&mut self.graph, sdn, b, mode);
         // The oracle prices the same weighted graph the Steiner scan runs
         // on, so its bounds are admissible for exactly the trees this
         // cache generation will build.
         self.oracle = (landmarks > 0).then(|| {
-            let csr = CsrGraph::from_graph(&self.graph.weighted);
+            let csr = CsrGraph::from_graph(self.graph.graph());
             LandmarkOracle::build(&csr, landmarks, &mut DijkstraScratch::new())
         });
         if mode == CostMode::Exponential {
             self.cut
                 .get_or_insert_with(SigmaCut::default)
-                .rebuild(&self.graph.weighted, ExponentialCostModel::threshold(sdn));
+                .rebuild(self.graph.graph(), ExponentialCostModel::threshold(sdn));
         } else {
             self.cut = None;
         }
@@ -361,7 +361,7 @@ impl OnlineCp {
             survivors,
             candidates,
         } = &mut self.work;
-        if cache.graph.weighted.edge_count() == 0 {
+        if cache.graph.graph().edge_count() == 0 {
             return Err(Rejection::Infeasible);
         }
         let ctx = AdmissionCtx {
@@ -498,71 +498,44 @@ impl OnlineCp {
     }
 }
 
-/// The admission graph `G_k`: the network's alive, residual-feasible
-/// links, weighted under one cost mode.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct AdmissionGraph {
-    /// The weighted graph. Its node ids are the network's; its edge ids
-    /// are dense over the kept links.
-    pub(crate) weighted: Graph,
-    /// Network edge id per `weighted` edge id.
-    pub(crate) parent_edge: Vec<EdgeId>,
-}
-
-/// Builds the admission graph `G_k` for bandwidth `b` under the chosen
-/// cost mode. Shared by `OnlineCp`'s cache and the `EmpPricing` strategy
-/// so the two graphs can never drift apart.
+/// Rebuilds the admission graph `G_k` in `graph` for bandwidth `b` under
+/// the chosen cost mode: the network's alive, residual-feasible links (a
+/// [`FeasibleGraph`]), weighted under `mode`. Shared by `OnlineCp`'s
+/// cache and the `EmpPricing` strategy so the two graphs can never drift
+/// apart.
 ///
 /// G_k keeps links with enough residual bandwidth for one traversal (a
 /// link on the send-back path needs 2·b_k; that stricter joint check
 /// happens on the final allocation) and excludes failed links exactly like
 /// saturated ones. A fresh network has every exponential weight at exactly
 /// zero, which would leave the Steiner routine picking among ties
-/// arbitrarily (and wastefully); an infinitesimal unit-cost term breaks
-/// those ties toward cost-efficient trees without ever influencing a
-/// loaded decision or the admission thresholds.
-pub(crate) fn build_admission_graph(sdn: &Sdn, b: f64, mode: CostMode) -> AdmissionGraph {
-    let mut graph = AdmissionGraph::default();
-    graph.rebuild(sdn, b, mode);
-    graph
-}
-
-impl AdmissionGraph {
-    /// Maps `weighted` edge ids back to network edge ids.
-    fn parent_edges(&self, edges: &[EdgeId]) -> Vec<EdgeId> {
-        edges.iter().map(|e| self.parent_edge[e.index()]).collect()
-    }
-
-    /// Rebuilds `G_k` in place for bandwidth `b` under `mode` (see
-    /// [`build_admission_graph`]), keeping the graph's and the edge map's
-    /// allocations.
-    fn rebuild(&mut self, sdn: &Sdn, b: f64, mode: CostMode) {
-        let model = ExponentialCostModel::for_network(sdn);
-        let linear = LinearCostModel::new();
-        let net = sdn.graph();
-        let AdmissionGraph {
-            weighted,
-            parent_edge,
-        } = self;
-        parent_edge.clear();
-        parent_edge.extend(net.edges().map(|e| e.id).filter(|&e| sdn.link_fits(e, b)));
-        let c_max = parent_edge
-            .iter()
-            .map(|&e| sdn.unit_bandwidth_cost(e))
-            .fold(sdn::COST_FLOOR, f64::max);
-        weighted.reset(net.node_count());
-        for &orig in parent_edge.iter() {
-            let tiebreak = sdn::COST_TIEBREAK_REL * sdn.unit_bandwidth_cost(orig) / c_max;
-            let w = match mode {
-                CostMode::Exponential => model.edge_weight(sdn, orig) + tiebreak,
-                CostMode::Linear => linear.edge_cost(sdn, orig, 1.0),
-            };
-            let e = net.edge(orig);
-            weighted
-                .add_edge(e.u, e.v, w)
-                .expect("network edges are valid"); // lint:allow(P1): copies an edge the network graph already validated
-        }
-    }
+/// arbitrarily (and wastefully); an infinitesimal unit-cost term,
+/// normalised by the dearest kept link, breaks those ties toward
+/// cost-efficient trees without ever influencing a loaded decision or the
+/// admission thresholds.
+pub(crate) fn rebuild_admission_graph(
+    graph: &mut FeasibleGraph,
+    sdn: &Sdn,
+    b: f64,
+    mode: CostMode,
+) {
+    let model = ExponentialCostModel::for_network(sdn);
+    let linear = LinearCostModel::new();
+    let c_max = sdn
+        .graph()
+        .edges()
+        .filter(|e| sdn.link_fits(e.id, b))
+        .map(|e| e.weight)
+        .fold(sdn::COST_FLOOR, f64::max);
+    graph.rebuild(sdn, b, |e| {
+        Some(match mode {
+            CostMode::Exponential => {
+                let tiebreak = sdn::COST_TIEBREAK_REL * sdn.unit_bandwidth_cost(e) / c_max;
+                model.edge_weight(sdn, e) + tiebreak
+            }
+            CostMode::Linear => linear.edge_cost(sdn, e, 1.0),
+        })
+    });
 }
 
 /// Phase 1 of an online candidate scan (Algorithm 2, steps 6–7): the
@@ -668,7 +641,7 @@ pub(crate) struct AdmissionCtx<'a> {
     pub(crate) sigma: f64,
     pub(crate) mode: CostMode,
     pub(crate) rule: ThresholdRule,
-    pub(crate) graph: &'a AdmissionGraph,
+    pub(crate) graph: &'a FeasibleGraph,
 }
 
 impl AdmissionCtx<'_> {
@@ -692,7 +665,7 @@ impl AdmissionCtx<'_> {
     /// must come from [`AdmissionCtx::start_scan`] over a set containing
     /// `v`.
     pub(crate) fn evaluate(&self, v: NodeId, wv: f64, mem: &mut ScanMemory) -> EvalOutcome {
-        let (request, weighted) = (self.request, &self.graph.weighted);
+        let (request, weighted) = (self.request, self.graph.graph());
         let ScanMemory {
             bank,
             rooted,
@@ -762,26 +735,25 @@ impl AdmissionCtx<'_> {
         let (sdn, request, v) = (self.sdn, self.request, c.server);
         let rooted = &mut mem.rooted;
         if !rooted.rebuild(
-            &self.graph.weighted,
+            self.graph.graph(),
             c.tree.edges(),
             request.source,
             &mut mem.rooting,
         ) {
             return None;
         }
-        let ingress_ids = self
-            .graph
-            .parent_edges(rooted.path_between(request.source, v).edges());
+        let to_network = |edges: &[EdgeId]| -> Vec<EdgeId> {
+            edges.iter().map(|&e| self.graph.parent_edge(e)).collect()
+        };
+        let ingress_ids = to_network(rooted.path_between(request.source, v).edges());
         let ingress_set: std::collections::BTreeSet<EdgeId> = ingress_ids.iter().copied().collect();
-        let all_tree = self.graph.parent_edges(rooted.edges());
+        let all_tree = to_network(rooted.edges());
         let distribution: Vec<EdgeId> = all_tree
             .iter()
             .copied()
             .filter(|e| !ingress_set.contains(e))
             .collect();
-        let extra = self
-            .graph
-            .parent_edges(rooted.path_between(v, c.lca).edges());
+        let extra = to_network(rooted.path_between(v, c.lca).edges());
 
         let ingress_cost: f64 = ingress_ids
             .iter()
@@ -1090,12 +1062,11 @@ mod tests {
                 // The σ-cut gate is exact, so a stale cut that keeps every
                 // server would not move a decision: compare the rebuilt
                 // G_k and cut with fresh ones directly.
-                let fresh = build_admission_graph(&sdn, req.bandwidth, warm.mode());
-                assert_eq!(warm.cache.graph.weighted, fresh.weighted);
-                assert_eq!(warm.cache.graph.parent_edge, fresh.parent_edge);
+                let fresh = g_k(&sdn, req.bandwidth, warm.mode());
+                assert_eq!(warm.cache.graph, fresh);
                 if let Some(cut) = &warm.cache.cut {
                     let sigma = ExponentialCostModel::threshold(&sdn);
-                    let fresh_cut = cut_of(&fresh.weighted, sigma);
+                    let fresh_cut = cut_of(fresh.graph(), sigma);
                     assert_eq!((&cut.light, &cut.full), (&fresh_cut.light, &fresh_cut.full));
                 }
                 match decision {
@@ -1180,6 +1151,13 @@ mod tests {
         assert_eq!(exact_net, oracle_net);
     }
 
+    /// `G_k` for bandwidth `b` under `mode`, built from scratch.
+    fn g_k(sdn: &Sdn, b: f64, mode: CostMode) -> FeasibleGraph {
+        let mut graph = FeasibleGraph::default();
+        rebuild_admission_graph(&mut graph, sdn, b, mode);
+        graph
+    }
+
     /// The σ-cut of `g`, built from scratch.
     fn cut_of(g: &Graph, sigma: f64) -> SigmaCut {
         let mut cut = SigmaCut::default();
@@ -1217,9 +1195,9 @@ mod tests {
                 let requests = RequestGenerator::new(30).generate_batch(400, &mut rng);
                 let mut algo = OnlineCp::new().with_threshold_rule(rule);
                 for req in &requests {
-                    let graph = build_admission_graph(&sdn, req.bandwidth, CostMode::Exponential);
+                    let graph = g_k(&sdn, req.bandwidth, CostMode::Exponential);
                     let sigma = ExponentialCostModel::threshold(&sdn);
-                    let cut = cut_of(&graph.weighted, sigma);
+                    let cut = cut_of(graph.graph(), sigma);
                     let anchors = cut.anchors(req);
                     let ctx = AdmissionCtx {
                         sdn: &sdn,
@@ -1271,17 +1249,9 @@ mod tests {
         // Step 9 blocks `w ≥ σ`, so an edge of weight exactly σ must cut.
         let (sdn, v, e) = sendback_fixture();
         let sigma = ExponentialCostModel::threshold(&sdn);
-        let mut weighted = Graph::with_nodes(sdn.node_count());
-        for (&orig, w) in e.iter().zip([0.0, sigma, 0.0]) {
-            let link = sdn.graph().edge(orig);
-            weighted.add_edge(link.u, link.v, w).unwrap();
-        }
-        let graph = AdmissionGraph {
-            weighted,
-            parent_edge: e,
-        };
+        let graph = FeasibleGraph::new(&sdn, 100.0, |x| Some(if x == e[1] { sigma } else { 0.0 }));
         let req = MulticastRequest::new(RequestId(0), v[0], vec![v[3]], 100.0, chain());
-        let cut = cut_of(&graph.weighted, sigma);
+        let cut = cut_of(graph.graph(), sigma);
         let predicted = cut.anchors(&req).verdict(v[2]).expect("a-v is heavy");
         assert!(matches!(predicted, EvalOutcome::ThresholdBlocked));
         let ctx = AdmissionCtx {

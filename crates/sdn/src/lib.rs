@@ -4,8 +4,9 @@
 //! reproduction: switches and servers, link/server capacities and unit
 //! costs, service chains over the five NFV types of the paper's evaluation,
 //! multicast requests, a residual-resource ledger with checked
-//! allocate/release, and the two cost models (linear and the exponential
-//! model of §V-A, Eq. 1–2).
+//! allocate/release, the residual-feasible subgraph every capacitated
+//! planner plans on ([`FeasibleGraph`]), and the two cost models (linear
+//! and the exponential model of §V-A, Eq. 1–2).
 //!
 //! ## Example
 //!
@@ -33,6 +34,7 @@
 
 mod cost;
 mod error;
+mod feasible;
 mod network;
 mod nfv;
 mod request;
@@ -43,6 +45,7 @@ pub use cost::{
     PRUNE_GUARD_ABS, PRUNE_GUARD_REL, RELEASE_EPS, VALIDATE_REL_TOL,
 };
 pub use error::SdnError;
+pub use feasible::FeasibleGraph;
 pub use network::{Sdn, SdnBuilder, Topology};
 pub use nfv::{NfvType, ServiceChain};
 pub use request::{MulticastRequest, RequestId};

@@ -2,7 +2,12 @@
 //! Fig. 7 pipeline end to end.
 
 use integration_tests::{request_batch, waxman_fixture};
-use nfv_multicast::{appro_multi, appro_multi_cap};
+use netgraph::EdgeId;
+use nfv_multicast::{
+    appro_multi, appro_multi_cap, appro_multi_cap_plan_excluding, ApproScratch, CapPlan,
+};
+use sdn::{MulticastRequest, Sdn, SdnBuilder};
+use std::collections::BTreeSet;
 
 #[test]
 fn sequential_admission_respects_every_capacity() {
@@ -90,5 +95,117 @@ fn capacitated_cost_only_grows_as_network_fills() {
         "late admissions became drastically cheaper: early {} late {}",
         mean(&early),
         mean(&late)
+    );
+}
+
+/// `Appro_Multi_Cap` as it was built before it planned on a
+/// `FeasibleGraph`: a copy of the network holding only the links and
+/// servers that fit the request (and not `excluded`), Algorithm 1 on the
+/// copy, then every edge id translated back by hand.
+fn sub_sdn_reference(
+    sdn: &Sdn,
+    req: &MulticastRequest,
+    k: usize,
+    excluded: Option<EdgeId>,
+) -> CapPlan {
+    let g = sdn.graph();
+    let mut bld = SdnBuilder::new();
+    for _ in g.nodes() {
+        bld.add_switch();
+    }
+    let mut any_server = false;
+    for &v in sdn.servers() {
+        if sdn.server_fits(v, req.computing_demand()) {
+            let capacity = sdn.computing_capacity(v).unwrap();
+            bld.attach_server(v, capacity, sdn.unit_computing_cost(v).unwrap())
+                .unwrap();
+            any_server = true;
+        }
+    }
+    if !any_server {
+        return CapPlan::NoTree;
+    }
+    let mut edge_map = Vec::new();
+    for e in g.edges() {
+        if Some(e.id) != excluded && sdn.link_fits(e.id, req.bandwidth) {
+            bld.add_link(e.u, e.v, sdn.bandwidth_capacity(e.id), e.weight)
+                .unwrap();
+            edge_map.push(e.id);
+        }
+    }
+    let Some(mut tree) = appro_multi(&bld.build().unwrap(), req, k) else {
+        return CapPlan::NoTree;
+    };
+    let translate = |e: &mut EdgeId| *e = edge_map[e.index()];
+    for su in &mut tree.servers {
+        su.ingress_edges.iter_mut().for_each(translate);
+    }
+    tree.distribution_edges.iter_mut().for_each(translate);
+    tree.extra_traversals.iter_mut().for_each(translate);
+    CapPlan::Tree(tree)
+}
+
+#[test]
+fn plans_byte_identically_to_the_sub_sdn_construction() {
+    // Load the network, fail links and servers, then compare every plan
+    // — with and without an excluded link — against the reference, with
+    // one scratch reused throughout so a stale subgraph would show.
+    let n = 50;
+    let mut scratch = ApproScratch::new();
+    let (mut plans, mut trees, mut excluded_plans, mut moved) = (0, 0, 0, 0);
+    for seed in [100, 110] {
+        let mut sdn = waxman_fixture(n, seed);
+        for req in request_batch(n, 40, seed + 1) {
+            if let Some(tree) = appro_multi_cap(&sdn, &req, 3).into_tree() {
+                sdn.allocate(&tree.allocation(&req)).unwrap();
+            }
+        }
+        let links: Vec<EdgeId> = sdn.graph().edges().map(|e| e.id).collect();
+        for &e in links.iter().step_by(9) {
+            sdn.fail_link(e).unwrap();
+        }
+        let servers = sdn.servers().to_vec();
+        sdn.fail_server(servers[0]).unwrap();
+        assert!(!sdn.all_alive());
+
+        for req in request_batch(n, 60, seed + 2) {
+            let none = BTreeSet::new();
+            let plan = appro_multi_cap_plan_excluding(&sdn, &req, 3, &none, &mut scratch);
+            let reference = sub_sdn_reference(&sdn, &req, 3, None);
+            assert_eq!(
+                format!("{plan:?}"),
+                format!("{reference:?}"),
+                "request {}",
+                req.id
+            );
+            plans += 1;
+            trees += usize::from(plan != CapPlan::NoTree);
+            // Exclude the first link the plan uses, or a fixed link when
+            // there is no plan.
+            let cut = match &plan {
+                CapPlan::Tree(tree) => tree.distribution_edges.first().copied().unwrap_or(links[1]),
+                CapPlan::NoTree => links[1],
+            };
+            let excluded: BTreeSet<EdgeId> = [cut].into_iter().collect();
+            let without = appro_multi_cap_plan_excluding(&sdn, &req, 3, &excluded, &mut scratch);
+            let reference = sub_sdn_reference(&sdn, &req, 3, Some(cut));
+            assert_eq!(
+                format!("{without:?}"),
+                format!("{reference:?}"),
+                "request {}",
+                req.id
+            );
+            excluded_plans += 1;
+            moved += usize::from(without != plan);
+        }
+    }
+    assert_eq!((plans, excluded_plans), (120, 120));
+    assert!(
+        trees > 0 && trees < plans,
+        "{trees} of {plans} requests planned"
+    );
+    assert!(
+        moved > 0,
+        "excluding a link never changed a plan — test is vacuous"
     );
 }
