@@ -174,14 +174,6 @@ impl PathCache {
             && fits(self.fingerprint.min_residual_computing, demand)
     }
 
-    /// The [`Sdn::version`] the cache's residual fingerprint was last
-    /// synced at. The invariant auditor compares this against the live
-    /// network right after a cached admission is served.
-    #[must_use]
-    pub fn synced_version(&self) -> u64 {
-        self.fingerprint.version
-    }
-
     /// The cached full shortest-path tree rooted at `source`.
     ///
     /// # Panics
@@ -458,7 +450,7 @@ mod tests {
             );
         }
         assert_eq!(cache.slow_path_count(), before_slow + 7);
-        assert_eq!(cache.synced_version(), sdn.version());
+        assert_eq!(cache.fingerprint.version, sdn.version());
         // Recovery re-enables the fast path.
         sdn.recover_link(netgraph::EdgeId::new(0)).unwrap();
         let fast_before = cache.fast_path_count();

@@ -1,29 +1,24 @@
 //! Invariant auditor for the admission/repair lifecycle.
 //!
-//! After every commit, release, or repair the network ledger, the session
-//! bookkeeping, and the planner caches must agree. [`audit`] checks:
+//! After every commit, release, or repair the network ledger and the
+//! session bookkeeping must agree. [`audit`] checks:
 //!
 //! 1. **Residual conservation** — for every link and server, the residual
-//!    equals capacity minus the summed load of the live committed
-//!    sessions (the [`SessionManager`] is assumed to own every
-//!    allocation in the network).
+//!    equals capacity minus the summed load of the live sessions and the
+//!    reserved backup trees (the caller's session table is assumed to
+//!    own every allocation in the network).
 //! 2. **Tree health** — every committed tree passes structural
 //!    validation against its (possibly degraded) request and touches no
 //!    failed link or server.
-//! 3. **Cache freshness** — via [`Auditor::check_caches`], any cache
-//!    claiming to be synced with the network (e.g.
-//!    `PathCache::synced_version`, `OnlineCp::cached_version`) must
-//!    report the current `Sdn::version`; serving from an older version
-//!    is exactly the stale-read bug the version counter exists to stop.
 //!
-//! The checks are `O(sessions × footprint)` — far too slow for the hot
-//! path, so [`Auditor`] gates them: on by default in debug builds, opt-in
-//! for release builds via the `NFV_AUDIT=1` environment variable (chaos
-//! runs set it), and always available unconditionally through [`audit`].
+//! The checks are `O(sessions × footprint)`, far too slow for the hot
+//! path: the pipeline runs them after every decision in debug builds
+//! only, while the chaos and churn replays run them after every event.
 
-use crate::repair::SessionManager;
+use crate::repair::CommittedSession;
 use netgraph::{EdgeId, NodeId};
-use sdn::{RequestId, Sdn};
+use nfv_online::ActiveSession;
+use sdn::{Allocation, RequestId, Sdn};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -64,16 +59,6 @@ pub enum AuditError {
         /// Which element is dead.
         what: String,
     },
-    /// A cache claims to be synced but was built at an older network
-    /// version.
-    StaleCache {
-        /// Which cache (e.g. `"PathCache"`).
-        cache: &'static str,
-        /// The version the cache was built at.
-        cached_version: u64,
-        /// The network's current version.
-        network_version: u64,
-    },
 }
 
 impl fmt::Display for AuditError {
@@ -101,54 +86,37 @@ impl fmt::Display for AuditError {
             AuditError::DeadElementInTree { session, what } => {
                 write!(f, "session {session:?} still occupies failed {what}")
             }
-            AuditError::StaleCache {
-                cache,
-                cached_version,
-                network_version,
-            } => write!(
-                f,
-                "cache {cache} was built at version {cached_version} \
-                 but the network is at version {network_version}"
-            ),
         }
     }
 }
 
 impl std::error::Error for AuditError {}
 
-/// A cache's claim of which network version it is synced with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStamp {
-    /// Cache name for diagnostics.
-    pub cache: &'static str,
-    /// The `Sdn::version` the cache was last rebuilt against.
-    pub version: u64,
-}
-
 /// Runs every ledger/tree invariant check unconditionally.
 ///
-/// Assumes `manager` owns all allocations currently in `sdn`; an
-/// allocation made behind the manager's back is reported as a residual
-/// mismatch (that is the point — nothing may bypass the bookkeeping).
+/// Assumes `sessions` and the backup `reservations` together own all
+/// allocations currently in `sdn`; an allocation made behind their back
+/// is reported as a residual mismatch (that is the point — nothing may
+/// bypass the bookkeeping).
 ///
 /// # Errors
 ///
 /// The first violated invariant, see [`AuditError`].
-pub fn audit(sdn: &Sdn, manager: &SessionManager) -> Result<(), AuditError> {
-    // Accumulate the live load per element across committed sessions.
+pub fn audit<'a>(
+    sdn: &Sdn,
+    sessions: impl IntoIterator<Item = (RequestId, &'a ActiveSession<CommittedSession>)>,
+    reservations: impl IntoIterator<Item = &'a Allocation>,
+) -> Result<(), AuditError> {
+    let sessions: Vec<_> = sessions.into_iter().collect();
+    // Accumulate the live load per element across committed sessions and
+    // reserved backup trees (best-effort backups hold no capacity).
     let mut link_load: BTreeMap<EdgeId, f64> = BTreeMap::new();
     let mut server_load: BTreeMap<NodeId, f64> = BTreeMap::new();
-    for (_, s) in manager.sessions() {
-        for (e, l) in s.allocation.links() {
-            *link_load.entry(e).or_insert(0.0) += l;
-        }
-        for (v, l) in s.allocation.servers() {
-            *server_load.entry(v).or_insert(0.0) += l;
-        }
-    }
-    // Reserved backup trees hold real ledger capacity too (policy
-    // `Reserved`); best-effort backups hold none and contribute nothing.
-    for alloc in manager.backup_reservations() {
+    for alloc in sessions
+        .iter()
+        .map(|(_, s)| &s.allocation)
+        .chain(reservations)
+    {
         for (e, l) in alloc.links() {
             *link_load.entry(e).or_insert(0.0) += l;
         }
@@ -182,7 +150,7 @@ pub fn audit(sdn: &Sdn, manager: &SessionManager) -> Result<(), AuditError> {
         }
     }
 
-    for (id, s) in manager.sessions() {
+    for (id, s) in sessions {
         if let Err(reason) = s.payload.tree.validate(sdn, &s.payload.request) {
             return Err(AuditError::InvalidTree {
                 session: id,
@@ -208,74 +176,6 @@ pub fn audit(sdn: &Sdn, manager: &SessionManager) -> Result<(), AuditError> {
     }
     telemetry::hit(telemetry::Counter::AuditPasses);
     Ok(())
-}
-
-/// Gated auditor: on in debug builds, opt-in (`NFV_AUDIT=1`) in release.
-#[derive(Debug, Clone, Copy)]
-pub struct Auditor {
-    enabled: bool,
-}
-
-impl Auditor {
-    /// An auditor with explicit gating.
-    #[must_use]
-    pub fn new(enabled: bool) -> Self {
-        Auditor { enabled }
-    }
-
-    /// Default gating: enabled in debug builds, or when the
-    /// `NFV_AUDIT` environment variable is `1` (chaos/CI runs).
-    #[must_use]
-    pub fn from_env() -> Self {
-        // lint:allow(D2): one-shot opt-in gate read at construction; it toggles
-        // whether invariants are *checked*, never what the planners compute.
-        let opted_in = std::env::var("NFV_AUDIT")
-            .map(|v| v == "1")
-            .unwrap_or(false);
-        Auditor::new(cfg!(debug_assertions) || opted_in)
-    }
-
-    /// Whether checks actually run.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Runs [`audit`] when enabled; a no-op otherwise.
-    ///
-    /// # Errors
-    ///
-    /// See [`audit`].
-    pub fn check(&self, sdn: &Sdn, manager: &SessionManager) -> Result<(), AuditError> {
-        if !self.enabled {
-            return Ok(());
-        }
-        audit(sdn, manager)
-    }
-
-    /// Verifies that every synced cache stamp matches the live network
-    /// version. Only pass stamps for caches that *claim* to be synced —
-    /// a cache that will lazily rebuild on next use has no stamp to
-    /// check.
-    ///
-    /// # Errors
-    ///
-    /// [`AuditError::StaleCache`] for the first mismatched stamp.
-    pub fn check_caches(&self, sdn: &Sdn, stamps: &[CacheStamp]) -> Result<(), AuditError> {
-        if !self.enabled {
-            return Ok(());
-        }
-        for s in stamps {
-            if s.version != sdn.version() {
-                return Err(AuditError::StaleCache {
-                    cache: s.cache,
-                    cached_version: s.version,
-                    network_version: sdn.version(),
-                });
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -319,15 +219,15 @@ mod tests {
         let (mut sdn, v, e) = fixture();
         let mut mgr = SessionManager::new();
         let mut scratch = ApproScratch::new();
-        audit(&sdn, &mgr).unwrap();
+        audit(&sdn, mgr.sessions(), mgr.backup_reservations()).unwrap();
         assert!(mgr.admit(&mut sdn, &req(&v, 0), 1, &mut scratch).unwrap());
         assert!(mgr.admit(&mut sdn, &req(&v, 1), 1, &mut scratch).unwrap());
-        audit(&sdn, &mgr).unwrap();
+        audit(&sdn, mgr.sessions(), mgr.backup_reservations()).unwrap();
         mgr.depart(&mut sdn, sdn::RequestId(0));
-        audit(&sdn, &mgr).unwrap();
+        audit(&sdn, mgr.sessions(), mgr.backup_reservations()).unwrap();
         sdn.fail_link(e[1]).unwrap();
         mgr.repair(&mut sdn, &RepairConfig::new(1), &mut scratch);
-        audit(&sdn, &mgr).unwrap();
+        audit(&sdn, mgr.sessions(), mgr.backup_reservations()).unwrap();
     }
 
     #[test]
@@ -337,7 +237,7 @@ mod tests {
         let mut rogue = Allocation::new(sdn::RequestId(99));
         rogue.add_link(e[0], 50.0);
         sdn.allocate(&rogue).unwrap();
-        let err = audit(&sdn, &mgr).unwrap_err();
+        let err = audit(&sdn, mgr.sessions(), mgr.backup_reservations()).unwrap_err();
         assert!(matches!(
             err,
             AuditError::ResidualBandwidthMismatch { link, .. } if link == e[0]
@@ -353,62 +253,10 @@ mod tests {
         assert!(mgr.admit(&mut sdn, &req(&v, 0), 1, &mut scratch).unwrap());
         // Failure happened, but repair has not run yet: the tree is dead.
         sdn.fail_link(e[1]).unwrap();
-        let err = audit(&sdn, &mgr).unwrap_err();
+        let err = audit(&sdn, mgr.sessions(), mgr.backup_reservations()).unwrap_err();
         assert!(matches!(err, AuditError::DeadElementInTree { .. }));
         // Repair clears the violation.
         mgr.repair(&mut sdn, &RepairConfig::new(1), &mut scratch);
-        audit(&sdn, &mgr).unwrap();
-    }
-
-    #[test]
-    fn stale_cache_stamp_is_reported() {
-        let (mut sdn, v, _) = fixture();
-        let auditor = Auditor::new(true);
-        auditor
-            .check_caches(
-                &sdn,
-                &[CacheStamp {
-                    cache: "PathCache",
-                    version: sdn.version(),
-                }],
-            )
-            .unwrap();
-        // Bump the version; the old stamp is now stale.
-        let old = CacheStamp {
-            cache: "PathCache",
-            version: sdn.version(),
-        };
-        let mut a = Allocation::new(sdn::RequestId(0));
-        a.add_link(netgraph::EdgeId::new(0), 1.0);
-        sdn.allocate(&a).unwrap();
-        let err = auditor.check_caches(&sdn, &[old]).unwrap_err();
-        assert!(matches!(
-            err,
-            AuditError::StaleCache {
-                cache: "PathCache",
-                ..
-            }
-        ));
-        let _ = v;
-    }
-
-    #[test]
-    fn disabled_auditor_is_silent() {
-        let (mut sdn, _, e) = fixture();
-        let mgr = SessionManager::new();
-        let mut rogue = Allocation::new(sdn::RequestId(99));
-        rogue.add_link(e[0], 50.0);
-        sdn.allocate(&rogue).unwrap();
-        let off = Auditor::new(false);
-        off.check(&sdn, &mgr).unwrap();
-        off.check_caches(
-            &sdn,
-            &[CacheStamp {
-                cache: "x",
-                version: 0,
-            }],
-        )
-        .unwrap();
-        assert!(Auditor::new(true).check(&sdn, &mgr).is_err());
+        audit(&sdn, mgr.sessions(), mgr.backup_reservations()).unwrap();
     }
 }

@@ -9,7 +9,7 @@
 //! reproduce its decisions.
 //!
 //! [`pipeline::AdmissionPipeline`] is the one speculative engine. Over an
-//! unbounded stream of arrivals, departures, and faults, worker threads
+//! unbounded stream of arrivals and departures, worker threads
 //! plan a bounded in-flight window against versioned read-only snapshots
 //! while the committer commits in strict arrival order. A plan commits
 //! only when no commit or release since its snapshot crossed the
@@ -17,9 +17,10 @@
 //! live state. Decisions therefore stay byte-identical to the sequential
 //! reference, on a closed batch as well as on a stream.
 //!
-//! Around the pipeline: [`repair`] keeps the session table and restores
-//! sessions broken by faults, [`resilience`] precomputes backup trees,
-//! and [`audit`](mod@audit) checks the ledger invariants.
+//! Beside the pipeline: [`repair`]'s [`SessionManager`] keeps sessions
+//! that depart explicitly and restores those broken by faults,
+//! [`resilience`] precomputes backup trees for it, and
+//! [`audit`](mod@audit) checks the ledger invariants of both.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -30,11 +31,8 @@ pub mod repair;
 pub mod resilience;
 mod spec;
 
-pub use audit::{audit, AuditError, Auditor, CacheStamp};
-pub use pipeline::{
-    run_stream, AdmissionPipeline, FaultEvent, PipelineConfig, PipelineOutcome, PipelineReport,
-    StreamEvent,
-};
+pub use audit::{audit, AuditError};
+pub use pipeline::{AdmissionPipeline, PipelineConfig, PipelineOutcome, PipelineReport};
 pub use repair::{
     CommittedSession, Departure, RepairConfig, RepairPolicy, RepairReport, SessionManager,
 };

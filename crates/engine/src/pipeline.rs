@@ -37,22 +37,20 @@
 //!
 //! ## Services
 //!
-//! The committer is an event loop with pluggable services: admission
-//! (always on), repair (enable with [`PipelineConfig::with_repair`] —
-//! fault events then trigger [`SessionManager::repair`]), and the
-//! invariant auditor (debug builds, or `NFV_AUDIT=1`). Fault events drain
-//! the window first and force the next snapshot publish past the refresh
-//! throttle, so no speculative plan ever straddles a liveness change —
-//! neither one in flight when the fault lands, nor one planned afterwards
-//! against a stale pre-fault snapshot.
+//! The committer admits and departs, nothing else: each arrival first
+//! departs the sessions due at its arrival time, then is decided and,
+//! when admitted, charged to the ledger and kept in one
+//! [`ActiveSessions`] table. Debug builds run the invariant
+//! [`audit`] after every decision. Faults, repair and backup protection
+//! belong to [`SessionManager`](crate::SessionManager), which the chaos
+//! and churn replays drive directly.
 
-use crate::audit::Auditor;
-use crate::repair::{RepairConfig, RepairReport, SessionManager};
+use crate::audit::audit;
+use crate::repair::CommittedSession;
 use crate::spec::{feasibility_disturbed, TouchedSet};
-use netgraph::{EdgeId, NodeId};
 use nfv_multicast::{appro_multi_cap_with_scratch, Admission, ApproScratch, CapPlan, PathCache};
-use nfv_online::TimedRequest;
-use sdn::{MulticastRequest, Sdn, SdnError};
+use nfv_online::{ActiveSessions, TimedRequest};
+use sdn::{MulticastRequest, Sdn};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -73,18 +71,10 @@ pub struct PipelineConfig {
     /// worst-case staleness of a plan's snapshot.
     pub window: usize,
     /// Publish a fresh snapshot once at least this many state mutations
-    /// (commits + releases + faults) happened since the last one. `1`
+    /// (commits + releases) happened since the last one. `1`
     /// republishes on any staleness, minimizing replans at the cost of
     /// one `Sdn` clone per mutation burst.
     pub refresh: usize,
-    /// Repair service: when set, fault events injected via
-    /// [`AdmissionPipeline::inject`] run [`SessionManager::repair`] with
-    /// this config after applying the fault.
-    pub repair: Option<RepairConfig>,
-    /// Proactive protection: when set, every admission is followed by
-    /// [`SessionManager::protect`], so a later fault can restore the
-    /// session with a precomputed backup-tree swap instead of a replan.
-    pub resilience: Option<crate::resilience::ResilienceConfig>,
 }
 
 impl PipelineConfig {
@@ -97,8 +87,6 @@ impl PipelineConfig {
             workers: 0,
             window: 8,
             refresh: 1,
-            repair: None,
-            resilience: None,
         }
     }
 
@@ -122,44 +110,6 @@ impl PipelineConfig {
         self.refresh = refresh.max(1);
         self
     }
-
-    /// Enables the repair service.
-    #[must_use]
-    pub fn with_repair(mut self, repair: RepairConfig) -> Self {
-        self.repair = Some(repair);
-        self
-    }
-
-    /// Enables proactive backup-tree protection.
-    #[must_use]
-    pub fn with_resilience(mut self, resilience: crate::resilience::ResilienceConfig) -> Self {
-        self.resilience = Some(resilience);
-        self
-    }
-}
-
-/// A liveness event injected into the stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultEvent {
-    /// A link goes down.
-    FailLink(EdgeId),
-    /// A failed link comes back.
-    RecoverLink(EdgeId),
-    /// A server (its computing capacity) goes down.
-    FailServer(NodeId),
-    /// A failed server comes back.
-    RecoverServer(NodeId),
-}
-
-/// One element of a mixed arrival/fault stream, for
-/// [`run_stream`]-style drivers.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StreamEvent {
-    /// A timed request arrival (its departure is implied by
-    /// [`TimedRequest::duration`]).
-    Arrival(TimedRequest),
-    /// A link/server failure or recovery.
-    Fault(FaultEvent),
 }
 
 /// Statistics from one pipeline run.
@@ -200,8 +150,9 @@ pub struct PipelineOutcome {
     pub decisions: Vec<Admission>,
     /// Run statistics.
     pub report: PipelineReport,
-    /// The session store (live sessions, pending repairs, guards).
-    pub sessions: SessionManager,
+    /// The sessions still live at the end of the stream, with their
+    /// requests and trees.
+    pub sessions: ActiveSessions<CommittedSession>,
 }
 
 /// A planning job shipped to the worker pool.
@@ -252,7 +203,7 @@ enum Speculation {
 pub struct AdmissionPipeline {
     cfg: PipelineConfig,
     sdn: Sdn,
-    sessions: SessionManager,
+    sessions: ActiveSessions<CommittedSession>,
     window: VecDeque<InFlight>,
     /// Out-of-order worker results parked until their turn.
     reorder: BTreeMap<u64, Option<CapPlan>>,
@@ -263,15 +214,10 @@ pub struct AdmissionPipeline {
     epoch: u64,
     mutations_since_publish: usize,
     next_seq: u64,
-    /// Whether any state-changing fault was ever injected. Without a
-    /// repair service, sessions may then legitimately straddle dead
-    /// elements, so the tree-health audit stands down.
-    faulted: bool,
     last_arrival: f64,
     decisions: Vec<Admission>,
     report: PipelineReport,
     scratch: ApproScratch,
-    auditor: Auditor,
     jobs: Option<mpsc::Sender<PlanJob>>,
     results: mpsc::Receiver<PlanResult>,
     handles: Vec<JoinHandle<()>>,
@@ -315,9 +261,7 @@ impl AdmissionPipeline {
         AdmissionPipeline {
             cfg: config,
             sdn,
-            sessions: config
-                .resilience
-                .map_or_else(SessionManager::new, SessionManager::with_resilience),
+            sessions: ActiveSessions::default(),
             window: VecDeque::new(),
             reorder: BTreeMap::new(),
             deltas,
@@ -325,12 +269,10 @@ impl AdmissionPipeline {
             epoch: 0,
             mutations_since_publish: 0,
             next_seq: 0,
-            faulted: false,
             last_arrival: f64::NEG_INFINITY,
             decisions: Vec::new(),
             report,
             scratch: ApproScratch::new(),
-            auditor: Auditor::from_env(),
             jobs,
             results: result_rx,
             handles,
@@ -380,61 +322,6 @@ impl AdmissionPipeline {
         telemetry::gauge_set(telemetry::Gauge::PipelineDepth, self.window.len() as u64);
     }
 
-    /// Injects a liveness event. The window is drained first (no
-    /// speculative plan may straddle a liveness change), the fault is
-    /// applied to the live network, and — when the repair service is
-    /// configured — broken sessions are released and replanned. Any
-    /// state-changing fault or non-quiet repair forces the next
-    /// [`push`](Self::push) to publish a fresh snapshot regardless of
-    /// [`PipelineConfig::refresh`], so no plan is ever computed against
-    /// pre-fault liveness.
-    ///
-    /// Returns what the repair service did (quiet when no repair service
-    /// is configured).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Sdn`] errors for unknown links/servers; the stream
-    /// state is unchanged in that case (beyond the drain).
-    // lint:entry(committer)
-    pub fn inject(&mut self, fault: FaultEvent) -> Result<RepairReport, SdnError> {
-        self.drain();
-        let changed = match fault {
-            FaultEvent::FailLink(e) => self.sdn.fail_link(e)?,
-            FaultEvent::RecoverLink(e) => self.sdn.recover_link(e)?,
-            FaultEvent::FailServer(v) => self.sdn.fail_server(v)?,
-            FaultEvent::RecoverServer(v) => self.sdn.recover_server(v)?,
-        };
-        if changed {
-            // A liveness flip is invisible to the touched-set disturbance
-            // check (it tracks residual movement only), so the stale
-            // snapshot must never serve another plan: force the next push
-            // to republish regardless of the refresh throttle.
-            self.mutations_since_publish = self.cfg.refresh;
-            self.faulted = true;
-        }
-        let report = if let Some(repair) = self.cfg.repair {
-            let r = self
-                .sessions
-                .repair(&mut self.sdn, &repair, &mut self.scratch);
-            if !r.is_quiet() {
-                // Repair rewrites whole allocations outside the delta
-                // bookkeeping; republish before the next plan as well.
-                self.mutations_since_publish = self.cfg.refresh;
-            }
-            // Sessions the repair service dropped left every table; their
-            // scheduled departure time passes without a release.
-            self.check_invariants();
-            r
-        } else {
-            // Without a repair service, sessions may legitimately straddle
-            // dead elements until they depart; check_invariants stands
-            // down once `faulted` is set, so no audit runs here either.
-            RepairReport::default()
-        };
-        Ok(report)
-    }
-
     /// Commits every in-flight decision. The pipeline stays usable.
     pub fn drain(&mut self) {
         while !self.window.is_empty() {
@@ -443,7 +330,7 @@ impl AdmissionPipeline {
     }
 
     /// Drains the window, stops the worker pool, and hands back the final
-    /// network, the decision log, and the session store. No decision is
+    /// network, the decision log, and the live sessions. No decision is
     /// lost or duplicated: exactly one decision per pushed arrival, in
     /// arrival order.
     #[must_use]
@@ -462,12 +349,6 @@ impl AdmissionPipeline {
             report: self.report,
             sessions: self.sessions,
         }
-    }
-
-    /// Number of in-flight speculative plans.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        self.window.len()
     }
 
     /// Running statistics (final totals come from [`finish`](Self::finish)).
@@ -550,16 +431,14 @@ impl AdmissionPipeline {
 
     fn commit_decision(&mut self, timed: TimedRequest, spec: Speculation) {
         let now = timed.arrival;
-        // A departure hands back the session's allocation and any reserved
-        // backup capacity; both move live residuals.
-        for (alloc, reservations) in self.sessions.release_due(&mut self.sdn, now) {
-            self.touch(&alloc);
-            for reservation in &reservations {
-                self.touch(reservation);
+        // Departures release in ascending id order, as the sequential
+        // replay does; each moves live residuals.
+        for id in self.sessions.due(now) {
+            if let Some(s) = self.sessions.depart(&mut self.sdn, id) {
+                self.touch(&s.allocation);
+                self.report.departed += 1;
                 self.mutations_since_publish += 1;
             }
-            self.report.departed += 1;
-            self.mutations_since_publish += 1;
         }
         let req = &timed.request;
         let decision = match spec {
@@ -589,29 +468,21 @@ impl AdmissionPipeline {
 
         if let Admission::Admitted(tree) = &decision {
             let alloc = tree.allocation(req);
-            self.sessions
-                .commit(
-                    &mut self.sdn,
-                    req.clone(),
-                    tree.clone(),
-                    now + timed.duration,
-                )
+            self.sdn
+                .allocate(&alloc)
                 .expect("admitted tree fits residual capacities"); // lint:allow(P1): the tree was planned or validated on this exact residual state
             self.touch(&alloc);
+            self.sessions.insert_with(
+                req.id,
+                now + timed.duration,
+                alloc,
+                CommittedSession {
+                    request: req.clone(),
+                    tree: tree.clone(),
+                },
+            );
             self.report.admitted += 1;
             self.mutations_since_publish += 1;
-            if self.cfg.resilience.is_some() {
-                // Protect at admission time. Reserved-policy reservations
-                // move live residuals, so they enter the epoch delta like
-                // any other commit.
-                let charged = self
-                    .sessions
-                    .protect(&mut self.sdn, req.id, &mut self.scratch);
-                for reservation in &charged {
-                    self.touch(reservation);
-                    self.mutations_since_publish += 1;
-                }
-            }
         } else {
             self.report.rejected += 1;
         }
@@ -643,14 +514,8 @@ impl AdmissionPipeline {
     }
 
     fn check_invariants(&self) {
-        // The tree-health audit flags sessions on dead elements; without
-        // a repair service that is a legitimate post-fault state, not an
-        // engine bug, so auditing stops at the first fault.
-        if self.cfg.repair.is_none() && self.faulted {
-            return;
-        }
-        if self.auditor.is_enabled() {
-            if let Err(e) = self.auditor.check(&self.sdn, &self.sessions) {
+        if cfg!(debug_assertions) {
+            if let Err(e) = audit(&self.sdn, self.sessions.iter(), []) {
                 panic!("pipeline invariant violated: {e}"); // lint:allow(P1): an audit failure is an engine bug, never workload-dependent
             }
         }
@@ -698,40 +563,13 @@ fn worker_loop(
     }
 }
 
-/// Convenience driver: launches a pipeline, feeds `events` in order, and
-/// finishes it.
-///
-/// # Errors
-///
-/// Propagates [`AdmissionPipeline::inject`] errors for unknown
-/// links/servers in fault events.
-pub fn run_stream<I>(
-    sdn: Sdn,
-    events: I,
-    config: PipelineConfig,
-) -> Result<PipelineOutcome, SdnError>
-where
-    I: IntoIterator<Item = StreamEvent>,
-{
-    let mut pipeline = AdmissionPipeline::launch(sdn, config);
-    for event in events {
-        match event {
-            StreamEvent::Arrival(timed) => pipeline.push(timed),
-            StreamEvent::Fault(fault) => {
-                pipeline.inject(fault)?;
-            }
-        }
-    }
-    Ok(pipeline.finish())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::admit_sequential;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use sdn::{NfvType, RequestId, SdnBuilder, ServiceChain};
+    use sdn::SdnBuilder;
     use workload::{OpenLoopWorkload, RequestGenerator};
 
     /// A ring of `n` 600 Mbps links with a server on every fourth node;
@@ -835,187 +673,6 @@ mod tests {
             assert_eq!(out.sdn, reference.sdn, "workers = {workers}");
             assert_eq!(out.report.departed, reference.report.departed);
             assert!(out.report.departed > 0, "workload must exercise departures");
-        }
-    }
-
-    #[test]
-    fn fault_events_drain_the_window_and_trigger_repair() {
-        let mut bld = SdnBuilder::new();
-        let s = bld.add_switch();
-        let m1 = bld.add_server(4_000.0, 1.0);
-        let m2 = bld.add_server(4_000.0, 1.0);
-        let d = bld.add_switch();
-        let e0 = bld.add_link(s, m1, 1_000.0, 1.0).unwrap();
-        let e1 = bld.add_link(m1, d, 1_000.0, 1.0).unwrap();
-        let _ = bld.add_link(s, m2, 1_000.0, 3.0).unwrap();
-        let _ = bld.add_link(m2, d, 1_000.0, 3.0).unwrap();
-        let net = bld.build().unwrap();
-        let chain = ServiceChain::new(vec![NfvType::Firewall]);
-        let req = MulticastRequest::new(RequestId(0), s, vec![d], 100.0, chain);
-
-        let cfg = PipelineConfig::new(1)
-            .with_workers(2)
-            .with_repair(RepairConfig::new(1));
-        let mut p = AdmissionPipeline::launch(net, cfg);
-        p.push(TimedRequest::new(req, 0.0, 1e9));
-        assert_eq!(p.depth(), 1);
-        // The session routes via the cheap path through m1. Killing e1
-        // drains the window (committing the admission) and reroutes the
-        // session through m2.
-        let report = p.inject(FaultEvent::FailLink(e1)).unwrap();
-        assert_eq!(p.depth(), 0);
-        assert_eq!(report.broken, vec![RequestId(0)]);
-        assert_eq!(report.repaired, vec![RequestId(0)]);
-        let out = p.finish();
-        assert_eq!(
-            out.sessions
-                .session(RequestId(0))
-                .unwrap()
-                .payload
-                .tree
-                .servers_used(),
-            vec![m2]
-        );
-        assert_eq!(out.report.admitted, 1);
-        // The original cheap-path links are free again.
-        assert_eq!(
-            out.sdn.residual_bandwidth(e0),
-            out.sdn.bandwidth_capacity(e0)
-        );
-    }
-
-    #[test]
-    fn departures_follow_sessions_through_repair() {
-        // s-m1-d is the cheap route, s-m2-d the detour; each link fits
-        // every session here.
-        let mut bld = SdnBuilder::new();
-        let s = bld.add_switch();
-        let m1 = bld.add_server(4_000.0, 1.0);
-        let m2 = bld.add_server(4_000.0, 1.0);
-        let d = bld.add_switch();
-        let _ = bld.add_link(s, m1, 1_000.0, 1.0).unwrap();
-        let e1 = bld.add_link(m1, d, 1_000.0, 1.0).unwrap();
-        let e2 = bld.add_link(s, m2, 1_000.0, 3.0).unwrap();
-        let e3 = bld.add_link(m2, d, 1_000.0, 3.0).unwrap();
-        let fresh = bld.build().unwrap();
-        let session = |id: u64, arrival: f64| {
-            let chain = ServiceChain::new(vec![NfvType::Firewall]);
-            let req = MulticastRequest::new(RequestId(id), s, vec![d], 100.0, chain);
-            TimedRequest::new(req, arrival, 10.0)
-        };
-        // Wider than any link: always rejected, so it only moves the clock.
-        let tick = |id: u64, arrival: f64| {
-            let chain = ServiceChain::new(vec![NfvType::Firewall]);
-            let req = MulticastRequest::new(RequestId(id), s, vec![d], 2_000.0, chain);
-            TimedRequest::new(req, arrival, 1.0)
-        };
-        let cfg = PipelineConfig::new(1)
-            .with_workers(2)
-            .with_repair(RepairConfig::new(1).with_max_retries(2));
-        let mut p = AdmissionPipeline::launch(fresh.clone(), cfg);
-
-        // 1. A session broken beyond repair is still pending when its
-        //    departure (t = 10) passes: it is cancelled, and a later
-        //    recovery never recommits it.
-        p.push(session(0, 0.0));
-        assert!(p.inject(FaultEvent::FailLink(e3)).unwrap().is_quiet());
-        let report = p.inject(FaultEvent::FailLink(e1)).unwrap();
-        assert_eq!(report.deferred, vec![RequestId(0)]);
-        p.push(tick(1, 20.0));
-        let report = p.inject(FaultEvent::RecoverLink(e1)).unwrap();
-        assert!(report.is_quiet(), "a cancelled session was replanned");
-        p.inject(FaultEvent::RecoverLink(e3)).unwrap();
-        assert_eq!(p.report().departed, 0);
-
-        // 2. A session repaired before its departure departs at its
-        //    original time, t = 40.
-        p.push(session(2, 30.0));
-        let report = p.inject(FaultEvent::FailLink(e1)).unwrap();
-        assert_eq!(report.repaired, vec![RequestId(2)]);
-        p.push(tick(3, 39.0));
-        p.drain();
-        assert_eq!(p.report().departed, 0);
-        p.push(tick(4, 40.0));
-        p.drain();
-        assert_eq!(p.report().departed, 1);
-        p.inject(FaultEvent::RecoverLink(e1)).unwrap();
-
-        // 3. A session repair dropped has left every table: its scheduled
-        //    time (t = 60) passes without a double release.
-        p.push(session(5, 50.0));
-        p.inject(FaultEvent::FailLink(e3)).unwrap();
-        let report = p.inject(FaultEvent::FailLink(e1)).unwrap();
-        assert_eq!(report.deferred, vec![RequestId(5)]);
-        let report = p.inject(FaultEvent::FailLink(e2)).unwrap();
-        assert_eq!(report.dropped, vec![RequestId(5)]);
-        p.push(tick(6, 70.0));
-        for e in [e1, e2, e3] {
-            p.inject(FaultEvent::RecoverLink(e)).unwrap();
-        }
-
-        // 4. After the last departure the ledger is the fresh network's.
-        let out = p.finish();
-        assert_eq!(out.report.departed, 1);
-        assert_eq!(out.report.admitted, 3);
-        assert_eq!(out.sessions.double_release_count(), 0);
-        assert!(out.sessions.is_empty());
-        assert!(out.sessions.pending_repairs().is_empty());
-        assert_eq!(out.sdn, fresh);
-    }
-
-    #[test]
-    fn run_stream_mixes_arrivals_and_faults() {
-        let net = ring_sdn(16, 3);
-        let arrivals = stream(16, 10, 3, f64::INFINITY);
-        let some_link = net.graph().edges().next().unwrap().id;
-        let mut events: Vec<StreamEvent> = arrivals.into_iter().map(StreamEvent::Arrival).collect();
-        events.insert(5, StreamEvent::Fault(FaultEvent::FailLink(some_link)));
-        events.push(StreamEvent::Fault(FaultEvent::RecoverLink(some_link)));
-        let cfg = PipelineConfig::new(2)
-            .with_workers(2)
-            .with_repair(RepairConfig::new(2));
-        let out = run_stream(net, events, cfg).unwrap();
-        assert_eq!(out.decisions.len(), 10);
-    }
-
-    #[test]
-    fn resilient_pipeline_fails_over_without_a_plan_event() {
-        use crate::resilience::{BackupPolicy, ResilienceConfig};
-        for policy in [BackupPolicy::BestEffort, BackupPolicy::Reserved] {
-            let mut bld = SdnBuilder::new();
-            let s = bld.add_switch();
-            let m1 = bld.add_server(4_000.0, 1.0);
-            let m2 = bld.add_server(4_000.0, 1.0);
-            let d = bld.add_switch();
-            let _ = bld.add_link(s, m1, 1_000.0, 1.0).unwrap();
-            let e1 = bld.add_link(m1, d, 1_000.0, 1.0).unwrap();
-            let _ = bld.add_link(s, m2, 1_000.0, 3.0).unwrap();
-            let _ = bld.add_link(m2, d, 1_000.0, 3.0).unwrap();
-            let net = bld.build().unwrap();
-            let chain = ServiceChain::new(vec![NfvType::Firewall]);
-            let req = MulticastRequest::new(RequestId(0), s, vec![d], 100.0, chain);
-
-            let cfg = PipelineConfig::new(1)
-                .with_workers(2)
-                .with_repair(RepairConfig::new(1))
-                .with_resilience(ResilienceConfig::new(1).with_policy(policy).with_top_f(2));
-            let mut p = AdmissionPipeline::launch(net, cfg);
-            p.push(TimedRequest::new(req, 0.0, 1e9));
-            // The protected session fails over with zero planner work.
-            let report = p.inject(FaultEvent::FailLink(e1)).unwrap();
-            assert_eq!(report.swapped, vec![RequestId(0)], "{policy:?}");
-            assert!(report.repaired.is_empty());
-            assert_eq!(report.plan_events, 0, "{policy:?}");
-            let out = p.finish();
-            assert_eq!(
-                out.sessions
-                    .session(RequestId(0))
-                    .unwrap()
-                    .payload
-                    .tree
-                    .servers_used(),
-                vec![m2]
-            );
         }
     }
 

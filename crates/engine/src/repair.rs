@@ -18,9 +18,9 @@
 //! Sessions that exhaust their attempt budget are dropped; sessions with
 //! budget left stay *pending* inside the manager and are retried on the
 //! next [`SessionManager::repair`] call (typically after a recovery
-//! event restores some capacity). A pending session keeps its departure
-//! time: [`SessionManager::release_due`] cancels it once that time
-//! passes, and a repaired one departs at its original time.
+//! event restores some capacity). Every session, committed or pending,
+//! ends with an explicit [`SessionManager::depart`]; for a pending one
+//! that cancels the queued replan.
 //!
 //! Live sessions sit in one [`ActiveSessions`] table, which releases
 //! them, counts departures, and guards against double release.
@@ -88,8 +88,8 @@ impl RepairConfig {
     }
 }
 
-/// What the manager keeps with each live session besides its departure
-/// time and allocation: the request and the tree serving it.
+/// What a session table keeps with each live session besides its
+/// departure time and allocation: the request and the tree serving it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommittedSession {
     /// The admitted request (for degraded sessions, the *reduced* one).
@@ -114,7 +114,6 @@ pub enum Departure {
 #[derive(Debug, Clone)]
 struct PendingRepair {
     request: MulticastRequest,
-    departure: f64,
     attempts: usize,
 }
 
@@ -123,7 +122,6 @@ struct PendingRepair {
 struct Casualty {
     id: RequestId,
     request: MulticastRequest,
-    departure: f64,
     backups: Vec<BackupTree>,
 }
 
@@ -244,6 +242,7 @@ impl SessionManager {
     ///
     /// Propagates ledger errors from [`Sdn::allocate`], and rejects a
     /// request whose id is already committed or pending.
+    // lint:entry(api)
     pub fn admit(
         &mut self,
         sdn: &mut Sdn,
@@ -253,28 +252,26 @@ impl SessionManager {
     ) -> Result<bool, SdnError> {
         match appro_multi_cap_with_scratch(sdn, request, k, scratch) {
             Admission::Admitted(tree) => {
-                self.commit(sdn, request.clone(), tree, f64::INFINITY)?;
+                self.commit(sdn, request.clone(), tree)?;
                 Ok(true)
             }
             Admission::Rejected => Ok(false),
         }
     }
 
-    /// Allocates `tree`'s resources and records the session, to depart
-    /// at `departure` (`f64::INFINITY`: only an explicit
-    /// [`depart`](Self::depart) ends it).
+    /// Allocates `tree`'s resources and records the session until an
+    /// explicit [`depart`](Self::depart).
     ///
     /// # Errors
     ///
     /// Returns [`SdnError::InfeasibleRequest`] for a duplicate session id,
     /// and propagates allocation errors (in which case nothing is
     /// recorded).
-    pub fn commit(
+    pub(crate) fn commit(
         &mut self,
         sdn: &mut Sdn,
         request: MulticastRequest,
         tree: PseudoMulticastTree,
-        departure: f64,
     ) -> Result<(), SdnError> {
         let id = request.id;
         if self.sessions.contains(id) || self.pending.contains_key(&id) {
@@ -287,7 +284,7 @@ impl SessionManager {
         self.index(id, &allocation);
         self.sessions.insert_with(
             id,
-            departure,
+            f64::INFINITY,
             allocation,
             CommittedSession { request, tree },
         );
@@ -305,43 +302,15 @@ impl SessionManager {
             telemetry::gauge_set(telemetry::Gauge::PendingRepairs, self.pending.len() as u64);
             return Departure::Cancelled;
         }
-        match self.release(sdn, id) {
-            Some(_) => Departure::Released,
+        match self.sessions.depart(sdn, id) {
+            Some(s) => {
+                self.unindex(id, &s.allocation);
+                self.discard_backups(sdn, id);
+                self.drift.remove(&id);
+                Departure::Released
+            }
             None => Departure::Unknown,
         }
-    }
-
-    /// Departs every session whose departure time is `<= now`: pending
-    /// repairs are cancelled, and committed sessions release in
-    /// ascending id order, each followed by its reserved backups.
-    /// Returns, per released session, its allocation and the backup
-    /// reservations it handed back.
-    pub fn release_due(&mut self, sdn: &mut Sdn, now: f64) -> Vec<(Allocation, Vec<Allocation>)> {
-        let expired: Vec<RequestId> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.departure <= now)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in expired {
-            self.depart(sdn, id);
-        }
-        self.sessions
-            .due(now)
-            .into_iter()
-            .filter_map(|id| self.release(sdn, id))
-            .collect()
-    }
-
-    /// Departs the committed session `id` through the table (which
-    /// counts it, or trips the guard for an unknown id), then drops its
-    /// index entries, backups and drift.
-    fn release(&mut self, sdn: &mut Sdn, id: RequestId) -> Option<(Allocation, Vec<Allocation>)> {
-        let s = self.sessions.depart(sdn, id)?;
-        self.unindex(id, &s.allocation);
-        let reservations = self.discard_backups(sdn, id);
-        self.drift.remove(&id);
-        Some((s.allocation, reservations))
     }
 
     /// Committed sessions whose footprint touches a failed link or
@@ -368,6 +337,7 @@ impl SessionManager {
     /// Deterministic: sessions are processed in ascending request-id
     /// order and the planner itself is deterministic, so the same network
     /// state and failure history yield a byte-identical report.
+    // lint:entry(api)
     pub fn repair(
         &mut self,
         sdn: &mut Sdn,
@@ -407,7 +377,6 @@ impl SessionManager {
             casualties.push(Casualty {
                 id,
                 request: s.payload.request,
-                departure: s.departure,
                 backups,
             });
         }
@@ -424,7 +393,7 @@ impl SessionManager {
                     && sdn.can_allocate(&b.allocation)
             });
             if let Some(b) = chosen {
-                self.commit(sdn, c.request, b.tree, c.departure)
+                self.commit(sdn, c.request, b.tree)
                     .expect("invariant: a fitting backup tree commits cleanly"); // lint:allow(P1): fit was just checked against the live residual
                 telemetry::hit(telemetry::Counter::BackupHits);
                 telemetry::add(
@@ -443,7 +412,6 @@ impl SessionManager {
                     c.id,
                     PendingRepair {
                         request: c.request,
-                        departure: c.departure,
                         attempts: 0,
                     },
                 );
@@ -462,14 +430,13 @@ impl SessionManager {
                 continue;
             }
             let request = entry.request.clone();
-            let departure = entry.departure;
 
             report.plan_events += 1;
             if let Admission::Admitted(tree) =
                 appro_multi_cap_with_scratch(sdn, &request, config.k, scratch)
             {
                 self.pending.remove(&id);
-                self.commit(sdn, request, tree, departure)
+                self.commit(sdn, request, tree)
                     .expect("invariant: a replanned tree fits the residual it was planned on"); // lint:allow(P1): replanning ran on the exact residual being committed
                 telemetry::hit(telemetry::Counter::RepairRepaired);
                 telemetry::observe(telemetry::Hist::FailoverPlanEvents, 1);
@@ -486,7 +453,7 @@ impl SessionManager {
                         appro_multi_cap_with_scratch(sdn, &reduced, config.k, scratch)
                     {
                         self.pending.remove(&id);
-                        self.commit(sdn, reduced, tree, departure)
+                        self.commit(sdn, reduced, tree)
                             .expect("invariant: a degraded tree fits the residual"); // lint:allow(P1): the degraded tree was planned on this exact residual
                         telemetry::hit(telemetry::Counter::RepairDegraded);
                         telemetry::observe(telemetry::Hist::FailoverPlanEvents, 2);

@@ -235,13 +235,13 @@ impl SessionManager {
     /// top-F most-loaded link of its tree (load ties broken by ascending
     /// link id), each planned on the link-excluded alive subgraph. Under
     /// [`BackupPolicy::Reserved`] each backup's allocation is charged to
-    /// the ledger immediately; the newly charged reservations are
-    /// returned so streaming callers can fold them into their disturbance
-    /// bookkeeping. Existing backups for `id` are discarded first.
+    /// the ledger immediately, and the newly charged reservations are
+    /// returned. Existing backups for `id` are discarded first.
     ///
     /// A no-op (returning no reservations) when resilience is disabled,
     /// `top_f` is 0, or `id` is not committed. Links for which no
     /// feasible alternate tree exists simply get no backup.
+    // lint:entry(api)
     pub fn protect(
         &mut self,
         sdn: &mut Sdn,
@@ -323,22 +323,16 @@ impl SessionManager {
     }
 
     /// Drops every backup held for `id`, releasing reserved capacity.
-    /// Returns the released reservations in protected-link order.
-    pub(crate) fn discard_backups(&mut self, sdn: &mut Sdn, id: RequestId) -> Vec<Allocation> {
+    pub(crate) fn discard_backups(&mut self, sdn: &mut Sdn, id: RequestId) {
         let Some(backups) = self.backups.remove(&id) else {
-            return Vec::new();
+            return;
         };
         telemetry::add(telemetry::Counter::BackupDiscarded, backups.len() as u64);
-        let mut released = Vec::new();
-        for b in backups {
-            if b.reserved {
-                sdn.release(&b.allocation)
-                    .expect("a charged reservation releases cleanly"); // lint:allow(P1): the reservation was applied at protect time, so release balances
-                released.push(b.allocation);
-            }
+        for b in backups.iter().filter(|b| b.reserved) {
+            sdn.release(&b.allocation)
+                .expect("a charged reservation releases cleanly"); // lint:allow(P1): the reservation was applied at protect time, so release balances
         }
         self.update_reserved_gauge();
-        released
     }
 
     pub(crate) fn update_reserved_gauge(&self) {
@@ -354,6 +348,7 @@ impl SessionManager {
     /// ledger allocation are updated in place; its backups are discarded
     /// (they covered the old destination set); accumulated drift grows by
     /// the attach cost and may trigger a transparent re-optimization.
+    // lint:entry(api)
     pub fn graft(
         &mut self,
         sdn: &mut Sdn,
@@ -474,6 +469,7 @@ impl SessionManager {
     /// remaining destinations and servers still need and releasing the
     /// freed bandwidth exactly. Server placements (and their computing
     /// hold) are kept until the next re-optimization.
+    // lint:entry(api)
     pub fn prune(
         &mut self,
         sdn: &mut Sdn,
@@ -644,7 +640,7 @@ impl SessionManager {
         } = s.payload;
         match appro_multi_cap_with_scratch(sdn, &request, cfg.k, scratch) {
             Admission::Admitted(tree) => {
-                self.commit(sdn, request, tree, s.departure)
+                self.commit(sdn, request, tree)
                     .expect("a fresh plan fits the residual it was planned on"); // lint:allow(P1): replanning ran on the exact residual being committed
                 telemetry::hit(telemetry::Counter::Reoptimizations);
                 telemetry::record(telemetry::Event::SessionReoptimized { request: id.0 });
@@ -654,7 +650,7 @@ impl SessionManager {
             Admission::Rejected => {
                 // Fragmented capacity: the drifted tree is still the best
                 // feasible implementation — recommit it unchanged.
-                self.commit(sdn, request, old_tree, s.departure)
+                self.commit(sdn, request, old_tree)
                     .expect("the just-released tree refits its own hold"); // lint:allow(P1): the identical allocation was released one statement earlier
                 false
             }
@@ -702,7 +698,7 @@ mod tests {
     }
 
     fn audit(sdn: &Sdn, mgr: &SessionManager) {
-        crate::audit::audit(sdn, mgr).unwrap();
+        crate::audit::audit(sdn, mgr.sessions(), mgr.backup_reservations()).unwrap();
     }
 
     #[test]

@@ -31,9 +31,8 @@
 //!
 //! The touched-set mechanism only tracks *residual* movement (commits and
 //! releases). Liveness flips are invisible to it by design: the pipeline
-//! drains its window on every fault and force-republishes its snapshot
-//! before the next plan is dispatched, so no speculative plan ever spans
-//! a liveness change.
+//! takes no faults, so liveness is fixed for its whole run and no
+//! speculative plan ever spans a liveness change.
 
 use sdn::{Allocation, MulticastRequest, Sdn};
 use std::collections::BTreeSet;

@@ -1,19 +1,18 @@
-//! Subgraph filtering with id translation.
+//! Subgraph filtering with edge-id translation.
 //!
-//! The capacitated algorithms repeatedly work on the subgraph of links with
-//! enough residual bandwidth; [`FilteredGraph`] owns such a subgraph plus
-//! the mappings between its dense ids and the original graph's ids.
+//! No planner builds its subgraph here: the capacitated algorithms plan
+//! on `sdn::FeasibleGraph`, which keeps the parent's node ids and is
+//! rebuilt in place. [`induced_subgraph`] is the plain, obviously correct
+//! construction that the feasible-subgraph, shared-bank and
+//! bank-equivalence tests compare those planners against.
 
 use crate::{EdgeId, Graph, NodeId};
 
-/// A subgraph together with node/edge id mappings back to its parent graph.
+/// A subgraph together with the edge id mapping back to its parent
+/// graph. Kept nodes are renumbered densely in parent order.
 #[derive(Debug, Clone)]
 pub struct FilteredGraph {
     graph: Graph,
-    /// Original node id per filtered node index.
-    to_parent_node: Vec<NodeId>,
-    /// Filtered node id per original node index (None if dropped).
-    from_parent_node: Vec<Option<NodeId>>,
     /// Original edge id per filtered edge index.
     to_parent_edge: Vec<EdgeId>,
 }
@@ -23,22 +22,6 @@ impl FilteredGraph {
     #[must_use]
     pub fn graph(&self) -> &Graph {
         &self.graph
-    }
-
-    /// Maps a filtered node id back to the parent graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is not a node of the filtered graph.
-    #[must_use]
-    pub fn parent_node(&self, n: NodeId) -> NodeId {
-        self.to_parent_node[n.index()]
-    }
-
-    /// Maps a parent node id into the filtered graph, if it survived.
-    #[must_use]
-    pub fn filtered_node(&self, parent: NodeId) -> Option<NodeId> {
-        self.from_parent_node.get(parent.index()).copied().flatten()
     }
 
     /// Maps a filtered edge id back to the parent graph.
@@ -68,13 +51,10 @@ pub fn induced_subgraph(
     mut keep_edge: impl FnMut(EdgeId) -> bool,
 ) -> FilteredGraph {
     let mut graph = Graph::new();
-    let mut to_parent_node = Vec::new();
     let mut from_parent_node = vec![None; g.node_count()];
     for n in g.nodes() {
         if keep_node(n) {
-            let local = graph.add_node();
-            to_parent_node.push(n);
-            from_parent_node[n.index()] = Some(local);
+            from_parent_node[n.index()] = Some(graph.add_node());
         }
     }
     let mut to_parent_edge = Vec::new();
@@ -93,8 +73,6 @@ pub fn induced_subgraph(
     }
     FilteredGraph {
         graph,
-        to_parent_node,
-        from_parent_node,
         to_parent_edge,
     }
 }
@@ -118,20 +96,22 @@ mod tests {
         let f = induced_subgraph(&g, |_| true, |_| true);
         assert_eq!(f.graph().node_count(), 4);
         assert_eq!(f.graph().edge_count(), 3);
-        for n in f.graph().nodes() {
-            assert_eq!(f.parent_node(n).index(), n.index());
+        for er in f.graph().edges() {
+            let parent = g.edge(f.parent_edge(er.id));
+            assert_eq!((er.u, er.v), (parent.u, parent.v));
         }
     }
 
     #[test]
     fn dropping_a_node_drops_its_edges() {
-        let (g, v, _) = path4();
+        let (g, v, e) = path4();
         let f = induced_subgraph(&g, |n| n != v[1], |_| true);
         assert_eq!(f.graph().node_count(), 3);
         assert_eq!(f.graph().edge_count(), 1); // only v2-v3 survives
-        assert_eq!(f.filtered_node(v[1]), None);
-        let local2 = f.filtered_node(v[2]).unwrap();
-        assert_eq!(f.parent_node(local2), v[2]);
+                                               // v0, v2, v3 renumber to 0, 1, 2.
+        let er = f.graph().edges().next().unwrap();
+        assert_eq!(f.parent_edge(er.id), e[2]);
+        assert_eq!((er.u.index(), er.v.index()), (1, 2));
     }
 
     #[test]

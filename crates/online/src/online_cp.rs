@@ -328,14 +328,6 @@ impl OnlineCp {
         self.cache_hits
     }
 
-    /// The [`Sdn::version`] the cached admission graph `G_k` was built at,
-    /// or `None` before the first admission. The invariant auditor compares
-    /// this against the live network right after an admission is served.
-    #[must_use]
-    pub fn cached_version(&self) -> Option<u64> {
-        self.cache.key.map(|(version, _)| version)
-    }
-
     /// Algorithm 2 for one request: the admitted tree, or why there is
     /// none.
     fn decide(

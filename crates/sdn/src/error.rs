@@ -62,16 +62,6 @@ pub enum SdnError {
         /// Human-readable description of the dead element.
         what: String,
     },
-    /// A cache built against an older [`crate::Sdn::version`] was asked to
-    /// serve a query against a newer residual state.
-    StaleCache {
-        /// Which cache is stale.
-        cache: &'static str,
-        /// The version the cache was built at.
-        cached_version: u64,
-        /// The network's current version.
-        network_version: u64,
-    },
 }
 
 impl fmt::Display for SdnError {
@@ -109,15 +99,6 @@ impl fmt::Display for SdnError {
                 write!(f, "capacity exhausted: {what}")
             }
             SdnError::DeadElement { what } => write!(f, "{what} is failed"),
-            SdnError::StaleCache {
-                cache,
-                cached_version,
-                network_version,
-            } => write!(
-                f,
-                "cache {cache} was built at version {cached_version} but the network is at \
-                 version {network_version}"
-            ),
         }
     }
 }

@@ -264,7 +264,8 @@ pub fn run_chaos(params: &ChaosParams) -> ChaosOutcome {
                 );
             }
         }
-        audit(&sdn, &mgr).expect("invariant audit after event");
+        audit(&sdn, mgr.sessions(), mgr.backup_reservations())
+            .expect("invariant audit after event");
         outcome.audit_checks += 1;
     }
 
@@ -291,7 +292,7 @@ pub fn run_chaos(params: &ChaosParams) -> ChaosOutcome {
     // With no live sessions, the audit's conservation check asserts the
     // residuals round-tripped to full capacity (within float tolerance —
     // interleaved allocate/release reorders the sums).
-    audit(&sdn, &mgr).expect("invariant audit after settle");
+    audit(&sdn, mgr.sessions(), mgr.backup_reservations()).expect("invariant audit after settle");
     outcome.audit_checks += 1;
     sdn.reset();
     assert_eq!(sdn, fresh, "liveness and ledger must round-trip to idle");

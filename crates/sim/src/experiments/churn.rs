@@ -357,7 +357,8 @@ pub fn run_churn(params: &ChurnParams) -> ChurnOutcome {
         out.peak_reserved_bandwidth = out
             .peak_reserved_bandwidth
             .max(mgr.reserved_backup_bandwidth());
-        audit(&sdn, &mgr).expect("invariant audit after event");
+        audit(&sdn, mgr.sessions(), mgr.backup_reservations())
+            .expect("invariant audit after event");
         out.audit_checks += 1;
     }
 
@@ -376,7 +377,7 @@ pub fn run_churn(params: &ChurnParams) -> ChurnOutcome {
     for id in survivors {
         mgr.depart(&mut sdn, id);
     }
-    audit(&sdn, &mgr).expect("invariant audit after settle");
+    audit(&sdn, mgr.sessions(), mgr.backup_reservations()).expect("invariant audit after settle");
     out.audit_checks += 1;
     sdn.reset();
     assert_eq!(sdn, fresh, "liveness and ledger must round-trip to idle");

@@ -88,7 +88,8 @@ fn replay(
             }
             Op::Repair => reports.push(mgr.repair(sdn, config, &mut scratch)),
         }
-        audit(sdn, &mgr).expect("the auditor must never fire during a chaos replay");
+        audit(sdn, mgr.sessions(), mgr.backup_reservations())
+            .expect("the auditor must never fire during a chaos replay");
     }
     (mgr, reports)
 }
@@ -129,7 +130,7 @@ proptest! {
         prop_assert!(mgr.is_empty());
         // With no live sessions the audit asserts residuals equal full
         // capacity (within float tolerance).
-        audit(&sdn, &mgr).expect("all-idle audit");
+        audit(&sdn, mgr.sessions(), mgr.backup_reservations()).expect("all-idle audit");
         sdn.reset(); // clear float dust before the exact comparison
         prop_assert_eq!(&sdn, &fresh);
     }

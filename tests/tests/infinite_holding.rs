@@ -9,7 +9,7 @@
 //! mid-run, and the streaming pipeline must report zero departures while
 //! keeping a ledger that an explicit drain balances back to fresh.
 
-use nfv_engine::{AdmissionPipeline, Departure, PipelineConfig};
+use nfv_engine::{AdmissionPipeline, PipelineConfig};
 use nfv_online::{run_dynamic, OnlineCp, TimedRequest};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -81,12 +81,9 @@ fn pipeline_reports_zero_departures_and_drains_back_to_fresh() {
     // to the untouched network. Overlapping sessions release in a
     // different order than they allocated, so the comparison is
     // per-resource within float tolerance rather than bit-exact.
-    let ids: Vec<RequestId> = outcome.sessions.sessions().map(|(id, _)| id).collect();
+    let ids: Vec<RequestId> = outcome.sessions.iter().map(|(id, _)| id).collect();
     for id in ids {
-        assert_eq!(
-            outcome.sessions.depart(&mut outcome.sdn, id),
-            Departure::Released
-        );
+        assert!(outcome.sessions.depart(&mut outcome.sdn, id).is_some());
     }
     assert!(outcome.sessions.is_empty());
     for e in fresh.graph().edges() {

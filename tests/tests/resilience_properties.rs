@@ -92,8 +92,8 @@ proptest! {
         let rr = reactive.repair(&mut sdn_r, &config, &mut scratch);
         prop_assert_eq!(rp.broken.clone(), vec![victim]);
         prop_assert_eq!(rr.broken.clone(), vec![victim]);
-        audit(&sdn_p, &proactive).unwrap();
-        audit(&sdn_r, &reactive).unwrap();
+        audit(&sdn_p, proactive.sessions(), proactive.backup_reservations()).unwrap();
+        audit(&sdn_r, reactive.sessions(), reactive.backup_reservations()).unwrap();
 
         // A swap happens exactly when the reactive replan succeeds (same
         // subproblem), and it spends zero planner invocations doing it.
@@ -118,8 +118,8 @@ proptest! {
             if a {
                 let _ = proactive.protect(&mut sdn_p, req.id, &mut scratch);
             }
-            audit(&sdn_p, &proactive).unwrap();
-            audit(&sdn_r, &reactive).unwrap();
+            audit(&sdn_p, proactive.sessions(), proactive.backup_reservations()).unwrap();
+            audit(&sdn_r, reactive.sessions(), reactive.backup_reservations()).unwrap();
         }
         prop_assert_eq!(sdn_p, sdn_r);
     }
