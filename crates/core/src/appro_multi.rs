@@ -582,7 +582,7 @@ impl MiniTree {
         for &vi in &self.used_servers {
             let Some(ve) = virt.get(vi) else { continue };
             let path = spt_source
-                .path_to(ve.node)
+                .path_to(g, ve.node)
                 .expect("virtual weight implies reachability"); // lint:allow(P1): a finite virtual weight implies the SPT reaches v
             computing_cost += ve.computing;
             servers.push(ServerUse {
@@ -714,6 +714,7 @@ fn eval_combination(
     real_edges.clear();
     used_virtual.clear();
     fn add_virtual_leg(
+        g: &Graph,
         di: usize,
         to_virtual: &[(f64, usize)],
         virt: &[VirtEdge],
@@ -729,7 +730,7 @@ fn eval_combination(
             return;
         };
         let path = spt
-            .path_to(server.node)
+            .path_to(g, server.node)
             .expect("virtual leg implies reachability"); // lint:allow(P1): the virtual leg was admitted only with the server reachable
         real_edges.extend(path.edges().iter().copied());
     }
@@ -738,7 +739,15 @@ fn eval_combination(
         let (a, c) = (er.u.index(), er.v.index());
         let (a, c) = (a.min(c), a.max(c));
         if a == 0 {
-            add_virtual_leg(c - 1, to_virtual, virt, spt_dests, real_edges, used_virtual);
+            add_virtual_leg(
+                g,
+                c - 1,
+                to_virtual,
+                virt,
+                spt_dests,
+                real_edges,
+                used_virtual,
+            );
         } else {
             let (i, j) = (a - 1, c - 1);
             let real = realization
@@ -749,14 +758,14 @@ fn eval_combination(
                 Realization::Direct => {
                     if let (Some(spt), Some(&dj)) = (spt_dests.get(i), dests.get(j)) {
                         let path = spt
-                            .path_to(dj)
+                            .path_to(g, dj)
                             .expect("direct realization implies reachability"); // lint:allow(P1): the closure edge exists only if dests[j] is reachable
                         real_edges.extend(path.edges().iter().copied());
                     }
                 }
                 Realization::ViaVirtual => {
-                    add_virtual_leg(i, to_virtual, virt, spt_dests, real_edges, used_virtual);
-                    add_virtual_leg(j, to_virtual, virt, spt_dests, real_edges, used_virtual);
+                    add_virtual_leg(g, i, to_virtual, virt, spt_dests, real_edges, used_virtual);
+                    add_virtual_leg(g, j, to_virtual, virt, spt_dests, real_edges, used_virtual);
                 }
             }
         }

@@ -101,7 +101,7 @@ impl AuxiliaryGraph {
         let mut server_costs = Vec::new();
         for &v in combination {
             debug_assert!(sdn.is_server(v), "{v} is not a server");
-            let Some(path) = source_spt.path_to(v) else {
+            let Some(path) = source_spt.path_to(g, v) else {
                 continue; // unreachable server
             };
             let ingress_cost = path.cost() * b;

@@ -127,11 +127,15 @@ fn latency_first_tree(sdn: &Sdn, request: &MulticastRequest) -> Option<PseudoMul
     }
     let (_, v) = best?;
 
-    let ingress = spt_source.path_to(v).expect("chosen server is reachable"); // lint:allow(P1): the best server was selected only if reachable
+    let ingress = spt_source
+        .path_to(&hops_graph, v)
+        .expect("chosen server is reachable"); // lint:allow(P1): the best server was selected only if reachable
     let spt_v = dijkstra_with_targets(&hops_graph, v, &request.destinations);
     let mut distribution: Vec<EdgeId> = Vec::new();
     for &d in &request.destinations {
-        let p = spt_v.path_to(d).expect("chosen server reaches all"); // lint:allow(P1): server selection required reaching every destination
+        let p = spt_v
+            .path_to(&hops_graph, d)
+            .expect("chosen server reaches all"); // lint:allow(P1): server selection required reaching every destination
         distribution.extend(p.edges().iter().copied());
     }
     distribution.sort_unstable();

@@ -49,7 +49,7 @@ pub fn one_server(sdn: &Sdn, request: &MulticastRequest) -> Option<PseudoMultica
 
     let mut best: Option<PseudoMulticastTree> = None;
     for &v in sdn.servers() {
-        let Some(ingress) = spt_source.path_to(v) else {
+        let Some(ingress) = spt_source.path_to(g, v) else {
             continue;
         };
         let Some(traversals) = expanded_mst_branches(g, v, request, &spt_dests) else {
@@ -124,7 +124,7 @@ fn expanded_mst_branches(
     for &ce in &mst.edges {
         let er = closure.edge(ce);
         let path = spt_dests[er.u.index()]
-            .path_to(dests[er.v.index()])
+            .path_to(g, dests[er.v.index()])
             .expect("closure edge implies reachability"); // lint:allow(P1): closure edges join mutually reachable terminals
         edges.extend(path.edges().iter().copied());
     }
@@ -135,7 +135,7 @@ fn expanded_mst_branches(
         let db = spt_dests[b].distance(v).unwrap_or(f64::INFINITY);
         da.partial_cmp(&db).expect("distances are not NaN") // lint:allow(P1): unreachable is INFINITY, not NaN, so partial_cmp succeeds
     })?;
-    let entry = spt_dests[nearest].path_to(v)?;
+    let entry = spt_dests[nearest].path_to(g, v)?;
     edges.extend(entry.edges().iter().copied());
     Some(edges)
 }

@@ -152,19 +152,6 @@ pub struct RepairReport {
     pub plan_events: u64,
 }
 
-impl RepairReport {
-    /// `true` when the call found nothing to do and changed nothing.
-    #[must_use]
-    pub fn is_quiet(&self) -> bool {
-        self.broken.is_empty()
-            && self.swapped.is_empty()
-            && self.repaired.is_empty()
-            && self.degraded.is_empty()
-            && self.dropped.is_empty()
-            && self.deferred.is_empty()
-    }
-}
-
 /// Owns committed sessions and heals them across failure events.
 ///
 /// All bookkeeping is `BTreeMap`-backed, so iteration — and therefore
@@ -634,7 +621,7 @@ mod tests {
             .unwrap());
         let before = sdn.clone();
         let report = mgr.repair(&mut sdn, &RepairConfig::new(1), &mut scratch);
-        assert!(report.is_quiet());
+        assert_eq!(report, RepairReport::default());
         assert_eq!(sdn, before);
     }
 
@@ -777,7 +764,7 @@ mod tests {
         sdn.recover_link(e[1]).unwrap();
         sdn.recover_link(e[4]).unwrap();
         let report = mgr.repair(&mut sdn, &cfg, &mut scratch);
-        assert!(report.is_quiet());
+        assert_eq!(report, RepairReport::default());
         assert!(mgr.is_empty());
         assert!(mgr.pending_repairs().is_empty());
         assert_eq!(sdn, fresh);

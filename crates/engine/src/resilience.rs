@@ -191,12 +191,6 @@ impl SessionManager {
         mgr
     }
 
-    /// The resilience configuration, when enabled.
-    #[must_use]
-    pub fn resilience(&self) -> Option<&ResilienceConfig> {
-        self.resilience.as_ref()
-    }
-
     /// The precomputed backup trees currently held for `id`, in ascending
     /// protected-link order (the failover preference order).
     #[must_use]

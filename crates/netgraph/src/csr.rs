@@ -215,7 +215,9 @@ pub fn dijkstra_csr_with_targets(
 ///
 /// Trees are handed out as `Arc`s so callers can hold them across further
 /// queries without copying the arrays. Edge weights in this codebase are
-/// immutable unit costs, so a tree never goes stale.
+/// immutable unit costs, so a tree never goes stale. A tree's paths are
+/// read against the [`Graph`] the snapshot was built from
+/// ([`ShortestPathTree::path_to`]), which shares its node and edge ids.
 ///
 /// ## Exactly once, outside the lock
 ///
@@ -229,8 +231,9 @@ pub fn dijkstra_csr_with_targets(
 /// ## Bounded mode
 ///
 /// [`SptCache::new`] is unbounded — fine at the paper's n=250, but one
-/// full tree is `Θ(n)` memory, so at 10k+ nodes an unbounded cache grows
-/// towards `Θ(n²)`. [`SptCache::with_capacity`] bounds the number of
+/// full tree is `Θ(n)` memory (12 bytes a node: an `f64` distance and a
+/// `u32` predecessor edge id, 60 KiB at n = 5 120), so at 10k+ nodes an
+/// unbounded cache grows towards `Θ(n²)`. [`SptCache::with_capacity`] bounds the number of
 /// resident trees: a query for a non-resident source at capacity evicts
 /// the resident tree with the oldest last-use tick (ties: lowest id;
 /// ticks are a monotone counter shared by every handle, never wall
@@ -475,11 +478,14 @@ mod tests {
         (g, v)
     }
 
-    fn assert_same_tree(a: &ShortestPathTree, b: &ShortestPathTree, n: usize) {
-        for i in 0..n {
-            let v = NodeId::new(i);
+    fn assert_same_tree(g: &Graph, a: &ShortestPathTree, b: &ShortestPathTree) {
+        for v in g.nodes() {
             assert_eq!(a.distance(v), b.distance(v), "distance to {v}");
-            assert_eq!(a.predecessor(v), b.predecessor(v), "predecessor of {v}");
+            assert_eq!(
+                a.predecessor(g, v),
+                b.predecessor(g, v),
+                "predecessor of {v}"
+            );
         }
     }
 
@@ -510,7 +516,7 @@ mod tests {
         for &s in &v {
             let fresh = dijkstra(&g, s);
             let flat = dijkstra_csr(&csr, s, &mut scratch);
-            assert_same_tree(&fresh, &flat, g.node_count());
+            assert_same_tree(&g, &fresh, &flat);
         }
     }
 
@@ -525,8 +531,8 @@ mod tests {
         for &t in &targets {
             assert_eq!(fresh.distance(t), flat.distance(t));
             assert_eq!(
-                fresh.path_to(t).map(|p| p.edges().to_vec()),
-                flat.path_to(t).map(|p| p.edges().to_vec())
+                fresh.path_to(&g, t).map(|p| p.edges().to_vec()),
+                flat.path_to(&g, t).map(|p| p.edges().to_vec())
             );
         }
     }
@@ -539,12 +545,12 @@ mod tests {
         let outside = NodeId::new(99);
         let full = dijkstra_csr(&csr, v[0], &mut scratch);
         let all_unknown = dijkstra_csr_with_targets(&csr, v[0], &[outside], &mut scratch);
-        assert_same_tree(&all_unknown, &full, g.node_count());
+        assert_same_tree(&g, &all_unknown, &full);
         let mixed = dijkstra_csr_with_targets(&csr, v[0], &[outside, v[2]], &mut scratch);
         assert_same_tree(
+            &g,
             &mixed,
             &dijkstra_with_targets(&g, v[0], &[outside, v[2]]),
-            g.node_count(),
         );
         assert_eq!(mixed.distance(v[2]), Some(3.0));
         assert_eq!(mixed.distance(outside), None);
@@ -565,7 +571,7 @@ mod tests {
         let t2 = dijkstra_csr(&csr2, a, &mut scratch);
         let t1_again = dijkstra_csr(&csr1, NodeId::new(0), &mut scratch);
         assert_eq!(t2.distance(b), Some(1.5));
-        assert_same_tree(&t1, &t1_again, g1.node_count());
+        assert_same_tree(&g1, &t1, &t1_again);
     }
 
     fn cache(g: &Graph) -> SptCache {
@@ -581,7 +587,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
-        assert_same_tree(&a, &dijkstra(&g, v[0]), g.node_count());
+        assert_same_tree(&g, &a, &dijkstra(&g, v[0]));
     }
 
     #[test]
@@ -591,7 +597,7 @@ mod tests {
         for &s in &v {
             let cached = cache.spt(s);
             let fresh = dijkstra(&g, s);
-            assert_same_tree(&cached, &fresh, g.node_count());
+            assert_same_tree(&g, &cached, &fresh);
         }
     }
 
@@ -645,7 +651,7 @@ mod tests {
         let t1_again = cache.spt(v[1]);
         assert_eq!(cache.misses(), misses_before + 1);
         assert_eq!(cache.evictions(), 2);
-        assert_same_tree(&t1_again, &dijkstra(&g, v[1]), g.node_count());
+        assert_same_tree(&g, &t1_again, &dijkstra(&g, v[1]));
         // v0 survived both evictions (it was always the freshest).
         let hits_before = cache.hits();
         let t0_again = cache.spt(v[0]);
@@ -659,7 +665,7 @@ mod tests {
         let mut cache = SptCache::with_capacity(CsrGraph::from_graph(&g), 0);
         for _ in 0..3 {
             let t = cache.spt(v[0]);
-            assert_same_tree(&t, &dijkstra(&g, v[0]), g.node_count());
+            assert_same_tree(&g, &t, &dijkstra(&g, v[0]));
         }
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 3);
@@ -676,7 +682,7 @@ mod tests {
         for &s in &order {
             let a = bounded.spt(s);
             let b = unbounded.spt(s);
-            assert_same_tree(&a, &b, g.node_count());
+            assert_same_tree(&g, &a, &b);
         }
         assert!(bounded.evictions() > 0);
     }
@@ -754,7 +760,7 @@ mod tests {
                     fresh.distance(n).map(f64::to_bits),
                     "distance {r} → {n}"
                 );
-                assert_eq!(tree.predecessor(n), fresh.predecessor(n));
+                assert_eq!(tree.predecessor(&g, n), fresh.predecessor(&g, n));
             }
         }
     }
@@ -795,6 +801,6 @@ mod tests {
         let in_original = original.spt(v[1]);
         assert_eq!(original.misses(), misses + 1);
         assert!(!Arc::ptr_eq(&in_copy, &in_original));
-        assert_same_tree(&in_copy, &in_original, g.node_count());
+        assert_same_tree(&g, &in_copy, &in_original);
     }
 }

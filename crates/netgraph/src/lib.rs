@@ -26,7 +26,7 @@
 //!
 //! let spt = netgraph::dijkstra(&g, a);
 //! assert_eq!(spt.distance(c), Some(3.0));
-//! let path = spt.path_to(c).unwrap();
+//! let path = spt.path_to(&g, c).unwrap();
 //! assert_eq!(path.nodes(), &[a, b, c]);
 //! # Ok(())
 //! # }

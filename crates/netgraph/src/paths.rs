@@ -83,16 +83,25 @@ impl Path {
     }
 }
 
+/// The `pred` slot of the source and of every node no edge has reached.
+const NO_PRED: u32 = u32::MAX;
+
 /// The result of a single-source shortest-path computation.
 ///
-/// Stores, for every node, the best known distance and the predecessor edge
-/// on a shortest path from the source. Unreachable nodes have no distance.
+/// Stores, for every node, the best known distance (`f64`) and the id of
+/// the edge that enters it on a shortest path from the source (`u32`):
+/// 12 bytes a node. The predecessor node is not stored — it is that
+/// edge's other endpoint, so [`predecessor`](Self::predecessor) and
+/// [`path_to`](Self::path_to) take the graph the tree was computed on (a
+/// [`crate::CsrGraph`] tree shares its ids with the graph it snapshots).
+/// Unreachable nodes have no distance.
 #[derive(Debug, Clone)]
 pub struct ShortestPathTree {
     source: NodeId,
     dist: Vec<f64>,
-    /// Predecessor (node, edge) on the shortest path, indexed by node.
-    pred: Vec<Option<(NodeId, EdgeId)>>,
+    /// Raw id of the predecessor edge, indexed by node; [`NO_PRED`] for
+    /// the source and unreached nodes.
+    pred: Vec<u32>,
 }
 
 impl ShortestPathTree {
@@ -129,22 +138,42 @@ impl ShortestPathTree {
         self.distance(n).is_some()
     }
 
-    /// Predecessor (node, edge) of `n` on its shortest path, if any.
+    /// Predecessor (node, edge) of `n` on its shortest path, if any. `g`
+    /// is the graph the tree was computed on: the node is the edge's other
+    /// endpoint there.
+    ///
+    /// Debug builds panic if `g` lacks the edge or the edge does not touch
+    /// `n` (a tree read against the wrong graph).
+    #[inline]
     #[must_use]
-    pub fn predecessor(&self, n: NodeId) -> Option<(NodeId, EdgeId)> {
-        self.pred.get(n.index()).copied().flatten()
+    pub fn predecessor(&self, g: &Graph, n: NodeId) -> Option<(NodeId, EdgeId)> {
+        let raw = self
+            .pred
+            .get(n.index())
+            .copied()
+            .filter(|&e| e != NO_PRED)?;
+        let e = EdgeId(raw);
+        let edge = g.try_edge(e);
+        debug_assert!(
+            edge.is_some_and(|ed| ed.u == n || ed.v == n),
+            "edge {e} does not touch {n}: tree read against the wrong graph"
+        );
+        let edge = edge?;
+        Some((NodeId(edge.u.0 ^ edge.v.0 ^ n.0), e))
     }
 
-    /// Reconstructs the full shortest path from the source to `target`.
+    /// Reconstructs the full shortest path from the source to `target`
+    /// over `g`, the graph the tree was computed on (see
+    /// [`predecessor`](Self::predecessor)).
     ///
     /// Returns `None` if `target` is unreachable.
     #[must_use]
-    pub fn path_to(&self, target: NodeId) -> Option<Path> {
+    pub fn path_to(&self, g: &Graph, target: NodeId) -> Option<Path> {
         let cost = self.distance(target)?;
         let mut nodes = vec![target];
         let mut edges = Vec::new();
         let mut cur = target;
-        while let Some((prev, edge)) = self.predecessor(cur) {
+        while let Some((prev, edge)) = self.predecessor(g, cur) {
             nodes.push(prev);
             edges.push(edge);
             cur = prev;
@@ -223,7 +252,7 @@ pub fn nearest_target_path(
         Stop::FirstOf(targets),
         &mut tree,
     );
-    tree.path_to(hit?)
+    tree.path_to(g, hit?)
 }
 
 /// An adjacency view the Dijkstra kernel relaxes over: [`Graph`] and
@@ -289,7 +318,7 @@ pub(crate) enum Stop<'a> {
 #[derive(Debug, Clone, Default)]
 pub struct DijkstraScratch {
     dist: Vec<f64>,
-    pred: Vec<Option<(NodeId, EdgeId)>>,
+    pred: Vec<u32>,
     /// Sized only for targeted runs; empty on a full run.
     is_target: Vec<bool>,
     heap: IndexedQuadHeap,
@@ -378,7 +407,7 @@ pub(crate) fn shortest_paths<A: Adjacency>(
     dist.clear();
     dist.resize(n, f64::INFINITY);
     pred.clear();
-    pred.resize(n, None);
+    pred.resize(n, NO_PRED);
     is_target.clear();
     heap.reset(n);
 
@@ -418,7 +447,7 @@ pub(crate) fn shortest_paths<A: Adjacency>(
             if let (Some(dv), Some(pv)) = (dist.get_mut(vi), pred.get_mut(vi)) {
                 if cand < *dv {
                     *dv = cand;
-                    *pv = Some((u, e));
+                    *pv = e.0;
                     heap.push_or_decrease(v, cand);
                 }
             }
@@ -441,7 +470,7 @@ pub fn bellman_ford(g: &Graph, source: NodeId) -> ShortestPathTree {
     assert!(g.contains_node(source), "source {source} not in graph");
     let n = g.node_count();
     let mut dist = vec![f64::INFINITY; n];
-    let mut pred: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
+    let mut pred = vec![NO_PRED; n];
     if let Some(d0) = dist.get_mut(source.index()) {
         *d0 = 0.0;
     }
@@ -457,7 +486,7 @@ pub fn bellman_ford(g: &Graph, source: NodeId) -> ShortestPathTree {
                     if da.is_finite() && cand < *db {
                         *db = cand;
                         if let Some(pb) = pred.get_mut(b.index()) {
-                            *pb = Some((a, e.id));
+                            *pb = e.id.0;
                         }
                         changed = true;
                     }
@@ -505,20 +534,20 @@ mod tests {
     fn dijkstra_path_reconstruction() {
         let (g, v) = diamond();
         let spt = dijkstra(&g, v[0]);
-        let p = spt.path_to(v[3]).unwrap();
+        let p = spt.path_to(&g, v[3]).unwrap();
         assert_eq!(p.nodes(), &[v[0], v[1], v[2], v[3]]);
         assert_eq!(p.cost(), 6.0);
         assert_eq!(p.len(), 3);
         assert_eq!(p.source(), v[0]);
         assert_eq!(p.target(), v[3]);
-        assert!(spt.path_to(v[4]).is_none());
+        assert!(spt.path_to(&g, v[4]).is_none());
     }
 
     #[test]
     fn path_to_source_is_trivial() {
         let (g, v) = diamond();
         let spt = dijkstra(&g, v[0]);
-        let p = spt.path_to(v[0]).unwrap();
+        let p = spt.path_to(&g, v[0]).unwrap();
         assert!(p.is_empty());
         assert_eq!(p.cost(), 0.0);
         assert_eq!(p.nodes(), &[v[0]]);
@@ -592,7 +621,7 @@ mod tests {
         // neither waited for nor reachable.
         let mixed = dijkstra_with_targets(&g, v[0], &[outside, v[2]]);
         assert_eq!(mixed.distance(v[2]), Some(3.0));
-        assert_eq!(mixed.predecessor(v[2]), full.predecessor(v[2]));
+        assert_eq!(mixed.predecessor(&g, v[2]), full.predecessor(&g, v[2]));
         assert_eq!(mixed.distance(outside), None);
         // It stopped at v2: v3 still holds its tentative 1 + 6, not 6.
         assert_eq!(mixed.distance(v[3]), Some(7.0));
@@ -605,7 +634,7 @@ mod tests {
         let full = dijkstra(&g, v[0]);
         // v2 (3.0) is nearer than v3 (6.0); the unknown target is ignored.
         let p = nearest_target_path(&g, v[0], &[v[3], NodeId::new(99), v[2]], &none).unwrap();
-        assert_eq!(Some(p), full.path_to(v[2]));
+        assert_eq!(Some(p), full.path_to(&g, v[2]));
         // Cutting 1-2 (edge 2) makes v2 cost 4.0 via the direct edge.
         let cut: BTreeSet<EdgeId> = [EdgeId::new(2)].into_iter().collect();
         let p = nearest_target_path(&g, v[0], &[v[2]], &cut).unwrap();
@@ -633,7 +662,7 @@ mod tests {
         let cheap = g.add_edge(a, b, 2.0).unwrap();
         let spt = dijkstra(&g, a);
         assert_eq!(spt.distance(b), Some(2.0));
-        let p = spt.path_to(b).unwrap();
+        let p = spt.path_to(&g, b).unwrap();
         assert_eq!(p.edges(), &[cheap]);
     }
 
@@ -647,7 +676,35 @@ mod tests {
         g.add_edge(b, c, 0.0).unwrap();
         let spt = dijkstra(&g, a);
         assert_eq!(spt.distance(c), Some(0.0));
-        assert_eq!(spt.path_to(c).unwrap().len(), 2);
+        assert_eq!(spt.path_to(&g, c).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn a_pred_slot_is_one_u32_edge_id() {
+        // 12 bytes a node with `dist`: the predecessor node is the edge's
+        // other endpoint, so it is never stored.
+        fn slot_size<T>(_: &[T]) -> usize {
+            std::mem::size_of::<T>()
+        }
+        let (g, v) = diamond();
+        let spt = dijkstra(&g, v[0]);
+        assert_eq!(slot_size(&spt.pred), 4);
+        assert_eq!(slot_size(&DijkstraScratch::new().pred), 4);
+        assert_eq!(spt.pred[v[0].index()], NO_PRED);
+        assert_eq!(spt.pred[v[4].index()], NO_PRED);
+        assert_eq!(spt.predecessor(&g, v[3]), Some((v[2], EdgeId::new(4))));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "does not touch")]
+    fn predecessor_against_the_wrong_graph_panics() {
+        let (g, v) = diamond();
+        let spt = dijkstra(&g, v[0]);
+        // Same node count, but edge 0 (v0–v1 in `g`) joins v3–v4 here.
+        let mut other = Graph::with_nodes(5);
+        other.add_edge(v[3], v[4], 1.0).unwrap();
+        let _ = spt.predecessor(&other, v[1]);
     }
 
     #[test]

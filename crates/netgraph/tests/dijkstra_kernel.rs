@@ -3,8 +3,8 @@
 //! one Dijkstra kernel against each other on tie-heavy graphs.
 
 use netgraph::{
-    dijkstra, dijkstra_csr, dijkstra_csr_with_targets, dijkstra_with_targets, CsrGraph,
-    DijkstraScratch, Graph, IndexedQuadHeap, NodeId, ShortestPathTree, TotalCost,
+    bellman_ford, dijkstra, dijkstra_csr, dijkstra_csr_with_targets, dijkstra_with_targets,
+    CsrGraph, DijkstraScratch, Graph, IndexedQuadHeap, NodeId, Path, ShortestPathTree, TotalCost,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -39,20 +39,104 @@ fn arb_tie_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
-fn assert_bit_identical(a: &ShortestPathTree, b: &ShortestPathTree, n: usize) {
-    for i in 0..n {
-        let v = NodeId::new(i);
+fn assert_bit_identical(g: &Graph, a: &ShortestPathTree, b: &ShortestPathTree) {
+    for v in g.nodes() {
         assert_eq!(
             a.distance(v).map(f64::to_bits),
             b.distance(v).map(f64::to_bits),
             "distance to {v}"
         );
-        assert_eq!(a.predecessor(v), b.predecessor(v), "predecessor of {v}");
+        assert_eq!(
+            a.predecessor(g, v),
+            b.predecessor(g, v),
+            "predecessor of {v}"
+        );
     }
+}
+
+/// Every reached node but the source resolves to a predecessor `p`
+/// over an edge incident to both, with `dist[p] + w(e) = dist[n]` bit
+/// for bit: the relaxation that set `n` summed exactly those two.
+fn assert_predecessors_resolve(g: &Graph, t: &ShortestPathTree) {
+    for n in g.nodes() {
+        let Some(dn) = t.distance(n) else {
+            assert_eq!(t.predecessor(g, n), None, "unreached {n}");
+            continue;
+        };
+        if n == t.source() {
+            assert_eq!(t.predecessor(g, n), None, "source {n}");
+            continue;
+        }
+        let (p, e) = t.predecessor(g, n).expect("reached node has a predecessor");
+        let edge = g.edge(e);
+        assert!(
+            (edge.u, edge.v) == (p, n) || (edge.u, edge.v) == (n, p),
+            "{e} does not join {p} and {n}"
+        );
+        let dp = t.distance(p).expect("predecessor is reached");
+        assert_eq!((dp + edge.weight).to_bits(), dn.to_bits(), "dist of {n}");
+    }
+}
+
+/// `p` is a walk over `g` from `from` to `to` whose weights sum to its
+/// cost.
+fn assert_walk(g: &Graph, p: &Path, from: NodeId, to: NodeId) {
+    assert_eq!((p.source(), p.target()), (from, to));
+    let mut cost = 0.0;
+    for (pair, &e) in p.nodes().windows(2).zip(p.edges()) {
+        let edge = g.edge(e);
+        assert_eq!(edge.other(pair[0]), pair[1], "{e} on the walk to {to}");
+        cost += edge.weight;
+    }
+    assert_eq!(
+        cost.to_bits(),
+        p.cost().to_bits(),
+        "cost of the walk to {to}"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn predecessors_resolve_through_the_graph(
+        g in arb_tie_graph(),
+        picks in proptest::collection::vec(0usize..24, 0..6),
+    ) {
+        // Tie graphs carry parallel and zero-weight edges; a targeted run
+        // leaves tentative nodes whose predecessor must resolve too.
+        let n = g.node_count();
+        let csr = CsrGraph::from_graph(&g);
+        let mut scratch = DijkstraScratch::new();
+        let targets: Vec<NodeId> = picks.iter().map(|&p| NodeId::new(p % n)).collect();
+        for src in g.nodes() {
+            assert_predecessors_resolve(&g, &dijkstra(&g, src));
+            assert_predecessors_resolve(&g, &dijkstra_with_targets(&g, src, &targets));
+            assert_predecessors_resolve(&g, &dijkstra_csr(&csr, src, &mut scratch));
+            assert_predecessors_resolve(&g, &bellman_ford(&g, src));
+        }
+    }
+
+    #[test]
+    fn path_to_agrees_with_bellman_ford(g in arb_tie_graph()) {
+        // Ties may pick different paths; the reachability, the cost and
+        // the validity of each walk may not differ.
+        for src in g.nodes() {
+            let d = dijkstra(&g, src);
+            let bf = bellman_ford(&g, src);
+            for n in g.nodes() {
+                match (d.path_to(&g, n), bf.path_to(&g, n)) {
+                    (Some(a), Some(b)) => {
+                        prop_assert_eq!(a.cost().to_bits(), b.cost().to_bits());
+                        assert_walk(&g, &a, src, n);
+                        assert_walk(&g, &b, src, n);
+                    }
+                    (None, None) => {}
+                    (a, b) => prop_assert!(false, "reachability of {}: {:?} vs {:?}", n, a, b),
+                }
+            }
+        }
+    }
 
     #[test]
     fn heap_pops_match_an_ordered_set_reference(ops in arb_ops(12)) {
@@ -111,10 +195,10 @@ proptest! {
         for s in 0..n {
             let src = NodeId::new(s);
             let full = dijkstra(&g, src);
-            assert_bit_identical(&full, &dijkstra_csr(&csr, src, &mut scratch), n);
+            assert_bit_identical(&g, &full, &dijkstra_csr(&csr, src, &mut scratch));
             let targeted = dijkstra_with_targets(&g, src, &targets);
             let targeted_csr = dijkstra_csr_with_targets(&csr, src, &targets, &mut scratch);
-            assert_bit_identical(&targeted, &targeted_csr, n);
+            assert_bit_identical(&g, &targeted, &targeted_csr);
             // A targeted run stops early but agrees with the full run on
             // every target.
             for &t in &targets {
@@ -122,7 +206,7 @@ proptest! {
                     targeted.distance(t).map(f64::to_bits),
                     full.distance(t).map(f64::to_bits)
                 );
-                prop_assert_eq!(targeted.predecessor(t), full.predecessor(t));
+                prop_assert_eq!(targeted.predecessor(&g, t), full.predecessor(&g, t));
             }
         }
     }

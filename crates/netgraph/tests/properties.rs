@@ -70,7 +70,7 @@ proptest! {
         let src = NodeId::new(0);
         let spt = dijkstra(&g, src);
         for n in g.nodes() {
-            let p = spt.path_to(n).expect("connected graph");
+            let p = spt.path_to(&g, n).expect("connected graph");
             prop_assert!((p.cost() - spt.distance(n).unwrap()).abs() < 1e-9);
             // Recompute the cost edge by edge.
             let recomputed: f64 = p.edges().iter().map(|&e| g.edge(e).weight).sum();
@@ -104,7 +104,7 @@ proptest! {
         for &t in &targets {
             prop_assert_eq!(full.distance(t), fast.distance(t), "distance to {}", t);
             prop_assert_eq!(full.is_reachable(t), fast.is_reachable(t));
-            match (full.path_to(t), fast.path_to(t)) {
+            match (full.path_to(&g, t), fast.path_to(&g, t)) {
                 (Some(a), Some(b)) => {
                     prop_assert!((a.cost() - b.cost()).abs() < 1e-12);
                     prop_assert_eq!(a.edges(), b.edges(), "path to {}", t);

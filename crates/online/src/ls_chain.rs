@@ -122,7 +122,7 @@ pub(crate) fn hop_scan(sdn: &Sdn, request: &MulticastRequest, budget: f64) -> Ho
         if !sdn.server_fits(v, demand) {
             continue;
         }
-        let Some(ingress) = spt_source.path_to(v) else {
+        let Some(ingress) = spt_source.path_to(uniform, v) else {
             continue;
         };
         let h_in = ingress.cost();
@@ -140,7 +140,7 @@ pub(crate) fn hop_scan(sdn: &Sdn, request: &MulticastRequest, budget: f64) -> Ho
         let mut feasible = true;
         let mut compliant = true;
         for &d in &request.destinations {
-            let Some(p) = spt_v.path_to(d) else {
+            let Some(p) = spt_v.path_to(uniform, d) else {
                 feasible = false;
                 break;
             };

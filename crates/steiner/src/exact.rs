@@ -137,7 +137,7 @@ pub fn dreyfus_wagner(g: &Graph, terminals: &[NodeId]) -> Option<SteinerTree> {
         if mask.count_ones() == 1 {
             // Shortest path from the lone terminal to v.
             let ti = mask.trailing_zeros() as usize;
-            add_path_edges(&spts[uniq[ti].index()], NodeId::new(v), &mut edges);
+            add_path_edges(g, &spts[uniq[ti].index()], NodeId::new(v), &mut edges);
             continue;
         }
         match choice[mask as usize][v] {
@@ -147,7 +147,7 @@ pub fn dreyfus_wagner(g: &Graph, terminals: &[NodeId]) -> Option<SteinerTree> {
                 stack.push((mask ^ sub, v));
             }
             Choice::Extend(u) => {
-                add_path_edges(&spts[u as usize], NodeId::new(v), &mut edges);
+                add_path_edges(g, &spts[u as usize], NodeId::new(v), &mut edges);
                 stack.push((mask, u as usize));
             }
         }
@@ -168,8 +168,8 @@ pub fn dreyfus_wagner(g: &Graph, terminals: &[NodeId]) -> Option<SteinerTree> {
     Some(tree)
 }
 
-fn add_path_edges(spt: &ShortestPathTree, to: NodeId, edges: &mut BTreeSet<EdgeId>) {
-    let p = spt.path_to(to).expect("reachability checked"); // lint:allow(P1): callers check reachability before requesting the path
+fn add_path_edges(g: &Graph, spt: &ShortestPathTree, to: NodeId, edges: &mut BTreeSet<EdgeId>) {
+    let p = spt.path_to(g, to).expect("reachability checked"); // lint:allow(P1): callers check reachability before requesting the path
     edges.extend(p.edges().iter().copied());
 }
 

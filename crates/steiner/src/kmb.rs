@@ -145,6 +145,7 @@ impl AnchorMst {
     /// the last: pair `(i, j)`, `i < j`, reads `i`'s tree only.
     fn build<'t>(
         &mut self,
+        g: &Graph,
         anchors: &[NodeId],
         spt: impl Fn(usize) -> Option<&'t ShortestPathTree>,
         uf: &mut UnionFind,
@@ -156,13 +157,14 @@ impl AnchorMst {
         self.paths.clear();
         self.ends.clear();
         self.ends.push(0);
-        self.connected = self.closure_mst(spt, uf).is_some();
+        self.connected = self.closure_mst(g, spt, uf).is_some();
     }
 
     /// [`AnchorMst::build`]'s work; `None` once some anchor pair is
     /// disconnected.
     fn closure_mst<'t>(
         &mut self,
+        g: &Graph,
         spt: impl Fn(usize) -> Option<&'t ShortestPathTree>,
         uf: &mut UnionFind,
     ) -> Option<()> {
@@ -182,7 +184,7 @@ impl AnchorMst {
         // Step 3 for the anchors: walk each MST edge's predecessors once.
         for &(i, j, _) in &self.edges {
             let (from, cur) = (spt(i)?, *self.anchors.get(j)?);
-            push_path(from, cur, &mut self.paths);
+            push_path(g, from, cur, &mut self.paths);
             self.ends.push(self.paths.len());
         }
         Some(())
@@ -195,9 +197,9 @@ impl AnchorMst {
 }
 
 /// Appends the edges of `from`'s tree path to `to`, walking predecessors
-/// (step 4 sorts the edges, so their order is moot).
-fn push_path(from: &ShortestPathTree, mut to: NodeId, out: &mut Vec<EdgeId>) {
-    while let Some((prev, edge)) = from.predecessor(to) {
+/// over `g` (step 4 sorts the edges, so their order is moot).
+fn push_path(g: &Graph, from: &ShortestPathTree, mut to: NodeId, out: &mut Vec<EdgeId>) {
+    while let Some((prev, edge)) = from.predecessor(g, to) {
         out.push(edge);
         to = prev;
     }
@@ -378,7 +380,7 @@ fn kmb_core(
     // Steps 2–3 for the anchors, once per scan.
     let anchor_set = uniq.get(..anchors)?;
     if !(anchor_mst.valid && anchor_mst.anchors == anchor_set) {
-        anchor_mst.build(anchor_set, spt, closure_uf);
+        anchor_mst.build(g, anchor_set, spt, closure_uf);
     }
     if !anchor_mst.connected {
         return None;
@@ -415,7 +417,7 @@ fn kmb_core(
             } else {
                 let &(i, j, _) = star_edges.next()?;
                 if closure_uf.union(i, j) {
-                    push_path(spt(i)?, v, path_edges);
+                    push_path(g, spt(i)?, v, path_edges);
                 }
             }
         }

@@ -176,7 +176,7 @@ fn reference_kmb(g: &Graph, terminals: &[NodeId]) -> Option<SteinerTree> {
     let mut in_subgraph = vec![false; g.edge_count()];
     for &ce in &kruskal(&closure).edges {
         let cer = closure.edge(ce);
-        let path = spts[cer.u.index()].path_to(uniq[cer.v.index()]).unwrap();
+        let path = spts[cer.u.index()].path_to(g, uniq[cer.v.index()]).unwrap();
         for &e in path.edges() {
             in_subgraph[e.index()] = true;
         }

@@ -71,9 +71,10 @@ proptest! {
                     let source = NodeId::new(src);
                     let cached = cache.spt(source);
                     let fresh = dijkstra(sdn.graph(), source);
-                    for v in sdn.graph().nodes() {
+                    let g = sdn.graph();
+                    for v in g.nodes() {
                         prop_assert_eq!(cached.distance(v), fresh.distance(v));
-                        prop_assert_eq!(cached.predecessor(v), fresh.predecessor(v));
+                        prop_assert_eq!(cached.predecessor(g, v), fresh.predecessor(g, v));
                     }
                 }
             }
