@@ -5,8 +5,8 @@
 //!
 //! 1. **Residual conservation** — for every link and server, the residual
 //!    equals capacity minus the summed load of the live sessions and the
-//!    reserved backup trees (the caller's session table is assumed to
-//!    own every allocation in the network).
+//!    reserved backup trees ([`Sdn::check_ledger`]; the caller's session
+//!    table is assumed to own every allocation in the network).
 //! 2. **Tree health** — every committed tree passes structural
 //!    validation against its (possibly degraded) request and touches no
 //!    failed link or server.
@@ -16,34 +16,18 @@
 //! only, while the chaos and churn replays run them after every event.
 
 use crate::repair::CommittedSession;
-use netgraph::{EdgeId, NodeId};
 use nfv_online::ActiveSession;
-use sdn::{Allocation, RequestId, Sdn};
-use std::collections::BTreeMap;
+use sdn::{Allocation, RequestId, Sdn, SdnError};
 use std::fmt;
 
 /// An invariant violation found by the auditor. Any variant here is a
 /// bug in the engine, never a property of the workload.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AuditError {
-    /// A link's residual disagrees with capacity minus live session load.
-    ResidualBandwidthMismatch {
-        /// The offending link.
-        link: EdgeId,
-        /// Capacity minus the summed live loads.
-        expected: f64,
-        /// What the ledger reports.
-        actual: f64,
-    },
-    /// A server's residual disagrees with capacity minus live load.
-    ResidualComputingMismatch {
-        /// The offending server.
-        server: NodeId,
-        /// Capacity minus the summed live loads.
-        expected: f64,
-        /// What the ledger reports.
-        actual: f64,
-    },
+    /// The residual ledger disagrees with capacity minus the live
+    /// session load (an [`SdnError::LedgerMismatch`] from
+    /// [`Sdn::check_ledger`]).
+    Ledger(SdnError),
     /// A committed tree failed structural validation.
     InvalidTree {
         /// The session whose tree is broken.
@@ -64,22 +48,7 @@ pub enum AuditError {
 impl fmt::Display for AuditError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AuditError::ResidualBandwidthMismatch {
-                link,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "residual bandwidth of {link} is {actual} but live sessions imply {expected}"
-            ),
-            AuditError::ResidualComputingMismatch {
-                server,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "residual computing of {server} is {actual} but live sessions imply {expected}"
-            ),
+            AuditError::Ledger(e) => write!(f, "{e}"),
             AuditError::InvalidTree { session, reason } => {
                 write!(f, "tree of session {session:?} is invalid: {reason}")
             }
@@ -108,47 +77,14 @@ pub fn audit<'a>(
     reservations: impl IntoIterator<Item = &'a Allocation>,
 ) -> Result<(), AuditError> {
     let sessions: Vec<_> = sessions.into_iter().collect();
-    // Accumulate the live load per element across committed sessions and
-    // reserved backup trees (best-effort backups hold no capacity).
-    let mut link_load: BTreeMap<EdgeId, f64> = BTreeMap::new();
-    let mut server_load: BTreeMap<NodeId, f64> = BTreeMap::new();
-    for alloc in sessions
-        .iter()
-        .map(|(_, s)| &s.allocation)
-        .chain(reservations)
-    {
-        for (e, l) in alloc.links() {
-            *link_load.entry(e).or_insert(0.0) += l;
-        }
-        for (v, l) in alloc.servers() {
-            *server_load.entry(v).or_insert(0.0) += l;
-        }
-    }
-
-    for e in sdn.graph().edges() {
-        let cap = sdn.bandwidth_capacity(e.id);
-        let expected = cap - link_load.get(&e.id).copied().unwrap_or(0.0);
-        let actual = sdn.residual_bandwidth(e.id);
-        if (expected - actual).abs() > sdn::VALIDATE_REL_TOL * (1.0 + cap) {
-            return Err(AuditError::ResidualBandwidthMismatch {
-                link: e.id,
-                expected,
-                actual,
-            });
-        }
-    }
-    for &v in sdn.servers() {
-        let cap = sdn.computing_capacity(v).expect("listed server"); // lint:allow(P1): v is drawn from servers()
-        let expected = cap - server_load.get(&v).copied().unwrap_or(0.0);
-        let actual = sdn.residual_computing(v).expect("listed server"); // lint:allow(P1): v is drawn from servers()
-        if (expected - actual).abs() > sdn::VALIDATE_REL_TOL * (1.0 + cap) {
-            return Err(AuditError::ResidualComputingMismatch {
-                server: v,
-                expected,
-                actual,
-            });
-        }
-    }
+    // Best-effort backups hold no capacity, so only reserved ones count.
+    sdn.check_ledger(
+        sessions
+            .iter()
+            .map(|(_, s)| &s.allocation)
+            .chain(reservations),
+    )
+    .map_err(AuditError::Ledger)?;
 
     for (id, s) in sessions {
         if let Err(reason) = s.payload.tree.validate(sdn, &s.payload.request) {
@@ -182,6 +118,7 @@ pub fn audit<'a>(
 mod tests {
     use super::*;
     use crate::repair::{RepairConfig, SessionManager};
+    use netgraph::{EdgeId, NodeId};
     use nfv_multicast::ApproScratch;
     use sdn::{Allocation, MulticastRequest, NfvType, SdnBuilder, ServiceChain};
 
@@ -240,7 +177,7 @@ mod tests {
         let err = audit(&sdn, mgr.sessions(), mgr.backup_reservations()).unwrap_err();
         assert!(matches!(
             err,
-            AuditError::ResidualBandwidthMismatch { link, .. } if link == e[0]
+            AuditError::Ledger(SdnError::LedgerMismatch { ref what, .. }) if *what == format!("link {}", e[0])
         ));
         let _ = v;
     }

@@ -198,8 +198,9 @@ enum Speculation {
 /// The caller's thread is the committer: [`AdmissionPipeline::push`]
 /// dispatches the arrival to the worker pool and, when the window is
 /// full, commits the head-of-line decision before returning. Feed
-/// arrivals in nondecreasing arrival-time order (generators and
-/// `run_dynamic` both produce sorted streams).
+/// arrivals in nondecreasing arrival-time order, as the workload
+/// generators produce them (`nfv_online::run_dynamic` sorts its input
+/// before its replay; the pipeline does not).
 pub struct AdmissionPipeline {
     cfg: PipelineConfig,
     sdn: Sdn,
@@ -282,7 +283,8 @@ impl AdmissionPipeline {
     /// Offers one timed arrival to the daemon. Departures are implicit:
     /// every session admitted at time `t` with duration `d` is released
     /// by the first commit at time `>= t + d` (the same lazy-release
-    /// semantics as `nfv_online::run_dynamic`).
+    /// semantics as the online replay behind `nfv_online::run_dynamic`
+    /// and `run_online`).
     ///
     /// # Panics
     ///

@@ -26,73 +26,18 @@ pub fn offline_greedy_benchmark(
     requests: &[MulticastRequest],
     k: usize,
 ) -> SimulationResult {
-    // Score on the untouched network.
-    let mut scored: Vec<(f64, &MulticastRequest)> = requests
-        .iter()
-        .map(|r| {
-            let score = appro_multi(sdn, r, k).map_or(f64::INFINITY, |t| t.total_cost());
-            (score, r)
-        })
-        .collect();
-    scored.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("costs are not NaN")); // lint:allow(P1): costs are finite sums of validated weights
-
-    let mut outcomes = Vec::with_capacity(requests.len());
-    let mut admitted = 0;
-    let mut rejected = 0;
-    let mut total_cost = 0.0;
-    for (score, req) in scored {
-        if !score.is_finite() {
-            rejected += 1;
-            outcomes.push(RequestOutcome::Rejected { id: req.id });
-            continue;
-        }
-        match appro_multi_cap(sdn, req, k).into_tree() {
-            Some(tree) => {
-                sdn.allocate(&tree.allocation(req))
-                    .expect("admitted tree fits"); // lint:allow(P1): the tree was planned on this exact residual state
-                admitted += 1;
-                total_cost += tree.total_cost();
-                outcomes.push(RequestOutcome::Admitted {
-                    id: req.id,
-                    cost: tree.total_cost(),
-                });
-            }
-            None => {
-                rejected += 1;
-                outcomes.push(RequestOutcome::Rejected { id: req.id });
-            }
-        }
-    }
-
-    let links = sdn.link_count();
-    let mut mean_link = 0.0;
-    let mut max_link: f64 = 0.0;
-    for e in sdn.graph().edges() {
-        let u = sdn.bandwidth_utilization(e.id);
-        mean_link += u;
-        max_link = max_link.max(u);
-    }
-    if links > 0 {
-        mean_link /= links as f64;
-    }
-    let mut mean_server = 0.0;
-    for &v in sdn.servers() {
-        mean_server += sdn.computing_utilization(v).expect("server"); // lint:allow(P1): v is drawn from servers()
-    }
-    if !sdn.servers().is_empty() {
-        mean_server /= sdn.servers().len() as f64;
-    }
-
-    SimulationResult {
-        algorithm: "Offline_Greedy",
-        admitted,
-        rejected,
-        outcomes,
-        total_cost,
-        mean_link_utilization: mean_link,
-        max_link_utilization: max_link,
-        mean_server_utilization: mean_server,
-    }
+    pack(
+        sdn,
+        "Offline_Greedy",
+        requests,
+        |sdn, r| appro_multi(sdn, r, k).map(|t| t.total_cost()),
+        |sdn, req| {
+            let tree = appro_multi_cap(sdn, req, k).into_tree()?;
+            sdn.allocate(&tree.allocation(req))
+                .expect("admitted tree fits"); // lint:allow(P1): the tree was planned on this exact residual state
+            Some(tree.total_cost())
+        },
+    )
 }
 
 /// Exact offline packing for *small* instances: score every request by
@@ -116,79 +61,58 @@ pub fn offline_exact_benchmark(
     requests: &[MulticastRequest],
     k: usize,
 ) -> SimulationResult {
-    // Score on the untouched network.
-    let mut scored: Vec<(f64, &MulticastRequest)> = requests
-        .iter()
-        .map(|r| {
-            let score = exact_pseudo_multicast(sdn, r, k).map_or(f64::INFINITY, |t| t.total_cost());
-            (score, r)
-        })
-        .collect();
-    // Costs are finite sums of validated weights (or the +inf sentinel),
-    // never NaN, so the total-order fallback is unreachable.
-    scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-
-    let mut outcomes = Vec::with_capacity(requests.len());
-    let mut admitted = 0;
-    let mut rejected = 0;
-    let mut total_cost = 0.0;
-    for (score, req) in scored {
-        if !score.is_finite() {
-            rejected += 1;
-            outcomes.push(RequestOutcome::Rejected { id: req.id });
-            continue;
-        }
+    pack(
+        sdn,
+        "Offline_Exact",
+        requests,
+        |sdn, r| exact_pseudo_multicast(sdn, r, k).map(|t| t.total_cost()),
         // The exact oracle is capacity-oblivious: re-plan on the loaded
         // network and gate on the ledger (allocate validates atomically
         // before committing, so a failed admission leaves no residue).
-        let tree = exact_pseudo_multicast(sdn, req, k)
-            .filter(|t| sdn.allocate(&t.allocation(req)).is_ok());
-        match tree {
-            Some(tree) => {
-                admitted += 1;
-                total_cost += tree.total_cost();
-                outcomes.push(RequestOutcome::Admitted {
-                    id: req.id,
-                    cost: tree.total_cost(),
-                });
-            }
-            None => {
-                rejected += 1;
-                outcomes.push(RequestOutcome::Rejected { id: req.id });
-            }
-        }
-    }
+        |sdn, req| {
+            exact_pseudo_multicast(sdn, req, k)
+                .filter(|t| sdn.allocate(&t.allocation(req)).is_ok())
+                .map(|t| t.total_cost())
+        },
+    )
+}
 
-    let links = sdn.link_count();
-    let mut mean_link = 0.0;
-    let mut max_link: f64 = 0.0;
-    for e in sdn.graph().edges() {
-        let u = sdn.bandwidth_utilization(e.id);
-        mean_link += u;
-        max_link = max_link.max(u);
-    }
-    if links > 0 {
-        mean_link /= links as f64;
-    }
-    let mut mean_server = 0.0;
-    for &v in sdn.servers() {
-        // v is drawn from servers(), so the lookup cannot miss.
-        mean_server += sdn.computing_utilization(v).unwrap_or(0.0);
-    }
-    if !sdn.servers().is_empty() {
-        mean_server /= sdn.servers().len() as f64;
-    }
+/// The packing loop of both benchmarks: `score` every request on the
+/// fresh network, then offer them in ascending score order to `commit`,
+/// which plans on the loaded network, commits, and returns the cost (or
+/// `None` to reject). A request without a fresh-network score is
+/// rejected unplanned. Packing is not an online decision, so it counts
+/// no admissions in telemetry.
+fn pack(
+    sdn: &mut Sdn,
+    algorithm: &'static str,
+    requests: &[MulticastRequest],
+    score: impl Fn(&Sdn, &MulticastRequest) -> Option<f64>,
+    mut commit: impl FnMut(&mut Sdn, &MulticastRequest) -> Option<f64>,
+) -> SimulationResult {
+    let mut scored: Vec<(f64, &MulticastRequest)> = requests
+        .iter()
+        .map(|r| (score(sdn, r).unwrap_or(f64::INFINITY), r))
+        .collect();
+    // Costs are non-negative sums of validated weights (or the +inf
+    // sentinel), so the total order is the numeric one.
+    scored.sort_by(|a, b| a.0.total_cmp(&b.0));
 
-    SimulationResult {
-        algorithm: "Offline_Exact",
-        admitted,
-        rejected,
-        outcomes,
-        total_cost,
-        mean_link_utilization: mean_link,
-        max_link_utilization: max_link,
-        mean_server_utilization: mean_server,
-    }
+    let outcomes = scored
+        .into_iter()
+        .map(|(score, req)| {
+            let cost = if score.is_finite() {
+                commit(sdn, req)
+            } else {
+                None
+            };
+            match cost {
+                Some(cost) => RequestOutcome::Admitted { id: req.id, cost },
+                None => RequestOutcome::Rejected { id: req.id },
+            }
+        })
+        .collect();
+    SimulationResult::new(algorithm, sdn, outcomes)
 }
 
 /// Empirical competitive ratio `online_admitted / offline_admitted`.
@@ -282,6 +206,7 @@ mod tests {
             mean_link_utilization: 0.0,
             max_link_utilization: 0.0,
             mean_server_utilization: 0.0,
+            peak_concurrent: n,
         }
     }
 

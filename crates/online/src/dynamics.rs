@@ -6,10 +6,14 @@
 //! its allocation at its departure time, so long simulations reach a
 //! steady state instead of inevitable saturation. The admission
 //! algorithms themselves are unchanged — any [`OnlineAlgorithm`] plugs
-//! in.
+//! in — and so is the loop: [`run_dynamic`] and
+//! [`run_online`](crate::run_online) are one replay, differing only in
+//! the order and departure times they offer.
 
-use crate::OnlineAlgorithm;
+use crate::simulation::replay;
+use crate::{OnlineAlgorithm, SimulationResult};
 use sdn::{Allocation, MulticastRequest, RequestId, Sdn, SdnError};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// A request with an arrival time and a holding duration.
@@ -76,7 +80,7 @@ pub struct ActiveSession<P> {
     /// The allocation it holds in the network ledger.
     pub allocation: Allocation,
     /// What the caller keeps with the session (the engine keeps its
-    /// request and tree; [`run_dynamic`] keeps nothing).
+    /// request and tree; the online replay keeps nothing).
     pub payload: P,
 }
 
@@ -269,104 +273,49 @@ fn release(sdn: &mut Sdn, allocation: &Allocation) {
     sdn.release(allocation).expect("release a live session"); // lint:allow(P1): the session allocation was applied, so release balances
 }
 
-/// Result of a dynamic (arrival/departure) simulation.
-#[derive(Debug, Clone)]
-pub struct DynamicResult {
-    /// Algorithm name.
-    pub algorithm: &'static str,
-    /// Sessions admitted.
-    pub admitted: usize,
-    /// Sessions rejected.
-    pub rejected: usize,
-    /// Ids of admitted sessions, in arrival order.
-    pub admitted_ids: Vec<RequestId>,
-    /// Peak number of simultaneously held sessions.
-    pub peak_concurrent: usize,
-}
-
-impl DynamicResult {
-    /// Admission ratio in `[0, 1]`.
-    #[must_use]
-    pub fn admission_ratio(&self) -> f64 {
-        let total = self.admitted + self.rejected;
-        if total == 0 {
-            0.0
-        } else {
-            self.admitted as f64 / total as f64
-        }
-    }
-}
-
 /// Replays a timed workload: requests are offered in arrival order, and
 /// every admitted session's allocation is released once its departure
 /// time is at or before the current arrival instant. A session departing
 /// *exactly* when a request arrives is released first, so its capacity is
 /// available to that arrival — the same `dep <= now` semantic as
-/// [`ActiveSessions::release_due`]. `requests` need not be pre-sorted.
+/// [`ActiveSessions::release_due`]. `requests` need not be pre-sorted;
+/// the sort is stable, so equal arrivals keep their slice order. This is
+/// the one online replay of [`run_online`](crate::run_online), with each
+/// session departing at `arrival + duration`.
 ///
 /// # Panics
 ///
-/// Panics if the algorithm proposes a tree that does not fit the current
-/// residual capacities (contract violation), or if a release fails
-/// (ledger accounting bug).
+/// If the algorithm proposes a tree that does not fit the current
+/// residual capacities (contract violation), or if the ledger at the end
+/// disagrees with the live sessions (accounting bug; `sdn` must start
+/// without load).
 pub fn run_dynamic<A: OnlineAlgorithm + ?Sized>(
     sdn: &mut Sdn,
     algorithm: &mut A,
     requests: &[TimedRequest],
-) -> DynamicResult {
+) -> SimulationResult {
     let mut order: Vec<&TimedRequest> = requests.iter().collect();
-    order.sort_by(|a, b| a.arrival.partial_cmp(&b.arrival).expect("finite arrivals")); // lint:allow(P1): arrival times are validated finite at construction
-
-    let mut active = ActiveSessions::new();
-    let mut admitted_ids = Vec::new();
-    let mut rejected = 0usize;
-    let mut peak = 0usize;
-
-    for tr in order {
-        // Release everything that departed at or before this arrival
-        // (`dep <= now`: a coinciding departure frees capacity for this
-        // very request).
-        let now = tr.arrival;
-        active.release_due(sdn, now);
-
-        match algorithm.admit(sdn, &tr.request) {
-            Some(tree) => {
-                let alloc = tree.allocation(&tr.request);
-                sdn.allocate(&alloc).unwrap_or_else(|e| {
-                    // lint:allow(P1): an infeasible proposal is an algorithm bug; abort loudly
-                    panic!(
-                        "algorithm {} proposed an infeasible tree for {}: {e}",
-                        algorithm.name(),
-                        tr.request.id
-                    )
-                });
-                active.insert(tr.request.id, now + tr.duration, alloc);
-                admitted_ids.push(tr.request.id);
-                peak = peak.max(active.len());
-                telemetry::hit(telemetry::Counter::OnlineAdmitted);
-            }
-            None => {
-                rejected += 1;
-                telemetry::hit(telemetry::Counter::OnlineRejected);
-            }
-        }
-    }
-
-    DynamicResult {
-        algorithm: algorithm.name(),
-        admitted: admitted_ids.len(),
-        rejected,
-        admitted_ids,
-        peak_concurrent: peak,
-    }
+    // Arrivals are validated finite at construction, so no pair is unordered.
+    order.sort_by(|a, b| a.arrival.partial_cmp(&b.arrival).unwrap_or(Ordering::Equal));
+    replay(
+        sdn,
+        algorithm,
+        order
+            .into_iter()
+            .map(|t| (&t.request, t.arrival, t.arrival + t.duration)),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{OnlineCp, ShortestPathBaseline};
+    use crate::{EmpPricing, LsChainAdmission, OnlineCp, OnlineCpMulti, ShortestPathBaseline};
     use netgraph::NodeId;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use sdn::{NfvType, SdnBuilder, ServiceChain};
+    use topology::{annotate, place_servers_random, AnnotationParams, Waxman};
+    use workload::RequestGenerator;
 
     fn tiny_net() -> (Sdn, Vec<NodeId>) {
         let mut b = SdnBuilder::new();
@@ -408,7 +357,7 @@ mod tests {
         assert_eq!(r.admitted, 3);
         assert_eq!(r.rejected, 1);
         assert_eq!(
-            r.admitted_ids,
+            r.admitted_ids().collect::<Vec<_>>(),
             vec![RequestId(0), RequestId(1), RequestId(3)]
         );
         assert_eq!(r.peak_concurrent, 2);
@@ -417,14 +366,50 @@ mod tests {
 
     #[test]
     fn without_departures_it_matches_static_behaviour() {
-        // All sessions effectively infinite: same admissions as run_online.
-        let (mut sdn, nodes) = tiny_net();
-        let requests: Vec<TimedRequest> = (0..5).map(|i| timed(&nodes, i, i as f64, 1e9)).collect();
-        let dynamic = run_dynamic(&mut sdn, &mut ShortestPathBaseline::new(), &requests);
-        let mut sdn2 = tiny_net().0;
-        let plain: Vec<MulticastRequest> = requests.iter().map(|t| t.request.clone()).collect();
-        let fixed = crate::run_online(&mut sdn2, &mut ShortestPathBaseline::new(), &plain);
-        assert_eq!(dynamic.admitted, fixed.admitted);
+        // Holding times far beyond the last arrival: nothing departs, so
+        // the timed replay must make run_online's decisions bit for bit,
+        // for every policy, and leave the same ledger.
+        let mut rng = StdRng::seed_from_u64(17);
+        let (g, _) = Waxman::new(40).generate(&mut rng);
+        let servers = place_servers_random(&g, 0.1, &mut rng);
+        let base = annotate(&g, &servers, &AnnotationParams::default(), &mut rng).unwrap();
+        let requests = RequestGenerator::new(40).generate_batch(150, &mut rng);
+        let timed: Vec<TimedRequest> = requests
+            .iter()
+            .enumerate()
+            .map(|(i, r)| TimedRequest::new(r.clone(), i as f64, 1e9))
+            .collect();
+        let policies: [fn() -> Box<dyn OnlineAlgorithm>; 5] = [
+            || Box::new(OnlineCp::new()),
+            || Box::new(OnlineCpMulti::new(2)),
+            || Box::new(ShortestPathBaseline::new()),
+            || Box::new(LsChainAdmission::new()),
+            || Box::new(EmpPricing::new()),
+        ];
+        for make in policies {
+            let mut fixed_net = base.clone();
+            let fixed = crate::run_online(&mut fixed_net, make().as_mut(), &requests);
+            let mut dynamic_net = base.clone();
+            let dynamic = run_dynamic(&mut dynamic_net, make().as_mut(), &timed);
+            let name = fixed.algorithm;
+            assert!(fixed.admitted > 0 && fixed.rejected > 0, "{name}");
+            assert_eq!(dynamic.algorithm, name);
+            assert_eq!(dynamic.outcomes, fixed.outcomes, "{name}");
+            assert_eq!(dynamic.admitted, fixed.admitted, "{name}");
+            assert_eq!(dynamic.total_cost.to_bits(), fixed.total_cost.to_bits());
+            let utilization = |r: &SimulationResult| {
+                [
+                    r.mean_link_utilization,
+                    r.max_link_utilization,
+                    r.mean_server_utilization,
+                ]
+                .map(f64::to_bits)
+            };
+            assert_eq!(utilization(&dynamic), utilization(&fixed), "{name}");
+            assert_eq!(dynamic.peak_concurrent, fixed.admitted, "{name}");
+            assert_eq!(fixed.peak_concurrent, fixed.admitted, "{name}");
+            assert_eq!(dynamic_net, fixed_net, "{name}");
+        }
     }
 
     #[test]
@@ -432,7 +417,10 @@ mod tests {
         let (mut sdn, nodes) = tiny_net();
         let requests = vec![timed(&nodes, 1, 20.0, 5.0), timed(&nodes, 0, 0.0, 5.0)];
         let r = run_dynamic(&mut sdn, &mut OnlineCp::new(), &requests);
-        assert_eq!(r.admitted_ids, vec![RequestId(0), RequestId(1)]);
+        assert_eq!(
+            r.admitted_ids().collect::<Vec<_>>(),
+            vec![RequestId(0), RequestId(1)]
+        );
         assert_eq!(r.peak_concurrent, 1);
     }
 

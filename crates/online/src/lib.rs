@@ -18,9 +18,13 @@
 //! * [`EmpPricing`] — an Even–Medina–Patt-Shamir-style rival: admit the
 //!   cheapest exponential-priced embedding iff its price is covered by
 //!   the request's benefit ([`request_revenue`]).
-//! * [`run_online`] — the sequential admission simulator used by Figs.
-//!   8–9: feeds a request sequence to an algorithm, commits allocations,
-//!   and tracks throughput and utilization.
+//! * [`run_online`] / [`run_dynamic`] — the one online replay behind
+//!   Figs. 8–9 and the session-dynamics extension: it offers requests to
+//!   an algorithm, commits what it admits, releases sessions at their
+//!   departure (never, for `run_online`), and ends by checking the
+//!   ledger against the live sessions. Both return a
+//!   [`SimulationResult`] with every decision, throughput and
+//!   utilization.
 //! * [`offline_greedy_benchmark`] / [`offline_exact_benchmark`] — offline
 //!   packing yardsticks for [`empirical_competitive_ratio`]; the exact
 //!   variant is limited to small instances.
@@ -65,7 +69,7 @@ mod sp;
 pub use benchmark::{
     empirical_competitive_ratio, offline_exact_benchmark, offline_greedy_benchmark,
 };
-pub use dynamics::{run_dynamic, ActiveSession, ActiveSessions, DynamicResult, TimedRequest};
+pub use dynamics::{run_dynamic, ActiveSession, ActiveSessions, TimedRequest};
 pub use emp::{request_revenue, EmpPricing};
 pub use ls_chain::LsChainAdmission;
 pub use multi::OnlineCpMulti;

@@ -1,5 +1,8 @@
-//! The sequential online-admission simulator behind Figs. 8–9.
+//! The online replay behind Figs. 8–9 and the session-dynamics
+//! extension: one loop that offers requests to an [`OnlineAlgorithm`],
+//! commits what it admits and checks the ledger at the end.
 
+use crate::ActiveSessions;
 use nfv_multicast::PseudoMulticastTree;
 use sdn::{MulticastRequest, RequestId, Sdn};
 
@@ -36,7 +39,7 @@ pub enum RequestOutcome {
     },
 }
 
-/// Aggregate result of one online simulation run.
+/// Aggregate result of one online replay (or offline packing) run.
 #[derive(Debug, Clone)]
 pub struct SimulationResult {
     /// Algorithm that produced this run.
@@ -45,9 +48,10 @@ pub struct SimulationResult {
     pub admitted: usize,
     /// Number of rejected requests.
     pub rejected: usize,
-    /// Per-request outcomes, in arrival order.
+    /// Per-request outcomes, in decision order.
     pub outcomes: Vec<RequestOutcome>,
-    /// Total implementation cost over admitted requests.
+    /// Total implementation cost over admitted requests, summed in
+    /// decision order.
     pub total_cost: f64,
     /// Mean link-bandwidth utilization at the end of the run.
     pub mean_link_utilization: f64,
@@ -55,9 +59,45 @@ pub struct SimulationResult {
     pub max_link_utilization: f64,
     /// Mean server-computing utilization at the end of the run.
     pub mean_server_utilization: f64,
+    /// Peak number of sessions holding resources at once; `admitted`
+    /// when no session departs.
+    pub peak_concurrent: usize,
 }
 
 impl SimulationResult {
+    /// Tallies `outcomes` and reads the utilization `sdn` ends with,
+    /// taking every admitted session as held to the end.
+    pub(crate) fn new(algorithm: &'static str, sdn: &Sdn, outcomes: Vec<RequestOutcome>) -> Self {
+        let (mut admitted, mut total_cost) = (0, 0.0);
+        for o in &outcomes {
+            if let RequestOutcome::Admitted { cost, .. } = o {
+                admitted += 1;
+                total_cost += cost;
+            }
+        }
+        let (link_sum, max_link) = sdn
+            .graph()
+            .edges()
+            .map(|e| sdn.bandwidth_utilization(e.id))
+            .fold((0.0, 0.0_f64), |(sum, max), u| (sum + u, max.max(u)));
+        // Every listed server has a utilization, so the 0.0 is never read.
+        let server_sum = sdn.servers().iter().fold(0.0, |sum, &v| {
+            sum + sdn.computing_utilization(v).unwrap_or(0.0)
+        });
+        let mean = |sum: f64, n: usize| if n == 0 { 0.0 } else { sum / n as f64 };
+        SimulationResult {
+            algorithm,
+            admitted,
+            rejected: outcomes.len() - admitted,
+            outcomes,
+            total_cost,
+            mean_link_utilization: mean(link_sum, sdn.link_count()),
+            max_link_utilization: max_link,
+            mean_server_utilization: mean(server_sum, sdn.servers().len()),
+            peak_concurrent: admitted,
+        }
+    }
+
     /// Admission ratio in `[0, 1]`.
     #[must_use]
     pub fn admission_ratio(&self) -> f64 {
@@ -68,87 +108,100 @@ impl SimulationResult {
             self.admitted as f64 / total as f64
         }
     }
+
+    /// Ids of the admitted requests, in decision order.
+    pub fn admitted_ids(&self) -> impl Iterator<Item = RequestId> + '_ {
+        self.outcomes.iter().filter_map(|o| match o {
+            RequestOutcome::Admitted { id, .. } => Some(*id),
+            RequestOutcome::Rejected { .. } => None,
+        })
+    }
 }
 
-/// Feeds `requests` one by one to `algorithm`, committing the allocation
-/// of every admitted request to `sdn` (which is mutated in place; call
-/// [`Sdn::reset`] to reuse it).
+/// Feeds `requests` one by one, in slice order, to `algorithm`,
+/// committing the allocation of every admitted request to `sdn` (which
+/// is mutated in place; call [`Sdn::reset`] to reuse it). Admitted
+/// sessions never depart: this is the one online replay with every
+/// departure at `f64::INFINITY`.
 ///
 /// # Panics
 ///
-/// Panics if the algorithm proposes a tree that does not fit residual
-/// capacities — that violates the [`OnlineAlgorithm`] contract.
+/// If the algorithm proposes a tree that does not fit residual
+/// capacities — that violates the [`OnlineAlgorithm`] contract — or if
+/// the ledger at the end disagrees with the admitted sessions (`sdn`
+/// must start without load).
 pub fn run_online<A: OnlineAlgorithm + ?Sized>(
     sdn: &mut Sdn,
     algorithm: &mut A,
     requests: &[MulticastRequest],
 ) -> SimulationResult {
-    let mut outcomes = Vec::with_capacity(requests.len());
-    let mut admitted = 0;
-    let mut rejected = 0;
-    let mut total_cost = 0.0;
-    for req in requests {
-        match algorithm.admit(sdn, req) {
-            Some(tree) => {
-                debug_assert!(
-                    tree.validate(sdn, req).is_ok(),
-                    "algorithm {} produced an invalid tree: {:?}",
-                    algorithm.name(),
-                    tree.validate(sdn, req)
-                );
-                let alloc = tree.allocation(req);
-                sdn.allocate(&alloc).unwrap_or_else(|e| {
-                    // lint:allow(P1): an infeasible proposal is an algorithm bug; abort loudly
-                    panic!(
-                        "algorithm {} proposed an infeasible tree for {}: {e}",
-                        algorithm.name(),
-                        req.id
-                    )
-                });
-                admitted += 1;
-                telemetry::hit(telemetry::Counter::OnlineAdmitted);
-                total_cost += tree.total_cost();
-                outcomes.push(RequestOutcome::Admitted {
-                    id: req.id,
-                    cost: tree.total_cost(),
-                });
-            }
-            None => {
-                rejected += 1;
-                telemetry::hit(telemetry::Counter::OnlineRejected);
-                outcomes.push(RequestOutcome::Rejected { id: req.id });
-            }
-        }
-    }
+    replay(
+        sdn,
+        algorithm,
+        requests.iter().map(|r| (r, 0.0, f64::INFINITY)),
+    )
+}
 
-    let links = sdn.link_count();
-    let mut mean_link = 0.0;
-    let mut max_link: f64 = 0.0;
-    for e in sdn.graph().edges() {
-        let u = sdn.bandwidth_utilization(e.id);
-        mean_link += u;
-        max_link = max_link.max(u);
+/// The one online loop behind [`run_online`] and
+/// [`run_dynamic`](crate::run_dynamic). Offers each
+/// `(request, arrival, departure)` in the given order: first releases
+/// the sessions due by the arrival (`departure <= arrival`, see
+/// [`ActiveSessions::release_due`]), then asks `algorithm`, commits an
+/// admitted tree to the ledger and keeps it live until its departure.
+/// After the last offer it checks the ledger against the live sessions
+/// ([`Sdn::check_ledger`]), in every build.
+///
+/// # Panics
+///
+/// If the algorithm proposes a tree that does not fit the current
+/// residual capacities (contract violation), or if the ledger at the end
+/// disagrees with the live sessions: an accounting bug, or `sdn` held
+/// load the replay does not own.
+pub(crate) fn replay<'a, A: OnlineAlgorithm + ?Sized>(
+    sdn: &mut Sdn,
+    algorithm: &mut A,
+    offers: impl ExactSizeIterator<Item = (&'a MulticastRequest, f64, f64)>,
+) -> SimulationResult {
+    let mut outcomes = Vec::with_capacity(offers.len());
+    let mut active = ActiveSessions::new();
+    let mut peak = 0;
+    for (req, arrival, departure) in offers {
+        active.release_due(sdn, arrival);
+        let Some(tree) = algorithm.admit(sdn, req) else {
+            telemetry::hit(telemetry::Counter::OnlineRejected);
+            outcomes.push(RequestOutcome::Rejected { id: req.id });
+            continue;
+        };
+        debug_assert!(
+            tree.validate(sdn, req).is_ok(),
+            "algorithm {} produced an invalid tree: {:?}",
+            algorithm.name(),
+            tree.validate(sdn, req)
+        );
+        let alloc = tree.allocation(req);
+        sdn.allocate(&alloc).unwrap_or_else(|e| {
+            // lint:allow(P1): an infeasible proposal is an algorithm bug; abort loudly
+            panic!(
+                "algorithm {} proposed an infeasible tree for {}: {e}",
+                algorithm.name(),
+                req.id
+            )
+        });
+        active.insert(req.id, departure, alloc);
+        peak = peak.max(active.len());
+        telemetry::hit(telemetry::Counter::OnlineAdmitted);
+        outcomes.push(RequestOutcome::Admitted {
+            id: req.id,
+            cost: tree.total_cost(),
+        });
     }
-    if links > 0 {
-        mean_link /= links as f64;
+    if let Err(e) = sdn.check_ledger(active.iter().map(|(_, s)| &s.allocation)) {
+        // lint:allow(P1): a ledger out of step with the live sessions is an accounting bug; abort loudly
+        panic!("replay of {}: {e}", algorithm.name());
     }
-    let mut mean_server = 0.0;
-    for &v in sdn.servers() {
-        mean_server += sdn.computing_utilization(v).expect("server"); // lint:allow(P1): v is drawn from servers()
-    }
-    if !sdn.servers().is_empty() {
-        mean_server /= sdn.servers().len() as f64;
-    }
-
     SimulationResult {
-        algorithm: algorithm.name(),
-        admitted,
-        rejected,
-        outcomes,
-        total_cost,
-        mean_link_utilization: mean_link,
-        max_link_utilization: max_link,
-        mean_server_utilization: mean_server,
+        peak_concurrent: peak,
+        ..SimulationResult::new(algorithm.name(), sdn, outcomes)
     }
 }
 
@@ -242,6 +295,18 @@ mod tests {
         sdn.reset();
         let r2 = run_online(&mut sdn, &mut ShortestPathBaseline::new(), &reqs(&nodes, 8));
         assert_eq!(r1.admitted, r2.admitted);
+    }
+
+    #[test]
+    #[should_panic(expected = "but the live loads imply")]
+    fn replay_ends_with_a_ledger_check() {
+        // Load the replay does not own makes the ledger disagree with its
+        // live sessions, and the end-of-run check says so in any build.
+        let (mut sdn, nodes) = small_net();
+        let mut foreign = sdn::Allocation::new(RequestId(99));
+        foreign.add_server(nodes[1], 10.0);
+        sdn.allocate(&foreign).unwrap();
+        let _ = run_online(&mut sdn, &mut ShortestPathBaseline::new(), &reqs(&nodes, 2));
     }
 
     #[test]

@@ -62,6 +62,17 @@ pub enum SdnError {
         /// Human-readable description of the dead element.
         what: String,
     },
+    /// A residual disagrees with capacity minus the summed live loads
+    /// ([`Sdn::check_ledger`](crate::Sdn::check_ledger)): something was
+    /// allocated or released behind the bookkeeping's back.
+    LedgerMismatch {
+        /// Human-readable description of the link or server.
+        what: String,
+        /// Capacity minus the summed live loads.
+        expected: f64,
+        /// What the ledger holds.
+        actual: f64,
+    },
 }
 
 impl fmt::Display for SdnError {
@@ -99,6 +110,14 @@ impl fmt::Display for SdnError {
                 write!(f, "capacity exhausted: {what}")
             }
             SdnError::DeadElement { what } => write!(f, "{what} is failed"),
+            SdnError::LedgerMismatch {
+                what,
+                expected,
+                actual,
+            } => write!(
+                f,
+                "residual of {what} is {actual} but the live loads imply {expected}"
+            ),
         }
     }
 }

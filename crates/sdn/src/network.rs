@@ -680,6 +680,73 @@ impl Sdn {
         Ok(())
     }
 
+    /// Checks the ledger against the allocations that should hold it:
+    /// every residual must equal capacity minus the summed loads of
+    /// `live`, within [`VALIDATE_REL_TOL`](crate::VALIDATE_REL_TOL)
+    /// relative to capacity. `live` must own every load in the network,
+    /// so a load committed or released behind its back shows up.
+    ///
+    /// # Errors
+    ///
+    /// [`SdnError::LedgerMismatch`] for the first link, else the first
+    /// node, that disagrees.
+    pub fn check_ledger<'a>(
+        &self,
+        live: impl IntoIterator<Item = &'a Allocation>,
+    ) -> Result<(), SdnError> {
+        let mut link_load = vec![0.0; self.residual_bandwidth.len()];
+        let mut node_load = vec![0.0; self.residual_computing.len()];
+        for alloc in live {
+            for (e, load) in alloc.links() {
+                if let Some(sum) = link_load.get_mut(e.index()) {
+                    *sum += load;
+                }
+            }
+            for (v, load) in alloc.servers() {
+                if let Some(sum) = node_load.get_mut(v.index()) {
+                    *sum += load;
+                }
+            }
+        }
+        // The expected residual when it is off by more than the tolerance.
+        let off = |cap: f64, load: f64, actual: f64| {
+            let expected = cap - load;
+            ((expected - actual).abs() > crate::VALIDATE_REL_TOL * (1.0 + cap)).then_some(expected)
+        };
+        let t = &self.topology;
+        for (i, ((&cap, &actual), load)) in t
+            .bandwidth_capacity
+            .iter()
+            .zip(&self.residual_bandwidth)
+            .zip(link_load)
+            .enumerate()
+        {
+            if let Some(expected) = off(cap, load, actual) {
+                return Err(SdnError::LedgerMismatch {
+                    what: format!("link {}", EdgeId::new(i)),
+                    expected,
+                    actual,
+                });
+            }
+        }
+        for (i, ((&cap, &actual), load)) in t
+            .computing_capacity
+            .iter()
+            .zip(&self.residual_computing)
+            .zip(node_load)
+            .enumerate()
+        {
+            if let Some(expected) = off(cap, load, actual) {
+                return Err(SdnError::LedgerMismatch {
+                    what: format!("server {}", NodeId::new(i)),
+                    expected,
+                    actual,
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Restores every residual capacity to its full value. Liveness is
     /// untouched — failed elements stay failed (use [`Sdn::recover_all`]).
     pub fn reset(&mut self) {
@@ -788,6 +855,43 @@ mod tests {
         a.add_link(e[0], 60.0); // 120 > 100 total
         assert!(!sdn.can_allocate(&a));
         assert!(sdn.allocate(&a).is_err());
+    }
+
+    #[test]
+    fn check_ledger_finds_one_tampered_allocation() {
+        let (mut sdn, v, e) = small();
+        let mut a = Allocation::new(RequestId(1));
+        a.add_link(e[0], 60.0);
+        a.add_server(v[1], 400.0);
+        let mut b = Allocation::new(RequestId(2));
+        b.add_link(e[0], 10.0);
+        b.add_link(e[1], 50.0);
+        sdn.allocate(&a).unwrap();
+        sdn.allocate(&b).unwrap();
+        sdn.check_ledger([&a, &b]).unwrap();
+
+        // The record claims 5 Mbps more on e1 than the ledger holds.
+        let mut tampered = b.clone();
+        tampered.add_link(e[1], 5.0);
+        let err = sdn.check_ledger([&a, &tampered]).unwrap_err();
+        assert_eq!(
+            err,
+            SdnError::LedgerMismatch {
+                what: format!("link {}", e[1]),
+                expected: 145.0,
+                actual: 150.0,
+            }
+        );
+        // A live session missing from the records shows too.
+        let err = sdn.check_ledger([&b]).unwrap_err();
+        assert!(err.to_string().contains(&format!("link {}", e[0])), "{err}");
+        let mut a_link_only = Allocation::new(RequestId(1));
+        a_link_only.add_link(e[0], 60.0);
+        let err = sdn.check_ledger([&a_link_only, &b]).unwrap_err();
+        assert!(
+            err.to_string().contains(&format!("server {}", v[1])),
+            "{err}"
+        );
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //!   permanent scarcity, where threshold/price policies must say no.
 //!
 //! Every generator emits `(request, arrival, duration)` triples
-//! ([`TimedSession`]) so the same sequence drives both the static
-//! simulator (`run_online`, timing ignored) and the dynamic one
-//! (`run_dynamic`).
+//! ([`TimedSession`]) so the same sequence drives `nfv_online`'s one
+//! online replay both ways: through `run_online` (timing ignored,
+//! sessions never depart) and through `run_dynamic` (arrival order,
+//! sessions depart at `arrival + duration`).
 
 use crate::arrivals::exponential;
 use crate::{random_chain, RequestGenerator, TimedSession};

@@ -1,7 +1,8 @@
 //! Timed workloads: Poisson arrivals with exponential holding times.
 //!
 //! The paper's online model offers requests in a bare sequence; the
-//! dynamics extension (`nfv_online::run_dynamic`) replays sessions that
+//! dynamics extension (`nfv_online::run_dynamic`, the same online replay
+//! as `run_online` with finite departure times) replays sessions that
 //! also *depart*. This module generates the classic teletraffic workload
 //! for it: arrivals as a Poisson process of rate `λ`, holding times
 //! exponential with mean `1/μ`, giving an offered load of `λ/μ` Erlangs.

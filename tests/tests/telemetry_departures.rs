@@ -38,8 +38,7 @@ fn run_dynamic_counts_every_departure_once() {
         .collect();
     let last_arrival = stream.iter().map(|t| t.arrival).fold(0.0, f64::max);
     let departed = result
-        .admitted_ids
-        .iter()
+        .admitted_ids()
         .filter(|id| departures[id] <= last_arrival)
         .count() as u64;
     let live = result.admitted as u64 - departed;
