@@ -117,9 +117,8 @@ pub fn audit<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repair::{RepairConfig, SessionManager};
+    use crate::repair::SessionManager;
     use netgraph::{EdgeId, NodeId};
-    use nfv_multicast::ApproScratch;
     use sdn::{Allocation, MulticastRequest, NfvType, SdnBuilder, ServiceChain};
 
     fn fixture() -> (Sdn, Vec<NodeId>, Vec<EdgeId>) {
@@ -154,23 +153,22 @@ mod tests {
     #[test]
     fn clean_lifecycle_passes() {
         let (mut sdn, v, e) = fixture();
-        let mut mgr = SessionManager::new();
-        let mut scratch = ApproScratch::new();
+        let mut mgr = SessionManager::new(1);
         audit(&sdn, mgr.sessions(), mgr.backup_reservations()).unwrap();
-        assert!(mgr.admit(&mut sdn, &req(&v, 0), 1, &mut scratch).unwrap());
-        assert!(mgr.admit(&mut sdn, &req(&v, 1), 1, &mut scratch).unwrap());
+        assert!(mgr.admit(&mut sdn, &req(&v, 0)).unwrap());
+        assert!(mgr.admit(&mut sdn, &req(&v, 1)).unwrap());
         audit(&sdn, mgr.sessions(), mgr.backup_reservations()).unwrap();
         mgr.depart(&mut sdn, sdn::RequestId(0));
         audit(&sdn, mgr.sessions(), mgr.backup_reservations()).unwrap();
         sdn.fail_link(e[1]).unwrap();
-        mgr.repair(&mut sdn, &RepairConfig::new(1), &mut scratch);
+        mgr.repair(&mut sdn);
         audit(&sdn, mgr.sessions(), mgr.backup_reservations()).unwrap();
     }
 
     #[test]
     fn detects_allocation_behind_the_managers_back() {
         let (mut sdn, v, e) = fixture();
-        let mgr = SessionManager::new();
+        let mgr = SessionManager::new(1);
         let mut rogue = Allocation::new(sdn::RequestId(99));
         rogue.add_link(e[0], 50.0);
         sdn.allocate(&rogue).unwrap();
@@ -185,15 +183,14 @@ mod tests {
     #[test]
     fn detects_session_left_on_a_dead_element() {
         let (mut sdn, v, e) = fixture();
-        let mut mgr = SessionManager::new();
-        let mut scratch = ApproScratch::new();
-        assert!(mgr.admit(&mut sdn, &req(&v, 0), 1, &mut scratch).unwrap());
+        let mut mgr = SessionManager::new(1);
+        assert!(mgr.admit(&mut sdn, &req(&v, 0)).unwrap());
         // Failure happened, but repair has not run yet: the tree is dead.
         sdn.fail_link(e[1]).unwrap();
         let err = audit(&sdn, mgr.sessions(), mgr.backup_reservations()).unwrap_err();
         assert!(matches!(err, AuditError::DeadElementInTree { .. }));
         // Repair clears the violation.
-        mgr.repair(&mut sdn, &RepairConfig::new(1), &mut scratch);
+        mgr.repair(&mut sdn);
         audit(&sdn, mgr.sessions(), mgr.backup_reservations()).unwrap();
     }
 }

@@ -20,7 +20,12 @@
 //! Beside the pipeline: [`repair`]'s [`SessionManager`] keeps sessions
 //! that depart explicitly and restores those broken by faults,
 //! [`resilience`] precomputes backup trees for it, and
-//! [`audit`](mod@audit) checks the ledger invariants of both.
+//! [`audit`](mod@audit) checks the ledger invariants of both. A manager
+//! has two settings: the server budget `K` it plans with
+//! ([`SessionManager::new`]) and, optionally, the capacity discipline of
+//! its backup trees ([`SessionManager::with_backups`]). Its repair
+//! attempt budget, how many links it protects and the drift that
+//! triggers a re-optimization are fixed.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,10 +38,8 @@ mod spec;
 
 pub use audit::{audit, AuditError};
 pub use pipeline::{AdmissionPipeline, PipelineConfig, PipelineOutcome, PipelineReport};
-pub use repair::{
-    CommittedSession, Departure, RepairConfig, RepairPolicy, RepairReport, SessionManager,
-};
-pub use resilience::{BackupPolicy, BackupTree, GraftOutcome, PruneOutcome, ResilienceConfig};
+pub use repair::{CommittedSession, Departure, RepairReport, SessionManager};
+pub use resilience::{BackupPolicy, BackupTree, GraftOutcome, PruneOutcome};
 
 use nfv_multicast::{appro_multi_cap_with_scratch, Admission, ApproScratch};
 use sdn::{MulticastRequest, Sdn};

@@ -9,11 +9,11 @@
 //! 1. releases every broken session's allocation (the ledger survives
 //!    failures — see `Sdn::fail_link` — so releases are exact),
 //! 2. replans each one with `Appro_Multi_Cap` on the alive-masked
-//!    residual graph, in **ascending request-id order** with a bounded
-//!    per-session attempt budget, so repair storms are byte-reproducible,
-//! 3. under [`RepairPolicy::Degrade`], a session whose full destination
-//!    set no longer fits is replanned on the subset of destinations still
-//!    reachable from the source — only the unreachable ones are shed.
+//!    residual graph, in **ascending request-id order** with a budget of
+//!    three attempts per session, so repair storms are byte-reproducible,
+//! 3. degrades a session whose full destination set no longer fits: it
+//!    is replanned on the subset of destinations still reachable from
+//!    the source — only the unreachable ones are shed.
 //!
 //! Sessions that exhaust their attempt budget are dropped; sessions with
 //! budget left stay *pending* inside the manager and are retried on the
@@ -22,71 +22,23 @@
 //! ends with an explicit [`SessionManager::depart`]; for a pending one
 //! that cancels the queued replan.
 //!
+//! The manager owns the server budget `K` it plans with and one
+//! [`ApproScratch`] reused by every plan it makes.
+//!
 //! Live sessions sit in one [`ActiveSessions`] table, which releases
 //! them, counts departures, and guards against double release.
 
-use crate::resilience::{BackupTree, ResilienceConfig};
+use crate::resilience::{BackupPolicy, BackupTree};
 use netgraph::{EdgeId, NodeId, UnionFind};
 use nfv_multicast::{appro_multi_cap_with_scratch, Admission, ApproScratch, PseudoMulticastTree};
 use nfv_online::{ActiveSession, ActiveSessions};
 use sdn::{Allocation, MulticastRequest, RequestId, Sdn, SdnError};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// What to do with sessions a failure breaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RepairPolicy {
-    /// Replan the full destination set on the surviving graph.
-    #[default]
-    FullReroute,
-    /// Try a full reroute first; if that fails, drop the destinations cut
-    /// off from the source and replan the reachable remainder.
-    Degrade,
-    /// Broken sessions are torn down immediately, no replanning.
-    Reject,
-}
-
-/// Tuning knobs for [`SessionManager::repair`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RepairConfig {
-    /// Replan policy for broken sessions.
-    pub policy: RepairPolicy,
-    /// Server budget `K` passed to `Appro_Multi_Cap` when replanning.
-    pub k: usize,
-    /// Maximum replanning attempts per session across repair calls.
-    /// `0` means broken sessions are rejected outright (no attempt).
-    pub max_retries: usize,
-}
-
-impl RepairConfig {
-    /// Full-reroute policy with a single replanning attempt per session.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    #[must_use]
-    pub fn new(k: usize) -> Self {
-        assert!(k >= 1, "at least one server is required (K >= 1)");
-        RepairConfig {
-            policy: RepairPolicy::FullReroute,
-            k,
-            max_retries: 1,
-        }
-    }
-
-    /// Sets the repair policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: RepairPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets the per-session attempt budget.
-    #[must_use]
-    pub fn with_max_retries(mut self, max_retries: usize) -> Self {
-        self.max_retries = max_retries;
-        self
-    }
-}
+/// Replanning attempts a broken session gets across [`SessionManager::repair`]
+/// calls before it is dropped. `results/chaos.json` was generated with
+/// this budget (and with the protection constants in `resilience`).
+const REPAIR_ATTEMPTS: usize = 3;
 
 /// What a session table keeps with each live session besides its
 /// departure time and allocation: the request and the tree serving it.
@@ -140,8 +92,7 @@ pub struct RepairReport {
     /// Sessions recommitted on a reduced destination set, with the number
     /// of destinations shed.
     pub degraded: Vec<(RequestId, usize)>,
-    /// Sessions torn down for good (policy `Reject`, or attempt budget
-    /// exhausted).
+    /// Sessions torn down for good (attempt budget exhausted).
     pub dropped: Vec<RequestId>,
     /// Sessions still pending with attempt budget left; retried on the
     /// next call.
@@ -156,15 +107,20 @@ pub struct RepairReport {
 ///
 /// All bookkeeping is `BTreeMap`-backed, so iteration — and therefore
 /// every repair decision — is deterministic in request-id order.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SessionManager {
+    /// Server budget `K` of every plan: admission, repair, backups and
+    /// re-optimization.
+    pub(crate) k: usize,
+    /// Working memory reused by every plan.
+    pub(crate) scratch: ApproScratch,
     pub(crate) sessions: ActiveSessions<CommittedSession>,
     link_members: BTreeMap<EdgeId, BTreeSet<RequestId>>,
     server_members: BTreeMap<NodeId, BTreeSet<RequestId>>,
     pending: BTreeMap<RequestId, PendingRepair>,
-    /// Proactive protection knobs; `None` disables backups, grafting
-    /// drift tracking, and re-optimization (the pre-resilience behavior).
-    pub(crate) resilience: Option<ResilienceConfig>,
+    /// Capacity discipline of backup trees; `None` disables backups and
+    /// drift re-optimization (reactive repair only).
+    pub(crate) backup_policy: Option<BackupPolicy>,
     /// Precomputed backup trees per protected session.
     pub(crate) backups: BTreeMap<RequestId, Vec<BackupTree>>,
     /// Accumulated graft/prune cost drift per session, vs the cost of its
@@ -173,10 +129,26 @@ pub struct SessionManager {
 }
 
 impl SessionManager {
-    /// An empty manager.
+    /// An empty manager that plans with server budget `k` and heals
+    /// broken sessions reactively (no backup trees).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0`.
     #[must_use]
-    pub fn new() -> Self {
-        SessionManager::default()
+    pub fn new(k: usize) -> Self {
+        assert!(k >= 1, "at least one server is required (K >= 1)");
+        SessionManager {
+            k,
+            scratch: ApproScratch::new(),
+            sessions: ActiveSessions::default(),
+            link_members: BTreeMap::new(),
+            server_members: BTreeMap::new(),
+            pending: BTreeMap::new(),
+            backup_policy: None,
+            backups: BTreeMap::new(),
+            drift: BTreeMap::new(),
+        }
     }
 
     /// Number of committed sessions.
@@ -230,14 +202,8 @@ impl SessionManager {
     /// Propagates ledger errors from [`Sdn::allocate`], and rejects a
     /// request whose id is already committed or pending.
     // lint:entry(api)
-    pub fn admit(
-        &mut self,
-        sdn: &mut Sdn,
-        request: &MulticastRequest,
-        k: usize,
-        scratch: &mut ApproScratch,
-    ) -> Result<bool, SdnError> {
-        match appro_multi_cap_with_scratch(sdn, request, k, scratch) {
+    pub fn admit(&mut self, sdn: &mut Sdn, request: &MulticastRequest) -> Result<bool, SdnError> {
+        match appro_multi_cap_with_scratch(sdn, request, self.k, &mut self.scratch) {
             Admission::Admitted(tree) => {
                 self.commit(sdn, request.clone(), tree)?;
                 Ok(true)
@@ -318,19 +284,15 @@ impl SessionManager {
         broken.into_iter().collect()
     }
 
-    /// Detects sessions broken by failures, releases them, and replans
-    /// them (plus any still-pending earlier casualties) under `config`.
+    /// Detects sessions broken by failures, releases them, and restores
+    /// them (plus any still-pending earlier casualties): a backup-tree
+    /// swap when one fits, otherwise a full replan, then a degraded one.
     ///
     /// Deterministic: sessions are processed in ascending request-id
     /// order and the planner itself is deterministic, so the same network
     /// state and failure history yield a byte-identical report.
     // lint:entry(api)
-    pub fn repair(
-        &mut self,
-        sdn: &mut Sdn,
-        config: &RepairConfig,
-        scratch: &mut ApproScratch,
-    ) -> RepairReport {
+    pub fn repair(&mut self, sdn: &mut Sdn) -> RepairReport {
         let mut report = RepairReport {
             broken: self.broken_sessions(sdn),
             ..RepairReport::default()
@@ -391,7 +353,7 @@ impl SessionManager {
                 telemetry::record(telemetry::Event::SessionFailedOver { request: c.id.0 });
                 report.swapped.push(c.id);
             } else {
-                if self.resilience.is_some() {
+                if self.backup_policy.is_some() {
                     telemetry::hit(telemetry::Counter::BackupMisses);
                 }
                 telemetry::add(telemetry::Counter::BackupDiscarded, candidates as u64);
@@ -408,19 +370,11 @@ impl SessionManager {
 
         let queue: Vec<RequestId> = self.pending.keys().copied().collect();
         for id in queue {
-            let entry = &self.pending[&id];
-            if config.policy == RepairPolicy::Reject || entry.attempts >= config.max_retries {
-                self.pending.remove(&id);
-                telemetry::hit(telemetry::Counter::RepairDropped);
-                telemetry::record(telemetry::Event::SessionDropped { request: id.0 });
-                report.dropped.push(id);
-                continue;
-            }
-            let request = entry.request.clone();
+            let request = self.pending[&id].request.clone();
 
             report.plan_events += 1;
             if let Admission::Admitted(tree) =
-                appro_multi_cap_with_scratch(sdn, &request, config.k, scratch)
+                appro_multi_cap_with_scratch(sdn, &request, self.k, &mut self.scratch)
             {
                 self.pending.remove(&id);
                 self.commit(sdn, request, tree)
@@ -432,25 +386,23 @@ impl SessionManager {
                 continue;
             }
 
-            if config.policy == RepairPolicy::Degrade {
-                if let Some(reduced) = reachable_subrequest(sdn, &request) {
-                    let shed = request.destinations.len() - reduced.destinations.len();
-                    report.plan_events += 1;
-                    if let Admission::Admitted(tree) =
-                        appro_multi_cap_with_scratch(sdn, &reduced, config.k, scratch)
-                    {
-                        self.pending.remove(&id);
-                        self.commit(sdn, reduced, tree)
-                            .expect("invariant: a degraded tree fits the residual"); // lint:allow(P1): the degraded tree was planned on this exact residual
-                        telemetry::hit(telemetry::Counter::RepairDegraded);
-                        telemetry::observe(telemetry::Hist::FailoverPlanEvents, 2);
-                        telemetry::record(telemetry::Event::SessionDegraded {
-                            request: id.0,
-                            shed_terminals: shed as u64,
-                        });
-                        report.degraded.push((id, shed));
-                        continue;
-                    }
+            if let Some(reduced) = reachable_subrequest(sdn, &request) {
+                let shed = request.destinations.len() - reduced.destinations.len();
+                report.plan_events += 1;
+                if let Admission::Admitted(tree) =
+                    appro_multi_cap_with_scratch(sdn, &reduced, self.k, &mut self.scratch)
+                {
+                    self.pending.remove(&id);
+                    self.commit(sdn, reduced, tree)
+                        .expect("invariant: a degraded tree fits the residual"); // lint:allow(P1): the degraded tree was planned on this exact residual
+                    telemetry::hit(telemetry::Counter::RepairDegraded);
+                    telemetry::observe(telemetry::Hist::FailoverPlanEvents, 2);
+                    telemetry::record(telemetry::Event::SessionDegraded {
+                        request: id.0,
+                        shed_terminals: shed as u64,
+                    });
+                    report.degraded.push((id, shed));
+                    continue;
                 }
             }
 
@@ -459,7 +411,7 @@ impl SessionManager {
                 .get_mut(&id)
                 .expect("invariant: unrepaired session is still pending"); // lint:allow(P1): id was inserted into pending in the detach pass above
             entry.attempts += 1;
-            if entry.attempts >= config.max_retries {
+            if entry.attempts >= REPAIR_ATTEMPTS {
                 self.pending.remove(&id);
                 telemetry::hit(telemetry::Counter::RepairDropped);
                 telemetry::record(telemetry::Event::SessionDropped { request: id.0 });
@@ -472,7 +424,7 @@ impl SessionManager {
         }
         // Every restored session lost its backups when it broke (or never
         // had any); re-protect so the next failure can swap again.
-        if self.resilience.is_some() {
+        if self.backup_policy.is_some() {
             let restored: BTreeSet<RequestId> = report
                 .swapped
                 .iter()
@@ -481,7 +433,7 @@ impl SessionManager {
                 .copied()
                 .collect();
             for id in restored {
-                let _ = self.protect(sdn, id, scratch);
+                let _ = self.protect(sdn, id);
             }
         }
         telemetry::gauge_set(telemetry::Gauge::PendingRepairs, self.pending.len() as u64);
@@ -587,10 +539,9 @@ mod tests {
     #[test]
     fn repair_reroutes_a_broken_session() {
         let (mut sdn, v, e) = fixture();
-        let mut mgr = SessionManager::new();
-        let mut scratch = ApproScratch::new();
+        let mut mgr = SessionManager::new(1);
         let r = req(&v, 0, vec![v[4]]);
-        assert!(mgr.admit(&mut sdn, &r, 1, &mut scratch).unwrap());
+        assert!(mgr.admit(&mut sdn, &r).unwrap());
         assert_eq!(
             mgr.session(RequestId(0))
                 .unwrap()
@@ -601,7 +552,7 @@ mod tests {
         );
 
         sdn.fail_link(e[1]).unwrap();
-        let report = mgr.repair(&mut sdn, &RepairConfig::new(1), &mut scratch);
+        let report = mgr.repair(&mut sdn);
         assert_eq!(report.broken, vec![RequestId(0)]);
         assert_eq!(report.repaired, vec![RequestId(0)]);
         assert!(report.dropped.is_empty());
@@ -614,86 +565,70 @@ mod tests {
     #[test]
     fn repair_is_a_no_op_without_failures() {
         let (mut sdn, v, _) = fixture();
-        let mut mgr = SessionManager::new();
-        let mut scratch = ApproScratch::new();
-        assert!(mgr
-            .admit(&mut sdn, &req(&v, 0, vec![v[4]]), 1, &mut scratch)
-            .unwrap());
+        let mut mgr = SessionManager::new(1);
+        assert!(mgr.admit(&mut sdn, &req(&v, 0, vec![v[4]])).unwrap());
         let before = sdn.clone();
-        let report = mgr.repair(&mut sdn, &RepairConfig::new(1), &mut scratch);
+        let report = mgr.repair(&mut sdn);
         assert_eq!(report, RepairReport::default());
         assert_eq!(sdn, before);
     }
 
     #[test]
-    fn reject_policy_and_zero_retries_both_tear_down() {
-        for cfg in [
-            RepairConfig::new(1).with_policy(RepairPolicy::Reject),
-            RepairConfig::new(1).with_max_retries(0),
-        ] {
-            let (mut sdn, v, e) = fixture();
-            let mut mgr = SessionManager::new();
-            let mut scratch = ApproScratch::new();
-            assert!(mgr
-                .admit(&mut sdn, &req(&v, 0, vec![v[4]]), 1, &mut scratch)
-                .unwrap());
-            sdn.fail_link(e[1]).unwrap();
-            let report = mgr.repair(&mut sdn, &cfg, &mut scratch);
-            assert_eq!(report.dropped, vec![RequestId(0)]);
-            assert!(report.repaired.is_empty());
-            assert!(mgr.is_empty());
-            // The broken session's hold was released despite the drop.
-            assert_eq!(sdn.residual_bandwidth(e[0]), sdn.bandwidth_capacity(e[0]));
+    fn attempts_run_out_on_the_third_repair() {
+        let (mut sdn, v, e) = fixture();
+        let mut mgr = SessionManager::new(1);
+        assert!(mgr.admit(&mut sdn, &req(&v, 0, vec![v[4]])).unwrap());
+        // Cut both routes into d: every replan fails, and with a single
+        // destination there is nothing to degrade to.
+        sdn.fail_link(e[1]).unwrap();
+        sdn.fail_link(e[4]).unwrap();
+        for call in 1..=2 {
+            let report = mgr.repair(&mut sdn);
+            assert_eq!(report.deferred, vec![RequestId(0)], "call {call}");
+            assert!(report.dropped.is_empty(), "call {call}");
+            assert_eq!(report.plan_events, 1, "call {call}");
+            assert_eq!(mgr.pending_repairs(), vec![RequestId(0)]);
         }
+        let report = mgr.repair(&mut sdn);
+        assert!(report.deferred.is_empty());
+        assert_eq!(report.dropped, vec![RequestId(0)]);
+        assert_eq!(report.plan_events, 1);
+        assert!(mgr.pending_repairs().is_empty());
+        assert!(mgr.is_empty());
+        // The dropped session's hold was released with it.
+        assert_eq!(sdn.residual_bandwidth(e[0]), sdn.bandwidth_capacity(e[0]));
     }
 
     #[test]
     fn degrade_sheds_only_unreachable_destinations() {
         let (mut sdn, v, e) = fixture();
-        let mut mgr = SessionManager::new();
-        let mut scratch = ApproScratch::new();
+        let mut mgr = SessionManager::new(1);
         // Two destinations: d (v[4]) and the spur x (v[5]).
-        assert!(mgr
-            .admit(&mut sdn, &req(&v, 0, vec![v[4], v[5]]), 1, &mut scratch)
-            .unwrap());
+        assert!(mgr.admit(&mut sdn, &req(&v, 0, vec![v[4], v[5]])).unwrap());
         // Cut the spur: x becomes unreachable, d is still fine.
         sdn.fail_link(e[5]).unwrap();
-        let cfg = RepairConfig::new(1).with_policy(RepairPolicy::Degrade);
-        let report = mgr.repair(&mut sdn, &cfg, &mut scratch);
+        let report = mgr.repair(&mut sdn);
         assert_eq!(report.degraded, vec![(RequestId(0), 1)]);
         let s = mgr.session(RequestId(0)).unwrap();
         assert_eq!(s.payload.request.destinations, vec![v[4]]);
         s.payload.tree.validate(&sdn, &s.payload.request).unwrap();
-        // Full-reroute policy would have dropped the session instead.
-        let (mut sdn2, v2, e2) = fixture();
-        let mut mgr2 = SessionManager::new();
-        assert!(mgr2
-            .admit(&mut sdn2, &req(&v2, 0, vec![v2[4], v2[5]]), 1, &mut scratch)
-            .unwrap());
-        sdn2.fail_link(e2[5]).unwrap();
-        let report2 = mgr2.repair(&mut sdn2, &RepairConfig::new(1), &mut scratch);
-        assert_eq!(report2.dropped, vec![RequestId(0)]);
     }
 
     #[test]
     fn pending_session_retries_after_recovery() {
         let (mut sdn, v, e) = fixture();
-        let mut mgr = SessionManager::new();
-        let mut scratch = ApproScratch::new();
-        assert!(mgr
-            .admit(&mut sdn, &req(&v, 0, vec![v[4]]), 1, &mut scratch)
-            .unwrap());
+        let mut mgr = SessionManager::new(1);
+        assert!(mgr.admit(&mut sdn, &req(&v, 0, vec![v[4]])).unwrap());
         // Cut both routes into d: no replan can succeed yet.
         sdn.fail_link(e[1]).unwrap();
         sdn.fail_link(e[4]).unwrap();
-        let cfg = RepairConfig::new(1).with_max_retries(3);
-        let report = mgr.repair(&mut sdn, &cfg, &mut scratch);
+        let report = mgr.repair(&mut sdn);
         assert_eq!(report.deferred, vec![RequestId(0)]);
         assert_eq!(mgr.pending_repairs(), vec![RequestId(0)]);
         // A recovery event restores the cheap route; the next repair call
         // heals the deferred session.
         sdn.recover_link(e[1]).unwrap();
-        let report = mgr.repair(&mut sdn, &cfg, &mut scratch);
+        let report = mgr.repair(&mut sdn);
         assert_eq!(report.repaired, vec![RequestId(0)]);
         assert!(mgr.pending_repairs().is_empty());
     }
@@ -701,25 +636,21 @@ mod tests {
     #[test]
     fn depart_guards_against_double_release() {
         let (mut sdn, v, e) = fixture();
-        let mut mgr = SessionManager::new();
-        let mut scratch = ApproScratch::new();
-        assert!(mgr
-            .admit(&mut sdn, &req(&v, 0, vec![v[4]]), 1, &mut scratch)
-            .unwrap());
+        let mut mgr = SessionManager::new(1);
+        assert!(mgr.admit(&mut sdn, &req(&v, 0, vec![v[4]])).unwrap());
         assert_eq!(mgr.depart(&mut sdn, RequestId(0)), Departure::Released);
         // Second departure for the same id: guarded no-op.
         assert_eq!(mgr.depart(&mut sdn, RequestId(0)), Departure::Unknown);
         assert_eq!(mgr.double_release_count(), 1);
         assert_eq!(sdn.residual_bandwidth(e[0]), sdn.bandwidth_capacity(e[0]));
         // Departing a session the repair engine dropped is also a no-op.
-        assert!(mgr
-            .admit(&mut sdn, &req(&v, 1, vec![v[4]]), 1, &mut scratch)
-            .unwrap());
+        assert!(mgr.admit(&mut sdn, &req(&v, 1, vec![v[4]])).unwrap());
         sdn.fail_link(e[1]).unwrap();
         sdn.fail_link(e[4]).unwrap();
-        let cfg = RepairConfig::new(1).with_max_retries(1);
-        let report = mgr.repair(&mut sdn, &cfg, &mut scratch);
-        assert_eq!(report.dropped, vec![RequestId(1)]);
+        for _ in 1..REPAIR_ATTEMPTS {
+            assert_eq!(mgr.repair(&mut sdn).deferred, vec![RequestId(1)]);
+        }
+        assert_eq!(mgr.repair(&mut sdn).dropped, vec![RequestId(1)]);
         assert_eq!(mgr.depart(&mut sdn, RequestId(1)), Departure::Unknown);
         assert_eq!(mgr.double_release_count(), 2);
     }
@@ -727,15 +658,11 @@ mod tests {
     #[test]
     fn depart_cancels_a_pending_repair() {
         let (mut sdn, v, e) = fixture();
-        let mut mgr = SessionManager::new();
-        let mut scratch = ApproScratch::new();
-        assert!(mgr
-            .admit(&mut sdn, &req(&v, 0, vec![v[4]]), 1, &mut scratch)
-            .unwrap());
+        let mut mgr = SessionManager::new(1);
+        assert!(mgr.admit(&mut sdn, &req(&v, 0, vec![v[4]])).unwrap());
         sdn.fail_link(e[1]).unwrap();
         sdn.fail_link(e[4]).unwrap();
-        let cfg = RepairConfig::new(1).with_max_retries(5);
-        mgr.repair(&mut sdn, &cfg, &mut scratch);
+        mgr.repair(&mut sdn);
         assert_eq!(mgr.pending_repairs(), vec![RequestId(0)]);
         assert_eq!(mgr.depart(&mut sdn, RequestId(0)), Departure::Cancelled);
         assert!(mgr.pending_repairs().is_empty());
@@ -746,16 +673,12 @@ mod tests {
     fn departed_pending_session_is_never_replanned_after_recovery() {
         let (mut sdn, v, e) = fixture();
         let fresh = sdn.clone();
-        let mut mgr = SessionManager::new();
-        let mut scratch = ApproScratch::new();
-        assert!(mgr
-            .admit(&mut sdn, &req(&v, 0, vec![v[4]]), 1, &mut scratch)
-            .unwrap());
+        let mut mgr = SessionManager::new(1);
+        assert!(mgr.admit(&mut sdn, &req(&v, 0, vec![v[4]])).unwrap());
         // Break the session beyond repair, leaving it pending.
         sdn.fail_link(e[1]).unwrap();
         sdn.fail_link(e[4]).unwrap();
-        let cfg = RepairConfig::new(1).with_max_retries(5);
-        mgr.repair(&mut sdn, &cfg, &mut scratch);
+        mgr.repair(&mut sdn);
         assert_eq!(mgr.pending_repairs(), vec![RequestId(0)]);
         // The user departs while the session awaits repair.
         assert_eq!(mgr.depart(&mut sdn, RequestId(0)), Departure::Cancelled);
@@ -763,7 +686,7 @@ mod tests {
         // departed session.
         sdn.recover_link(e[1]).unwrap();
         sdn.recover_link(e[4]).unwrap();
-        let report = mgr.repair(&mut sdn, &cfg, &mut scratch);
+        let report = mgr.repair(&mut sdn);
         assert_eq!(report, RepairReport::default());
         assert!(mgr.is_empty());
         assert!(mgr.pending_repairs().is_empty());
@@ -773,11 +696,10 @@ mod tests {
     #[test]
     fn duplicate_commit_is_rejected() {
         let (mut sdn, v, _) = fixture();
-        let mut mgr = SessionManager::new();
-        let mut scratch = ApproScratch::new();
+        let mut mgr = SessionManager::new(1);
         let r = req(&v, 0, vec![v[4]]);
-        assert!(mgr.admit(&mut sdn, &r, 1, &mut scratch).unwrap());
-        let err = mgr.admit(&mut sdn, &r, 1, &mut scratch).unwrap_err();
+        assert!(mgr.admit(&mut sdn, &r).unwrap());
+        let err = mgr.admit(&mut sdn, &r).unwrap_err();
         assert!(matches!(err, SdnError::InfeasibleRequest { .. }));
     }
 }

@@ -5,7 +5,7 @@
 //! from scratch — correct, but the planner invocation *is* the failover
 //! latency. SDN-ResilientMulticast-style protection moves that work to
 //! admission time: [`SessionManager::protect`] precomputes, for each of
-//! the top-F most-loaded links of a session's tree, an alternate
+//! the two most-loaded links of a session's tree, an alternate
 //! pseudo-multicast tree on the link-excluded alive subgraph
 //! ([`nfv_multicast::appro_multi_cap_plan_excluding`]). When a failure
 //! breaks the session, `repair` swaps to the first precomputed tree that
@@ -13,7 +13,9 @@
 //! zero planner invocations — and only falls back to the reactive replan
 //! queue when no backup covers the failure.
 //!
-//! Two capacity disciplines ([`BackupPolicy`]):
+//! Backups are on for a manager built with
+//! [`SessionManager::with_backups`], under one of two capacity
+//! disciplines ([`BackupPolicy`]):
 //!
 //! * **`Reserved`** — the backup's allocation is charged to the ledger at
 //!   protect time, so the swap can never fail a capacity check. The
@@ -25,7 +27,7 @@
 //!   holds no capacity. The swap re-checks fit at failover time and may
 //!   miss if later admissions consumed the slack. When nothing else
 //!   changed between protect and failure, the swapped tree is
-//!   byte-identical to what `FullReroute` would have replanned — the
+//!   byte-identical to what a reactive replan would have produced — the
 //!   property `tests/tests/resilience_properties.rs` pins.
 //!
 //! **Dynamic membership**: [`SessionManager::graft`] attaches a new
@@ -34,9 +36,9 @@
 //! [`SessionManager::prune`] detaches one by leaf-pruning the
 //! distribution structure with exact residual release. Both accumulate
 //! *drift* — the cost added/removed relative to the session's last full
-//! plan — and once drift exceeds [`ResilienceConfig::drift_bound`] times
-//! the current tree cost, the session is transparently re-optimized with
-//! a fresh `Appro_Multi_Cap` plan (keeping the drifted tree if the fresh
+//! plan. On a manager with backups, once drift exceeds 30% of the
+//! current tree cost, the session is transparently re-optimized with a
+//! fresh `Appro_Multi_Cap` plan (keeping the drifted tree if the fresh
 //! plan no longer fits the fragmented residual).
 //!
 //! Every path keeps the [`audit`](mod@crate::audit) invariants green: reserved
@@ -48,14 +50,14 @@
 use crate::repair::{CommittedSession, SessionManager};
 use netgraph::{EdgeId, NodeId};
 use nfv_multicast::{
-    appro_multi_cap_plan_excluding, appro_multi_cap_with_scratch, Admission, ApproScratch, CapPlan,
+    appro_multi_cap_plan_excluding, appro_multi_cap_with_scratch, Admission, CapPlan,
     PseudoMulticastTree,
 };
 use sdn::{Allocation, FeasibleGraph, MulticastRequest, RequestId, Sdn};
 use std::collections::BTreeSet;
 
 /// Capacity discipline for precomputed backup trees.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackupPolicy {
     /// Backup allocations are charged to the ledger at protect time; the
     /// swap never fails a capacity check, at the cost of standing
@@ -63,66 +65,16 @@ pub enum BackupPolicy {
     Reserved,
     /// Backups are planned on the session's post-release view and hold no
     /// capacity; the swap re-checks fit at failover time.
-    #[default]
     BestEffort,
 }
 
-/// Tuning knobs for proactive protection and dynamic membership.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResilienceConfig {
-    /// Capacity discipline for backup trees.
-    pub policy: BackupPolicy,
-    /// Protect the top-F most-loaded links of each session's tree
-    /// (ties broken by ascending link id). `0` disables backups while
-    /// keeping drift tracking.
-    pub top_f: usize,
-    /// Re-optimize a session once its accumulated graft/prune drift
-    /// exceeds this fraction of its current tree cost. `<= 0` disables
-    /// re-optimization.
-    pub drift_bound: f64,
-    /// Server budget `K` for backup and re-optimization planning.
-    pub k: usize,
-}
-
-impl ResilienceConfig {
-    /// Best-effort protection of the single most-loaded link, with
-    /// re-optimization at 30% drift.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    #[must_use]
-    pub fn new(k: usize) -> Self {
-        assert!(k >= 1, "at least one server is required (K >= 1)");
-        ResilienceConfig {
-            policy: BackupPolicy::BestEffort,
-            top_f: 1,
-            drift_bound: 0.3,
-            k,
-        }
-    }
-
-    /// Sets the backup capacity discipline.
-    #[must_use]
-    pub fn with_policy(mut self, policy: BackupPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets how many of the most-loaded links to protect per session.
-    #[must_use]
-    pub fn with_top_f(mut self, top_f: usize) -> Self {
-        self.top_f = top_f;
-        self
-    }
-
-    /// Sets the drift fraction that triggers re-optimization.
-    #[must_use]
-    pub fn with_drift_bound(mut self, drift_bound: f64) -> Self {
-        self.drift_bound = drift_bound;
-        self
-    }
-}
+// `results/chaos.json` was generated with these two values (and with the
+// repair attempt budget in `repair`).
+/// How many of a session's most-loaded links get a backup tree each.
+const PROTECTED_LINKS: usize = 2;
+/// Re-optimize a session once its graft/prune drift exceeds this
+/// fraction of its current tree cost.
+const DRIFT_BOUND: f64 = 0.3;
 
 /// A precomputed alternate tree protecting one link of a session's
 /// primary tree.
@@ -182,12 +134,17 @@ pub enum PruneOutcome {
 }
 
 impl SessionManager {
-    /// A manager with proactive protection and dynamic membership
-    /// enabled under `config`.
+    /// An empty manager that plans with server budget `k`, keeps backup
+    /// trees under `policy` for the sessions it [`protect`](Self::protect)s,
+    /// and re-optimizes sessions that grafts and prunes drift too far.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0`.
     #[must_use]
-    pub fn with_resilience(config: ResilienceConfig) -> Self {
-        let mut mgr = SessionManager::default();
-        mgr.resilience = Some(config);
+    pub fn with_backups(k: usize, policy: BackupPolicy) -> Self {
+        let mut mgr = SessionManager::new(k);
+        mgr.backup_policy = Some(policy);
         mgr
     }
 
@@ -225,29 +182,22 @@ impl SessionManager {
         self.drift.get(&id).copied().unwrap_or(0.0)
     }
 
-    /// Precomputes backup trees for the committed session `id`: one per
-    /// top-F most-loaded link of its tree (load ties broken by ascending
-    /// link id), each planned on the link-excluded alive subgraph. Under
+    /// Precomputes backup trees for the committed session `id`: one for
+    /// each of the two most-loaded links of its tree (load ties broken by
+    /// ascending link id), each planned on the link-excluded alive
+    /// subgraph. Under
     /// [`BackupPolicy::Reserved`] each backup's allocation is charged to
     /// the ledger immediately, and the newly charged reservations are
     /// returned. Existing backups for `id` are discarded first.
     ///
-    /// A no-op (returning no reservations) when resilience is disabled,
-    /// `top_f` is 0, or `id` is not committed. Links for which no
-    /// feasible alternate tree exists simply get no backup.
+    /// A no-op (returning no reservations) for a manager without backups
+    /// or when `id` is not committed. Links for which no feasible
+    /// alternate tree exists simply get no backup.
     // lint:entry(api)
-    pub fn protect(
-        &mut self,
-        sdn: &mut Sdn,
-        id: RequestId,
-        scratch: &mut ApproScratch,
-    ) -> Vec<Allocation> {
-        let Some(cfg) = self.resilience else {
+    pub fn protect(&mut self, sdn: &mut Sdn, id: RequestId) -> Vec<Allocation> {
+        let Some(policy) = self.backup_policy else {
             return Vec::new();
         };
-        if cfg.top_f == 0 {
-            return Vec::new();
-        }
         let Some(s) = self.sessions.get(id) else {
             return Vec::new();
         };
@@ -257,13 +207,13 @@ impl SessionManager {
 
         let mut loaded: Vec<(EdgeId, f64)> = primary.links().collect();
         loaded.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        loaded.truncate(cfg.top_f);
+        loaded.truncate(PROTECTED_LINKS);
 
         let mut planned: Vec<BackupTree> = Vec::new();
         let mut charged: Vec<Allocation> = Vec::new();
         for (link, _) in loaded {
             let excluded: BTreeSet<EdgeId> = [link].into_iter().collect();
-            match cfg.policy {
+            match policy {
                 BackupPolicy::BestEffort => {
                     // Plan on the post-release view: with the primary's
                     // own hold removed, this is the exact state a reactive
@@ -272,9 +222,14 @@ impl SessionManager {
                     let mut view = sdn.clone();
                     view.release(&primary)
                         .expect("a committed allocation releases from its own clone"); // lint:allow(P1): primary was applied to sdn, so the clone balances
-                    if let Admission::Admitted(tree) =
-                        appro_multi_cap_plan_excluding(&view, &request, cfg.k, &excluded, scratch)
-                            .admit(&view, &request)
+                    if let Admission::Admitted(tree) = appro_multi_cap_plan_excluding(
+                        &view,
+                        &request,
+                        self.k,
+                        &excluded,
+                        &mut self.scratch,
+                    )
+                    .admit(&view, &request)
                     {
                         let allocation = tree.allocation(&request);
                         planned.push(BackupTree {
@@ -288,8 +243,13 @@ impl SessionManager {
                 BackupPolicy::Reserved => {
                     // Plan on the live state — the reservation must
                     // coexist with the primary allocation.
-                    let plan =
-                        appro_multi_cap_plan_excluding(sdn, &request, cfg.k, &excluded, scratch);
+                    let plan = appro_multi_cap_plan_excluding(
+                        sdn,
+                        &request,
+                        self.k,
+                        &excluded,
+                        &mut self.scratch,
+                    );
                     if let CapPlan::Tree(tree) = plan {
                         let allocation = tree.allocation(&request);
                         if sdn.can_allocate(&allocation) {
@@ -341,15 +301,10 @@ impl SessionManager {
     /// one Dijkstra, no re-solve). The session's request, tree, and
     /// ledger allocation are updated in place; its backups are discarded
     /// (they covered the old destination set); accumulated drift grows by
-    /// the attach cost and may trigger a transparent re-optimization.
+    /// the attach cost and, on a manager with backups, may trigger a
+    /// transparent re-optimization.
     // lint:entry(api)
-    pub fn graft(
-        &mut self,
-        sdn: &mut Sdn,
-        id: RequestId,
-        v: NodeId,
-        scratch: &mut ApproScratch,
-    ) -> GraftOutcome {
+    pub fn graft(&mut self, sdn: &mut Sdn, id: RequestId, v: NodeId) -> GraftOutcome {
         let Some(s) = self.sessions.get(id) else {
             return GraftOutcome::UnknownSession;
         };
@@ -451,7 +406,7 @@ impl SessionManager {
             request: id.0,
             destination: v.index() as u64,
         });
-        self.maybe_reoptimize(sdn, id, scratch);
+        self.maybe_reoptimize(sdn, id);
         GraftOutcome::Grafted {
             attach_cost,
             attach_edges,
@@ -464,13 +419,7 @@ impl SessionManager {
     /// freed bandwidth exactly. Server placements (and their computing
     /// hold) are kept until the next re-optimization.
     // lint:entry(api)
-    pub fn prune(
-        &mut self,
-        sdn: &mut Sdn,
-        id: RequestId,
-        v: NodeId,
-        scratch: &mut ApproScratch,
-    ) -> PruneOutcome {
+    pub fn prune(&mut self, sdn: &mut Sdn, id: RequestId, v: NodeId) -> PruneOutcome {
         let Some(s) = self.sessions.get(id) else {
             return PruneOutcome::UnknownSession;
         };
@@ -582,28 +531,21 @@ impl SessionManager {
             request: id.0,
             destination: v.index() as u64,
         });
-        self.maybe_reoptimize(sdn, id, scratch);
+        self.maybe_reoptimize(sdn, id);
         PruneOutcome::Pruned {
             released_cost,
             removed_edges,
         }
     }
 
-    /// Re-optimizes session `id` from scratch when its accumulated drift
-    /// exceeds the configured fraction of its current tree cost. Keeps
-    /// the drifted tree when a fresh plan no longer fits the fragmented
-    /// residual; resets drift either way (no thrashing). Returns whether
-    /// a fresh plan was committed.
-    pub(crate) fn maybe_reoptimize(
-        &mut self,
-        sdn: &mut Sdn,
-        id: RequestId,
-        scratch: &mut ApproScratch,
-    ) -> bool {
-        let Some(cfg) = self.resilience else {
-            return false;
-        };
-        if cfg.drift_bound <= 0.0 {
+    /// Re-optimizes session `id` from scratch when the manager keeps
+    /// backups and the session's accumulated drift exceeds
+    /// [`DRIFT_BOUND`] of its current tree cost. Keeps the drifted tree
+    /// when a fresh plan no longer fits the fragmented residual; resets
+    /// drift either way (no thrashing). Returns whether a fresh plan was
+    /// committed.
+    pub(crate) fn maybe_reoptimize(&mut self, sdn: &mut Sdn, id: RequestId) -> bool {
+        if self.backup_policy.is_none() {
             return false;
         }
         let Some(s) = self.sessions.get(id) else {
@@ -617,7 +559,7 @@ impl SessionManager {
             0
         };
         telemetry::observe(telemetry::Hist::DriftRatioPct, ratio_pct);
-        if drift <= cfg.drift_bound * cost {
+        if drift <= DRIFT_BOUND * cost {
             return false;
         }
 
@@ -632,13 +574,13 @@ impl SessionManager {
             request,
             tree: old_tree,
         } = s.payload;
-        match appro_multi_cap_with_scratch(sdn, &request, cfg.k, scratch) {
+        match appro_multi_cap_with_scratch(sdn, &request, self.k, &mut self.scratch) {
             Admission::Admitted(tree) => {
                 self.commit(sdn, request, tree)
                     .expect("a fresh plan fits the residual it was planned on"); // lint:allow(P1): replanning ran on the exact residual being committed
                 telemetry::hit(telemetry::Counter::Reoptimizations);
                 telemetry::record(telemetry::Event::SessionReoptimized { request: id.0 });
-                let _ = self.protect(sdn, id, scratch);
+                let _ = self.protect(sdn, id);
                 true
             }
             Admission::Rejected => {
@@ -655,7 +597,6 @@ impl SessionManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repair::RepairConfig;
     use sdn::{NfvType, SdnBuilder, ServiceChain};
 
     fn chain() -> ServiceChain {
@@ -699,12 +640,10 @@ mod tests {
     fn protect_plans_a_backup_and_repair_swaps_to_it() {
         for policy in [BackupPolicy::BestEffort, BackupPolicy::Reserved] {
             let (mut sdn, v, e) = fixture();
-            let cfg = ResilienceConfig::new(1).with_policy(policy).with_top_f(2);
-            let mut mgr = SessionManager::with_resilience(cfg);
-            let mut scratch = ApproScratch::new();
+            let mut mgr = SessionManager::with_backups(1, policy);
             let r = req(&v, 0, vec![v[4]]);
-            assert!(mgr.admit(&mut sdn, &r, 1, &mut scratch).unwrap());
-            let charged = mgr.protect(&mut sdn, RequestId(0), &mut scratch);
+            assert!(mgr.admit(&mut sdn, &r).unwrap());
+            let charged = mgr.protect(&mut sdn, RequestId(0));
             assert!(!mgr.session_backups(RequestId(0)).is_empty());
             if policy == BackupPolicy::Reserved {
                 assert!(!charged.is_empty());
@@ -718,7 +657,7 @@ mod tests {
             // Fail the protected cheap link: the repair must swap, not
             // replan.
             sdn.fail_link(e[1]).unwrap();
-            let report = mgr.repair(&mut sdn, &RepairConfig::new(1), &mut scratch);
+            let report = mgr.repair(&mut sdn);
             assert_eq!(report.swapped, vec![RequestId(0)], "{policy:?}");
             assert!(report.repaired.is_empty());
             assert_eq!(report.plan_events, 0, "a swap needs no planner");
@@ -731,19 +670,18 @@ mod tests {
     #[test]
     fn best_effort_swap_matches_the_reactive_replan() {
         let (mut sdn, v, e) = fixture();
-        let mut proactive = SessionManager::with_resilience(ResilienceConfig::new(1).with_top_f(3));
-        let mut reactive = SessionManager::new();
-        let mut scratch = ApproScratch::new();
+        let mut proactive = SessionManager::with_backups(1, BackupPolicy::BestEffort);
+        let mut reactive = SessionManager::new(1);
         let r = req(&v, 0, vec![v[4]]);
         let mut sdn2 = sdn.clone();
-        assert!(proactive.admit(&mut sdn, &r, 1, &mut scratch).unwrap());
-        proactive.protect(&mut sdn, RequestId(0), &mut scratch);
-        assert!(reactive.admit(&mut sdn2, &r, 1, &mut scratch).unwrap());
+        assert!(proactive.admit(&mut sdn, &r).unwrap());
+        proactive.protect(&mut sdn, RequestId(0));
+        assert!(reactive.admit(&mut sdn2, &r).unwrap());
 
         sdn.fail_link(e[1]).unwrap();
         sdn2.fail_link(e[1]).unwrap();
-        let rp = proactive.repair(&mut sdn, &RepairConfig::new(1), &mut scratch);
-        let rr = reactive.repair(&mut sdn2, &RepairConfig::new(1), &mut scratch);
+        let rp = proactive.repair(&mut sdn);
+        let rr = reactive.repair(&mut sdn2);
         assert_eq!(rp.swapped, vec![RequestId(0)]);
         assert_eq!(rr.repaired, vec![RequestId(0)]);
         // Identical restored tree => identical residual state.
@@ -757,20 +695,15 @@ mod tests {
     #[test]
     fn swap_falls_back_to_replan_when_the_backup_is_dead_too() {
         let (mut sdn, v, e) = fixture();
-        let cfg = ResilienceConfig::new(1).with_top_f(1);
-        let mut mgr = SessionManager::with_resilience(cfg);
-        let mut scratch = ApproScratch::new();
-        assert!(mgr
-            .admit(&mut sdn, &req(&v, 0, vec![v[4]]), 1, &mut scratch)
-            .unwrap());
-        mgr.protect(&mut sdn, RequestId(0), &mut scratch);
-        // The backup (protecting e1) detours via m2. Fail e1 *and* the
-        // detour's last hop: the backup is dead, reactive replan must
-        // also fail, and the session defers.
+        let mut mgr = SessionManager::with_backups(1, BackupPolicy::BestEffort);
+        assert!(mgr.admit(&mut sdn, &req(&v, 0, vec![v[4]])).unwrap());
+        mgr.protect(&mut sdn, RequestId(0));
+        // Both backups (protecting e0 and e1) detour via m2. Fail e1
+        // *and* the detour's last hop: the backups are dead, reactive
+        // replan must also fail, and the session defers.
         sdn.fail_link(e[1]).unwrap();
         sdn.fail_link(e[4]).unwrap();
-        let cfg = RepairConfig::new(1).with_max_retries(3);
-        let report = mgr.repair(&mut sdn, &cfg, &mut scratch);
+        let report = mgr.repair(&mut sdn);
         assert!(report.swapped.is_empty());
         assert_eq!(report.deferred, vec![RequestId(0)]);
         assert!(report.plan_events > 0);
@@ -780,7 +713,7 @@ mod tests {
         // tree exists again).
         sdn.recover_link(e[1]).unwrap();
         sdn.recover_link(e[4]).unwrap();
-        let report = mgr.repair(&mut sdn, &cfg, &mut scratch);
+        let report = mgr.repair(&mut sdn);
         assert_eq!(report.repaired, vec![RequestId(0)]);
         assert!(!mgr.session_backups(RequestId(0)).is_empty());
         audit(&sdn, &mgr);
@@ -790,15 +723,9 @@ mod tests {
     fn reserved_depart_releases_the_reservation() {
         let (mut sdn, v, _) = fixture();
         let fresh = sdn.clone();
-        let cfg = ResilienceConfig::new(1)
-            .with_policy(BackupPolicy::Reserved)
-            .with_top_f(2);
-        let mut mgr = SessionManager::with_resilience(cfg);
-        let mut scratch = ApproScratch::new();
-        assert!(mgr
-            .admit(&mut sdn, &req(&v, 0, vec![v[4]]), 1, &mut scratch)
-            .unwrap());
-        mgr.protect(&mut sdn, RequestId(0), &mut scratch);
+        let mut mgr = SessionManager::with_backups(1, BackupPolicy::Reserved);
+        assert!(mgr.admit(&mut sdn, &req(&v, 0, vec![v[4]])).unwrap());
+        mgr.protect(&mut sdn, RequestId(0));
         assert!(mgr.reserved_backup_bandwidth() > 0.0);
         audit(&sdn, &mgr);
         mgr.depart(&mut sdn, RequestId(0));
@@ -811,15 +738,11 @@ mod tests {
     #[test]
     fn graft_attaches_via_the_cheapest_alive_path() {
         let (mut sdn, v, e) = fixture();
-        let mut mgr = SessionManager::with_resilience(
-            ResilienceConfig::new(1).with_drift_bound(0.0), // no reopt
-        );
-        let mut scratch = ApproScratch::new();
-        assert!(mgr
-            .admit(&mut sdn, &req(&v, 0, vec![v[4]]), 1, &mut scratch)
-            .unwrap());
+        // No backups, so no re-optimization: the grafted tree stays.
+        let mut mgr = SessionManager::new(1);
+        assert!(mgr.admit(&mut sdn, &req(&v, 0, vec![v[4]])).unwrap());
         // Graft y (two hops from d): the attach path is d-x-y.
-        let out = mgr.graft(&mut sdn, RequestId(0), v[6], &mut scratch);
+        let out = mgr.graft(&mut sdn, RequestId(0), v[6]);
         let GraftOutcome::Grafted {
             attach_cost,
             attach_edges,
@@ -838,11 +761,11 @@ mod tests {
         audit(&sdn, &mgr);
         // Idempotent: the node is now a member.
         assert_eq!(
-            mgr.graft(&mut sdn, RequestId(0), v[6], &mut scratch),
+            mgr.graft(&mut sdn, RequestId(0), v[6]),
             GraftOutcome::AlreadyMember
         );
         // A node already on the structure grafts for free.
-        let out = mgr.graft(&mut sdn, RequestId(0), v[5], &mut scratch);
+        let out = mgr.graft(&mut sdn, RequestId(0), v[5]);
         assert_eq!(
             out,
             GraftOutcome::Grafted {
@@ -856,18 +779,15 @@ mod tests {
     #[test]
     fn graft_reports_unreachable_nodes() {
         let (mut sdn, v, e) = fixture();
-        let mut mgr = SessionManager::with_resilience(ResilienceConfig::new(1));
-        let mut scratch = ApproScratch::new();
-        assert!(mgr
-            .admit(&mut sdn, &req(&v, 0, vec![v[4]]), 1, &mut scratch)
-            .unwrap());
+        let mut mgr = SessionManager::with_backups(1, BackupPolicy::BestEffort);
+        assert!(mgr.admit(&mut sdn, &req(&v, 0, vec![v[4]])).unwrap());
         sdn.fail_link(e[5]).unwrap();
         assert_eq!(
-            mgr.graft(&mut sdn, RequestId(0), v[6], &mut scratch),
+            mgr.graft(&mut sdn, RequestId(0), v[6]),
             GraftOutcome::Unreachable
         );
         assert_eq!(
-            mgr.graft(&mut sdn, RequestId(7), v[6], &mut scratch),
+            mgr.graft(&mut sdn, RequestId(7), v[6]),
             GraftOutcome::UnknownSession
         );
         audit(&sdn, &mgr);
@@ -876,18 +796,15 @@ mod tests {
     #[test]
     fn prune_releases_exactly_the_exclusive_segments() {
         let (mut sdn, v, e) = fixture();
-        let mut mgr =
-            SessionManager::with_resilience(ResilienceConfig::new(1).with_drift_bound(0.0));
-        let mut scratch = ApproScratch::new();
-        assert!(mgr
-            .admit(&mut sdn, &req(&v, 0, vec![v[4], v[6]]), 1, &mut scratch)
-            .unwrap());
+        // No backups, so no re-optimization: the pruned tree stays.
+        let mut mgr = SessionManager::new(1);
+        assert!(mgr.admit(&mut sdn, &req(&v, 0, vec![v[4], v[6]])).unwrap());
         let before_x = sdn.residual_bandwidth(e[5]);
         let before_y = sdn.residual_bandwidth(e[6]);
         // Prune y: the spur x-y is released; d-x stays only if some
         // destination still needs it — d remains, x is just a relay, so
         // both spur links go.
-        let out = mgr.prune(&mut sdn, RequestId(0), v[6], &mut scratch);
+        let out = mgr.prune(&mut sdn, RequestId(0), v[6]);
         let PruneOutcome::Pruned {
             released_cost,
             removed_edges,
@@ -905,15 +822,15 @@ mod tests {
         audit(&sdn, &mgr);
         // Guards.
         assert_eq!(
-            mgr.prune(&mut sdn, RequestId(0), v[6], &mut scratch),
+            mgr.prune(&mut sdn, RequestId(0), v[6]),
             PruneOutcome::NotAMember
         );
         assert_eq!(
-            mgr.prune(&mut sdn, RequestId(0), v[4], &mut scratch),
+            mgr.prune(&mut sdn, RequestId(0), v[4]),
             PruneOutcome::LastDestination
         );
         assert_eq!(
-            mgr.prune(&mut sdn, RequestId(9), v[4], &mut scratch),
+            mgr.prune(&mut sdn, RequestId(9), v[4]),
             PruneOutcome::UnknownSession
         );
     }
@@ -921,15 +838,20 @@ mod tests {
     #[test]
     fn drift_past_the_bound_triggers_reoptimization() {
         let (mut sdn, v, _) = fixture();
-        // Tiny bound: the first costly graft crosses it.
-        let cfg = ResilienceConfig::new(1).with_drift_bound(1e-6);
-        let mut mgr = SessionManager::with_resilience(cfg);
-        let mut scratch = ApproScratch::new();
-        assert!(mgr
-            .admit(&mut sdn, &req(&v, 0, vec![v[4]]), 1, &mut scratch)
-            .unwrap());
-        let out = mgr.graft(&mut sdn, RequestId(0), v[6], &mut scratch);
-        assert!(matches!(out, GraftOutcome::Grafted { .. }));
+        let mut mgr = SessionManager::with_backups(1, BackupPolicy::BestEffort);
+        assert!(mgr.admit(&mut sdn, &req(&v, 0, vec![v[4]])).unwrap());
+        let before = mgr.session(RequestId(0)).unwrap().payload.tree.total_cost();
+        // Grafting y costs two hops (d-x-y), more than 30% of the grafted
+        // tree's cost.
+        let out = mgr.graft(&mut sdn, RequestId(0), v[6]);
+        let GraftOutcome::Grafted { attach_cost, .. } = out else {
+            panic!("expected a graft, got {out:?}");
+        };
+        assert!(
+            attach_cost > DRIFT_BOUND * (before + attach_cost),
+            "drift {attach_cost} must exceed {DRIFT_BOUND} of {}",
+            before + attach_cost
+        );
         // Re-optimization ran: drift is reset and the session matches a
         // fresh plan for the grown destination set.
         assert_eq!(mgr.session_drift(RequestId(0)), 0.0);
@@ -950,23 +872,17 @@ mod tests {
     fn full_lifecycle_round_trips_the_network() {
         let (mut sdn, v, e) = fixture();
         let fresh = sdn.clone();
-        let cfg = ResilienceConfig::new(1)
-            .with_policy(BackupPolicy::Reserved)
-            .with_top_f(2);
-        let mut mgr = SessionManager::with_resilience(cfg);
-        let mut scratch = ApproScratch::new();
-        assert!(mgr
-            .admit(&mut sdn, &req(&v, 0, vec![v[4]]), 1, &mut scratch)
-            .unwrap());
-        mgr.protect(&mut sdn, RequestId(0), &mut scratch);
-        mgr.graft(&mut sdn, RequestId(0), v[5], &mut scratch);
-        mgr.graft(&mut sdn, RequestId(0), v[6], &mut scratch);
-        mgr.protect(&mut sdn, RequestId(0), &mut scratch);
+        let mut mgr = SessionManager::with_backups(1, BackupPolicy::Reserved);
+        assert!(mgr.admit(&mut sdn, &req(&v, 0, vec![v[4]])).unwrap());
+        mgr.protect(&mut sdn, RequestId(0));
+        mgr.graft(&mut sdn, RequestId(0), v[5]);
+        mgr.graft(&mut sdn, RequestId(0), v[6]);
+        mgr.protect(&mut sdn, RequestId(0));
         sdn.fail_link(e[1]).unwrap();
-        mgr.repair(&mut sdn, &RepairConfig::new(1), &mut scratch);
+        mgr.repair(&mut sdn);
         audit(&sdn, &mgr);
         sdn.recover_link(e[1]).unwrap();
-        mgr.prune(&mut sdn, RequestId(0), v[6], &mut scratch);
+        mgr.prune(&mut sdn, RequestId(0), v[6]);
         audit(&sdn, &mgr);
         mgr.depart(&mut sdn, RequestId(0));
         audit(&sdn, &mgr);

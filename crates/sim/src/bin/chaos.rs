@@ -17,8 +17,8 @@
 //! failover path can never silently regress into always-replanning. The
 //! outcomes land in `results/chaos.json` (one object with a `"chaos"`
 //! array and one array per churn mode) and the accumulated telemetry
-//! snapshot in `results/telemetry-chaos.json` (not committed;
-//! `results/telemetry.json` belongs to `arena`).
+//! snapshot in `results/telemetry-chaos.json` (`results/telemetry.json`
+//! belongs to `arena`). Both files are committed, and CI diffs them.
 
 use nfv_engine::BackupPolicy;
 use sim::experiments::chaos::{run_chaos, ChaosParams};

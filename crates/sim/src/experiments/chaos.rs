@@ -20,15 +20,12 @@
 //! state — the residual-conservation property the auditor enforces
 //! throughout.
 
+use super::timeline::{session_timeline, settle, SessionEvent};
 use crate::waxman_sdn;
-use nfv_engine::{audit, RepairConfig, RepairPolicy, SessionManager};
-use nfv_multicast::ApproScratch;
-use nfv_online::TimedRequest;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use nfv_engine::{audit, RepairReport, SessionManager};
+use rand::Rng;
 use sdn::RequestId;
 use std::collections::BTreeSet;
-use workload::{PoissonWorkload, RequestGenerator};
 
 /// Knobs of one chaos replay.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,15 +38,11 @@ pub struct ChaosParams {
     pub events: usize,
     /// Master seed for topology, workload, and chaos events.
     pub seed: u64,
-    /// Repair policy for broken sessions.
-    pub policy: RepairPolicy,
-    /// Replanning attempts per broken session.
-    pub max_retries: usize,
 }
 
 impl ChaosParams {
-    /// The fig5-scale default: 100 switches, degradation allowed, and a
-    /// 500-event timeline (200 arrivals + 200 departures + 100 toggles).
+    /// The fig5-scale default: 100 switches and a 500-event timeline
+    /// (200 arrivals + 200 departures + 100 toggles).
     #[must_use]
     pub fn fig5_scale(seed: u64) -> Self {
         ChaosParams {
@@ -57,8 +50,6 @@ impl ChaosParams {
             sessions: 200,
             events: 100,
             seed,
-            policy: RepairPolicy::Degrade,
-            max_retries: 3,
         }
     }
 }
@@ -120,12 +111,10 @@ impl ChaosOutcome {
     }
 }
 
-enum Event {
-    Arrival(Box<TimedRequest>),
-    Departure(RequestId),
-    /// Toggle element liveness: fail if alive, recover if dead.
-    ToggleLink(netgraph::EdgeId),
-    ToggleServer(netgraph::NodeId),
+/// Toggle element liveness: fail if alive, recover if dead.
+enum Toggle {
+    Link(netgraph::EdgeId),
+    Server(netgraph::NodeId),
 }
 
 /// Replays one chaos timeline. Panics if any invariant audit fails or
@@ -135,52 +124,29 @@ enum Event {
 pub fn run_chaos(params: &ChaosParams) -> ChaosOutcome {
     let mut sdn = waxman_sdn(params.n, params.seed);
     let fresh = sdn.clone();
-    let mut rng = StdRng::seed_from_u64(params.seed ^ 0xC4A0_5EED);
-
-    // Sessions with pre-scheduled departures.
-    let mut gen = RequestGenerator::new(params.n).with_dmax_ratio(0.2);
-    let workload = PoissonWorkload::new(4.0, 25.0);
-    let sessions = workload.generate(&mut gen, params.sessions, &mut rng);
-    let horizon = sessions.last().map_or(1.0, |s| s.1) + workload.mean_holding;
-
-    let mut timeline: Vec<(f64, usize, Event)> = Vec::new();
-    let mut seq = 0usize;
-    let mut push = |timeline: &mut Vec<(f64, usize, Event)>, t: f64, ev: Event| {
-        timeline.push((t, seq, ev));
-        seq += 1;
-    };
-    for (request, arrival, duration) in sessions {
-        let id = request.id;
-        let tr = TimedRequest::try_new(request, arrival, duration)
-            .expect("generated workloads are well-formed");
-        push(&mut timeline, arrival, Event::Arrival(Box::new(tr)));
-        push(&mut timeline, arrival + duration, Event::Departure(id));
-    }
     // Seeded chaos toggles, biased towards links (servers are scarcer
     // and a server failure is far more disruptive).
     let link_count = sdn.link_count();
     let server_list: Vec<_> = sdn.servers().to_vec();
-    for _ in 0..params.events {
-        let t = rng.gen_range(0.0..horizon);
-        let ev = if rng.gen_bool(0.7) {
-            Event::ToggleLink(netgraph::EdgeId::new(rng.gen_range(0..link_count)))
-        } else {
-            Event::ToggleServer(server_list[rng.gen_range(0..server_list.len())])
-        };
-        push(&mut timeline, t, ev);
-    }
-    // Deterministic order: by time, generation sequence breaking ties.
-    timeline.sort_by(|a, b| {
-        a.0.partial_cmp(&b.0)
-            .expect("finite times")
-            .then(a.1.cmp(&b.1))
-    });
-
-    let config = RepairConfig::new(super::K)
-        .with_policy(params.policy)
-        .with_max_retries(params.max_retries);
-    let mut mgr = SessionManager::new();
-    let mut scratch = ApproScratch::new();
+    let timeline = session_timeline(
+        params.n,
+        params.sessions,
+        params.seed ^ 0xC4A0_5EED,
+        |rng, horizon| {
+            (0..params.events)
+                .map(|_| {
+                    let t = rng.gen_range(0.0..horizon);
+                    let toggle = if rng.gen_bool(0.7) {
+                        Toggle::Link(netgraph::EdgeId::new(rng.gen_range(0..link_count)))
+                    } else {
+                        Toggle::Server(server_list[rng.gen_range(0..server_list.len())])
+                    };
+                    (t, toggle)
+                })
+                .collect()
+        },
+    );
+    let mut mgr = SessionManager::new(super::K);
 
     let mut outcome = ChaosOutcome {
         seed: params.seed,
@@ -200,21 +166,18 @@ pub fn run_chaos(params: &ChaosParams) -> ChaosOutcome {
     let mut was_repaired: BTreeSet<RequestId> = BTreeSet::new();
     let mut was_degraded: BTreeSet<RequestId> = BTreeSet::new();
     let mut was_dropped: BTreeSet<RequestId> = BTreeSet::new();
-    let absorb = |mgr_report: &nfv_engine::RepairReport,
-                  was_repaired: &mut BTreeSet<RequestId>,
-                  was_degraded: &mut BTreeSet<RequestId>,
-                  was_dropped: &mut BTreeSet<RequestId>| {
-        was_repaired.extend(mgr_report.repaired.iter().copied());
-        was_degraded.extend(mgr_report.degraded.iter().map(|&(id, _)| id));
-        was_dropped.extend(mgr_report.dropped.iter().copied());
+    let mut absorb = |report: &RepairReport| {
+        was_repaired.extend(report.repaired.iter().copied());
+        was_degraded.extend(report.degraded.iter().map(|&(id, _)| id));
+        was_dropped.extend(report.dropped.iter().copied());
     };
 
-    for (_, _, event) in timeline {
+    for event in timeline {
         match event {
-            Event::Arrival(tr) => {
+            SessionEvent::Arrival(tr) => {
                 outcome.offered += 1;
                 let ok = mgr
-                    .admit(&mut sdn, &tr.request, super::K, &mut scratch)
+                    .admit(&mut sdn, &tr.request)
                     .expect("fresh ids never collide");
                 if ok {
                     outcome.admitted += 1;
@@ -223,7 +186,7 @@ pub fn run_chaos(params: &ChaosParams) -> ChaosOutcome {
                     outcome.rejected += 1;
                 }
             }
-            Event::Departure(id) => {
+            SessionEvent::Departure(id) => {
                 // Only sessions that were actually admitted depart; a
                 // session the repair engine already dropped trips the
                 // double-release guard here, on purpose.
@@ -231,37 +194,31 @@ pub fn run_chaos(params: &ChaosParams) -> ChaosOutcome {
                     mgr.depart(&mut sdn, id);
                 }
             }
-            Event::ToggleLink(e) => {
-                if sdn.is_link_alive(e) {
-                    sdn.fail_link(e).expect("valid link id");
+            SessionEvent::Other(toggle) => {
+                let failed = match toggle {
+                    Toggle::Link(e) if sdn.is_link_alive(e) => {
+                        sdn.fail_link(e).expect("valid link id");
+                        true
+                    }
+                    Toggle::Link(e) => {
+                        sdn.recover_link(e).expect("valid link id");
+                        false
+                    }
+                    Toggle::Server(v) if sdn.is_server_alive(v) => {
+                        sdn.fail_server(v).expect("valid server");
+                        true
+                    }
+                    Toggle::Server(v) => {
+                        sdn.recover_server(v).expect("valid server");
+                        false
+                    }
+                };
+                if failed {
                     outcome.failures += 1;
                 } else {
-                    sdn.recover_link(e).expect("valid link id");
                     outcome.recoveries += 1;
                 }
-                let report = mgr.repair(&mut sdn, &config, &mut scratch);
-                absorb(
-                    &report,
-                    &mut was_repaired,
-                    &mut was_degraded,
-                    &mut was_dropped,
-                );
-            }
-            Event::ToggleServer(v) => {
-                if sdn.is_server_alive(v) {
-                    sdn.fail_server(v).expect("valid server");
-                    outcome.failures += 1;
-                } else {
-                    sdn.recover_server(v).expect("valid server");
-                    outcome.recoveries += 1;
-                }
-                let report = mgr.repair(&mut sdn, &config, &mut scratch);
-                absorb(
-                    &report,
-                    &mut was_repaired,
-                    &mut was_degraded,
-                    &mut was_dropped,
-                );
+                absorb(&mgr.repair(&mut sdn));
             }
         }
         audit(&sdn, mgr.sessions(), mgr.backup_reservations())
@@ -269,33 +226,12 @@ pub fn run_chaos(params: &ChaosParams) -> ChaosOutcome {
         outcome.audit_checks += 1;
     }
 
-    // Settle: bring everything back up, give pending repairs one last
-    // chance, then drain the survivors.
-    sdn.recover_all();
-    let report = mgr.repair(&mut sdn, &config, &mut scratch);
-    absorb(
-        &report,
-        &mut was_repaired,
-        &mut was_degraded,
-        &mut was_dropped,
-    );
-    // Sessions still pending after a full recovery lack capacity for
-    // good: count them as dropped.
-    for id in mgr.pending_repairs() {
-        mgr.depart(&mut sdn, id);
-        was_dropped.insert(id);
-    }
-    let survivors: Vec<RequestId> = mgr.sessions().map(|(id, _)| id).collect();
-    for id in survivors {
-        mgr.depart(&mut sdn, id);
-    }
-    // With no live sessions, the audit's conservation check asserts the
-    // residuals round-tripped to full capacity (within float tolerance —
-    // interleaved allocate/release reorders the sums).
-    audit(&sdn, mgr.sessions(), mgr.backup_reservations()).expect("invariant audit after settle");
+    // Settle; sessions still pending after a full recovery lack
+    // capacity for good: count them as dropped.
+    let (report, pending) = settle(&mut sdn, &fresh, &mut mgr);
+    absorb(&report);
+    was_dropped.extend(pending);
     outcome.audit_checks += 1;
-    sdn.reset();
-    assert_eq!(sdn, fresh, "liveness and ledger must round-trip to idle");
 
     outcome.double_release_guards = mgr.double_release_count();
     // Disjoint final dispositions, most severe wins.
@@ -317,20 +253,18 @@ pub fn run_chaos(params: &ChaosParams) -> ChaosOutcome {
 mod tests {
     use super::*;
 
-    fn small(seed: u64, policy: RepairPolicy, max_retries: usize) -> ChaosParams {
+    fn small(seed: u64) -> ChaosParams {
         ChaosParams {
             n: 40,
             sessions: 30,
             events: 20,
             seed,
-            policy,
-            max_retries,
         }
     }
 
     #[test]
     fn replay_is_deterministic() {
-        let p = small(7, RepairPolicy::Degrade, 2);
+        let p = small(7);
         let a = run_chaos(&p);
         let b = run_chaos(&p);
         assert_eq!(a, b);
@@ -346,22 +280,15 @@ mod tests {
     fn different_seeds_differ() {
         // Not a hard guarantee, but two seeds agreeing on every count
         // would mean chaos injection is inert.
-        let a = run_chaos(&small(1, RepairPolicy::FullReroute, 1));
-        let b = run_chaos(&small(2, RepairPolicy::FullReroute, 1));
+        let a = run_chaos(&small(1));
+        let b = run_chaos(&small(2));
         assert!(a.failures > 0);
         assert!(a != b || a.offered != b.offered);
     }
 
     #[test]
-    fn reject_policy_never_repairs() {
-        let out = run_chaos(&small(3, RepairPolicy::Reject, 5));
-        assert_eq!(out.repaired, 0);
-        assert_eq!(out.degraded, 0);
-    }
-
-    #[test]
     fn json_has_all_fields() {
-        let out = run_chaos(&small(5, RepairPolicy::Degrade, 1));
+        let out = run_chaos(&small(5));
         let json = out.to_json();
         for key in [
             "seed",

@@ -21,19 +21,14 @@
 //! standing reserved-bandwidth overhead the `Reserved` policy pays for
 //! its zero-miss swaps.
 
+use super::timeline::{session_timeline, settle, SessionEvent};
 use crate::waxman_sdn;
 use netgraph::EdgeId;
-use nfv_engine::{
-    audit, BackupPolicy, GraftOutcome, PruneOutcome, RepairConfig, RepairPolicy, ResilienceConfig,
-    SessionManager,
-};
-use nfv_multicast::ApproScratch;
-use nfv_online::TimedRequest;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use nfv_engine::{audit, BackupPolicy, GraftOutcome, PruneOutcome, RepairReport, SessionManager};
+use rand::Rng;
 use sdn::{RequestId, Sdn};
 use std::collections::{BTreeSet, VecDeque};
-use workload::{ChurnAction, MembershipChurn, PoissonWorkload, RequestGenerator};
+use workload::{ChurnAction, MembershipChurn};
 
 /// Protection discipline of one churn replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,6 +132,14 @@ pub struct ChurnOutcome {
 }
 
 impl ChurnOutcome {
+    /// Adds what one repair pass restored, degraded or dropped.
+    fn absorb(&mut self, report: &RepairReport) {
+        self.backup_swaps += report.swapped.len();
+        self.replanned += report.repaired.len();
+        self.degraded_or_dropped += report.degraded.len() + report.dropped.len();
+        self.plan_events += report.plan_events;
+    }
+
     /// Renders the outcome as a JSON object (hand-rolled; the workspace
     /// has no serde_json).
     #[must_use]
@@ -171,8 +174,6 @@ impl ChurnOutcome {
 }
 
 enum Event {
-    Arrival(Box<TimedRequest>),
-    Departure(RequestId),
     Churn(ChurnAction),
     Fault,
 }
@@ -204,54 +205,27 @@ fn heaviest_alive_link(sdn: &Sdn) -> Option<EdgeId> {
 pub fn run_churn(params: &ChurnParams) -> ChurnOutcome {
     let mut sdn = waxman_sdn(params.n, params.seed);
     let fresh = sdn.clone();
-    let mut rng = StdRng::seed_from_u64(params.seed ^ 0xC4_0211);
-
-    let mut gen = RequestGenerator::new(params.n).with_dmax_ratio(0.2);
-    let workload = PoissonWorkload::new(4.0, 25.0);
-    let sessions = workload.generate(&mut gen, params.sessions, &mut rng);
-    let horizon = sessions.last().map_or(1.0, |s| s.1) + workload.mean_holding;
-
-    let mut timeline: Vec<(f64, usize, Event)> = Vec::new();
-    let mut seq = 0usize;
-    let mut push = |timeline: &mut Vec<(f64, usize, Event)>, t: f64, ev: Event| {
-        timeline.push((t, seq, ev));
-        seq += 1;
-    };
-    for (request, arrival, duration) in sessions {
-        let id = request.id;
-        let tr = TimedRequest::try_new(request, arrival, duration)
-            .expect("generated workloads are well-formed");
-        push(&mut timeline, arrival, Event::Arrival(Box::new(tr)));
-        push(&mut timeline, arrival + duration, Event::Departure(id));
-    }
-    let churn_rate = (params.churn_events.max(1) as f64 / horizon).max(1e-6);
-    for ev in
-        MembershipChurn::new(churn_rate, 0.6).events_for(params.n, params.churn_events, &mut rng)
-    {
-        push(&mut timeline, ev.time.min(horizon), Event::Churn(ev.action));
-    }
-    for _ in 0..params.faults {
-        let t = rng.gen_range(0.0..horizon);
-        push(&mut timeline, t, Event::Fault);
-    }
-    timeline.sort_by(|a, b| {
-        a.0.partial_cmp(&b.0)
-            .expect("finite times")
-            .then(a.1.cmp(&b.1))
-    });
-
-    let repair = RepairConfig::new(super::K)
-        .with_policy(RepairPolicy::Degrade)
-        .with_max_retries(3);
+    let timeline = session_timeline(
+        params.n,
+        params.sessions,
+        params.seed ^ 0xC4_0211,
+        |rng, horizon| {
+            let churn_rate = (params.churn_events.max(1) as f64 / horizon).max(1e-6);
+            let mut extra: Vec<(f64, Event)> = MembershipChurn::new(churn_rate, 0.6)
+                .events_for(params.n, params.churn_events, rng)
+                .into_iter()
+                .map(|ev| (ev.time.min(horizon), Event::Churn(ev.action)))
+                .collect();
+            for _ in 0..params.faults {
+                extra.push((rng.gen_range(0.0..horizon), Event::Fault));
+            }
+            extra
+        },
+    );
     let mut mgr = match params.mode {
-        ChurnMode::Reactive => SessionManager::new(),
-        ChurnMode::Proactive(policy) => SessionManager::with_resilience(
-            ResilienceConfig::new(super::K)
-                .with_policy(policy)
-                .with_top_f(2),
-        ),
+        ChurnMode::Reactive => SessionManager::new(super::K),
+        ChurnMode::Proactive(policy) => SessionManager::with_backups(super::K, policy),
     };
-    let mut scratch = ApproScratch::new();
 
     let mut out = ChurnOutcome {
         seed: params.seed,
@@ -277,16 +251,16 @@ pub fn run_churn(params: &ChurnParams) -> ChurnOutcome {
     let mut failed_links: VecDeque<EdgeId> = VecDeque::new();
     let mut churn_cursor = 0usize;
 
-    for (_, _, event) in timeline {
+    for event in timeline {
         match event {
-            Event::Arrival(tr) => {
+            SessionEvent::Arrival(tr) => {
                 out.offered += 1;
                 let after_failure = out.failures > 0;
                 if after_failure {
                     out.offered_after_first_failure += 1;
                 }
                 let ok = mgr
-                    .admit(&mut sdn, &tr.request, super::K, &mut scratch)
+                    .admit(&mut sdn, &tr.request)
                     .expect("fresh ids never collide");
                 if ok {
                     out.admitted += 1;
@@ -294,19 +268,18 @@ pub fn run_churn(params: &ChurnParams) -> ChurnOutcome {
                         out.admitted_after_first_failure += 1;
                     }
                     ever_admitted.insert(tr.request.id);
-                    if matches!(params.mode, ChurnMode::Proactive(_)) {
-                        let _ = mgr.protect(&mut sdn, tr.request.id, &mut scratch);
-                    }
+                    // A no-op for the reactive manager.
+                    let _ = mgr.protect(&mut sdn, tr.request.id);
                 } else {
                     out.rejected += 1;
                 }
             }
-            Event::Departure(id) => {
+            SessionEvent::Departure(id) => {
                 if ever_admitted.contains(&id) {
                     mgr.depart(&mut sdn, id);
                 }
             }
-            Event::Churn(action) => {
+            SessionEvent::Other(Event::Churn(action)) => {
                 // Land the event on a live session, round-robin so churn
                 // spreads instead of hammering the smallest id.
                 let live: Vec<RequestId> = mgr.sessions().map(|(id, _)| id).collect();
@@ -316,18 +289,16 @@ pub fn run_churn(params: &ChurnParams) -> ChurnOutcome {
                     let target = live[churn_cursor % live.len()];
                     churn_cursor += 1;
                     match action {
-                        ChurnAction::Join(v) => {
-                            match mgr.graft(&mut sdn, target, v, &mut scratch) {
-                                GraftOutcome::Grafted { .. } => out.grafts += 1,
-                                _ => out.churn_noops += 1,
-                            }
-                        }
+                        ChurnAction::Join(v) => match mgr.graft(&mut sdn, target, v) {
+                            GraftOutcome::Grafted { .. } => out.grafts += 1,
+                            _ => out.churn_noops += 1,
+                        },
                         ChurnAction::Leave(idx) => {
                             let victim = mgr.session(target).and_then(|s| {
                                 let d = &s.payload.request.destinations;
                                 d.get(idx % d.len()).copied()
                             });
-                            match victim.map(|v| mgr.prune(&mut sdn, target, v, &mut scratch)) {
+                            match victim.map(|v| mgr.prune(&mut sdn, target, v)) {
                                 Some(PruneOutcome::Pruned { .. }) => out.prunes += 1,
                                 _ => out.churn_noops += 1,
                             }
@@ -335,7 +306,7 @@ pub fn run_churn(params: &ChurnParams) -> ChurnOutcome {
                     }
                 }
             }
-            Event::Fault => {
+            SessionEvent::Other(Event::Fault) => {
                 // Recover the oldest dead link once two are down; fail the
                 // heaviest-loaded alive link otherwise.
                 if failed_links.len() >= 2 {
@@ -347,11 +318,7 @@ pub fn run_churn(params: &ChurnParams) -> ChurnOutcome {
                     failed_links.push_back(e);
                     out.failures += 1;
                 }
-                let report = mgr.repair(&mut sdn, &repair, &mut scratch);
-                out.backup_swaps += report.swapped.len();
-                out.replanned += report.repaired.len();
-                out.degraded_or_dropped += report.degraded.len() + report.dropped.len();
-                out.plan_events += report.plan_events;
+                out.absorb(&mgr.repair(&mut sdn));
             }
         }
         out.peak_reserved_bandwidth = out
@@ -362,25 +329,8 @@ pub fn run_churn(params: &ChurnParams) -> ChurnOutcome {
         out.audit_checks += 1;
     }
 
-    // Settle: recover everything, give pending repairs one last chance,
-    // drain the survivors, and assert the idle round-trip.
-    sdn.recover_all();
-    let report = mgr.repair(&mut sdn, &repair, &mut scratch);
-    out.backup_swaps += report.swapped.len();
-    out.replanned += report.repaired.len();
-    out.degraded_or_dropped += report.degraded.len() + report.dropped.len();
-    out.plan_events += report.plan_events;
-    for id in mgr.pending_repairs() {
-        mgr.depart(&mut sdn, id);
-    }
-    let survivors: Vec<RequestId> = mgr.sessions().map(|(id, _)| id).collect();
-    for id in survivors {
-        mgr.depart(&mut sdn, id);
-    }
-    audit(&sdn, mgr.sessions(), mgr.backup_reservations()).expect("invariant audit after settle");
+    out.absorb(&settle(&mut sdn, &fresh, &mut mgr).0);
     out.audit_checks += 1;
-    sdn.reset();
-    assert_eq!(sdn, fresh, "liveness and ledger must round-trip to idle");
     out
 }
 

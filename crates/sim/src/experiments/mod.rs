@@ -14,6 +14,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
+mod timeline;
 
 use crate::{mean, time_it};
 use nfv_multicast::{appro_multi_cached, one_server, PathCache};

@@ -8,8 +8,9 @@
 //!   leaves of the optimal tree.
 //! * [`mehlhorn`] — Mehlhorn's `O(m log n)` construction (Inf. Proc. Lett.
 //!   1988) with the same guarantee as [`kmb`]: one multi-source Dijkstra
-//!   replaces the per-terminal sweeps. The hot-path default; KMB stays as
-//!   the audit path.
+//!   replaces the per-terminal sweeps. Only the Steiner-routine ablation
+//!   runs it (through `appro_multi_with_steiner`); `Appro_Multi` and
+//!   `Online_CP` (via [`kmb_with_bank`]) both build KMB trees.
 //! * [`sph`] — the Takahashi–Matsuyama shortest-path heuristic, used by the
 //!   ablation benches as an alternative tree routine.
 //! * [`dreyfus_wagner`] — the exact dynamic program, exponential in the

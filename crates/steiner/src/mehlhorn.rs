@@ -16,8 +16,8 @@
 //!
 //! Total `O(m log n)` versus KMB's `O(t · m log n)`. The two routines may
 //! return *different* trees of the same approximation class (they
-//! sparsify the closure differently), which is why `Appro_Multi` keeps
-//! KMB available as the audit path.
+//! sparsify the closure differently), so the planners keep the paper's
+//! KMB and only the Steiner-routine ablation runs this one.
 
 use crate::{prune_non_terminal_leaves, SteinerTree};
 use netgraph::{kruskal, kruskal_over, voronoi_closure, Graph, NodeId};

@@ -109,14 +109,6 @@ impl FlashCrowdWorkload {
         self
     }
 
-    /// Overrides the mean holding time.
-    #[must_use]
-    pub fn with_mean_holding(mut self, mean: f64) -> Self {
-        assert!(mean.is_finite() && mean > 0.0, "bad mean holding");
-        self.mean_holding = mean;
-        self
-    }
-
     /// Generates `count` sessions in arrival order. Inside the burst
     /// window arrivals accelerate by `burst_multiplier` and every
     /// request's destinations are redrawn from the first `hot_pool`

@@ -59,7 +59,6 @@ pub struct RequestGenerator {
     node_count: usize,
     dmax: DmaxMode,
     bandwidth: (f64, f64),
-    chain_len: (usize, usize),
     next_id: u64,
 }
 
@@ -79,7 +78,6 @@ impl RequestGenerator {
             node_count,
             dmax: DmaxMode::Uniform(0.05, 0.2),
             bandwidth: (50.0, 200.0),
-            chain_len: (1, 3),
             next_id: 0,
         }
     }
@@ -105,14 +103,6 @@ impl RequestGenerator {
     pub fn with_bandwidth_range(mut self, lo: f64, hi: f64) -> Self {
         assert!(0.0 < lo && lo <= hi, "need 0 < lo <= hi");
         self.bandwidth = (lo, hi);
-        self
-    }
-
-    /// Overrides the service-chain length range.
-    #[must_use]
-    pub fn with_chain_len(mut self, lo: usize, hi: usize) -> Self {
-        assert!(lo >= 1 && lo <= hi && hi <= NfvType::ALL.len());
-        self.chain_len = (lo, hi);
         self
     }
 
@@ -158,8 +148,7 @@ impl RequestGenerator {
             rng.gen_range(self.bandwidth.0..self.bandwidth.1)
         };
 
-        let len = rng.gen_range(self.chain_len.0..=self.chain_len.1);
-        let chain = random_chain(len, rng);
+        let chain = random_chain(rng.gen_range(1..=3), rng);
 
         MulticastRequest::new(id, source, dests, bandwidth, chain)
     }
@@ -287,13 +276,5 @@ mod tests {
         let mut gen = RequestGenerator::new(10).with_bandwidth_range(10.0, 10.0);
         let r = gen.generate(&mut rng);
         assert_eq!(r.bandwidth, 10.0);
-    }
-
-    #[test]
-    fn chain_len_override() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut gen = RequestGenerator::new(10).with_chain_len(5, 5);
-        let r = gen.generate(&mut rng);
-        assert_eq!(r.chain.len(), 5);
     }
 }

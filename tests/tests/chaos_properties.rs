@@ -1,13 +1,11 @@
 //! Property tests for the failure model and the self-healing repair
 //! engine: random graphs plus seeded failure/recovery interleavings must
-//! never trip the invariant auditor, the ledger must round-trip to the
-//! all-idle state once every session departs, and a repair budget of
-//! zero must behave exactly like the plain rejection policy.
+//! never trip the invariant auditor, and the ledger must round-trip to
+//! the all-idle state once every session departs.
 
 use integration_tests::{request_batch, waxman_fixture};
 use netgraph::{EdgeId, NodeId};
-use nfv_engine::{audit, RepairConfig, RepairPolicy, RepairReport, SessionManager};
-use nfv_multicast::ApproScratch;
+use nfv_engine::{audit, SessionManager};
 use proptest::prelude::*;
 use sdn::{MulticastRequest, RequestId, Sdn};
 
@@ -41,17 +39,9 @@ fn arb_ops(len: usize) -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-/// Replays `ops`, auditing after every step. Returns the manager and the
-/// repair reports in order.
-fn replay(
-    sdn: &mut Sdn,
-    requests: &[MulticastRequest],
-    ops: &[Op],
-    config: &RepairConfig,
-) -> (SessionManager, Vec<RepairReport>) {
-    let mut mgr = SessionManager::new();
-    let mut scratch = ApproScratch::new();
-    let mut reports = Vec::new();
+/// Replays `ops`, auditing after every step. Returns the manager.
+fn replay(sdn: &mut Sdn, requests: &[MulticastRequest], ops: &[Op]) -> SessionManager {
+    let mut mgr = SessionManager::new(2);
     let server_list: Vec<NodeId> = sdn.servers().to_vec();
     for op in ops {
         match op {
@@ -60,7 +50,7 @@ fn replay(
                 let tracked = mgr.contains(req.id) || mgr.pending_repairs().contains(&req.id);
                 if !tracked {
                     let _ = mgr
-                        .admit(sdn, req, 2, &mut scratch)
+                        .admit(sdn, req)
                         .expect("untracked id admits without error");
                 }
             }
@@ -75,7 +65,7 @@ fn replay(
                 } else {
                     sdn.recover_link(e).expect("valid link");
                 }
-                reports.push(mgr.repair(sdn, config, &mut scratch));
+                mgr.repair(sdn);
             }
             Op::ToggleServer(i) => {
                 let v = server_list[i % server_list.len()];
@@ -84,14 +74,16 @@ fn replay(
                 } else {
                     sdn.recover_server(v).expect("valid server");
                 }
-                reports.push(mgr.repair(sdn, config, &mut scratch));
+                mgr.repair(sdn);
             }
-            Op::Repair => reports.push(mgr.repair(sdn, config, &mut scratch)),
+            Op::Repair => {
+                mgr.repair(sdn);
+            }
         }
         audit(sdn, mgr.sessions(), mgr.backup_reservations())
             .expect("the auditor must never fire during a chaos replay");
     }
-    (mgr, reports)
+    mgr
 }
 
 proptest! {
@@ -110,16 +102,11 @@ proptest! {
         let mut sdn = waxman_fixture(n, 500 + seed);
         let fresh = sdn.clone();
         let requests = request_batch(n, 48, 501 + seed);
-        let config = RepairConfig::new(2)
-            .with_policy(RepairPolicy::Degrade)
-            .with_max_retries(2);
-
-        let (mut mgr, _) = replay(&mut sdn, &requests, &ops, &config);
+        let mut mgr = replay(&mut sdn, &requests, &ops);
 
         // Settle: recover everything, finish pending repairs, depart all.
         sdn.recover_all();
-        let mut scratch = ApproScratch::new();
-        let _ = mgr.repair(&mut sdn, &config, &mut scratch);
+        let _ = mgr.repair(&mut sdn);
         for id in mgr.pending_repairs() {
             mgr.depart(&mut sdn, id);
         }
@@ -133,39 +120,5 @@ proptest! {
         audit(&sdn, mgr.sessions(), mgr.backup_reservations()).expect("all-idle audit");
         sdn.reset(); // clear float dust before the exact comparison
         prop_assert_eq!(&sdn, &fresh);
-    }
-
-    /// A repair budget of zero is plain rejection: identical reports,
-    /// identical surviving sessions, identical ledger — byte for byte —
-    /// to the explicit `Reject` policy.
-    #[test]
-    fn zero_retries_equals_reject_policy(
-        seed in 0u64..1_000,
-        ops in arb_ops(32),
-    ) {
-        let n = 30;
-        let fresh = waxman_fixture(n, 600 + seed);
-        let requests = request_batch(n, 48, 601 + seed);
-
-        let mut net_a = fresh.clone();
-        let cfg_a = RepairConfig::new(2).with_max_retries(0); // FullReroute, no budget
-        let (mgr_a, reports_a) = replay(&mut net_a, &requests, &ops, &cfg_a);
-
-        let mut net_b = fresh.clone();
-        let cfg_b = RepairConfig::new(2)
-            .with_policy(RepairPolicy::Reject)
-            .with_max_retries(5);
-        let (mgr_b, reports_b) = replay(&mut net_b, &requests, &ops, &cfg_b);
-
-        prop_assert_eq!(&reports_a, &reports_b);
-        for r in &reports_a {
-            prop_assert!(r.repaired.is_empty());
-            prop_assert!(r.degraded.is_empty());
-            prop_assert!(r.deferred.is_empty());
-        }
-        let ids_a: Vec<RequestId> = mgr_a.sessions().map(|(id, _)| id).collect();
-        let ids_b: Vec<RequestId> = mgr_b.sessions().map(|(id, _)| id).collect();
-        prop_assert_eq!(ids_a, ids_b);
-        prop_assert_eq!(&net_a, &net_b);
     }
 }

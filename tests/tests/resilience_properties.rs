@@ -1,7 +1,7 @@
 //! Property tests for proactive fault tolerance: a single-link failure
 //! healed by a best-effort backup-tree swap must leave the invariant
 //! auditor green and must not change any *admission decision* for the
-//! arrivals that follow, compared to the reactive full-reroute baseline.
+//! arrivals that follow, compared to the reactive replan baseline.
 //!
 //! Why the equivalence holds: a best-effort backup is planned on the
 //! session's post-release view with the protected link excluded — the
@@ -15,8 +15,7 @@
 
 use integration_tests::{request_batch, waxman_fixture};
 use netgraph::EdgeId;
-use nfv_engine::{audit, RepairConfig, ResilienceConfig, SessionManager};
-use nfv_multicast::ApproScratch;
+use nfv_engine::{audit, BackupPolicy, SessionManager};
 use proptest::prelude::*;
 use sdn::RequestId;
 use std::collections::BTreeSet;
@@ -26,7 +25,7 @@ const K: usize = 2;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Proactive (best-effort backups) and reactive (plain full-reroute)
+    /// Proactive (best-effort backups) and reactive (replan only)
     /// timelines fed the identical workload and the identical single-link
     /// failure make identical admission decisions for every subsequent
     /// arrival, with the auditor green throughout.
@@ -41,23 +40,20 @@ proptest! {
         let mut sdn_r = sdn_p.clone();
         let requests = request_batch(n, prefix + 8, seed ^ 0xBEEF);
 
-        let mut proactive = SessionManager::with_resilience(
-            ResilienceConfig::new(K).with_top_f(3),
-        );
-        let mut reactive = SessionManager::new();
-        let mut scratch = ApproScratch::new();
+        let mut proactive = SessionManager::with_backups(K, BackupPolicy::BestEffort);
+        let mut reactive = SessionManager::new(K);
 
         // Identical admission prefix; the proactive side protects every
         // admitted session (best-effort backups hold no capacity, so the
         // two ledgers stay equal).
         let mut admitted: Vec<RequestId> = Vec::new();
         for req in &requests[..prefix] {
-            let a = proactive.admit(&mut sdn_p, req, K, &mut scratch).unwrap();
-            let b = reactive.admit(&mut sdn_r, req, K, &mut scratch).unwrap();
+            let a = proactive.admit(&mut sdn_p, req).unwrap();
+            let b = reactive.admit(&mut sdn_r, req).unwrap();
             prop_assert_eq!(a, b, "prefix decisions must agree");
             if a {
                 admitted.push(req.id);
-                let charged = proactive.protect(&mut sdn_p, req.id, &mut scratch);
+                let charged = proactive.protect(&mut sdn_p, req.id);
                 prop_assert!(charged.is_empty(), "best effort never reserves");
             }
         }
@@ -87,9 +83,8 @@ proptest! {
         sdn_p.fail_link(failed).unwrap();
         sdn_r.fail_link(failed).unwrap();
 
-        let config = RepairConfig::new(K);
-        let rp = proactive.repair(&mut sdn_p, &config, &mut scratch);
-        let rr = reactive.repair(&mut sdn_r, &config, &mut scratch);
+        let rp = proactive.repair(&mut sdn_p);
+        let rr = reactive.repair(&mut sdn_r);
         prop_assert_eq!(rp.broken.clone(), vec![victim]);
         prop_assert_eq!(rr.broken.clone(), vec![victim]);
         audit(&sdn_p, proactive.sessions(), proactive.backup_reservations()).unwrap();
@@ -103,7 +98,7 @@ proptest! {
             prop_assert!(rr.plan_events > 0, "a replan must plan");
         } else {
             // No backup covered the failed link (it was outside the
-            // protected top-F, or no alternate tree existed): the miss
+            // two protected links, or no alternate tree existed): the miss
             // falls back to exactly the reactive replan.
             prop_assert_eq!(rp.repaired.clone(), rr.repaired.clone());
             prop_assert_eq!(rp.plan_events, rr.plan_events);
@@ -112,11 +107,11 @@ proptest! {
         // The arrivals that follow see identical networks, so every
         // admission decision matches.
         for req in &requests[prefix..] {
-            let a = proactive.admit(&mut sdn_p, req, K, &mut scratch).unwrap();
-            let b = reactive.admit(&mut sdn_r, req, K, &mut scratch).unwrap();
+            let a = proactive.admit(&mut sdn_p, req).unwrap();
+            let b = reactive.admit(&mut sdn_r, req).unwrap();
             prop_assert_eq!(a, b, "post-failure decisions must agree");
             if a {
-                let _ = proactive.protect(&mut sdn_p, req.id, &mut scratch);
+                let _ = proactive.protect(&mut sdn_p, req.id);
             }
             audit(&sdn_p, proactive.sessions(), proactive.backup_reservations()).unwrap();
             audit(&sdn_r, reactive.sessions(), reactive.backup_reservations()).unwrap();

@@ -12,7 +12,7 @@
 //! so nothing else can race these counters.
 
 use nfv_engine::SessionManager;
-use nfv_multicast::{appro_multi_cap, Admission, ApproScratch};
+use nfv_multicast::{appro_multi_cap, Admission};
 use sdn::{MulticastRequest, NfvType, RequestId, Sdn, SdnBuilder, ServiceChain};
 use telemetry::Snapshot;
 
@@ -61,9 +61,8 @@ fn pinned_counters_for_fixed_scenario() {
 
     // One committed session plus one chaos event: a departure for a
     // request id the manager has never seen.
-    let mut mgr = SessionManager::new();
-    let mut scratch = ApproScratch::new();
-    assert!(mgr.admit(&mut sdn, &req(1, &v), 2, &mut scratch).unwrap());
+    let mut mgr = SessionManager::new(2);
+    assert!(mgr.admit(&mut sdn, &req(1, &v)).unwrap());
     mgr.depart(&mut sdn, RequestId(99));
     assert_eq!(mgr.double_release_count(), 1);
 
