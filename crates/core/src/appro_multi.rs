@@ -13,8 +13,9 @@
 //!   metric-closure MST over `|D_k| + 1` points plus a small expansion
 //!   subgraph. The combination scan is branch-and-bound pruned: two
 //!   admissible lower bounds (derived in DESIGN.md, "Hot path anatomy")
-//!   skip any combination that provably cannot beat the incumbent, and a
-//!   reusable [`ApproScratch`] removes per-combination allocations.
+//!   skip any combination that provably cannot beat the incumbent, and
+//!   the scan's working memory stays on the thread between requests, so
+//!   it does no per-combination allocation.
 //!   [`appro_multi_unpruned`] runs the same scan with pruning disabled —
 //!   the audit path the property tests pin byte-identity against.
 //!   Orders of magnitude faster on the paper's 250-node networks. The
@@ -27,6 +28,7 @@
 use crate::{AuxiliaryGraph, Combinations, PseudoMulticastTree, ServerUse};
 use netgraph::{dijkstra, dijkstra_with_targets, kruskal, EdgeId, Graph, NodeId, ShortestPathTree};
 use sdn::{MulticastRequest, Sdn};
+use std::cell::RefCell;
 
 /// Which Steiner tree routine the literal implementation uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -76,16 +78,15 @@ enum Tag {
     Virtual(usize),
 }
 
-/// Reusable working memory for the `Appro_Multi` combination scan.
+/// Working memory of the `Appro_Multi` combination scan.
 ///
-/// One scratch per worker (or per sequential loop); after the first
-/// request every per-combination structure — the metric closure, the
-/// expansion mini graph, the intern table, and all edge buffers — is
-/// recycled, so the scan's inner loop performs no allocations beyond the
-/// candidate trees themselves. Also counts evaluated vs. pruned
-/// combinations for observability.
-#[derive(Debug, Clone, Default)]
-pub struct ApproScratch {
+/// Each thread keeps one in [`THREAD_SCRATCH`]; after the first request
+/// every per-combination structure — the metric closure, the expansion
+/// mini graph, the intern table, and all edge buffers — is recycled, so
+/// the scan's inner loop performs no allocations beyond the candidate
+/// trees themselves.
+#[derive(Debug, Default)]
+struct ApproScratch {
     /// Best `(aux distance, virt index)` per destination, this combo.
     to_virtual: Vec<(f64, usize)>,
     /// Metric closure over `{s'} ∪ D`, rebuilt in place per combo.
@@ -112,41 +113,16 @@ pub struct ApproScratch {
     /// with the same winner vector produce the *same* tree, so the
     /// duplicate can never strictly improve the incumbent.
     seen: std::collections::BTreeSet<Vec<u32>>,
-    /// Combinations fully evaluated since construction.
-    evaluated: u64,
-    /// Combinations skipped by the lower-bound test since construction.
-    pruned: u64,
-    /// Combinations skipped because their winner vector was already seen.
-    deduped: u64,
+}
+
+thread_local! {
+    /// This thread's scan scratch. Only [`appro_multi_scan`] borrows it;
+    /// each public entry point calls that at most once, and nothing inside
+    /// the borrow calls a public entry point.
+    static THREAD_SCRATCH: RefCell<ApproScratch> = RefCell::new(ApproScratch::default());
 }
 
 impl ApproScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        ApproScratch::default()
-    }
-
-    /// Combinations fully evaluated through this scratch.
-    #[must_use]
-    pub fn evaluated_combinations(&self) -> u64 {
-        self.evaluated
-    }
-
-    /// Combinations skipped by the branch-and-bound lower-bound test.
-    #[must_use]
-    pub fn pruned_combinations(&self) -> u64 {
-        self.pruned
-    }
-
-    /// Combinations skipped because an earlier combination produced the
-    /// same per-destination server assignment (and therefore the same
-    /// tree).
-    #[must_use]
-    pub fn deduped_combinations(&self) -> u64 {
-        self.deduped
-    }
-
     /// Starts a fresh intern epoch sized for `n` original nodes.
     fn begin_intern(&mut self, n: usize) {
         if self.intern.len() < n {
@@ -174,25 +150,7 @@ impl ApproScratch {
 #[must_use]
 // lint:entry(api)
 pub fn appro_multi(sdn: &Sdn, request: &MulticastRequest, k: usize) -> Option<PseudoMulticastTree> {
-    let mut scratch = ApproScratch::new();
-    appro_multi_with_scratch(sdn, request, k, &mut scratch)
-}
-
-/// [`appro_multi`] with caller-owned working memory — the form the batch
-/// planner and the admission caches use so repeated requests reuse every
-/// buffer.
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
-#[must_use]
-pub fn appro_multi_with_scratch(
-    sdn: &Sdn,
-    request: &MulticastRequest,
-    k: usize,
-    scratch: &mut ApproScratch,
-) -> Option<PseudoMulticastTree> {
-    plan(sdn.graph(), request, k, &priced_servers(sdn), scratch, true)
+    plan(sdn.graph(), request, k, &priced_servers(sdn), true)
 }
 
 /// Algorithm 1 on an explicit graph and candidate server set: the entry
@@ -212,9 +170,8 @@ pub fn appro_multi_on_graph(
     request: &MulticastRequest,
     k: usize,
     servers: &[(NodeId, f64)],
-    scratch: &mut ApproScratch,
 ) -> Option<PseudoMulticastTree> {
-    plan(g, request, k, servers, scratch, true)
+    plan(g, request, k, servers, true)
 }
 
 /// [`appro_multi`] with the branch-and-bound pruning disabled: every
@@ -232,8 +189,7 @@ pub fn appro_multi_unpruned(
     request: &MulticastRequest,
     k: usize,
 ) -> Option<PseudoMulticastTree> {
-    let (servers, mut scratch) = (priced_servers(sdn), ApproScratch::new());
-    plan(sdn.graph(), request, k, &servers, &mut scratch, false)
+    plan(sdn.graph(), request, k, &priced_servers(sdn), false)
 }
 
 /// Every server of `sdn` with its unit computing cost: the candidate set
@@ -252,7 +208,6 @@ fn plan(
     request: &MulticastRequest,
     k: usize,
     servers: &[(NodeId, f64)],
-    scratch: &mut ApproScratch,
     prune: bool,
 ) -> Option<PseudoMulticastTree> {
     assert!(k >= 1, "at least one server is required (K >= 1)");
@@ -272,16 +227,7 @@ fn plan(
         .map(|&d| dijkstra_with_targets(g, d, &targets))
         .collect();
     let dest_refs: Vec<&ShortestPathTree> = spt_dests.iter().collect();
-    appro_multi_scan(
-        g,
-        request,
-        k,
-        servers,
-        &spt_source,
-        &dest_refs,
-        scratch,
-        prune,
-    )
+    appro_multi_scan(g, request, k, servers, &spt_source, &dest_refs, prune)
 }
 
 /// Per-request scan tables: flat distance lookups shared by every
@@ -422,9 +368,26 @@ impl ScanTables {
 /// per-source SPT cache drive this path: early-exit and full runs agree
 /// exactly on all settled nodes, so the result is byte-identical either
 /// way. `servers` pairs each candidate with its unit computing cost, as
-/// in [`appro_multi_on_graph`].
-#[allow(clippy::too_many_arguments)] // internal; public wrappers are narrow
+/// in [`appro_multi_on_graph`]. Runs on this thread's scratch.
 pub(crate) fn appro_multi_scan(
+    g: &Graph,
+    request: &MulticastRequest,
+    k: usize,
+    servers: &[(NodeId, f64)],
+    spt_source: &ShortestPathTree,
+    spt_dests: &[&ShortestPathTree],
+    prune: bool,
+) -> Option<PseudoMulticastTree> {
+    THREAD_SCRATCH.with_borrow_mut(|scratch| {
+        scan(
+            g, request, k, servers, spt_source, spt_dests, scratch, prune,
+        )
+    })
+}
+
+/// [`appro_multi_scan`] on explicit working memory.
+#[allow(clippy::too_many_arguments)] // private; the entry points are narrow
+fn scan(
     g: &Graph,
     request: &MulticastRequest,
     k: usize,
@@ -477,7 +440,6 @@ pub(crate) fn appro_multi_scan(
             // change the result, so skipping it is byte-exact.
             let (lb1, lb2) = tables.lower_bounds(&virt, combo);
             if lb1.max(lb2) > best_cost * (1.0 + sdn::PRUNE_GUARD_REL) + sdn::PRUNE_GUARD_ABS {
-                scratch.pruned += 1;
                 if lb1 >= lb2 {
                     telemetry::hit(telemetry::Counter::CombosPrunedLb1);
                 } else {
@@ -531,20 +493,17 @@ pub(crate) fn appro_multi_scan(
                 winners,
                 seen,
                 to_virtual,
-                deduped,
                 ..
             } = &mut *scratch;
             winners.clear();
             winners.extend(to_virtual.iter().map(|&(_, vi)| vi as u32));
             if seen.contains(&*winners) {
-                *deduped += 1;
                 telemetry::hit(telemetry::Counter::CombosDeduped);
                 continue;
             }
             seen.insert(winners.clone());
         }
 
-        scratch.evaluated += 1;
         evaluated_this_scan += 1;
         telemetry::hit(telemetry::Counter::CombosEvaluated);
         let Some(tree) = eval_combination(g, b, &virt, request, spt_dests, &tables, scratch) else {
@@ -1197,28 +1156,60 @@ mod tests {
         }
     }
 
+    type Plans = (
+        Option<PseudoMulticastTree>,
+        crate::Admission,
+        crate::CapPlan,
+        crate::CapPlan,
+        crate::CapPlan,
+    );
+
+    /// Every public call that plans through the thread's scratch, on
+    /// `sdn`: the uncapacitated scan, `Appro_Multi_Cap`, a plan without the
+    /// admitted tree's first distribution link, and the cached planner on
+    /// its fast path (intact network) and its slow path (one link down).
+    fn plan_everything(sdn: &Sdn, req: &MulticastRequest) -> Plans {
+        use crate::{
+            appro_multi_cap, appro_multi_cap_plan_cached, appro_multi_cap_plan_excluding, PathCache,
+        };
+        let admission = appro_multi_cap(sdn, req, 3);
+        let first_link = admission
+            .tree()
+            .and_then(|t| t.distribution_edges.first().copied())
+            .expect("the fixture admits with a distribution edge");
+        let excluded = [first_link].into_iter().collect();
+        let mut cache = PathCache::new(sdn);
+        let fast = appro_multi_cap_plan_cached(sdn, req, 3, &mut cache);
+        let mut broken = sdn.clone();
+        broken.fail_link(first_link).unwrap();
+        let slow = appro_multi_cap_plan_cached(&broken, req, 3, &mut cache);
+        assert_eq!((cache.fast_path_count(), cache.slow_path_count()), (1, 1));
+        (
+            appro_multi(sdn, req, 3),
+            admission,
+            appro_multi_cap_plan_excluding(sdn, req, 3, &excluded),
+            fast,
+            slow,
+        )
+    }
+
     #[test]
-    fn pruning_fires_and_scratch_reuse_is_transparent() {
-        let mut scratch = ApproScratch::new();
-        for seed in 0..6u64 {
-            let (sdn, req) = dense_random_instance(seed, 24);
-            let reused = appro_multi_with_scratch(&sdn, &req, 3, &mut scratch);
-            let fresh = appro_multi(&sdn, &req, 3);
-            assert_eq!(reused, fresh, "seed {seed}");
+    fn a_warm_thread_plans_like_a_fresh_one() {
+        // A larger network first, then a smaller one: intern slots or
+        // epochs the 40-node scans leave behind would show on the 24-node
+        // ones.
+        let instances: Vec<(Sdn, MulticastRequest)> = [(0, 40), (1, 40), (2, 24), (3, 24)]
+            .into_iter()
+            .map(|(seed, n)| dense_random_instance(seed, n))
+            .collect();
+        for (i, (sdn, req)) in instances.iter().enumerate() {
+            let warm = plan_everything(sdn, req);
+            let fresh = std::thread::scope(|s| {
+                s.spawn(|| plan_everything(sdn, req))
+                    .join()
+                    .expect("the fresh thread plans")
+            });
+            assert_eq!(warm, fresh, "instance {i}");
         }
-        let total = scratch.evaluated_combinations()
-            + scratch.pruned_combinations()
-            + scratch.deduped_combinations();
-        assert!(total > 0, "scan never ran");
-        assert!(
-            scratch.pruned_combinations() > 0,
-            "pruning never fired across {} combinations",
-            total
-        );
-        assert!(
-            scratch.deduped_combinations() > 0,
-            "winner-vector dedup never fired across {} combinations",
-            total
-        );
     }
 }

@@ -33,11 +33,10 @@
 //!   sequential result.
 
 use crate::appro_multi::{appro_multi_scan, priced_servers};
-use crate::{
-    appro_multi_cap_plan_with_scratch, Admission, ApproScratch, CapPlan, PseudoMulticastTree,
-};
+use crate::{appro_multi_cap_plan_excluding, Admission, CapPlan, PseudoMulticastTree};
 use netgraph::{CsrGraph, NodeId, ShortestPathTree, SptCache};
 use sdn::{fits, MulticastRequest, Sdn, Topology};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Residual-capacity fingerprint of one [`Sdn::version`].
@@ -89,8 +88,6 @@ pub struct PathCache {
     /// network panics rather than plan on the wrong trees.
     topology: Arc<Topology>,
     fingerprint: Fingerprint,
-    /// Combination-scan working memory, reused across requests.
-    scratch: ApproScratch,
     /// Requests answered entirely from cached trees.
     fast_path: u64,
     /// Requests that fell back to the uncached capacitated algorithm.
@@ -126,22 +123,20 @@ impl PathCache {
             cache,
             topology: Arc::clone(sdn.topology()),
             fingerprint: Fingerprint::of(sdn),
-            scratch: ApproScratch::new(),
             fast_path: 0,
             slow_path: 0,
         }
     }
 
     /// A sibling handle on the same tree store: trees either handle
-    /// computes are hits for the other. The new handle has its own
-    /// working memory and starts its counters at zero.
+    /// computes are hits for the other. The new handle starts its
+    /// counters at zero.
     #[must_use]
     pub fn share(&self) -> Self {
         PathCache {
             cache: self.cache.share(),
             topology: Arc::clone(&self.topology),
             fingerprint: self.fingerprint,
-            scratch: ApproScratch::new(),
             fast_path: 0,
             slow_path: 0,
         }
@@ -246,7 +241,6 @@ pub fn appro_multi_cached(
         &priced_servers(sdn),
         &spt_source,
         &dest_refs,
-        &mut cache.scratch,
         true,
     )
 }
@@ -276,7 +270,8 @@ pub fn appro_multi_cap_cached(
 /// The planning pass of [`appro_multi_cap_cached`] alone: the tree (or
 /// absence of one) on the residual-feasible subgraph, *without* the final
 /// accumulated-load check — see [`CapPlan`]. Byte-identical to
-/// [`crate::appro_multi_cap_plan_with_scratch`] on the same state.
+/// [`appro_multi_cap_plan_excluding`] with nothing excluded on the same
+/// state.
 ///
 /// # Panics
 ///
@@ -295,7 +290,7 @@ pub fn appro_multi_cap_plan_cached(
     if !cache.full_graph_feasible(sdn, b, demand) {
         cache.slow_path += 1;
         telemetry::hit(telemetry::Counter::PathCacheSlowPath);
-        return appro_multi_cap_plan_with_scratch(sdn, request, k, &mut cache.scratch);
+        return appro_multi_cap_plan_excluding(sdn, request, k, &BTreeSet::new());
     }
     cache.fast_path += 1;
     telemetry::hit(telemetry::Counter::PathCacheFastPath);

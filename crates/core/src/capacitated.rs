@@ -7,8 +7,8 @@
 //! component of `G'` contains the source, all destinations, and a
 //! candidate server, the request is rejected.
 //!
-//! `G'` is built afresh per request rather than kept in the
-//! [`ApproScratch`]: a kept copy of the 5 120-node fat-tree's subgraph
+//! `G'` is built afresh per request rather than kept with the scan's
+//! per-thread working memory: a kept copy of the 5 120-node fat-tree's subgraph
 //! raised the streaming benchmark's peak RSS by 8 % (193 → 208 MiB),
 //! while only 0.5 % of its requests plan on `G'` at all.
 //!
@@ -18,7 +18,7 @@
 //! element.
 
 use crate::appro_multi::priced_servers;
-use crate::{appro_multi_on_graph, ApproScratch, PseudoMulticastTree};
+use crate::{appro_multi_on_graph, PseudoMulticastTree};
 use netgraph::EdgeId;
 use sdn::{FeasibleGraph, MulticastRequest, Sdn};
 use std::collections::BTreeSet;
@@ -112,48 +112,16 @@ impl CapPlan {
 ///
 /// Panics if `k == 0`.
 #[must_use]
-pub fn appro_multi_cap(sdn: &Sdn, request: &MulticastRequest, k: usize) -> Admission {
-    let mut scratch = ApproScratch::new();
-    appro_multi_cap_with_scratch(sdn, request, k, &mut scratch)
-}
-
-/// [`appro_multi_cap`] with caller-owned working memory, so admission
-/// loops reuse the combination-scan buffers across requests.
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
-#[must_use]
-pub fn appro_multi_cap_with_scratch(
-    sdn: &Sdn,
-    request: &MulticastRequest,
-    k: usize,
-    scratch: &mut ApproScratch,
-) -> Admission {
-    appro_multi_cap_plan_with_scratch(sdn, request, k, scratch).admit(sdn, request)
-}
-
-/// The planning pass of [`appro_multi_cap_with_scratch`] alone: builds the
-/// residual-feasible subgraph and runs Algorithm 1 on it, returning the
-/// tree *without* the final accumulated-load check (see [`CapPlan`]).
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
-#[must_use]
 // lint:entry(api)
-pub fn appro_multi_cap_plan_with_scratch(
-    sdn: &Sdn,
-    request: &MulticastRequest,
-    k: usize,
-    scratch: &mut ApproScratch,
-) -> CapPlan {
-    appro_multi_cap_plan_excluding(sdn, request, k, &BTreeSet::new(), scratch)
+pub fn appro_multi_cap(sdn: &Sdn, request: &MulticastRequest, k: usize) -> Admission {
+    appro_multi_cap_plan_excluding(sdn, request, k, &BTreeSet::new()).admit(sdn, request)
 }
 
-/// [`appro_multi_cap_plan_with_scratch`] on the subgraph without the links
-/// in `excluded`: the excluded links are dropped from `G'` exactly like
-/// dead or saturated ones.
+/// The planning pass of [`appro_multi_cap`] alone, on the subgraph
+/// without the links in `excluded`: builds the residual-feasible
+/// subgraph, drops the excluded links from it exactly like dead or
+/// saturated ones, and runs Algorithm 1 on it, returning the tree
+/// *without* the final accumulated-load check (see [`CapPlan`]).
 ///
 /// This is the planning primitive of backup-tree protection: planning with
 /// `excluded = {e}` yields the tree the session would use if link `e`
@@ -169,7 +137,6 @@ pub fn appro_multi_cap_plan_excluding(
     request: &MulticastRequest,
     k: usize,
     excluded: &BTreeSet<EdgeId>,
-    scratch: &mut ApproScratch,
 ) -> CapPlan {
     assert!(k >= 1, "at least one server is required (K >= 1)");
     let demand = request.computing_demand();
@@ -185,7 +152,7 @@ pub fn appro_multi_cap_plan_excluding(
     // A link may carry the request once per traversal (ingress paths can
     // overlap the distribution structure); the caller resolves the
     // *accumulated* load against the state the tree is charged to.
-    match appro_multi_on_graph(feasible.graph(), request, k, &servers, scratch) {
+    match appro_multi_on_graph(feasible.graph(), request, k, &servers) {
         Some(tree) => CapPlan::Tree(tree.map_edges(|e| feasible.parent_edge(e))),
         None => CapPlan::NoTree,
     }

@@ -24,10 +24,7 @@
 //! rather than an error — callers distinguish "your request is malformed"
 //! from "the network is full" by the `Result` layer alone.
 
-use crate::{
-    appro_multi_cap_with_scratch, appro_multi_with_scratch, one_server, Admission, ApproScratch,
-    PseudoMulticastTree,
-};
+use crate::{appro_multi, appro_multi_cap, one_server, Admission, PseudoMulticastTree};
 use sdn::{MulticastRequest, Sdn, SdnError};
 
 /// Validates that every endpoint of `request` is a node of `sdn`.
@@ -72,11 +69,8 @@ pub fn try_appro_multi(
 ) -> Result<PseudoMulticastTree, SdnError> {
     validate_k(k)?;
     validate_request(sdn, request)?;
-    let mut scratch = ApproScratch::new();
-    appro_multi_with_scratch(sdn, request, k, &mut scratch).ok_or_else(|| {
-        SdnError::InfeasibleRequest {
-            reason: "no server combination reaches the source and every destination".into(),
-        }
+    appro_multi(sdn, request, k).ok_or_else(|| SdnError::InfeasibleRequest {
+        reason: "no server combination reaches the source and every destination".into(),
     })
 }
 
@@ -92,24 +86,9 @@ pub fn try_appro_multi_cap(
     request: &MulticastRequest,
     k: usize,
 ) -> Result<Admission, SdnError> {
-    let mut scratch = ApproScratch::new();
-    try_appro_multi_cap_with_scratch(sdn, request, k, &mut scratch)
-}
-
-/// [`try_appro_multi_cap`] with caller-owned working memory.
-///
-/// # Errors
-///
-/// Same contract as [`try_appro_multi_cap`].
-pub fn try_appro_multi_cap_with_scratch(
-    sdn: &Sdn,
-    request: &MulticastRequest,
-    k: usize,
-    scratch: &mut ApproScratch,
-) -> Result<Admission, SdnError> {
     validate_k(k)?;
     validate_request(sdn, request)?;
-    Ok(appro_multi_cap_with_scratch(sdn, request, k, scratch))
+    Ok(appro_multi_cap(sdn, request, k))
 }
 
 /// Panic-free [`one_server`](crate::one_server).

@@ -20,6 +20,10 @@
 //!   auxiliary-graph structure (Dreyfus–Wagner inside); the test oracle
 //!   for the 2K bound.
 //!
+//! The combination scan keeps its working memory on the calling thread,
+//! so repeated plans on one thread reuse its buffers and no caller
+//! passes any.
+//!
 //! ## Example
 //!
 //! ```
@@ -65,24 +69,18 @@ mod viz;
 
 pub use appro_multi::{
     appro_multi, appro_multi_on_graph, appro_multi_reference, appro_multi_unpruned,
-    appro_multi_with_scratch, appro_multi_with_steiner, ApproScratch, SteinerRoutine,
+    appro_multi_with_steiner, SteinerRoutine,
 };
 pub use auxiliary::AuxiliaryGraph;
 pub use cache::{
     appro_multi_cached, appro_multi_cap_cached, appro_multi_cap_plan_cached, PathCache,
     PathCacheOptions,
 };
-pub use capacitated::{
-    appro_multi_cap, appro_multi_cap_plan_excluding, appro_multi_cap_plan_with_scratch,
-    appro_multi_cap_with_scratch, Admission, CapPlan,
-};
+pub use capacitated::{appro_multi_cap, appro_multi_cap_plan_excluding, Admission, CapPlan};
 pub use combinations::{combinations_up_to, Combinations};
 pub use delay::{appro_multi_delay_bounded, max_delivery_hops, DelayBounded};
 pub use exact::exact_pseudo_multicast;
-pub use fallible::{
-    try_appro_multi, try_appro_multi_cap, try_appro_multi_cap_with_scratch, try_one_server,
-    validate_request,
-};
+pub use fallible::{try_appro_multi, try_appro_multi_cap, try_one_server, validate_request};
 pub use one_server::one_server;
 pub use pseudo_tree::{PseudoMulticastTree, ServerUse};
 pub use rules::{

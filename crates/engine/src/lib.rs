@@ -41,18 +41,17 @@ pub use pipeline::{AdmissionPipeline, PipelineConfig, PipelineOutcome, PipelineR
 pub use repair::{CommittedSession, Departure, RepairReport, SessionManager};
 pub use resilience::{BackupPolicy, BackupTree, GraftOutcome, PruneOutcome};
 
-use nfv_multicast::{appro_multi_cap_with_scratch, Admission, ApproScratch};
+use nfv_multicast::{appro_multi_cap, Admission};
 use sdn::{MulticastRequest, Sdn};
 
 /// The reference implementation: admits `requests` strictly one at a time,
 /// committing each admitted allocation before planning the next request.
 // lint:entry(api)
 pub fn admit_sequential(sdn: &mut Sdn, requests: &[MulticastRequest], k: usize) -> Vec<Admission> {
-    let mut scratch = ApproScratch::new();
     requests
         .iter()
         .map(|req| {
-            let adm = appro_multi_cap_with_scratch(sdn, req, k, &mut scratch);
+            let adm = appro_multi_cap(sdn, req, k);
             if let Admission::Admitted(tree) = &adm {
                 sdn.allocate(&tree.allocation(req))
                     .expect("admitted tree fits residual capacities"); // lint:allow(P1): the tree was planned on this exact residual state

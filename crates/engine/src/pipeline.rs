@@ -48,7 +48,7 @@
 use crate::audit::audit;
 use crate::repair::CommittedSession;
 use crate::spec::{feasibility_disturbed, TouchedSet};
-use nfv_multicast::{appro_multi_cap_with_scratch, Admission, ApproScratch, CapPlan, PathCache};
+use nfv_multicast::{appro_multi_cap, Admission, CapPlan, PathCache};
 use nfv_online::{ActiveSessions, TimedRequest};
 use sdn::{MulticastRequest, Sdn};
 use std::collections::{BTreeMap, VecDeque};
@@ -218,7 +218,6 @@ pub struct AdmissionPipeline {
     last_arrival: f64,
     decisions: Vec<Admission>,
     report: PipelineReport,
-    scratch: ApproScratch,
     jobs: Option<mpsc::Sender<PlanJob>>,
     results: mpsc::Receiver<PlanResult>,
     handles: Vec<JoinHandle<()>>,
@@ -273,7 +272,6 @@ impl AdmissionPipeline {
             last_arrival: f64::NEG_INFINITY,
             decisions: Vec::new(),
             report,
-            scratch: ApproScratch::new(),
             jobs,
             results: result_rx,
             handles,
@@ -461,11 +459,9 @@ impl AdmissionPipeline {
             Speculation::Plan { .. } | Speculation::Lost => {
                 self.report.replanned += 1;
                 telemetry::hit(telemetry::Counter::EngineReplans);
-                appro_multi_cap_with_scratch(&self.sdn, req, self.cfg.k, &mut self.scratch)
+                appro_multi_cap(&self.sdn, req, self.cfg.k)
             }
-            Speculation::Inline => {
-                appro_multi_cap_with_scratch(&self.sdn, req, self.cfg.k, &mut self.scratch)
-            }
+            Speculation::Inline => appro_multi_cap(&self.sdn, req, self.cfg.k),
         };
 
         if let Admission::Admitted(tree) = &decision {

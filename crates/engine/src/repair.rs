@@ -22,15 +22,14 @@
 //! ends with an explicit [`SessionManager::depart`]; for a pending one
 //! that cancels the queued replan.
 //!
-//! The manager owns the server budget `K` it plans with and one
-//! [`ApproScratch`] reused by every plan it makes.
+//! The manager owns the server budget `K` it plans with.
 //!
 //! Live sessions sit in one [`ActiveSessions`] table, which releases
 //! them, counts departures, and guards against double release.
 
 use crate::resilience::{BackupPolicy, BackupTree};
 use netgraph::{EdgeId, NodeId, UnionFind};
-use nfv_multicast::{appro_multi_cap_with_scratch, Admission, ApproScratch, PseudoMulticastTree};
+use nfv_multicast::{appro_multi_cap, Admission, PseudoMulticastTree};
 use nfv_online::{ActiveSession, ActiveSessions};
 use sdn::{Allocation, MulticastRequest, RequestId, Sdn, SdnError};
 use std::collections::{BTreeMap, BTreeSet};
@@ -112,8 +111,6 @@ pub struct SessionManager {
     /// Server budget `K` of every plan: admission, repair, backups and
     /// re-optimization.
     pub(crate) k: usize,
-    /// Working memory reused by every plan.
-    pub(crate) scratch: ApproScratch,
     pub(crate) sessions: ActiveSessions<CommittedSession>,
     link_members: BTreeMap<EdgeId, BTreeSet<RequestId>>,
     server_members: BTreeMap<NodeId, BTreeSet<RequestId>>,
@@ -140,7 +137,6 @@ impl SessionManager {
         assert!(k >= 1, "at least one server is required (K >= 1)");
         SessionManager {
             k,
-            scratch: ApproScratch::new(),
             sessions: ActiveSessions::default(),
             link_members: BTreeMap::new(),
             server_members: BTreeMap::new(),
@@ -203,7 +199,7 @@ impl SessionManager {
     /// request whose id is already committed or pending.
     // lint:entry(api)
     pub fn admit(&mut self, sdn: &mut Sdn, request: &MulticastRequest) -> Result<bool, SdnError> {
-        match appro_multi_cap_with_scratch(sdn, request, self.k, &mut self.scratch) {
+        match appro_multi_cap(sdn, request, self.k) {
             Admission::Admitted(tree) => {
                 self.commit(sdn, request.clone(), tree)?;
                 Ok(true)
@@ -373,9 +369,7 @@ impl SessionManager {
             let request = self.pending[&id].request.clone();
 
             report.plan_events += 1;
-            if let Admission::Admitted(tree) =
-                appro_multi_cap_with_scratch(sdn, &request, self.k, &mut self.scratch)
-            {
+            if let Admission::Admitted(tree) = appro_multi_cap(sdn, &request, self.k) {
                 self.pending.remove(&id);
                 self.commit(sdn, request, tree)
                     .expect("invariant: a replanned tree fits the residual it was planned on"); // lint:allow(P1): replanning ran on the exact residual being committed
@@ -389,9 +383,7 @@ impl SessionManager {
             if let Some(reduced) = reachable_subrequest(sdn, &request) {
                 let shed = request.destinations.len() - reduced.destinations.len();
                 report.plan_events += 1;
-                if let Admission::Admitted(tree) =
-                    appro_multi_cap_with_scratch(sdn, &reduced, self.k, &mut self.scratch)
-                {
+                if let Admission::Admitted(tree) = appro_multi_cap(sdn, &reduced, self.k) {
                     self.pending.remove(&id);
                     self.commit(sdn, reduced, tree)
                         .expect("invariant: a degraded tree fits the residual"); // lint:allow(P1): the degraded tree was planned on this exact residual

@@ -50,8 +50,7 @@
 use crate::repair::{CommittedSession, SessionManager};
 use netgraph::{EdgeId, NodeId};
 use nfv_multicast::{
-    appro_multi_cap_plan_excluding, appro_multi_cap_with_scratch, Admission, CapPlan,
-    PseudoMulticastTree,
+    appro_multi_cap, appro_multi_cap_plan_excluding, Admission, CapPlan, PseudoMulticastTree,
 };
 use sdn::{Allocation, FeasibleGraph, MulticastRequest, RequestId, Sdn};
 use std::collections::BTreeSet;
@@ -211,25 +210,21 @@ impl SessionManager {
 
         let mut planned: Vec<BackupTree> = Vec::new();
         let mut charged: Vec<Allocation> = Vec::new();
-        for (link, _) in loaded {
-            let excluded: BTreeSet<EdgeId> = [link].into_iter().collect();
-            match policy {
-                BackupPolicy::BestEffort => {
-                    // Plan on the post-release view: with the primary's
-                    // own hold removed, this is the exact state a reactive
-                    // replan would see right after the failure releases
-                    // the session (assuming nothing else changed).
-                    let mut view = sdn.clone();
-                    view.release(&primary)
-                        .expect("a committed allocation releases from its own clone"); // lint:allow(P1): primary was applied to sdn, so the clone balances
-                    if let Admission::Admitted(tree) = appro_multi_cap_plan_excluding(
-                        &view,
-                        &request,
-                        self.k,
-                        &excluded,
-                        &mut self.scratch,
-                    )
-                    .admit(&view, &request)
+        match policy {
+            BackupPolicy::BestEffort => {
+                // Plan on the post-release view: with the primary's own
+                // hold removed, this is the exact state a reactive replan
+                // would see right after the failure releases the session
+                // (assuming nothing else changed). Best-effort backups
+                // charge nothing, so one view serves every protected link.
+                let mut view = sdn.clone();
+                view.release(&primary)
+                    .expect("a committed allocation releases from its own clone"); // lint:allow(P1): primary was applied to sdn, so the clone balances
+                for (link, _) in loaded {
+                    let excluded: BTreeSet<EdgeId> = [link].into_iter().collect();
+                    if let Admission::Admitted(tree) =
+                        appro_multi_cap_plan_excluding(&view, &request, self.k, &excluded)
+                            .admit(&view, &request)
                     {
                         let allocation = tree.allocation(&request);
                         planned.push(BackupTree {
@@ -240,16 +235,13 @@ impl SessionManager {
                         });
                     }
                 }
-                BackupPolicy::Reserved => {
-                    // Plan on the live state — the reservation must
-                    // coexist with the primary allocation.
-                    let plan = appro_multi_cap_plan_excluding(
-                        sdn,
-                        &request,
-                        self.k,
-                        &excluded,
-                        &mut self.scratch,
-                    );
+            }
+            BackupPolicy::Reserved => {
+                // Plan on the live state — the reservation must coexist
+                // with the primary allocation.
+                for (link, _) in loaded {
+                    let excluded: BTreeSet<EdgeId> = [link].into_iter().collect();
+                    let plan = appro_multi_cap_plan_excluding(sdn, &request, self.k, &excluded);
                     if let CapPlan::Tree(tree) = plan {
                         let allocation = tree.allocation(&request);
                         if sdn.can_allocate(&allocation) {
@@ -574,7 +566,7 @@ impl SessionManager {
             request,
             tree: old_tree,
         } = s.payload;
-        match appro_multi_cap_with_scratch(sdn, &request, self.k, &mut self.scratch) {
+        match appro_multi_cap(sdn, &request, self.k) {
             Admission::Admitted(tree) => {
                 self.commit(sdn, request, tree)
                     .expect("a fresh plan fits the residual it was planned on"); // lint:allow(P1): replanning ran on the exact residual being committed

@@ -215,77 +215,6 @@ impl Report {
     }
 }
 
-/// The schema-v2 report fields a consumer (CI trend script, round-trip
-/// test) reads back out of `results/lint.json`.
-#[derive(Debug, PartialEq, Eq)]
-pub struct ReportSummary {
-    /// Schema version (`2` for reports this crate writes).
-    pub version: u64,
-    /// Number of files scanned.
-    pub files_scanned: usize,
-    /// Deny-severity violation count.
-    pub denied: usize,
-    /// Per-rule violation counts.
-    pub counts: BTreeMap<String, usize>,
-    /// Per-rule `lint:allow` escape counts.
-    pub allow_counts: BTreeMap<String, usize>,
-    /// P2 reachability summary, when the workspace had entry roots.
-    pub reachability: Option<Reachability>,
-}
-
-impl ReportSummary {
-    /// Parses the summary fields back out of a schema-v2 report. This is
-    /// a minimal hand-rolled reader (the container has no serde); it
-    /// understands exactly the shapes `Report::to_json` emits.
-    #[must_use]
-    pub fn from_json(src: &str) -> Option<ReportSummary> {
-        let int = |key: &str| -> Option<u64> {
-            let pat = format!("\"{key}\":");
-            let at = src.find(&pat)? + pat.len();
-            let rest = src[at..].trim_start();
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..end].parse().ok()
-        };
-        let obj = |key: &str| -> Option<BTreeMap<String, usize>> {
-            let pat = format!("\"{key}\": {{");
-            let at = src.find(&pat)? + pat.len();
-            let body = &src[at..src[at..].find('}')? + at];
-            let mut m = BTreeMap::new();
-            for pair in body.split(',') {
-                let pair = pair.trim();
-                if pair.is_empty() {
-                    continue;
-                }
-                let (k, v) = pair.split_once(':')?;
-                let k = k.trim().trim_matches('"');
-                m.insert(k.to_string(), v.trim().parse().ok()?);
-            }
-            Some(m)
-        };
-        let reachability = if src.contains("\"reachability\": null") {
-            None
-        } else {
-            Some(Reachability {
-                entries: int("entries")? as usize,
-                total_fns: int("total_fns")? as usize,
-                reachable_fns: int("reachable_fns")? as usize,
-                reachable_allowed_panics: int("reachable_allowed_panics")? as usize,
-                cold_allowed_panics: int("cold_allowed_panics")? as usize,
-            })
-        };
-        Some(ReportSummary {
-            version: int("version")?,
-            files_scanned: int("files_scanned")? as usize,
-            denied: int("denied")? as usize,
-            counts: obj("counts")?,
-            allow_counts: obj("allow_counts")?,
-            reachability,
-        })
-    }
-}
-
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -417,37 +346,5 @@ mod tests {
         assert!(json.contains("\"violations\": []"));
         assert!(json.contains("\"reachability\": null"));
         assert_eq!(report.denied(), 0);
-    }
-
-    #[test]
-    fn summary_round_trips_through_json() {
-        let report = Report {
-            violations: vec![Violation {
-                rule: "T1".into(),
-                severity: Severity::Deny,
-                path: "crates/x/src/a.rs".into(),
-                line: 9,
-                message: "raw comparison".into(),
-            }],
-            files_scanned: 7,
-            allow_counts: [("P1".to_string(), 120), ("D1".to_string(), 3)]
-                .into_iter()
-                .collect(),
-            reachability: Some(Reachability {
-                entries: 8,
-                total_fns: 400,
-                reachable_fns: 250,
-                reachable_allowed_panics: 90,
-                cold_allowed_panics: 30,
-            }),
-            cold_sites: vec![],
-        };
-        let parsed = ReportSummary::from_json(&report.to_json()).expect("parse back");
-        assert_eq!(parsed.version, 2);
-        assert_eq!(parsed.files_scanned, 7);
-        assert_eq!(parsed.denied, 1);
-        assert_eq!(parsed.counts.get("T1"), Some(&1));
-        assert_eq!(parsed.allow_counts.get("P1"), Some(&120));
-        assert_eq!(parsed.reachability, report.reachability);
     }
 }

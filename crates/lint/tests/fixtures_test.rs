@@ -241,18 +241,6 @@ fn semantic_rules_are_individually_toggleable() {
 }
 
 #[test]
-fn schema_v2_round_trips_from_workspace_report() {
-    let report = lint_semws();
-    let parsed = nfv_lint::ReportSummary::from_json(&report.to_json()).expect("parse v2");
-    assert_eq!(parsed.version, 2);
-    assert_eq!(parsed.files_scanned, report.files_scanned);
-    assert_eq!(parsed.denied, report.denied());
-    assert_eq!(parsed.counts, report.counts());
-    assert_eq!(parsed.allow_counts, report.allow_counts);
-    assert_eq!(parsed.reachability, report.reachability);
-}
-
-#[test]
 fn cli_exits_nonzero_on_a_dirty_semantic_workspace() {
     let semws = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/semws");
     let json = Path::new(env!("CARGO_TARGET_TMPDIR")).join("semws-lint.json");

@@ -13,13 +13,13 @@
 
 use crate::{phase1_survivors, CostMode, OnlineAlgorithm};
 use netgraph::{EdgeId, NodeId};
-use nfv_multicast::{appro_multi_on_graph, ApproScratch, PseudoMulticastTree};
+use nfv_multicast::{appro_multi_on_graph, PseudoMulticastTree};
 use sdn::{ExponentialCostModel, FeasibleGraph, MulticastRequest, Sdn};
 
 /// Online admission with up to `K` chain instances per request.
 ///
-/// One instance keeps its priced subgraph, its candidate list and the
-/// combination scan's buffers across decisions.
+/// One instance keeps its priced subgraph and its candidate list across
+/// decisions.
 #[derive(Debug, Clone)]
 pub struct OnlineCpMulti {
     k: usize,
@@ -27,7 +27,6 @@ pub struct OnlineCpMulti {
     servers: Vec<(NodeId, f64)>,
     /// `G_k` under the congestion prices, σ-heavy links dropped.
     feasible: FeasibleGraph,
-    scratch: ApproScratch,
 }
 
 impl OnlineCpMulti {
@@ -43,7 +42,6 @@ impl OnlineCpMulti {
             k,
             servers: Vec::new(),
             feasible: FeasibleGraph::default(),
-            scratch: ApproScratch::new(),
         }
     }
 
@@ -69,7 +67,6 @@ impl OnlineAlgorithm for OnlineCpMulti {
             k,
             servers,
             feasible,
-            scratch,
         } = self;
 
         // Candidates: the servers that fit the chain and pass the
@@ -95,7 +92,7 @@ impl OnlineAlgorithm for OnlineCpMulti {
             let tiebreak = sdn::COST_TIEBREAK_REL * sdn.unit_bandwidth_cost(e) / c_max;
             (w < sigma).then(|| (w + tiebreak) / b)
         });
-        let mut tree = appro_multi_on_graph(feasible.graph(), request, *k, servers, scratch)?
+        let mut tree = appro_multi_on_graph(feasible.graph(), request, *k, servers)?
             .map_edges(|e| feasible.parent_edge(e));
 
         // Re-price the tree in real units.

@@ -473,31 +473,6 @@ impl Event {
             _ => 0,
         }
     }
-
-    /// Rebuild an event from its serialised `(kind, request, arg)` triple.
-    pub fn from_parts(kind: &str, request: u64, arg: u64) -> Option<Event> {
-        match kind {
-            "unknown_departure" => Some(Event::UnknownDeparture { request }),
-            "session_repaired" => Some(Event::SessionRepaired { request }),
-            "session_degraded" => Some(Event::SessionDegraded {
-                request,
-                shed_terminals: arg,
-            }),
-            "session_dropped" => Some(Event::SessionDropped { request }),
-            "session_deferred" => Some(Event::SessionDeferred { request }),
-            "session_failed_over" => Some(Event::SessionFailedOver { request }),
-            "session_grafted" => Some(Event::SessionGrafted {
-                request,
-                destination: arg,
-            }),
-            "session_pruned" => Some(Event::SessionPruned {
-                request,
-                destination: arg,
-            }),
-            "session_reoptimized" => Some(Event::SessionReoptimized { request }),
-            _ => None,
-        }
-    }
 }
 
 /// An event together with its logical sequence number (position in the log).
@@ -761,13 +736,6 @@ impl Snapshot {
         out
     }
 
-    /// Parse a snapshot previously produced by [`Snapshot::to_json`].
-    /// Accepts any whitespace layout; returns `None` on malformed input or
-    /// on an unknown event kind.
-    pub fn from_json(text: &str) -> Option<Snapshot> {
-        json::parse_snapshot(text)
-    }
-
     /// Render a human-readable text report.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
@@ -817,226 +785,6 @@ impl Snapshot {
             .iter()
             .find(|(n, _)| n == name)
             .map(|&(_, v)| v)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON reader for the snapshot shape
-// ---------------------------------------------------------------------------
-
-mod json {
-    //! A tiny recursive-descent reader for exactly the JSON subset that
-    //! [`Snapshot::to_json`](super::Snapshot::to_json) emits: objects with
-    //! string keys, arrays, unsigned integers, and plain (escape-free)
-    //! strings. Kept in-tree so the round-trip regression test needs no
-    //! external JSON dependency.
-
-    use super::{Event, EventRecord, HistogramSnapshot, Snapshot};
-
-    struct Reader<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Reader<'a> {
-        fn new(text: &'a str) -> Self {
-            Reader {
-                bytes: text.as_bytes(),
-                pos: 0,
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn bump(&mut self) -> Option<u8> {
-            let b = self.peek()?;
-            self.pos += 1;
-            Some(b)
-        }
-
-        fn skip_ws(&mut self) {
-            while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn require(&mut self, b: u8) -> Option<()> {
-            self.skip_ws();
-            if self.bump()? == b {
-                Some(())
-            } else {
-                None
-            }
-        }
-
-        /// `true` if the next non-whitespace byte is `b` (consumed if so).
-        fn eat(&mut self, b: u8) -> bool {
-            self.skip_ws();
-            if self.peek() == Some(b) {
-                self.pos += 1;
-                true
-            } else {
-                false
-            }
-        }
-
-        fn string(&mut self) -> Option<String> {
-            self.require(b'"')?;
-            let start = self.pos;
-            loop {
-                match self.bump()? {
-                    b'"' => break,
-                    b'\\' => return None, // writer never emits escapes
-                    _ => {}
-                }
-            }
-            let raw = self.bytes.get(start..self.pos - 1)?;
-            String::from_utf8(raw.to_vec()).ok()
-        }
-
-        fn u64(&mut self) -> Option<u64> {
-            self.skip_ws();
-            let mut value: u64 = 0;
-            let mut any = false;
-            while let Some(b @ b'0'..=b'9') = self.peek() {
-                value = value.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
-                self.pos += 1;
-                any = true;
-            }
-            if any {
-                Some(value)
-            } else {
-                None
-            }
-        }
-
-        /// `{"name": value, ...}` with integer values.
-        fn u64_map(&mut self) -> Option<Vec<(String, u64)>> {
-            self.require(b'{')?;
-            let mut out = Vec::new();
-            if self.eat(b'}') {
-                return Some(out);
-            }
-            loop {
-                let key = self.string()?;
-                self.require(b':')?;
-                let value = self.u64()?;
-                out.push((key, value));
-                if self.eat(b'}') {
-                    return Some(out);
-                }
-                self.require(b',')?;
-            }
-        }
-
-        fn key(&mut self, expected: &str) -> Option<()> {
-            let key = self.string()?;
-            if key == expected {
-                self.require(b':')
-            } else {
-                None
-            }
-        }
-
-        fn histogram(&mut self) -> Option<HistogramSnapshot> {
-            self.require(b'{')?;
-            self.key("name")?;
-            let name = self.string()?;
-            self.require(b',')?;
-            self.key("total")?;
-            let total = self.u64()?;
-            self.require(b',')?;
-            self.key("buckets")?;
-            self.require(b'[')?;
-            let mut buckets = Vec::new();
-            if !self.eat(b']') {
-                loop {
-                    self.require(b'[')?;
-                    let edge = self.u64()?;
-                    self.require(b',')?;
-                    let count = self.u64()?;
-                    self.require(b']')?;
-                    buckets.push((edge, count));
-                    if self.eat(b']') {
-                        break;
-                    }
-                    self.require(b',')?;
-                }
-            }
-            self.require(b'}')?;
-            Some(HistogramSnapshot {
-                name,
-                buckets,
-                total,
-            })
-        }
-
-        fn event(&mut self) -> Option<EventRecord> {
-            self.require(b'{')?;
-            self.key("seq")?;
-            let seq = self.u64()?;
-            self.require(b',')?;
-            self.key("kind")?;
-            let kind = self.string()?;
-            self.require(b',')?;
-            self.key("request")?;
-            let request = self.u64()?;
-            self.require(b',')?;
-            self.key("arg")?;
-            let arg = self.u64()?;
-            self.require(b'}')?;
-            let event = Event::from_parts(&kind, request, arg)?;
-            Some(EventRecord { seq, event })
-        }
-    }
-
-    pub(super) fn parse_snapshot(text: &str) -> Option<Snapshot> {
-        let mut r = Reader::new(text);
-        r.require(b'{')?;
-        r.key("counters")?;
-        let counters = r.u64_map()?;
-        r.require(b',')?;
-        r.key("gauges")?;
-        let gauges = r.u64_map()?;
-        r.require(b',')?;
-        r.key("histograms")?;
-        r.require(b'[')?;
-        let mut histograms = Vec::new();
-        if !r.eat(b']') {
-            loop {
-                histograms.push(r.histogram()?);
-                if r.eat(b']') {
-                    break;
-                }
-                r.require(b',')?;
-            }
-        }
-        r.require(b',')?;
-        r.key("events")?;
-        r.require(b'[')?;
-        let mut events = Vec::new();
-        if !r.eat(b']') {
-            loop {
-                events.push(r.event()?);
-                if r.eat(b']') {
-                    break;
-                }
-                r.require(b',')?;
-            }
-        }
-        r.require(b'}')?;
-        r.skip_ws();
-        if r.peek().is_some() {
-            return None;
-        }
-        Some(Snapshot {
-            counters,
-            gauges,
-            histograms,
-            events,
-        })
     }
 }
 
@@ -1101,9 +849,6 @@ mod tests {
         assert_eq!(combos.buckets.first(), Some(&(1, 2)));
         assert_eq!(combos.buckets.last(), Some(&(u64::MAX, 1)));
 
-        // JSON round-trip is exact.
-        let json = snap.to_json();
-        assert_eq!(Snapshot::from_json(&json), Some(snap.clone()));
         // Text rendering mentions the non-zero rows.
         let text = snap.to_text();
         assert!(text.contains("combos_evaluated"));
@@ -1125,15 +870,5 @@ mod tests {
         for (i, h) in Hist::ALL.iter().enumerate() {
             assert_eq!(*h as usize, i);
         }
-    }
-
-    #[test]
-    fn parser_rejects_malformed_input() {
-        assert_eq!(Snapshot::from_json(""), None);
-        assert_eq!(Snapshot::from_json("{}"), None);
-        assert_eq!(Snapshot::from_json("{\"counters\": {\"a\": 1}"), None);
-        let good = Snapshot::default().to_json();
-        assert!(Snapshot::from_json(&good).is_some());
-        assert_eq!(Snapshot::from_json(&format!("{good}x")), None);
     }
 }

@@ -3,9 +3,7 @@
 
 use integration_tests::{request_batch, waxman_fixture};
 use netgraph::EdgeId;
-use nfv_multicast::{
-    appro_multi, appro_multi_cap, appro_multi_cap_plan_excluding, ApproScratch, CapPlan,
-};
+use nfv_multicast::{appro_multi, appro_multi_cap, appro_multi_cap_plan_excluding, CapPlan};
 use sdn::{MulticastRequest, Sdn, SdnBuilder};
 use std::collections::BTreeSet;
 
@@ -148,10 +146,9 @@ fn sub_sdn_reference(
 #[test]
 fn plans_byte_identically_to_the_sub_sdn_construction() {
     // Load the network, fail links and servers, then compare every plan
-    // — with and without an excluded link — against the reference, with
-    // one scratch reused throughout so a stale subgraph would show.
+    // — with and without an excluded link — against the reference, all
+    // on this one thread, so a stale subgraph or scan buffer would show.
     let n = 50;
-    let mut scratch = ApproScratch::new();
     let (mut plans, mut trees, mut excluded_plans, mut moved) = (0, 0, 0, 0);
     for seed in [100, 110] {
         let mut sdn = waxman_fixture(n, seed);
@@ -170,7 +167,7 @@ fn plans_byte_identically_to_the_sub_sdn_construction() {
 
         for req in request_batch(n, 60, seed + 2) {
             let none = BTreeSet::new();
-            let plan = appro_multi_cap_plan_excluding(&sdn, &req, 3, &none, &mut scratch);
+            let plan = appro_multi_cap_plan_excluding(&sdn, &req, 3, &none);
             let reference = sub_sdn_reference(&sdn, &req, 3, None);
             assert_eq!(
                 format!("{plan:?}"),
@@ -187,7 +184,7 @@ fn plans_byte_identically_to_the_sub_sdn_construction() {
                 CapPlan::NoTree => links[1],
             };
             let excluded: BTreeSet<EdgeId> = [cut].into_iter().collect();
-            let without = appro_multi_cap_plan_excluding(&sdn, &req, 3, &excluded, &mut scratch);
+            let without = appro_multi_cap_plan_excluding(&sdn, &req, 3, &excluded);
             let reference = sub_sdn_reference(&sdn, &req, 3, Some(cut));
             assert_eq!(
                 format!("{without:?}"),

@@ -10,13 +10,13 @@
 //!
 //! The reference below is deliberately *not* the pipeline's own inline
 //! mode: it replays the stream with `ActiveSessions::release_due` and
-//! `appro_multi_cap_with_scratch`, sharing no speculation or snapshot
+//! `appro_multi_cap`, sharing no speculation or snapshot
 //! machinery with the code under test.
 
 use integration_tests::waxman_fixture;
 use netgraph::NodeId;
 use nfv_engine::{AdmissionPipeline, PipelineConfig};
-use nfv_multicast::{appro_multi_cap_with_scratch, Admission, ApproScratch};
+use nfv_multicast::{appro_multi_cap, Admission};
 use nfv_online::{ActiveSessions, TimedRequest};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -41,11 +41,10 @@ fn timed_stream(n: usize, count: usize, seed: u64, mean_holding: f64) -> Vec<Tim
 /// byte-for-byte.
 fn reference_stream(mut sdn: Sdn, stream: &[TimedRequest], k: usize) -> (Sdn, Vec<Admission>) {
     let mut active = ActiveSessions::new();
-    let mut scratch = ApproScratch::new();
     let mut decisions = Vec::with_capacity(stream.len());
     for tr in stream {
         active.release_due(&mut sdn, tr.arrival);
-        let adm = appro_multi_cap_with_scratch(&sdn, &tr.request, k, &mut scratch);
+        let adm = appro_multi_cap(&sdn, &tr.request, k);
         if let Admission::Admitted(tree) = &adm {
             let alloc = tree.allocation(&tr.request);
             sdn.allocate(&alloc).expect("admitted tree fits");

@@ -14,7 +14,6 @@
 use nfv_engine::SessionManager;
 use nfv_multicast::{appro_multi_cap, Admission};
 use sdn::{MulticastRequest, NfvType, RequestId, Sdn, SdnBuilder, ServiceChain};
-use telemetry::Snapshot;
 
 /// The DESIGN.md quickstart shape: source, two candidate servers on
 /// distinct paths, one destination.
@@ -112,12 +111,8 @@ fn pinned_counters_for_fixed_scenario() {
         telemetry::Event::UnknownDeparture { request: 99 }
     );
 
-    // results/telemetry.json round-trips: through our parser and through
-    // the vendored serde stub's Serialize bound.
+    // The snapshot meets the vendored serde stub's Serialize bound.
     assert_serializable(&snap);
-    let json = snap.to_json();
-    let back = Snapshot::from_json(&json).expect("snapshot JSON parses");
-    assert_eq!(snap, back);
 
     telemetry::disable();
 }

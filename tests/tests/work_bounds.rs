@@ -7,14 +7,14 @@
 //!   per anchor terminal and puts the server last in KMB), and the
 //!   landmark-oracle scan decides exactly like it, request by request.
 //! * `Appro_Multi` on the paper's Fig. 5 setting (250-switch Waxman,
-//!   K = 3): the pruned scan plans exactly like the unpruned audit scan
-//!   and evaluates at most [`FIG5_PRUNED_COMBOS`] combinations.
+//!   K = 3): the pruned scan plans exactly like the unpruned audit scan,
+//!   evaluates at most [`FIG5_PRUNED_COMBOS`] combinations, and both of
+//!   its skips — the lower bounds and winner-vector dedup — fire.
 //!
-//! One `#[test]` only: `DijkstraRuns` and `CombosEvaluated` are
-//! process-wide counters, which a concurrently running test would
-//! inflate.
+//! One `#[test]` only: `DijkstraRuns` and the `Combos*` counters are
+//! process-wide, which a concurrently running test would inflate.
 
-use nfv_multicast::{appro_multi_unpruned, appro_multi_with_scratch, ApproScratch};
+use nfv_multicast::{appro_multi, appro_multi_unpruned};
 use nfv_online::{OnlineAlgorithm, OnlineCp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -74,7 +74,12 @@ fn fat_tree_online_cp_within_anchor_bound() {
 
 fn fig5_pruned_scan_within_combination_budget() {
     let sdn = sim::waxman_sdn(250, 0);
-    let mut scratch = ApproScratch::new();
+    let skipped = || {
+        let pruned = telemetry::counter_value(Counter::CombosPrunedLb1)
+            + telemetry::counter_value(Counter::CombosPrunedLb2);
+        (pruned, telemetry::counter_value(Counter::CombosDeduped))
+    };
+    let before = skipped();
     let mut evaluated = 0;
     for ratio in [0.10, 0.15, 0.20] {
         let mut rng = StdRng::seed_from_u64(5);
@@ -82,9 +87,7 @@ fn fig5_pruned_scan_within_combination_budget() {
             .with_dmax_ratio(ratio)
             .generate_batch(4, &mut rng);
         for req in &requests {
-            let (pruned, combos) = counted(Counter::CombosEvaluated, || {
-                appro_multi_with_scratch(&sdn, req, 3, &mut scratch)
-            });
+            let (pruned, combos) = counted(Counter::CombosEvaluated, || appro_multi(&sdn, req, 3));
             evaluated += combos;
             assert_eq!(
                 pruned,
@@ -98,6 +101,11 @@ fn fig5_pruned_scan_within_combination_budget() {
         evaluated <= FIG5_PRUNED_COMBOS,
         "the pruned scan evaluated {evaluated} combinations, above {FIG5_PRUNED_COMBOS}"
     );
+    // The unpruned scan skips nothing, so every skip is the pruned one's.
+    let after = skipped();
+    let (pruned, deduped) = (after.0 - before.0, after.1 - before.1);
+    assert!(pruned > 0, "the lower bounds never pruned a combination");
+    assert!(deduped > 0, "winner-vector dedup never fired");
 }
 
 #[test]
