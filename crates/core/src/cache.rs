@@ -3,15 +3,17 @@
 //! `Appro_Multi` spends almost all of its time in Dijkstra runs whose
 //! inputs are *unit costs* — which never change — yet the sequential
 //! admission loop recomputes them for every request. [`PathCache`] holds
-//! a CSR snapshot of the topology plus one full [`ShortestPathTree`] per
-//! requested source, and [`appro_multi_cached`] /
+//! a CSR snapshot of the topology plus one [`ShortestPathTree`] per
+//! requested source, kept as its predecessor edges, and [`appro_multi_cached`] /
 //! [`appro_multi_cap_cached`] drive the algorithms from it.
 //!
 //! ## Why the cached results are byte-identical
 //!
 //! * The CSR snapshot preserves adjacency order, so its Dijkstra relaxes
 //!   edges in the same order as [`netgraph::dijkstra`] and produces
-//!   bit-identical distance/predecessor arrays.
+//!   bit-identical distance/predecessor arrays. A hit rebuilds a stored
+//!   tree's distances from its predecessor edges with the kernel's own
+//!   additions in the kernel's own order, so it is bit-identical too.
 //! * `appro_multi` normally runs *early-exit* Dijkstra from each
 //!   destination; the cache substitutes *full* trees. A settled node's
 //!   distance and predecessor are final, and the algorithm only reads
@@ -77,9 +79,10 @@ impl Fingerprint {
 /// residual-capacity fingerprint is re-read whenever [`Sdn::version`]
 /// moves. `Clone` is a deep copy (see [`SptCache`]).
 ///
-/// Each resident tree costs 12 bytes a node (see [`ShortestPathTree`]):
-/// 60 KiB on the 5 120-node fat-tree, where one 400-request pipeline
-/// pass keeps about 1 630 of them. Its paths are read against
+/// Each resident tree costs 4 bytes a node, its predecessor edge ids
+/// (see [`SptCache`]): 20 KiB on the 5 120-node fat-tree, where one
+/// 400-request pipeline pass keeps about 1 630 of them. A hit rebuilds
+/// the tree's distances bit for bit. Its paths are read against
 /// `sdn.graph()`, whose ids the CSR snapshot shares.
 #[derive(Debug, Clone)]
 pub struct PathCache {
@@ -98,9 +101,9 @@ pub struct PathCache {
 /// reproduces the original unbounded cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PathCacheOptions {
-    /// Bound on resident shortest-path trees (`None` = unbounded). At 10k+
-    /// nodes one tree is `Θ(n)` memory (12 bytes a node), so bound this
-    /// to keep the cache from growing towards `Θ(n²)`.
+    /// Bound on resident shortest-path trees (`None` = unbounded). One
+    /// resident tree is `Θ(n)` memory (4 bytes a node), so at large n
+    /// bound this to keep the cache from growing towards `Θ(n²)`.
     pub capacity: Option<usize>,
 }
 
@@ -179,7 +182,7 @@ impl PathCache {
     /// # Panics
     ///
     /// Panics if `source` is not a node of the cached topology.
-    pub fn spt(&mut self, source: NodeId) -> Arc<ShortestPathTree> {
+    pub fn spt(&mut self, source: NodeId) -> ShortestPathTree {
         self.cache.spt(source)
     }
 
@@ -230,16 +233,17 @@ pub fn appro_multi_cached(
         cache.serves(sdn),
         "cache topology does not match the network"
     );
-    let spt_source = cache.spt(request.source);
-    let spt_dests: Vec<Arc<ShortestPathTree>> =
-        request.destinations.iter().map(|&d| cache.spt(d)).collect();
-    let dest_refs: Vec<&ShortestPathTree> = spt_dests.iter().map(Arc::as_ref).collect();
+    let roots: Vec<NodeId> = std::iter::once(request.source)
+        .chain(request.destinations.iter().copied())
+        .collect();
+    let (spt_source, spt_dests) = cache.cache.trees(&roots).split_first()?;
+    let dest_refs: Vec<&ShortestPathTree> = spt_dests.iter().collect();
     appro_multi_scan(
         sdn.graph(),
         request,
         k,
         &priced_servers(sdn),
-        &spt_source,
+        spt_source,
         &dest_refs,
         true,
     )

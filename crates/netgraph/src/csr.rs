@@ -15,7 +15,7 @@
 //! [`SptCache`] memoizes full shortest-path trees per source on top of a
 //! snapshot, in a store that any number of planner threads can share.
 
-use crate::paths::{shortest_paths, Adjacency, DijkstraScratch, ShortestPathTree, Stop};
+use crate::paths::{shortest_paths, Adjacency, DijkstraScratch, ShortestPathTree, Stop, TreeEdge};
 use crate::{EdgeId, Graph, NodeId};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -139,6 +139,21 @@ impl CsrGraph {
         n.index() < self.node_count()
     }
 
+    /// Every edge's endpoints and weight, indexed by edge id: what a
+    /// stored tree is rebuilt from.
+    fn tree_edges(&self) -> Vec<TreeEdge> {
+        let len = self.arcs.iter().map(|a| a.edge.index() + 1).max();
+        let mut table = vec![TreeEdge::default(); len.unwrap_or(0)];
+        for tail in (0..self.node_count()).map(NodeId::new) {
+            for (head, edge, weight) in self.arcs(tail) {
+                if let Some(slot) = table.get_mut(edge.index()) {
+                    *slot = TreeEdge::new(tail, head, weight);
+                }
+            }
+        }
+        table
+    }
+
     /// The arcs leaving `n`, as `(head, edge, weight)` triples in the
     /// source graph's adjacency order. Empty for a node outside the
     /// snapshot.
@@ -213,8 +228,16 @@ pub fn dijkstra_csr_with_targets(
 /// but gets a store of its own, so neither copy ever sees a tree the
 /// other computes afterwards.
 ///
-/// Trees are handed out as `Arc`s so callers can hold them across further
-/// queries without copying the arrays. Edge weights in this codebase are
+/// A resident slot keeps only its tree's predecessor edge ids, 4 bytes a
+/// node (20 KiB at n = 5 120). A miss hands the caller the kernel's tree
+/// and stores a copy of its `pred`; a hit rebuilds the distances from the
+/// root outward, `dist[p] + w(pred edge)`, which repeats the kernel's own
+/// additions and so is bit-identical to it. The rebuild reads each edge's
+/// endpoints and weight from a table the store builds once from the
+/// snapshot's arcs (16 bytes an edge). [`SptCache::trees`] writes a
+/// request's trees into arrays the handle keeps, so a planner that reads
+/// them and moves on allocates nothing per lookup but the slots of its
+/// misses. Edge weights in this codebase are
 /// immutable unit costs, so a tree never goes stale. A tree's paths are
 /// read against the [`Graph`] the snapshot was built from
 /// ([`ShortestPathTree::path_to`]), which shares its node and edge ids.
@@ -231,18 +254,20 @@ pub fn dijkstra_csr_with_targets(
 /// ## Bounded mode
 ///
 /// [`SptCache::new`] is unbounded — fine at the paper's n=250, but one
-/// full tree is `Θ(n)` memory (12 bytes a node: an `f64` distance and a
-/// `u32` predecessor edge id, 60 KiB at n = 5 120), so at 10k+ nodes an
+/// resident tree is `Θ(n)` memory (4 bytes a node), so at large n an
 /// unbounded cache grows towards `Θ(n²)`. [`SptCache::with_capacity`] bounds the number of
 /// resident trees: a query for a non-resident source at capacity evicts
 /// the resident tree with the oldest last-use tick (ties: lowest id;
 /// ticks are a monotone counter shared by every handle, never wall
 /// clock). Eviction never changes answers — a re-computed tree is
-/// bit-identical to the evicted one.
+/// bit-identical to the evicted one, and so is a rebuilt one.
 #[derive(Debug)]
 pub struct SptCache {
     store: Arc<SptStore>,
     scratch: DijkstraScratch,
+    /// The trees the last [`SptCache::trees`] call filled, refilled in
+    /// place by the next call.
+    trees: Vec<ShortestPathTree>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -252,13 +277,16 @@ pub struct SptCache {
 #[derive(Debug)]
 struct SptStore {
     csr: Arc<CsrGraph>,
+    /// The snapshot's edges by id, for rebuilding resident trees.
+    edges: Arc<[TreeEdge]>,
     /// Max resident trees; `None` = unbounded.
     capacity: Option<usize>,
     slots: Mutex<SlotTable>,
 }
 
-/// A tree slot: empty until the first query for its source fills it.
-type Slot = Arc<OnceLock<Arc<ShortestPathTree>>>;
+/// A tree slot: empty until the first query for its source fills it with
+/// the tree's predecessor edge ids ([`ShortestPathTree::rebuild`]).
+type Slot = Arc<OnceLock<Box<[u32]>>>;
 
 /// The resident slots of one store, with their last-use ticks.
 #[derive(Debug)]
@@ -342,6 +370,7 @@ impl SptCache {
             resident: 0,
         };
         SptCache::handle(Arc::new(SptStore {
+            edges: csr.tree_edges().into(),
             csr: Arc::new(csr),
             capacity,
             slots: Mutex::new(table),
@@ -353,6 +382,7 @@ impl SptCache {
         SptCache {
             store,
             scratch: DijkstraScratch::new(),
+            trees: Vec::new(),
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -379,23 +409,55 @@ impl SptCache {
     }
 
     /// The full shortest-path tree rooted at `source`, computing it on
-    /// first request. Identical to `dijkstra(g, source)` on the snapshot's
-    /// source graph, whether the tree was cached, evicted-and-recomputed,
-    /// or computed by another handle on the same store.
+    /// first request. Bit-identical to `dijkstra(g, source)` on the
+    /// snapshot's source graph, whether the tree was computed now,
+    /// rebuilt from the store, evicted-and-recomputed, or first computed
+    /// by another handle on the same store.
     ///
     /// # Panics
     ///
     /// Panics if `source` is not a node of the snapshot.
-    pub fn spt(&mut self, source: NodeId) -> Arc<ShortestPathTree> {
+    pub fn spt(&mut self, source: NodeId) -> ShortestPathTree {
+        let mut tree = ShortestPathTree::unfilled(source);
+        self.fill(source, &mut tree);
+        tree
+    }
+
+    /// The trees rooted at `roots`, in order, each as [`SptCache::spt`]
+    /// returns it. They are written into arrays this handle keeps, which
+    /// the next call overwrites, so a handle that asks for trees of one
+    /// graph call after call allocates only the resident slots of its
+    /// misses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a root is not a node of the snapshot.
+    pub fn trees(&mut self, roots: &[NodeId]) -> &[ShortestPathTree] {
+        let mut trees = std::mem::take(&mut self.trees);
+        if trees.len() < roots.len() {
+            trees.resize_with(roots.len(), || ShortestPathTree::unfilled(NodeId::new(0)));
+        }
+        for (tree, &root) in trees.iter_mut().zip(roots) {
+            self.fill(root, tree);
+        }
+        self.trees = trees;
+        self.trees.get(..roots.len()).unwrap_or_default()
+    }
+
+    /// Overwrites `tree` with the tree rooted at `source`: on a miss the
+    /// kernel's result, swapped out of the scratch, on a hit the rebuild.
+    fn fill(&mut self, source: NodeId, tree: &mut ShortestPathTree) {
         let (slot, evicted) = self.slots().lookup(source, self.store.capacity);
         if evicted {
             self.evictions += 1;
             telemetry::hit(telemetry::Counter::SptCacheEvictions);
         }
         let mut computed = false;
-        let tree = slot.get_or_init(|| {
+        let pred = slot.get_or_init(|| {
             computed = true;
-            Arc::new(dijkstra_csr(&self.store.csr, source, &mut self.scratch))
+            shortest_paths(&*self.store.csr, source, Stop::Never, &mut self.scratch);
+            self.scratch.swap_into(source, tree);
+            tree.resident()
         });
         if computed {
             self.misses += 1;
@@ -403,8 +465,8 @@ impl SptCache {
         } else {
             self.hits += 1;
             telemetry::hit(telemetry::Counter::SptCacheHits);
+            tree.rebuild(source, pred, &self.store.edges);
         }
-        Arc::clone(tree)
     }
 
     /// Cache hits on this handle since it was made.
@@ -438,8 +500,8 @@ impl Clone for SptCache {
                 .slots
                 .iter()
                 .map(|slot| {
-                    let tree = slot.as_ref()?.get()?;
-                    Some(Arc::new(OnceLock::from(Arc::clone(tree))))
+                    let pred = slot.as_ref()?.get()?;
+                    Some(Arc::new(OnceLock::from(pred.clone())))
                 })
                 .collect();
             SlotTable {
@@ -455,6 +517,7 @@ impl Clone for SptCache {
             evictions: self.evictions,
             ..SptCache::handle(Arc::new(SptStore {
                 csr: Arc::clone(&self.store.csr),
+                edges: Arc::clone(&self.store.edges),
                 capacity: self.store.capacity,
                 slots: Mutex::new(table),
             }))
@@ -479,8 +542,13 @@ mod tests {
     }
 
     fn assert_same_tree(g: &Graph, a: &ShortestPathTree, b: &ShortestPathTree) {
+        assert_eq!(a.source(), b.source());
         for v in g.nodes() {
-            assert_eq!(a.distance(v), b.distance(v), "distance to {v}");
+            assert_eq!(
+                a.distance(v).map(f64::to_bits),
+                b.distance(v).map(f64::to_bits),
+                "distance to {v}"
+            );
             assert_eq!(
                 a.predecessor(g, v),
                 b.predecessor(g, v),
@@ -583,10 +651,12 @@ mod tests {
         let (g, v) = diamond();
         let mut cache = cache(&g);
         let a = cache.spt(v[0]);
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        // The second query is a hit, rebuilt from the resident slot.
         let b = cache.spt(v[0]);
-        assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
+        assert_same_tree(&g, &a, &b);
         assert_same_tree(&g, &a, &dijkstra(&g, v[0]));
     }
 
@@ -599,6 +669,28 @@ mod tests {
             let fresh = dijkstra(&g, s);
             assert_same_tree(&g, &cached, &fresh);
         }
+    }
+
+    #[test]
+    fn trees_are_the_trees_spt_returns() {
+        let (g, v) = diamond();
+        let mut batch = cache(&g);
+        let mut single = cache(&g);
+        // Misses, then hits and misses mixed, then fewer roots than the
+        // buffers hold: each call answers exactly its own roots.
+        let calls: [&[NodeId]; 3] = [&[v[0], v[4]], &[v[4], v[1], v[0]], &[v[1]]];
+        for roots in calls {
+            let trees = batch.trees(roots);
+            assert_eq!(trees.len(), roots.len());
+            for (tree, &r) in trees.iter().zip(roots) {
+                assert_same_tree(&g, tree, &single.spt(r));
+            }
+            assert_eq!(
+                (batch.hits(), batch.misses()),
+                (single.hits(), single.misses())
+            );
+        }
+        assert_eq!((batch.hits(), batch.misses()), (3, 3));
     }
 
     #[test]
@@ -653,10 +745,11 @@ mod tests {
         assert_eq!(cache.evictions(), 2);
         assert_same_tree(&g, &t1_again, &dijkstra(&g, v[1]));
         // v0 survived both evictions (it was always the freshest).
-        let hits_before = cache.hits();
+        let (hits_before, misses_before) = (cache.hits(), cache.misses());
         let t0_again = cache.spt(v[0]);
         assert_eq!(cache.hits(), hits_before + 1);
-        assert!(Arc::ptr_eq(&t0, &t0_again));
+        assert_eq!(cache.misses(), misses_before);
+        assert_same_tree(&g, &t0, &t0_again);
     }
 
     #[test]
@@ -694,7 +787,9 @@ mod tests {
         let mut b = a.share();
         let from_a = a.spt(v[0]);
         let from_b = b.spt(v[0]);
-        assert!(Arc::ptr_eq(&from_a, &from_b));
+        // b hits the tree a computed.
+        assert_eq!((b.hits(), b.misses()), (1, 0));
+        assert_same_tree(&g, &from_a, &from_b);
         let _ = b.spt(v[1]);
         let _ = a.spt(v[1]);
         // Counters belong to the handle that queried.
@@ -702,8 +797,9 @@ mod tests {
         assert_eq!((b.hits(), b.misses()), (1, 1));
         // A handle shared after the fact sees every resident tree.
         let mut c = b.share();
-        assert!(Arc::ptr_eq(&c.spt(v[0]), &from_a));
+        let from_c = c.spt(v[0]);
         assert_eq!((c.hits(), c.misses()), (1, 0));
+        assert_same_tree(&g, &from_c, &from_a);
     }
 
     #[test]
@@ -776,7 +872,10 @@ mod tests {
         let _ = a.spt(v[0]);
         let _ = b.spt(v[2]);
         assert_eq!((a.evictions(), b.evictions()), (0, 1));
-        assert!(Arc::ptr_eq(&b.spt(v[0]), &t0));
+        // v0 is still resident: b hits it.
+        let t0_from_b = b.spt(v[0]);
+        assert_eq!((b.hits(), b.misses()), (1, 2));
+        assert_same_tree(&g, &t0_from_b, &t0);
         // v0 was just touched, so v2 goes next.
         let _ = a.spt(v[1]);
         assert_eq!((a.evictions(), a.misses()), (1, 2));
@@ -784,7 +883,11 @@ mod tests {
         let misses = b.misses();
         let _ = b.spt(v[2]);
         assert_eq!((b.misses(), b.evictions()), (misses + 1, 2));
-        assert!(!Arc::ptr_eq(&a.spt(v[0]), &t0));
+        // v0 is gone, so a computes it again, bit-identical.
+        let misses = a.misses();
+        let t0_again = a.spt(v[0]);
+        assert_eq!(a.misses(), misses + 1);
+        assert_same_tree(&g, &t0_again, &t0);
     }
 
     #[test]
@@ -793,14 +896,16 @@ mod tests {
         let mut original = cache(&g);
         let t0 = original.spt(v[0]);
         let mut copy = original.clone();
-        // The clone starts with the resident trees…
-        assert!(Arc::ptr_eq(&copy.spt(v[0]), &t0));
+        // The clone starts with the resident trees and the counters…
+        let t0_in_copy = copy.spt(v[0]);
+        assert_eq!((copy.hits(), copy.misses()), (1, 1));
+        assert_same_tree(&g, &t0_in_copy, &t0);
         // …but what either computes afterwards stays its own.
         let in_copy = copy.spt(v[1]);
+        assert_eq!((copy.hits(), copy.misses()), (1, 2));
         let misses = original.misses();
         let in_original = original.spt(v[1]);
         assert_eq!(original.misses(), misses + 1);
-        assert!(!Arc::ptr_eq(&in_copy, &in_original));
         assert_same_tree(&g, &in_copy, &in_original);
     }
 }

@@ -86,6 +86,25 @@ impl Path {
 /// The `pred` slot of the source and of every node no edge has reached.
 const NO_PRED: u32 = u32::MAX;
 
+/// One undirected edge as [`ShortestPathTree::rebuild`] reads it: the xor
+/// of its endpoint ids, so the endpoint opposite `n` is `ends ^ n`, and
+/// its weight. 16 bytes.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct TreeEdge {
+    ends: u32,
+    weight: f64,
+}
+
+impl TreeEdge {
+    /// The edge joining `u` and `v` with weight `weight`.
+    pub(crate) fn new(u: NodeId, v: NodeId, weight: f64) -> Self {
+        TreeEdge {
+            ends: u.0 ^ v.0,
+            weight,
+        }
+    }
+}
+
 /// The result of a single-source shortest-path computation.
 ///
 /// Stores, for every node, the best known distance (`f64`) and the id of
@@ -94,7 +113,9 @@ const NO_PRED: u32 = u32::MAX;
 /// edge's other endpoint, so [`predecessor`](Self::predecessor) and
 /// [`path_to`](Self::path_to) take the graph the tree was computed on (a
 /// [`crate::CsrGraph`] tree shares its ids with the graph it snapshots).
-/// Unreachable nodes have no distance.
+/// Unreachable nodes have no distance. A [`crate::SptCache`] keeps only
+/// the predecessor edges of a resident tree, 4 bytes a node, and rebuilds
+/// the distances from them bit for bit on a hit.
 #[derive(Debug, Clone)]
 pub struct ShortestPathTree {
     source: NodeId,
@@ -106,11 +127,68 @@ pub struct ShortestPathTree {
 
 impl ShortestPathTree {
     /// A tree with no storage yet, for a kernel run to fill.
-    fn unfilled(source: NodeId) -> Self {
+    pub(crate) fn unfilled(source: NodeId) -> Self {
         ShortestPathTree {
             source,
             dist: Vec::new(),
             pred: Vec::new(),
+        }
+    }
+
+    /// What a tree store keeps of a full kernel run: the predecessor edge
+    /// ids, 4 bytes a node. [`rebuild`](Self::rebuild) recovers the rest.
+    pub(crate) fn resident(&self) -> Box<[u32]> {
+        self.pred.as_slice().into()
+    }
+
+    /// Overwrites this tree, reusing its arrays, with the tree rooted at
+    /// `source` whose predecessor edges are `pred`, as
+    /// [`resident`](Self::resident) kept them from a full kernel run over
+    /// a graph whose edges `edges` lists by id.
+    ///
+    /// Bit-identical to that run. The kernel sets `dist[n]` and `pred[n]`
+    /// together, to `dist[p] + w(e)` for the settled parent `p` across
+    /// `e = pred[n]`, whose distance is final by then. So each distance
+    /// is rebuilt from the root outward as the same sum of the same two
+    /// `f64`s: every node's chain of predecessors is climbed up to the
+    /// first node whose distance is known, then summed back down. The
+    /// source is `0.0`; a node without a predecessor edge is unreached.
+    pub(crate) fn rebuild(&mut self, source: NodeId, pred: &[u32], edges: &[TreeEdge]) {
+        self.source = source;
+        self.pred.clear();
+        self.pred.extend_from_slice(pred);
+        let dist = &mut self.dist;
+        dist.clear();
+        // NaN marks a distance not yet rebuilt: the kernel never writes one.
+        dist.resize(pred.len(), f64::NAN);
+        if let Some(d0) = dist.get_mut(source.index()) {
+            *d0 = 0.0;
+        }
+        // (node, parent, weight) of the climbed nodes, root-most last.
+        let mut chain: Vec<(usize, usize, f64)> = Vec::new();
+        for start in 0..pred.len() {
+            let mut cur = start;
+            while dist.get(cur).is_some_and(|d| d.is_nan()) {
+                let edge = pred
+                    .get(cur)
+                    .filter(|&&e| e != NO_PRED)
+                    .and_then(|&e| edges.get(e as usize));
+                let Some(edge) = edge else {
+                    if let Some(d) = dist.get_mut(cur) {
+                        *d = f64::INFINITY;
+                    }
+                    break;
+                };
+                let parent = (edge.ends ^ cur as u32) as usize;
+                chain.push((cur, parent, edge.weight));
+                cur = parent;
+            }
+            while let Some((node, parent, weight)) = chain.pop() {
+                let dp = dist.get(parent).copied().unwrap_or(f64::INFINITY);
+                if let Some(d) = dist.get_mut(node) {
+                    *d = dp + weight;
+                }
+            }
         }
     }
 
@@ -342,7 +420,7 @@ impl DijkstraScratch {
 
     /// Moves the last run's result into `tree` without copying, taking
     /// `tree`'s old arrays in exchange for the next run to reset.
-    fn swap_into(&mut self, source: NodeId, tree: &mut ShortestPathTree) {
+    pub(crate) fn swap_into(&mut self, source: NodeId, tree: &mut ShortestPathTree) {
         tree.source = source;
         std::mem::swap(&mut self.dist, &mut tree.dist);
         std::mem::swap(&mut self.pred, &mut tree.pred);
@@ -693,6 +771,28 @@ mod tests {
         assert_eq!(spt.pred[v[0].index()], NO_PRED);
         assert_eq!(spt.pred[v[4].index()], NO_PRED);
         assert_eq!(spt.predecessor(&g, v[3]), Some((v[2], EdgeId::new(4))));
+    }
+
+    #[test]
+    fn a_resident_tree_is_n_u32s_and_rebuilds_bit_for_bit() {
+        // A store slot keeps `pred` alone, 4 bytes a node; the rebuild
+        // gives back the kernel's tree, unreached v4 included.
+        let (g, v) = diamond();
+        let mut edges = vec![TreeEdge::default(); g.edge_count()];
+        for e in g.edges() {
+            edges[e.id.index()] = TreeEdge::new(e.u, e.v, e.weight);
+        }
+        let bits = |t: &ShortestPathTree| t.dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        for &s in &v {
+            let spt = dijkstra(&g, s);
+            let slot = spt.resident();
+            assert_eq!(std::mem::size_of_val(&*slot), 4 * g.node_count());
+            let mut back = ShortestPathTree::unfilled(v[4]);
+            back.rebuild(s, &slot, &edges);
+            assert_eq!(back.source(), s);
+            assert_eq!(back.pred, spt.pred);
+            assert_eq!(bits(&back), bits(&spt));
+        }
     }
 
     #[test]

@@ -1,12 +1,16 @@
 //! Property tests for the shortest-path kernel: the indexed heap against
-//! an ordered-set reference, and the `Graph` and `CsrGraph` views of the
-//! one Dijkstra kernel against each other on tie-heavy graphs.
+//! an ordered-set reference, the `Graph` and `CsrGraph` views of the one
+//! Dijkstra kernel against each other on tie-heavy graphs, and the trees
+//! an `SptCache` rebuilds on a hit against the kernel's own.
 
 use netgraph::{
     bellman_ford, dijkstra, dijkstra_csr, dijkstra_csr_with_targets, dijkstra_with_targets,
-    CsrGraph, DijkstraScratch, Graph, IndexedQuadHeap, NodeId, Path, ShortestPathTree, TotalCost,
+    CsrGraph, DijkstraScratch, Graph, IndexedQuadHeap, NodeId, Path, ShortestPathTree, SptCache,
+    TotalCost,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
 /// One heap operation: `Some((node, key))` is a push-or-decrease, `None`
@@ -37,6 +41,90 @@ fn arb_tie_graph() -> impl Strategy<Value = Graph> {
             g
         })
     })
+}
+
+/// Tie graphs whose weights are short decimals with no exact `f64`
+/// (0.1 + 0.2 ≠ 0.3), so a distance summed in any other order than the
+/// kernel's differs in its last bits. Two extra nodes joined only to each
+/// other form a component the rest never reaches.
+fn arb_decimal_tie_graph() -> impl Strategy<Value = Graph> {
+    const WEIGHTS: [f64; 6] = [0.0, 0.1, 0.2, 0.3, 0.7, 1.1];
+    (2usize..=24).prop_flat_map(|n| {
+        let edge = (0..n, 0..n, 0..WEIGHTS.len());
+        proptest::collection::vec(edge, 0..80).prop_map(move |edges| {
+            let mut g = Graph::with_nodes(n + 2);
+            for (u, v, w) in edges {
+                if u != v {
+                    g.add_edge(NodeId::new(u), NodeId::new(v), WEIGHTS[w])
+                        .unwrap();
+                }
+            }
+            g.add_edge(NodeId::new(n), NodeId::new(n + 1), 0.1).unwrap();
+            g
+        })
+    })
+}
+
+/// A `k`-ary fat-tree of switches (`(k/2)²` cores, then per pod `k/2`
+/// aggregation and `k/2` edge switches), each link weighted by `weight`.
+fn fat_tree(k: usize, mut weight: impl FnMut() -> f64) -> Graph {
+    let half = k / 2;
+    let cores = half * half;
+    let mut g = Graph::with_nodes(cores + k * k);
+    for pod in 0..k {
+        let base = cores + pod * k;
+        for a in 0..half {
+            for j in 0..half {
+                let core = NodeId::new(a * half + j);
+                g.add_edge(NodeId::new(base + a), core, weight()).unwrap();
+            }
+            for e in 0..half {
+                let edge_switch = NodeId::new(base + half + e);
+                g.add_edge(NodeId::new(base + a), edge_switch, weight())
+                    .unwrap();
+            }
+        }
+    }
+    g
+}
+
+/// Every tree an `SptCache` hands out on a hit is the kernel's tree:
+/// `to_bits` distances and predecessor edges, on every node, whether
+/// `spt` returns it or `trees` refills a buffer that held another root.
+fn assert_store_hits_match_the_kernel(g: &Graph) {
+    let csr = CsrGraph::from_graph(g);
+    let mut store = SptCache::new(csr.clone());
+    let mut scratch = DijkstraScratch::new();
+    for src in g.nodes() {
+        let kernel = dijkstra_csr(&csr, src, &mut scratch);
+        assert_bit_identical(g, &store.spt(src), &kernel);
+    }
+    assert_eq!(store.misses(), g.node_count() as u64);
+    for src in g.nodes() {
+        let hits = store.hits();
+        let hit = store.spt(src);
+        assert_eq!(store.hits(), hits + 1, "{src} was resident");
+        assert_eq!(hit.source(), src);
+        assert_bit_identical(g, &hit, &dijkstra_csr(&csr, src, &mut scratch));
+    }
+    let last = NodeId::new(g.node_count() - 1);
+    for src in g.nodes() {
+        let roots = [src, last];
+        for (tree, &root) in store.trees(&roots).iter().zip(&roots) {
+            assert_eq!(tree.source(), root);
+            assert_bit_identical(g, tree, &dijkstra_csr(&csr, root, &mut scratch));
+        }
+    }
+    assert_eq!(store.misses(), g.node_count() as u64);
+}
+
+#[test]
+fn store_hits_match_the_kernel_on_a_k8_fat_tree() {
+    // Unit weights tie every equal-hop path; drawn decimal weights make
+    // the summation order show in the last bits.
+    assert_store_hits_match_the_kernel(&fat_tree(8, || 1.0));
+    let mut rng = StdRng::seed_from_u64(8);
+    assert_store_hits_match_the_kernel(&fat_tree(8, || f64::from(rng.gen_range(1u32..20)) / 10.0));
 }
 
 fn assert_bit_identical(g: &Graph, a: &ShortestPathTree, b: &ShortestPathTree) {
@@ -181,6 +269,16 @@ proptest! {
         }
         prop_assert!(heap.is_empty());
         prop_assert_eq!(heap.pop(), None);
+    }
+
+    #[test]
+    fn store_hits_match_the_kernel_on_ties(g in arb_tie_graph()) {
+        assert_store_hits_match_the_kernel(&g);
+    }
+
+    #[test]
+    fn store_hits_match_the_kernel_on_decimal_ties(g in arb_decimal_tie_graph()) {
+        assert_store_hits_match_the_kernel(&g);
     }
 
     #[test]
