@@ -43,11 +43,62 @@ pub enum SteinerRoutine {
     Sph,
 }
 
+/// The ingress side of one request: for each candidate server, in the
+/// order of the scan's `servers` list, `dist(s_k, v)` and the edges of
+/// the `s_k → v` path its ingress is routed along — the row Algorithm 1
+/// weights the virtual edges of `G_k^i` with. The uncached planner fills
+/// it from a Dijkstra run at the source, the cached one from the
+/// resident server trees ([`netgraph::SptCache::path_to_root`]).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct IngressTable {
+    /// Per server: `dist(s_k, v)` (`None` when unreachable) and the end of
+    /// its path in `edges`, which starts where the previous row's ends.
+    rows: Vec<(Option<f64>, usize)>,
+    /// Every row's path edges, back to back.
+    edges: Vec<EdgeId>,
+}
+
+impl IngressTable {
+    /// Refills the table, one row per entry of `servers` in order:
+    /// `route(v, edges)` appends the `s_k → v` path edges to `edges` and
+    /// returns `dist(s_k, v)`, or `None` (appending nothing) when `v` is
+    /// unreachable.
+    pub(crate) fn fill(
+        &mut self,
+        servers: &[(NodeId, f64)],
+        mut route: impl FnMut(NodeId, &mut Vec<EdgeId>) -> Option<f64>,
+    ) {
+        self.rows.clear();
+        self.edges.clear();
+        for &(v, _) in servers {
+            let dist = route(v, &mut self.edges);
+            self.rows.push((dist, self.edges.len()));
+        }
+    }
+
+    /// `dist(s_k, v)` for the server of row `row`, if reachable.
+    fn dist(&self, row: usize) -> Option<f64> {
+        self.rows.get(row).and_then(|&(dist, _)| dist)
+    }
+
+    /// The `s_k → v` path edges of row `row`.
+    fn edges(&self, row: usize) -> &[EdgeId] {
+        let start = row
+            .checked_sub(1)
+            .and_then(|prev| self.rows.get(prev))
+            .map_or(0, |&(_, end)| end);
+        let end = self.rows.get(row).map_or(start, |&(_, end)| end);
+        self.edges.get(start..end).unwrap_or_default()
+    }
+}
+
 /// One candidate server as seen by the combination scan.
 #[derive(Debug, Clone, Copy)]
 struct VirtEdge {
     /// The server node.
     node: NodeId,
+    /// Its row in the request's [`IngressTable`].
+    row: usize,
     /// Full virtual-edge weight: `dist(s, v)·b + computing`.
     weight: f64,
     /// The computing-cost component alone (used by the pruning bounds).
@@ -202,7 +253,8 @@ pub(crate) fn priced_servers(sdn: &Sdn) -> Vec<(NodeId, f64)> {
 }
 
 /// Computes the shortest-path trees of one request on `g` and runs the
-/// combination scan over them.
+/// combination scan over them. The ingress table comes from one full
+/// Dijkstra run at the source.
 fn plan(
     g: &Graph,
     request: &MulticastRequest,
@@ -216,6 +268,12 @@ fn plan(
     }
     // One SPT from the source (ingress paths / virtual weights)...
     let spt_source = dijkstra(g, request.source);
+    let mut ingress = IngressTable::default();
+    ingress.fill(servers, |v, edges| {
+        let path = spt_source.path_to(g, v)?;
+        edges.extend_from_slice(path.edges());
+        Some(path.cost())
+    });
     // ...and one early-exit SPT per destination (reaching all servers, the
     // source, and the other destinations).
     let mut targets: Vec<NodeId> = request.destinations.clone();
@@ -227,7 +285,7 @@ fn plan(
         .map(|&d| dijkstra_with_targets(g, d, &targets))
         .collect();
     let dest_refs: Vec<&ShortestPathTree> = spt_dests.iter().collect();
-    appro_multi_scan(g, request, k, servers, &spt_source, &dest_refs, prune)
+    appro_multi_scan(g, request, k, servers, &ingress, &dest_refs, prune)
 }
 
 /// Per-request scan tables: flat distance lookups shared by every
@@ -358,11 +416,12 @@ impl ScanTables {
 }
 
 /// The combination-enumeration core of `Appro_Multi`, evaluated against
-/// caller-supplied shortest-path trees: the shared scan driving both the
-/// pruned production path and the unpruned audit path.
+/// a caller-supplied ingress table and destination trees: the shared scan
+/// driving both the pruned production path and the unpruned audit path.
 ///
-/// `spt_source` must be (equivalent to) `dijkstra(g, request.source)` and
-/// `spt_dests[i]` to a Dijkstra run from `request.destinations[i]` that
+/// `ingress` must hold one row per entry of `servers`: `dist(s, v)` and
+/// a shortest `s → v` path (see [`IngressTable`]); `spt_dests[i]` must
+/// be (equivalent to) a Dijkstra run from `request.destinations[i]` that
 /// settled every destination, the source, and every candidate server.
 /// A *full* tree satisfies that trivially, which is what lets the
 /// per-source SPT cache drive this path: early-exit and full runs agree
@@ -374,15 +433,12 @@ pub(crate) fn appro_multi_scan(
     request: &MulticastRequest,
     k: usize,
     servers: &[(NodeId, f64)],
-    spt_source: &ShortestPathTree,
+    ingress: &IngressTable,
     spt_dests: &[&ShortestPathTree],
     prune: bool,
 ) -> Option<PseudoMulticastTree> {
-    THREAD_SCRATCH.with_borrow_mut(|scratch| {
-        scan(
-            g, request, k, servers, spt_source, spt_dests, scratch, prune,
-        )
-    })
+    THREAD_SCRATCH
+        .with_borrow_mut(|scratch| scan(g, request, k, servers, ingress, spt_dests, scratch, prune))
 }
 
 /// [`appro_multi_scan`] on explicit working memory.
@@ -392,7 +448,7 @@ fn scan(
     request: &MulticastRequest,
     k: usize,
     servers: &[(NodeId, f64)],
-    spt_source: &ShortestPathTree,
+    ingress: &IngressTable,
     spt_dests: &[&ShortestPathTree],
     scratch: &mut ApproScratch,
     prune: bool,
@@ -407,11 +463,13 @@ fn scan(
     // Virtual-edge weight per candidate server; unreachable servers drop.
     let virt: Vec<VirtEdge> = servers
         .iter()
-        .filter_map(|&(v, unit)| {
-            let dist = spt_source.distance(v)?;
+        .enumerate()
+        .filter_map(|(row, &(v, unit))| {
+            let dist = ingress.dist(row)?;
             let computing = unit * demand;
             Some(VirtEdge {
                 node: v,
+                row,
                 weight: dist * b + computing,
                 computing,
             })
@@ -509,7 +567,7 @@ fn scan(
         let Some(tree) = eval_combination(g, b, &virt, request, spt_dests, &tables, scratch) else {
             continue;
         };
-        let pseudo = tree.into_pseudo(g, request, &virt, spt_source);
+        let pseudo = tree.into_pseudo(g, request, &virt, ingress);
         if pseudo.total_cost() < best_cost {
             best_cost = pseudo.total_cost();
             best = Some(pseudo);
@@ -533,21 +591,22 @@ impl MiniTree {
         g: &Graph,
         request: &MulticastRequest,
         virt: &[VirtEdge],
-        spt_source: &ShortestPathTree,
+        ingress: &IngressTable,
     ) -> PseudoMulticastTree {
         let b = request.bandwidth;
         let mut servers = Vec::new();
         let mut computing_cost = 0.0;
         for &vi in &self.used_servers {
             let Some(ve) = virt.get(vi) else { continue };
-            let path = spt_source
-                .path_to(g, ve.node)
-                .expect("virtual weight implies reachability"); // lint:allow(P1): a finite virtual weight implies the SPT reaches v
+            // A server is a candidate only with a reachable row.
+            let Some(dist) = ingress.dist(ve.row) else {
+                continue;
+            };
             computing_cost += ve.computing;
             servers.push(ServerUse {
                 server: ve.node,
-                ingress_edges: path.edges().to_vec(),
-                ingress_cost: path.cost() * b,
+                ingress_edges: ingress.edges(ve.row).to_vec(),
+                ingress_cost: dist * b,
                 computing_cost: ve.computing,
             });
         }

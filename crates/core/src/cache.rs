@@ -4,16 +4,30 @@
 //! inputs are *unit costs* — which never change — yet the sequential
 //! admission loop recomputes them for every request. [`PathCache`] holds
 //! a CSR snapshot of the topology plus one [`ShortestPathTree`] per
-//! requested source, kept as its predecessor edges, and [`appro_multi_cached`] /
-//! [`appro_multi_cap_cached`] drive the algorithms from it.
+//! requested root, kept as its predecessor edges, and [`appro_multi_cached`] /
+//! [`appro_multi_cap_cached`] drive the algorithms from it. The roots are
+//! the servers, whose trees serve every request's ingress side, and the
+//! destinations; a request's source needs no tree of its own.
 //!
-//! ## Why the cached results are byte-identical
+//! ## Why the cached results are byte-identical under unique shortest paths
 //!
 //! * The CSR snapshot preserves adjacency order, so its Dijkstra relaxes
 //!   edges in the same order as [`netgraph::dijkstra`] and produces
 //!   bit-identical distance/predecessor arrays. A hit rebuilds a stored
 //!   tree's distances from its predecessor edges with the kernel's own
 //!   additions in the kernel's own order, so it is bit-identical too.
+//! * The ingress row — `dist(s_k, v)` and the `s_k → v` path of every
+//!   server `v` — is read from `v`'s resident tree: the walk up `s_k`'s
+//!   predecessor chain to `v`, reversed, folding the weights from `s_k`
+//!   outward ([`SptCache::path_to_root`]). Whenever the shortest
+//!   `s_k`–`v` path is unique, that chain is the path a Dijkstra run at
+//!   `s_k` settles `v` along, and the fold repeats its additions in its
+//!   order, so both values are bit-identical to the uncached ones
+//!   (DESIGN.md §9.1). On equal-cost paths the chain is `v`'s kernel's
+//!   tie choice reversed, which may differ from the source kernel's. The
+//!   distance then still agrees whenever the weights add exactly
+//!   (integer weights, say), but the ingress edges — and with them the
+//!   ingress union and possibly the chosen tree — may not.
 //! * `appro_multi` normally runs *early-exit* Dijkstra from each
 //!   destination; the cache substitutes *full* trees. A settled node's
 //!   distance and predecessor are final, and the algorithm only reads
@@ -34,7 +48,7 @@
 //!   uncached [`appro_multi_cap`], which is the definition of the
 //!   sequential result.
 
-use crate::appro_multi::{appro_multi_scan, priced_servers};
+use crate::appro_multi::{appro_multi_scan, priced_servers, IngressTable};
 use crate::{appro_multi_cap_plan_excluding, Admission, CapPlan, PseudoMulticastTree};
 use netgraph::{CsrGraph, NodeId, ShortestPathTree, SptCache};
 use sdn::{fits, MulticastRequest, Sdn, Topology};
@@ -70,7 +84,7 @@ impl Fingerprint {
     }
 }
 
-/// A per-source shortest-path tree cache over one network's topology.
+/// A per-root shortest-path tree cache over one network's topology.
 ///
 /// Build it once per network and pass it to the `*_cached` admission
 /// entry points; planner threads each take a [`PathCache::share`] of one
@@ -81,12 +95,17 @@ impl Fingerprint {
 ///
 /// Each resident tree costs 4 bytes a node, its predecessor edge ids
 /// (see [`SptCache`]): 20 KiB on the 5 120-node fat-tree, where one
-/// 400-request pipeline pass keeps about 1 630 of them. A hit rebuilds
-/// the tree's distances bit for bit. Its paths are read against
-/// `sdn.graph()`, whose ids the CSR snapshot shares.
+/// 400-request pipeline pass keeps about 1 400 of them — the 32 server
+/// trees, built once, and the destinations' — and builds no tree for a
+/// request's source. A hit rebuilds a destination tree's distances bit
+/// for bit; the ingress side reads the server trees' predecessor chains
+/// alone. Paths are read against `sdn.graph()`, whose ids the CSR
+/// snapshot shares.
 #[derive(Debug, Clone)]
 pub struct PathCache {
     cache: SptCache,
+    /// The current request's ingress row, refilled per request.
+    ingress: IngressTable,
     /// The topology the trees were computed on; a query on any other
     /// network panics rather than plan on the wrong trees.
     topology: Arc<Topology>,
@@ -97,33 +116,13 @@ pub struct PathCache {
     slow_path: u64,
 }
 
-/// Scaling knobs for [`PathCache`]. The default (`None` capacity)
-/// reproduces the original unbounded cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PathCacheOptions {
-    /// Bound on resident shortest-path trees (`None` = unbounded). One
-    /// resident tree is `Θ(n)` memory (4 bytes a node), so at large n
-    /// bound this to keep the cache from growing towards `Θ(n²)`.
-    pub capacity: Option<usize>,
-}
-
 impl PathCache {
-    /// Creates an unbounded cache over `sdn`'s topology.
+    /// Creates an empty cache over `sdn`'s topology.
     #[must_use]
     pub fn new(sdn: &Sdn) -> Self {
-        PathCache::with_options(sdn, PathCacheOptions::default())
-    }
-
-    /// Creates a cache over `sdn`'s topology with explicit scaling knobs.
-    #[must_use]
-    pub fn with_options(sdn: &Sdn, options: PathCacheOptions) -> Self {
-        let csr = CsrGraph::from_graph(sdn.graph());
-        let cache = match options.capacity {
-            Some(cap) => SptCache::with_capacity(csr, cap),
-            None => SptCache::new(csr),
-        };
         PathCache {
-            cache,
+            cache: SptCache::new(CsrGraph::from_graph(sdn.graph())),
+            ingress: IngressTable::default(),
             topology: Arc::clone(sdn.topology()),
             fingerprint: Fingerprint::of(sdn),
             fast_path: 0,
@@ -138,6 +137,7 @@ impl PathCache {
     pub fn share(&self) -> Self {
         PathCache {
             cache: self.cache.share(),
+            ingress: IngressTable::default(),
             topology: Arc::clone(&self.topology),
             fingerprint: self.fingerprint,
             fast_path: 0,
@@ -150,12 +150,6 @@ impl PathCache {
     /// failing that an equal one.
     fn serves(&self, sdn: &Sdn) -> bool {
         Arc::ptr_eq(&self.topology, sdn.topology()) || *self.topology == **sdn.topology()
-    }
-
-    /// Trees evicted from the bounded SPT cache since creation.
-    #[must_use]
-    pub fn spt_evictions(&self) -> u64 {
-        self.cache.evictions()
     }
 
     /// Refreshes the residual fingerprint if `sdn` mutated since the last
@@ -186,8 +180,8 @@ impl PathCache {
         self.cache.spt(source)
     }
 
-    /// Shortest-path tree cache hits (per-source queries answered without
-    /// a Dijkstra run).
+    /// Shortest-path tree cache hits (per-root queries answered without a
+    /// Dijkstra run, ingress reads of resident server trees included).
     #[must_use]
     pub fn spt_hits(&self) -> u64 {
         self.cache.hits()
@@ -213,10 +207,14 @@ impl PathCache {
     }
 }
 
-/// [`crate::appro_multi`] driven by cached shortest-path trees.
+/// [`crate::appro_multi`] driven by cached shortest-path trees: the
+/// ingress side from the resident server trees, the distribution side
+/// from the destinations' trees. No tree is built for the source.
 ///
-/// Byte-identical to the uncached version; `cache` must have been built
-/// from (a clone of) `sdn`'s topology.
+/// Byte-identical to the uncached version whenever every shortest path
+/// from the source to a server is unique (see the module docs for the
+/// tie rule); `cache` must have been built from (a clone of) `sdn`'s
+/// topology.
 ///
 /// # Panics
 ///
@@ -233,20 +231,17 @@ pub fn appro_multi_cached(
         cache.serves(sdn),
         "cache topology does not match the network"
     );
-    let roots: Vec<NodeId> = std::iter::once(request.source)
-        .chain(request.destinations.iter().copied())
-        .collect();
-    let (spt_source, spt_dests) = cache.cache.trees(&roots).split_first()?;
-    let dest_refs: Vec<&ShortestPathTree> = spt_dests.iter().collect();
-    appro_multi_scan(
-        sdn.graph(),
-        request,
-        k,
-        &priced_servers(sdn),
-        spt_source,
-        &dest_refs,
-        true,
-    )
+    let servers = priced_servers(sdn);
+    let PathCache {
+        cache: trees,
+        ingress,
+        ..
+    } = cache;
+    ingress.fill(&servers, |v, path| {
+        trees.path_to_root(v, request.source, path)
+    });
+    let dest_refs: Vec<&ShortestPathTree> = trees.trees(&request.destinations).iter().collect();
+    appro_multi_scan(sdn.graph(), request, k, &servers, ingress, &dest_refs, true)
 }
 
 /// [`appro_multi_cap`](crate::appro_multi_cap) driven by cached shortest-path trees where valid.
@@ -461,34 +456,6 @@ mod tests {
         let req = random_request(&mut rng, 9, 12);
         let _ = appro_multi_cap_cached(&sdn, &req, 2, &mut cache);
         assert_eq!(cache.fast_path_count(), fast_before + 1);
-    }
-
-    #[test]
-    fn capacity_one_cache_produces_byte_identical_plans() {
-        // Regression for unbounded SptCache growth: a capacity-1 cache
-        // thrashes on every query yet must plan exactly like the default.
-        for seed in 0..4u64 {
-            let mut plain_net = random_net(seed, 14);
-            let mut bounded_net = plain_net.clone();
-            let mut unbounded = PathCache::new(&plain_net);
-            let mut bounded =
-                PathCache::with_options(&bounded_net, PathCacheOptions { capacity: Some(1) });
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xB0B);
-            for i in 0..20 {
-                let req = random_request(&mut rng, i, 14);
-                let a = appro_multi_cap_cached(&plain_net, &req, 2, &mut unbounded);
-                let b = appro_multi_cap_cached(&bounded_net, &req, 2, &mut bounded);
-                assert_eq!(a, b, "seed {seed} req {i}");
-                if let Admission::Admitted(tree) = &a {
-                    plain_net.allocate(&tree.allocation(&req)).unwrap();
-                    bounded_net.allocate(&tree.allocation(&req)).unwrap();
-                }
-            }
-            assert!(
-                bounded.spt_evictions() > 0,
-                "seed {seed}: cache never thrashed"
-            );
-        }
     }
 
     #[test]

@@ -74,7 +74,6 @@ pub use appro_multi::{
 pub use auxiliary::AuxiliaryGraph;
 pub use cache::{
     appro_multi_cached, appro_multi_cap_cached, appro_multi_cap_plan_cached, PathCache,
-    PathCacheOptions,
 };
 pub use capacitated::{appro_multi_cap, appro_multi_cap_plan_excluding, Admission, CapPlan};
 pub use combinations::{combinations_up_to, Combinations};

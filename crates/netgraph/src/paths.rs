@@ -262,6 +262,50 @@ impl ShortestPathTree {
     }
 }
 
+/// Walks the predecessor chain of a full kernel run rooted at `root`
+/// (`pred`, as [`ShortestPathTree::resident`] kept it; `edges` lists the
+/// graph's edges by id) from `from` up to `root`, without rebuilding any
+/// distance. Appends the chain's edges to `path` in `from → root` order
+/// and returns the fold `0.0 + w(e₁) + w(e₂) + …` taken from `from`
+/// outward; `None`, with `path` as it was, if the run never reached
+/// `from`.
+///
+/// The fold repeats the additions a kernel run rooted at `from` makes
+/// along the same edges, in its order. So whenever that run's path to
+/// `root` is this chain reversed — always when the shortest
+/// `from`–`root` path is unique — the result is bit-identical to its
+/// `distance(root)` and `path_to(root)` (DESIGN.md §9.1).
+pub(crate) fn walk_to_root(
+    pred: &[u32],
+    edges: &[TreeEdge],
+    root: NodeId,
+    from: NodeId,
+    path: &mut Vec<EdgeId>,
+) -> Option<f64> {
+    let start = path.len();
+    let mut dist = 0.0;
+    let mut cur = from.0;
+    // A chain of a full run has at most n − 1 edges; the bound keeps a
+    // malformed array from looping.
+    for _ in 0..pred.len() {
+        if cur == root.0 {
+            return Some(dist);
+        }
+        let Some((e, edge)) = pred
+            .get(cur as usize)
+            .filter(|&&e| e != NO_PRED)
+            .and_then(|&e| Some((e, edges.get(e as usize)?)))
+        else {
+            break;
+        };
+        path.push(EdgeId(e));
+        dist += edge.weight;
+        cur ^= edge.ends;
+    }
+    path.truncate(start);
+    None
+}
+
 /// Computes shortest paths from `source` to every node with Dijkstra's
 /// algorithm (indexed 4-ary heap with decrease-key). `O((n + m) log n)`.
 ///
@@ -416,6 +460,12 @@ impl DijkstraScratch {
             dist: self.dist.clone(),
             pred: self.pred.clone(),
         }
+    }
+
+    /// What a tree store keeps of the last run, a full one: its
+    /// predecessor edge ids, as [`ShortestPathTree::resident`].
+    pub(crate) fn resident(&self) -> Box<[u32]> {
+        self.pred.as_slice().into()
     }
 
     /// Moves the last run's result into `tree` without copying, taking

@@ -1,12 +1,13 @@
 //! Property tests for the shortest-path kernel: the indexed heap against
 //! an ordered-set reference, the `Graph` and `CsrGraph` views of the one
-//! Dijkstra kernel against each other on tie-heavy graphs, and the trees
-//! an `SptCache` rebuilds on a hit against the kernel's own.
+//! Dijkstra kernel against each other on tie-heavy graphs, the trees an
+//! `SptCache` rebuilds on a hit against the kernel's own, and the paths
+//! it reads up a resident tree's chain against a run at the far end.
 
 use netgraph::{
     bellman_ford, dijkstra, dijkstra_csr, dijkstra_csr_with_targets, dijkstra_with_targets,
-    CsrGraph, DijkstraScratch, Graph, IndexedQuadHeap, NodeId, Path, ShortestPathTree, SptCache,
-    TotalCost,
+    CsrGraph, DijkstraScratch, EdgeId, Graph, IndexedQuadHeap, NodeId, Path, ShortestPathTree,
+    SptCache, TotalCost,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -125,6 +126,85 @@ fn store_hits_match_the_kernel_on_a_k8_fat_tree() {
     assert_store_hits_match_the_kernel(&fat_tree(8, || 1.0));
     let mut rng = StdRng::seed_from_u64(8);
     assert_store_hits_match_the_kernel(&fat_tree(8, || f64::from(rng.gen_range(1u32..20)) / 10.0));
+}
+
+/// Graphs with drawn real weights — a line through every node, so all
+/// are reached, plus chords — on which every shortest path is unique.
+fn arb_real_weight_graph() -> impl Strategy<Value = Graph> {
+    (2usize..=24).prop_flat_map(|n| {
+        let line = proptest::collection::vec(0.05f64..5.0, n - 1);
+        let chord = (0..n, 0..n, 0.05f64..5.0);
+        let chords = proptest::collection::vec(chord, 0..3 * n);
+        (line, chords).prop_map(move |(line, chords)| {
+            let mut g = Graph::with_nodes(n);
+            for (i, w) in line.into_iter().enumerate() {
+                g.add_edge(NodeId::new(i), NodeId::new(i + 1), w).unwrap();
+            }
+            for (u, v, w) in chords {
+                if u != v {
+                    g.add_edge(NodeId::new(u), NodeId::new(v), w).unwrap();
+                }
+            }
+            g
+        })
+    })
+}
+
+/// For every (node, root) pair, the path read up the root's resident
+/// tree equals a kernel run at the node bit for bit: the fold against
+/// its `distance(root)`, the edges against its `path_to(root)`.
+fn assert_root_paths_match_the_kernel(g: &Graph) {
+    let mut store = SptCache::new(CsrGraph::from_graph(g));
+    let mut path = Vec::new();
+    for from in g.nodes() {
+        let kernel = dijkstra(g, from);
+        for root in g.nodes() {
+            path.clear();
+            let dist = store.path_to_root(root, from, &mut path);
+            assert_eq!(
+                dist.map(f64::to_bits),
+                kernel.distance(root).map(f64::to_bits),
+                "distance {from} → {root}"
+            );
+            let want = kernel.path_to(g, root).map(|p| p.edges().to_vec());
+            assert_eq!(dist.map(|_| path.clone()), want, "path {from} → {root}");
+        }
+    }
+    // One Dijkstra per root, however many nodes read it.
+    assert_eq!(store.misses(), g.node_count() as u64);
+}
+
+#[test]
+fn root_paths_match_the_kernel_on_a_k8_fat_tree() {
+    // Drawn real weights: a unique shortest path between every pair.
+    let mut rng = StdRng::seed_from_u64(64);
+    assert_root_paths_match_the_kernel(&fat_tree(8, || rng.gen_range(0.5..2.0)));
+}
+
+#[test]
+fn equal_cost_root_paths_follow_the_root_kernel() {
+    // s = 0 reaches v = 3 at cost 3 over a (1 + 2) and over b (2 + 1).
+    // The run at s settles a first and reaches v through it; the run at
+    // v settles b first and reaches s through it. The read up v's tree
+    // takes v's choice: same distance, the other path.
+    let mut g = Graph::with_nodes(4);
+    let (s, a, b, v) = (
+        NodeId::new(0),
+        NodeId::new(1),
+        NodeId::new(2),
+        NodeId::new(3),
+    );
+    let s_a = g.add_edge(s, a, 1.0).unwrap();
+    let s_b = g.add_edge(s, b, 2.0).unwrap();
+    let a_v = g.add_edge(a, v, 2.0).unwrap();
+    let b_v = g.add_edge(b, v, 1.0).unwrap();
+    let from_s = dijkstra(&g, s);
+    assert_eq!(from_s.path_to(&g, v).unwrap().edges(), [s_a, a_v]);
+    let mut store = SptCache::new(CsrGraph::from_graph(&g));
+    let mut path: Vec<EdgeId> = Vec::new();
+    let dist = store.path_to_root(v, s, &mut path);
+    assert_eq!(dist.map(f64::to_bits), from_s.distance(v).map(f64::to_bits));
+    assert_eq!(path, [s_b, b_v]);
 }
 
 fn assert_bit_identical(g: &Graph, a: &ShortestPathTree, b: &ShortestPathTree) {
@@ -279,6 +359,11 @@ proptest! {
     #[test]
     fn store_hits_match_the_kernel_on_decimal_ties(g in arb_decimal_tie_graph()) {
         assert_store_hits_match_the_kernel(&g);
+    }
+
+    #[test]
+    fn root_paths_match_the_kernel_on_real_weights(g in arb_real_weight_graph()) {
+        assert_root_paths_match_the_kernel(&g);
     }
 
     #[test]

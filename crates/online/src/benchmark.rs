@@ -12,7 +12,7 @@
 
 use crate::{RequestOutcome, SimulationResult};
 use nfv_multicast::{appro_multi, appro_multi_cap, exact_pseudo_multicast};
-use sdn::{MulticastRequest, Sdn};
+use sdn::{Allocation, MulticastRequest, Sdn};
 
 /// Greedy offline packing: score every request by its fresh-network
 /// implementation cost (cheap requests consume the least), then admit in
@@ -21,6 +21,12 @@ use sdn::{MulticastRequest, Sdn};
 /// Returns the same [`SimulationResult`] shape as
 /// [`run_online`](crate::run_online); `outcomes` are reported in the
 /// *packing* order.
+///
+/// # Panics
+///
+/// Panics if `sdn` carries load on entry, or if the ledger at the end
+/// disagrees with the committed allocations ([`Sdn::check_ledger`],
+/// checked in every build).
 pub fn offline_greedy_benchmark(
     sdn: &mut Sdn,
     requests: &[MulticastRequest],
@@ -33,9 +39,9 @@ pub fn offline_greedy_benchmark(
         |sdn, r| appro_multi(sdn, r, k).map(|t| t.total_cost()),
         |sdn, req| {
             let tree = appro_multi_cap(sdn, req, k).into_tree()?;
-            sdn.allocate(&tree.allocation(req))
-                .expect("admitted tree fits"); // lint:allow(P1): the tree was planned on this exact residual state
-            Some(tree.total_cost())
+            let alloc = tree.allocation(req);
+            sdn.allocate(&alloc).expect("admitted tree fits"); // lint:allow(P1): the tree was planned on this exact residual state
+            Some((tree.total_cost(), alloc))
         },
     )
 }
@@ -55,7 +61,9 @@ pub fn offline_greedy_benchmark(
 ///
 /// Panics if `k == 0` or any request has
 /// `destinations.len() >= steiner::MAX_TERMINALS` — the exact oracle is
-/// exponential in the terminal count and refuses large instances.
+/// exponential in the terminal count and refuses large instances — and,
+/// as [`offline_greedy_benchmark`], if `sdn` carries load on entry or
+/// the ledger at the end disagrees with the committed allocations.
 pub fn offline_exact_benchmark(
     sdn: &mut Sdn,
     requests: &[MulticastRequest],
@@ -70,25 +78,28 @@ pub fn offline_exact_benchmark(
         // network and gate on the ledger (allocate validates atomically
         // before committing, so a failed admission leaves no residue).
         |sdn, req| {
-            exact_pseudo_multicast(sdn, req, k)
-                .filter(|t| sdn.allocate(&t.allocation(req)).is_ok())
-                .map(|t| t.total_cost())
+            let tree = exact_pseudo_multicast(sdn, req, k)?;
+            let alloc = tree.allocation(req);
+            sdn.allocate(&alloc).ok()?;
+            Some((tree.total_cost(), alloc))
         },
     )
 }
 
 /// The packing loop of both benchmarks: `score` every request on the
 /// fresh network, then offer them in ascending score order to `commit`,
-/// which plans on the loaded network, commits, and returns the cost (or
-/// `None` to reject). A request without a fresh-network score is
-/// rejected unplanned. Packing is not an online decision, so it counts
-/// no admissions in telemetry.
+/// which plans on the loaded network, commits, and returns the cost and
+/// the allocation it committed (or `None` to reject). A request without
+/// a fresh-network score is rejected unplanned. Packing is not an online
+/// decision, so it counts no admissions in telemetry. At the end the
+/// ledger must hold exactly the committed allocations, as after
+/// [`replay`](crate::simulation::replay); every caller packs an unloaded network.
 fn pack(
     sdn: &mut Sdn,
     algorithm: &'static str,
     requests: &[MulticastRequest],
     score: impl Fn(&Sdn, &MulticastRequest) -> Option<f64>,
-    mut commit: impl FnMut(&mut Sdn, &MulticastRequest) -> Option<f64>,
+    mut commit: impl FnMut(&mut Sdn, &MulticastRequest) -> Option<(f64, Allocation)>,
 ) -> SimulationResult {
     let mut scored: Vec<(f64, &MulticastRequest)> = requests
         .iter()
@@ -98,6 +109,7 @@ fn pack(
     // sentinel), so the total order is the numeric one.
     scored.sort_by(|a, b| a.0.total_cmp(&b.0));
 
+    let mut committed = Vec::new();
     let outcomes = scored
         .into_iter()
         .map(|(score, req)| {
@@ -107,11 +119,18 @@ fn pack(
                 None
             };
             match cost {
-                Some(cost) => RequestOutcome::Admitted { id: req.id, cost },
+                Some((cost, alloc)) => {
+                    committed.push(alloc);
+                    RequestOutcome::Admitted { id: req.id, cost }
+                }
                 None => RequestOutcome::Rejected { id: req.id },
             }
         })
         .collect();
+    if let Err(e) = sdn.check_ledger(&committed) {
+        // lint:allow(P1): a ledger out of step with the committed allocations is an accounting bug; abort loudly
+        panic!("{algorithm}: {e}");
+    }
     SimulationResult::new(algorithm, sdn, outcomes)
 }
 

@@ -51,8 +51,9 @@ pub enum Counter {
     SptCacheHits,
     /// Shortest-path-tree cache misses (fresh Dijkstra required).
     SptCacheMisses,
-    /// Shortest-path trees evicted from a bounded SSSP cache.
-    SptCacheEvictions,
+    /// Shortest-path trees evicted from the SSSP cache. Nothing records it:
+    /// the cache never evicts.
+    SptCacheEvictions, // lint:allow(TL1): the admission benchmark's `netgraph.spt_evictions` still reads it
     /// Landmark distance-oracle constructions.
     OracleBuilds,
     // -- nfv_multicast ------------------------------------------------------

@@ -1,11 +1,9 @@
 //! The scaling pipeline end to end: streamed fat-tree generation, the
-//! landmark distance oracle, bounded SPT caches, and the oracle-ordered
-//! `Online_CP` scan — all proven byte-identical to their exact
-//! counterparts on a ~1k-node network, plus a property sweep of the ALT
-//! bound's admissibility.
+//! landmark distance oracle and the oracle-ordered `Online_CP` scan —
+//! proven byte-identical to its exact counterpart on a ~1k-node network —
+//! plus a property sweep of the ALT bound's admissibility.
 
 use netgraph::{dijkstra, CsrGraph, DijkstraScratch, LandmarkOracle, NodeId};
-use nfv_multicast::{appro_multi_cached, PathCache, PathCacheOptions};
 use nfv_online::{OnlineAlgorithm, OnlineCp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -54,30 +52,6 @@ fn online_oracle_scan_is_transparent_at_1k_nodes() {
     }
     assert!(admitted > 0, "fixture admits nothing; test is vacuous");
     assert_eq!(exact_net, oracle_net);
-}
-
-/// A small bounded `PathCache` (evictions forced) on a seeded request
-/// stream plans exactly what the plain unbounded cache plans.
-#[test]
-fn seeded_bounded_cache_matches_plain_plans_under_eviction() {
-    let sdn = fat_tree_fixture(16, 8, 4); // 320 nodes
-    let n = sdn.node_count();
-    let mut rng = StdRng::seed_from_u64(11);
-    let requests = RequestGenerator::new(n)
-        .with_dmax_ratio(0.01)
-        .generate_batch(10, &mut rng);
-
-    let mut plain = PathCache::new(&sdn);
-    let mut bounded = PathCache::with_options(&sdn, PathCacheOptions { capacity: Some(2) });
-    for req in &requests {
-        let a = appro_multi_cached(&sdn, req, 2, &mut plain);
-        let b = appro_multi_cached(&sdn, req, 2, &mut bounded);
-        assert_eq!(a, b, "bounded plan diverged on request {}", req.id);
-    }
-    assert!(
-        bounded.spt_evictions() > 0,
-        "capacity-2 cache never evicted; the bounded path went unexercised"
-    );
 }
 
 /// Generates a connected weighted graph description for the oracle

@@ -10,11 +10,15 @@
 //!   K = 3): the pruned scan plans exactly like the unpruned audit scan,
 //!   evaluates at most [`FIG5_PRUNED_COMBOS`] combinations, and both of
 //!   its skips — the lower bounds and winner-vector dedup — fire.
+//! * The cached `Appro_Multi` on the k = 64 fat-tree: once the server
+//!   trees are resident, a decision runs at most `|D_k|` Dijkstras (one
+//!   per destination, none for the source, whose ingress row is read up
+//!   the server trees), and plans exactly like the uncached `appro_multi`.
 //!
 //! One `#[test]` only: `DijkstraRuns` and the `Combos*` counters are
 //! process-wide, which a concurrently running test would inflate.
 
-use nfv_multicast::{appro_multi, appro_multi_unpruned};
+use nfv_multicast::{appro_multi, appro_multi_cached, appro_multi_unpruned, PathCache};
 use nfv_online::{OnlineAlgorithm, OnlineCp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -108,9 +112,40 @@ fn fig5_pruned_scan_within_combination_budget() {
     assert!(deduped > 0, "winner-vector dedup never fired");
 }
 
+fn fat_tree_cached_appro_multi_runs_no_source_tree() {
+    let sdn = sim::fat_tree_sdn(64, 32, 0);
+    let n = sdn.node_count();
+    let mut cache = PathCache::new(&sdn);
+    for &v in sdn.servers() {
+        let _ = cache.spt(v);
+    }
+    let mut rng = StdRng::seed_from_u64(7);
+    let requests = RequestGenerator::new(n)
+        .with_dmax_ratio(0.001)
+        .generate_batch(6, &mut rng);
+    for req in &requests {
+        let (tree, runs) = counted(Counter::DijkstraRuns, || {
+            appro_multi_cached(&sdn, req, 2, &mut cache)
+        });
+        let dests = req.destinations.len() as u64;
+        assert!(
+            runs <= dests,
+            "request {} ran {runs} Dijkstras for {dests} destinations",
+            req.id
+        );
+        assert_eq!(
+            tree,
+            appro_multi(&sdn, req, 2),
+            "the cached plan diverged from the uncached one on request {}",
+            req.id
+        );
+    }
+}
+
 #[test]
 fn planner_scans_stay_within_their_work_bounds() {
     telemetry::enable();
     fat_tree_online_cp_within_anchor_bound();
     fig5_pruned_scan_within_combination_budget();
+    fat_tree_cached_appro_multi_runs_no_source_tree();
 }
