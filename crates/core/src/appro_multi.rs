@@ -270,9 +270,17 @@ fn plan(
     let spt_source = dijkstra(g, request.source);
     let mut ingress = IngressTable::default();
     ingress.fill(servers, |v, edges| {
-        let path = spt_source.path_to(g, v)?;
-        edges.extend_from_slice(path.edges());
-        Some(path.cost())
+        let dist = spt_source.distance(v)?;
+        let start = edges.len();
+        let mut cur = v;
+        while let Some((prev, edge)) = spt_source.predecessor(g, cur) {
+            edges.push(edge);
+            cur = prev;
+        }
+        if let Some(path) = edges.get_mut(start..) {
+            path.reverse();
+        }
+        Some(dist)
     });
     // ...and one early-exit SPT per destination (reaching all servers, the
     // source, and the other destinations).

@@ -180,8 +180,9 @@ impl PathCache {
         self.cache.spt(source)
     }
 
-    /// Shortest-path tree cache hits (per-root queries answered without a
-    /// Dijkstra run, ingress reads of resident server trees included).
+    /// Shortest-path tree cache hits: per-root tree queries answered
+    /// without a Dijkstra run. An ingress read of a resident server tree
+    /// fetches no tree and counts nothing.
     #[must_use]
     pub fn spt_hits(&self) -> u64 {
         self.cache.hits()
@@ -212,9 +213,10 @@ impl PathCache {
 /// from the destinations' trees. No tree is built for the source.
 ///
 /// Byte-identical to the uncached version whenever every shortest path
-/// from the source to a server is unique (see the module docs for the
-/// tie rule); `cache` must have been built from (a clone of) `sdn`'s
-/// topology.
+/// from the source to a server is unique. On equal-cost paths a server's
+/// ingress is the server's own tree path, reversed, which may differ
+/// from the path a run at the source picks (DESIGN.md §9.1). `cache`
+/// must have been built from (a clone of) `sdn`'s topology.
 ///
 /// # Panics
 ///
@@ -246,10 +248,13 @@ pub fn appro_multi_cached(
 
 /// [`appro_multi_cap`](crate::appro_multi_cap) driven by cached shortest-path trees where valid.
 ///
-/// Byte-identical to the uncached version: the cached fast path runs only
-/// when the request's residual-feasible subgraph equals the full topology
-/// (checked in `O(1)` against the version-keyed fingerprint); every other
-/// request is delegated to [`appro_multi_cap`](crate::appro_multi_cap) unchanged.
+/// The cached fast path runs only when the request's residual-feasible
+/// subgraph equals the full topology (checked in `O(1)` against the
+/// version-keyed fingerprint), and is then [`appro_multi_cached`]:
+/// byte-identical to the uncached version whenever every shortest path
+/// from the source to a server is unique, and otherwise following the
+/// tie rule of [`appro_multi_cached`]. Every other request is delegated to
+/// [`appro_multi_cap`](crate::appro_multi_cap) unchanged.
 ///
 /// # Panics
 ///
@@ -270,7 +275,8 @@ pub fn appro_multi_cap_cached(
 /// absence of one) on the residual-feasible subgraph, *without* the final
 /// accumulated-load check — see [`CapPlan`]. Byte-identical to
 /// [`appro_multi_cap_plan_excluding`] with nothing excluded on the same
-/// state.
+/// state under the same condition as [`appro_multi_cap_cached`]: every
+/// shortest source–server path unique.
 ///
 /// # Panics
 ///

@@ -5,8 +5,9 @@
 //!
 //! [`admit_sequential`] is the closed-batch reference: the paper's
 //! `Appro_Multi_Cap` per request, strictly one at a time, committing each
-//! admitted allocation before planning the next. Every other engine must
-//! reproduce its decisions.
+//! admitted allocation before planning the next. It plans through the
+//! cached planner, as the pipeline does, so both break equal-cost ties by
+//! one rule. Every other engine must reproduce its decisions.
 //!
 //! [`pipeline::AdmissionPipeline`] is the one speculative engine. Over an
 //! unbounded stream of arrivals and departures, worker threads
@@ -41,17 +42,24 @@ pub use pipeline::{AdmissionPipeline, PipelineConfig, PipelineOutcome, PipelineR
 pub use repair::{CommittedSession, Departure, RepairReport, SessionManager};
 pub use resilience::{BackupPolicy, BackupTree, GraftOutcome, PruneOutcome};
 
-use nfv_multicast::{appro_multi_cap, Admission};
+use nfv_multicast::{appro_multi_cap_cached, Admission, PathCache};
 use sdn::{MulticastRequest, Sdn};
 
 /// The reference implementation: admits `requests` strictly one at a time,
 /// committing each admitted allocation before planning the next request.
+///
+/// Each request is planned by [`appro_multi_cap_cached`] over one
+/// [`PathCache`], the planner [`AdmissionPipeline`] decides with. Where
+/// every shortest path between a source and a server is unique this is
+/// the uncached `appro_multi_cap`'s decision; on equal-cost paths it
+/// follows the cached planner's tie rule.
 // lint:entry(api)
 pub fn admit_sequential(sdn: &mut Sdn, requests: &[MulticastRequest], k: usize) -> Vec<Admission> {
+    let mut cache = PathCache::new(sdn);
     requests
         .iter()
         .map(|req| {
-            let adm = appro_multi_cap(sdn, req, k);
+            let adm = appro_multi_cap_cached(sdn, req, k, &mut cache);
             if let Admission::Admitted(tree) = &adm {
                 sdn.allocate(&tree.allocation(req))
                     .expect("admitted tree fits residual capacities"); // lint:allow(P1): the tree was planned on this exact residual state

@@ -24,10 +24,17 @@
 //! fit after departures release capacity, so only the live verdict
 //! reproduces the sequential decision. A disturbed (or
 //! lost) plan is re-planned inline on the live state — exactly the
-//! sequential decision. Decisions, trees, and the final residual state
-//! are therefore **byte-identical to the sequential reference**
-//! regardless of worker count, window size, or thread scheduling; the
-//! property tests in `tests/tests/pipeline_properties.rs` pin this.
+//! sequential decision. Every decision — speculative, re-planned, or
+//! inline — comes from the one cached planner
+//! ([`nfv_multicast::appro_multi_cap_cached`] over handles on one tree
+//! store), so all of them break equal-cost ties by the same rule (see
+//! [`nfv_multicast::appro_multi_cached`]). Decisions, trees, and the final
+//! residual state are therefore **byte-identical to the sequential
+//! reference** [`crate::admit_sequential`], which plans through the same
+//! planner, regardless of worker count, window size, or thread
+//! scheduling, on any network; the property tests in
+//! `tests/tests/pipeline_properties.rs` pin this, on integer link costs
+//! too.
 //!
 //! Pipeline *telemetry* is the deliberate exception: stall counts,
 //! snapshot staleness, and commit-queue depth measure scheduling, so they
@@ -48,7 +55,7 @@
 use crate::audit::audit;
 use crate::repair::CommittedSession;
 use crate::spec::{feasibility_disturbed, TouchedSet};
-use nfv_multicast::{appro_multi_cap, Admission, CapPlan, PathCache};
+use nfv_multicast::{appro_multi_cap_cached, Admission, CapPlan, PathCache};
 use nfv_online::{ActiveSessions, TimedRequest};
 use sdn::{MulticastRequest, Sdn};
 use std::collections::{BTreeMap, VecDeque};
@@ -218,6 +225,10 @@ pub struct AdmissionPipeline {
     last_arrival: f64,
     decisions: Vec<Admission>,
     report: PipelineReport,
+    /// The committer's handle on the workers' tree store: inline and
+    /// re-planned decisions use the workers' planner, so every decision
+    /// follows one tie rule.
+    cache: PathCache,
     jobs: Option<mpsc::Sender<PlanJob>>,
     results: mpsc::Receiver<PlanResult>,
     handles: Vec<JoinHandle<()>>,
@@ -237,16 +248,16 @@ impl AdmissionPipeline {
         let (job_tx, job_rx) = mpsc::channel::<PlanJob>();
         let (result_tx, result_rx) = mpsc::channel::<PlanResult>();
         let mut handles = Vec::with_capacity(config.workers);
+        let cache = PathCache::new(&sdn);
         let jobs = if config.workers == 0 {
             None
         } else {
             let shared = Arc::new(Mutex::new(job_rx));
-            let trees = PathCache::new(&sdn);
             for _ in 0..config.workers {
                 let rx = Arc::clone(&shared);
                 let tx = result_tx.clone();
                 let k = config.k;
-                let cache = trees.share();
+                let cache = cache.share();
                 handles.push(std::thread::spawn(move || worker_loop(&rx, &tx, k, cache)));
             }
             Some(job_tx)
@@ -272,6 +283,7 @@ impl AdmissionPipeline {
             last_arrival: f64::NEG_INFINITY,
             decisions: Vec::new(),
             report,
+            cache,
             jobs,
             results: result_rx,
             handles,
@@ -459,9 +471,11 @@ impl AdmissionPipeline {
             Speculation::Plan { .. } | Speculation::Lost => {
                 self.report.replanned += 1;
                 telemetry::hit(telemetry::Counter::EngineReplans);
-                appro_multi_cap(&self.sdn, req, self.cfg.k)
+                appro_multi_cap_cached(&self.sdn, req, self.cfg.k, &mut self.cache)
             }
-            Speculation::Inline => appro_multi_cap(&self.sdn, req, self.cfg.k),
+            Speculation::Inline => {
+                appro_multi_cap_cached(&self.sdn, req, self.cfg.k, &mut self.cache)
+            }
         };
 
         if let Admission::Admitted(tree) = &decision {

@@ -3,7 +3,7 @@
 //! network size grows from 50 to 250, one sub-experiment per
 //! `D_max/|V|` ratio.
 
-use super::{average_points, offline_point};
+use super::{average_points, offline_point, server_trees};
 use crate::{waxman_sdn, ExperimentScale, Table};
 
 /// Network sizes the paper sweeps.
@@ -36,12 +36,28 @@ pub fn run_with(sizes: &[usize], ratios: &[f64], scale: ExperimentScale) -> (Tab
         "Fig. 5(d-f): running time per request [ms]",
         &["Dmax/|V|", "n", "Appro_Multi", "Alg_One_Server"],
     );
-    for &ratio in ratios {
-        for &n in sizes {
-            let points: Vec<_> = (0..scale.repetitions)
+    // One network per (size, repetition), whatever the ratio: its server
+    // trees are built once and every ratio plans on a copy of them.
+    let nets: Vec<Vec<_>> = sizes
+        .iter()
+        .map(|&n| {
+            (0..scale.repetitions)
                 .map(|rep| {
                     let sdn = waxman_sdn(n, rep as u64);
-                    offline_point(&sdn, ratio, scale.offline_requests, 1_000 + rep as u64)
+                    let trees = server_trees(&sdn);
+                    (sdn, trees)
+                })
+                .collect()
+        })
+        .collect();
+    for &ratio in ratios {
+        for (&n, reps) in sizes.iter().zip(&nets) {
+            let points: Vec<_> = reps
+                .iter()
+                .enumerate()
+                .map(|(rep, (sdn, trees))| {
+                    let seed = 1_000 + rep as u64;
+                    offline_point(sdn, trees, ratio, scale.offline_requests, seed)
                 })
                 .collect();
             let p = average_points(&points);

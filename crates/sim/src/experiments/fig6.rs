@@ -2,7 +2,7 @@
 //! (GÉANT and AS1755) — operational cost (a–b) and running time (c–d) as
 //! `D_max/|V|` grows from 0.05 to 0.2.
 
-use super::{average_points, offline_point};
+use super::{average_points, offline_point, server_trees};
 use crate::{geant_sdn, isp_sdn, ExperimentScale, Table};
 use sdn::Sdn;
 
@@ -37,11 +37,22 @@ pub fn run_with(ratios: &[f64], scale: ExperimentScale) -> (Table, Table) {
     type SdnBuilderFn = fn(u64) -> Sdn;
     let builders: [(&str, SdnBuilderFn); 2] = [("GEANT", geant_sdn), ("AS1755", isp_sdn)];
     for (name, build) in builders {
+        // One network per repetition, whatever the ratio: its server
+        // trees are built once and every ratio plans on a copy of them.
+        let nets: Vec<_> = (0..scale.repetitions)
+            .map(|rep| {
+                let sdn = build(rep as u64);
+                let trees = server_trees(&sdn);
+                (sdn, trees)
+            })
+            .collect();
         for &ratio in ratios {
-            let points: Vec<_> = (0..scale.repetitions)
-                .map(|rep| {
-                    let sdn = build(rep as u64);
-                    offline_point(&sdn, ratio, scale.offline_requests, 2_000 + rep as u64)
+            let points: Vec<_> = nets
+                .iter()
+                .enumerate()
+                .map(|(rep, (sdn, trees))| {
+                    let seed = 2_000 + rep as u64;
+                    offline_point(sdn, trees, ratio, scale.offline_requests, seed)
                 })
                 .collect();
             let p = average_points(&points);

@@ -54,17 +54,40 @@ impl OfflinePoint {
     }
 }
 
+/// A [`PathCache`] over `sdn` with every server's shortest-path tree
+/// resident: the ingress side of every request `Appro_Multi` plans on
+/// this network. A sweep builds it once per network, outside any timing,
+/// and plans each `D_max/|V|` ratio on a clone.
+#[must_use]
+pub fn server_trees(sdn: &Sdn) -> PathCache {
+    let mut cache = PathCache::new(sdn);
+    for &v in sdn.servers() {
+        let _ = cache.spt(v);
+    }
+    cache
+}
+
 /// Runs the paired offline comparison (`Appro_Multi` vs `Alg_One_Server`)
 /// on one network for `requests` generated requests with the given
-/// `D_max/|V|` ratio.
+/// `D_max/|V|` ratio. `trees` is [`server_trees`] of `sdn`.
+///
+/// `Appro_Multi` plans through a clone of `trees`, so its time per
+/// request covers the destinations' trees it builds and the combination
+/// scan, not the network's server trees.
 #[must_use]
-pub fn offline_point(sdn: &Sdn, ratio: f64, requests: usize, seed: u64) -> OfflinePoint {
+pub fn offline_point(
+    sdn: &Sdn,
+    trees: &PathCache,
+    ratio: f64,
+    requests: usize,
+    seed: u64,
+) -> OfflinePoint {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut gen = RequestGenerator::new(sdn.node_count()).with_dmax_ratio(ratio);
-    // Requests are priced on the same fresh network, so the per-source
-    // SSSP cache is shared by the whole sweep (decisions are identical
-    // to the uncached path; only the running time drops).
-    let mut cache = PathCache::new(sdn);
+    // Requests are priced on the same fresh network, so one tree cache
+    // serves the whole sweep (decisions equal the uncached planner's
+    // under unique shortest paths; only the running time drops).
+    let mut cache = trees.clone();
     let mut appro_costs = Vec::new();
     let mut base_costs = Vec::new();
     let mut appro_times = Vec::new();
@@ -116,7 +139,7 @@ mod tests {
     #[test]
     fn offline_point_produces_sane_numbers() {
         let sdn = waxman_sdn(50, 1);
-        let p = offline_point(&sdn, 0.1, 5, 42);
+        let p = offline_point(&sdn, &server_trees(&sdn), 0.1, 5, 42);
         assert!(p.samples > 0);
         assert!(p.appro_cost > 0.0);
         assert!(p.baseline_cost > 0.0);

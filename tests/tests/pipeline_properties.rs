@@ -11,17 +11,21 @@
 //! The reference below is deliberately *not* the pipeline's own inline
 //! mode: it replays the stream with `ActiveSessions::release_due` and
 //! `appro_multi_cap`, sharing no speculation or snapshot
-//! machinery with the code under test.
+//! machinery with the code under test. On unit link costs, where
+//! equal-cost paths abound, it plans with `appro_multi_cap_cached`
+//! instead: the pipeline decides every request with the cached planner,
+//! whose tie rule may pick other ingress paths than the uncached one.
 
 use integration_tests::waxman_fixture;
 use netgraph::NodeId;
-use nfv_engine::{AdmissionPipeline, PipelineConfig};
-use nfv_multicast::{appro_multi_cap, Admission};
+use nfv_engine::{AdmissionPipeline, PipelineConfig, PipelineOutcome};
+use nfv_multicast::{appro_multi_cap, appro_multi_cap_cached, Admission, PathCache};
 use nfv_online::{ActiveSessions, TimedRequest};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sdn::{MulticastRequest, NfvType, RequestId, Sdn, SdnBuilder, ServiceChain};
+use topology::{annotate, barabasi_albert, place_servers_random, AnnotationParams};
 use workload::{PoissonWorkload, RequestGenerator};
 
 /// A seeded Poisson stream: exponential interarrivals and holding times,
@@ -37,14 +41,18 @@ fn timed_stream(n: usize, count: usize, seed: u64, mean_holding: f64) -> Vec<Tim
 }
 
 /// Independent sequential replay: release due departures, plan on the
-/// live state, commit. This is the semantics the pipeline must reproduce
-/// byte-for-byte.
-fn reference_stream(mut sdn: Sdn, stream: &[TimedRequest], k: usize) -> (Sdn, Vec<Admission>) {
+/// live state with `plan`, commit. This is the semantics the pipeline
+/// must reproduce byte-for-byte.
+fn replay(
+    mut sdn: Sdn,
+    stream: &[TimedRequest],
+    mut plan: impl FnMut(&Sdn, &MulticastRequest) -> Admission,
+) -> (Sdn, Vec<Admission>) {
     let mut active = ActiveSessions::new();
     let mut decisions = Vec::with_capacity(stream.len());
     for tr in stream {
         active.release_due(&mut sdn, tr.arrival);
-        let adm = appro_multi_cap(&sdn, &tr.request, k);
+        let adm = plan(&sdn, &tr.request);
         if let Admission::Admitted(tree) = &adm {
             let alloc = tree.allocation(&tr.request);
             sdn.allocate(&alloc).expect("admitted tree fits");
@@ -53,6 +61,61 @@ fn reference_stream(mut sdn: Sdn, stream: &[TimedRequest], k: usize) -> (Sdn, Ve
         decisions.push(adm);
     }
     (sdn, decisions)
+}
+
+/// [`replay`] with the paper's uncached `Appro_Multi_Cap`.
+fn reference_stream(sdn: Sdn, stream: &[TimedRequest], k: usize) -> (Sdn, Vec<Admission>) {
+    replay(sdn, stream, |sdn, req| appro_multi_cap(sdn, req, k))
+}
+
+/// [`replay`] with the cached planner over one fresh `PathCache`.
+fn cached_reference_stream(sdn: Sdn, stream: &[TimedRequest], k: usize) -> (Sdn, Vec<Admission>) {
+    let mut cache = PathCache::new(&sdn);
+    replay(sdn, stream, |sdn, req| {
+        appro_multi_cap_cached(sdn, req, k, &mut cache)
+    })
+}
+
+/// A Barabási–Albert network (two links per new node) with 10 % servers
+/// and every link cost 1: shortest paths are hop counts, so a source
+/// often reaches a server along several equal-cost paths.
+fn unit_cost_network(n: usize, seed: u64) -> Sdn {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let g = barabasi_albert(n, 2, &mut rng);
+    let servers = place_servers_random(&g, 0.1, &mut rng);
+    let params = AnnotationParams {
+        link_cost: (1.0, 1.0),
+        ..AnnotationParams::default()
+    };
+    annotate(&g, &servers, &params, &mut rng).expect("annotation is well-formed")
+}
+
+/// Unit link costs make the two planners' tie rules part of the
+/// decisions: on some streams the uncached replay routes an ingress
+/// differently from the cached one. The pipeline follows the cached
+/// planner in inline mode and with workers alike.
+#[test]
+fn unit_cost_ties_follow_the_cached_planner_in_every_mode() {
+    let n = 30;
+    let fresh = unit_cost_network(n, 420);
+    let mut diverged = 0;
+    for seed in 0..8 {
+        let stream = timed_stream(n, 30, seed, 4.0);
+        let (_, uncached) = reference_stream(fresh.clone(), &stream, 2);
+        let (ref_net, cached) = cached_reference_stream(fresh.clone(), &stream, 2);
+        diverged += usize::from(uncached != cached);
+        for workers in [0, 1, 3] {
+            let config = PipelineConfig::new(2).with_workers(workers).with_window(4);
+            let mut pipeline = AdmissionPipeline::launch(fresh.clone(), config);
+            for tr in &stream {
+                pipeline.push(tr.clone());
+            }
+            let out = pipeline.finish();
+            assert_eq!(out.decisions, cached, "seed {seed}, workers {workers}");
+            assert_eq!(out.sdn, ref_net, "seed {seed}, workers {workers}");
+        }
+    }
+    assert!(diverged > 0, "unit costs must give the tie rule a say");
 }
 
 /// A bottleneck network: source `s`, one server `m` behind a cheap link
@@ -79,6 +142,71 @@ fn bottleneck_sdn(b: f64, slack: f64, detour: f64, dests: usize) -> (Sdn, NodeId
     (bld.build().unwrap(), s, d)
 }
 
+/// An equal-cost diamond in front of one server `m`: `s–a–m` costs
+/// `1 + 2` and `s–b–m` costs `2 + 1`, so a run at `s` reaches `m` through
+/// `a` while the run at `m` reaches `s` through `b` — the uncached and
+/// the cached planner route the ingress differently. `dests`
+/// destinations hang off `m` at cost 1. Every link carries one session
+/// of bandwidth `b` but not two (capacity `b·(1 + slack)`, `slack < 1`).
+/// Returns the network, `s` and the destinations.
+fn tie_diamond_sdn(b: f64, slack: f64, dests: usize) -> (Sdn, NodeId, Vec<NodeId>) {
+    let cap = b * (1.0 + slack);
+    let mut bld = SdnBuilder::new();
+    let s = bld.add_switch();
+    let m = bld.add_server(1e9, 1.0);
+    let a = bld.add_switch();
+    let c = bld.add_switch();
+    bld.add_link(s, a, cap, 1.0).unwrap();
+    bld.add_link(a, m, cap, 2.0).unwrap();
+    bld.add_link(s, c, cap, 2.0).unwrap();
+    bld.add_link(c, m, cap, 1.0).unwrap();
+    let d = (0..dests)
+        .map(|_| {
+            let d = bld.add_switch();
+            bld.add_link(m, d, cap, 1.0).unwrap();
+            d
+        })
+        .collect();
+    (bld.build().unwrap(), s, d)
+}
+
+/// `rounds` pairs of a loader then a victim: identical requests from
+/// `s` to `d` of bandwidth `b`, one time unit apart, each held for half
+/// a unit, so every loader departs before its victim arrives.
+fn loader_victim_stream(s: NodeId, d: &[NodeId], b: f64, rounds: usize) -> Vec<TimedRequest> {
+    let chain = ServiceChain::new(vec![NfvType::Firewall]);
+    (0..2 * rounds as u64)
+        .map(|i| {
+            let req = MulticastRequest::new(RequestId(i), s, d.to_vec(), b, chain.clone());
+            TimedRequest::new(req, i as f64, 0.5)
+        })
+        .collect()
+}
+
+/// Pushes a [`loader_victim_stream`] through a pipeline that republishes
+/// its snapshot on every mutation, committing (`drain`) each loader
+/// before its victim is pushed: the victim is planned on a snapshot that
+/// holds the loader's load, and its commit first releases it.
+fn run_rounds(
+    fresh: Sdn,
+    stream: &[TimedRequest],
+    workers: usize,
+    window: usize,
+) -> PipelineOutcome {
+    let config = PipelineConfig::new(2)
+        .with_workers(workers)
+        .with_window(window)
+        .with_refresh(1);
+    let mut pipeline = AdmissionPipeline::launch(fresh, config);
+    for (i, tr) in stream.iter().enumerate() {
+        pipeline.push(tr.clone());
+        if i % 2 == 0 {
+            pipeline.drain(); // commit the loader
+        }
+    }
+    pipeline.finish()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -101,27 +229,9 @@ proptest! {
         window in 1usize..6,
     ) {
         let (fresh, s, d) = bottleneck_sdn(b, slack, detour, dests);
-        let chain = ServiceChain::new(vec![NfvType::Firewall]);
-        let stream: Vec<TimedRequest> = (0..2 * rounds as u64)
-            .map(|i| {
-                let req = MulticastRequest::new(RequestId(i), s, d.clone(), b, chain.clone());
-                TimedRequest::new(req, i as f64, 0.5)
-            })
-            .collect();
+        let stream = loader_victim_stream(s, &d, b, rounds);
         let (ref_net, ref_decisions) = reference_stream(fresh.clone(), &stream, 2);
-
-        let config = PipelineConfig::new(2)
-            .with_workers(workers)
-            .with_window(window)
-            .with_refresh(1);
-        let mut pipeline = AdmissionPipeline::launch(fresh, config);
-        for (i, tr) in stream.iter().enumerate() {
-            pipeline.push(tr.clone());
-            if i % 2 == 0 {
-                pipeline.drain(); // commit the loader
-            }
-        }
-        let out = pipeline.finish();
+        let out = run_rounds(fresh, &stream, workers, window);
 
         prop_assert!(ref_decisions.iter().all(|a| matches!(a, Admission::Admitted(_))));
         prop_assert_eq!(&out.decisions, &ref_decisions);
@@ -130,6 +240,34 @@ proptest! {
             out.report.replanned >= rounds,
             "each victim's plan is disturbed by the departure inside its window"
         );
+    }
+
+    /// The loader/victim rounds over the equal-cost diamond. The loader
+    /// fills every link it crosses, so the victim's snapshot has no tree;
+    /// the loader departs before the victim's commit, which re-plans on
+    /// the full network. That re-plan must break the tie as the cached
+    /// replay does, not as the uncached planner would.
+    #[test]
+    fn a_replan_breaks_ties_by_the_cached_rule(
+        b in 20.0f64..200.0,
+        slack in 0.0f64..0.9,
+        dests in 1usize..4,
+        rounds in 1usize..4,
+        workers in 1usize..4,
+        window in 1usize..6,
+    ) {
+        let (fresh, s, d) = tie_diamond_sdn(b, slack, dests);
+        let stream = loader_victim_stream(s, &d, b, rounds);
+        let (ref_net, ref_decisions) = cached_reference_stream(fresh.clone(), &stream, 2);
+        let (_, uncached) = reference_stream(fresh.clone(), &stream, 2);
+        // The diamond's tie matters: the uncached planner routes through `a`.
+        prop_assert_ne!(&uncached, &ref_decisions);
+        let out = run_rounds(fresh, &stream, workers, window);
+
+        prop_assert!(ref_decisions.iter().all(|a| matches!(a, Admission::Admitted(_))));
+        prop_assert_eq!(&out.decisions, &ref_decisions);
+        prop_assert_eq!(&out.sdn, &ref_net);
+        prop_assert!(out.report.replanned >= rounds);
     }
 
     /// Pipelined decisions, trees, and the final residual state are
@@ -143,14 +281,23 @@ proptest! {
         workers in 0usize..4,
         window in 1usize..10,
         refresh in 1usize..4,
+        unit_costs in any::<bool>(),
     ) {
         let n = 30;
-        let fresh = waxman_fixture(n, 420);
         // Mean holding of 4 interarrival times: sessions overlap and
         // plenty depart mid-stream.
         let stream = timed_stream(n, count, seed, 4.0);
-
-        let (ref_net, ref_decisions) = reference_stream(fresh.clone(), &stream, 2);
+        // On unit costs the reference is the cached replay: the
+        // pipeline's tie rule.
+        let (fresh, (ref_net, ref_decisions)) = if unit_costs {
+            let fresh = unit_cost_network(n, 422);
+            let reference = cached_reference_stream(fresh.clone(), &stream, 2);
+            (fresh, reference)
+        } else {
+            let fresh = waxman_fixture(n, 420);
+            let reference = reference_stream(fresh.clone(), &stream, 2);
+            (fresh, reference)
+        };
 
         let config = PipelineConfig::new(2)
             .with_workers(workers)
